@@ -12,7 +12,7 @@ eigenvalues are Richardson-extrapolated with an order fitted from three grid
 levels instead of an assumed exponent.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,26 +97,17 @@ def build_grid(domain, h: float, include_junction: bool = True) -> Grid2D:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse symmetric positive-definite masked Laplacian."""
+    """Sparse symmetric positive-definite masked Laplacian; ``nodes`` holds
+    the lattice indices (i, j) of its rows, which the eigensolver's
+    multigrid preconditioner aggregates."""
 
     matrix: sp.csr_matrix
     h: float
+    nodes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.matrix.tocoo().row
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self.matrix.tocoo().col
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.tocoo().data
 
     def dump_coo(self, path):
         """Write (row, col, value) triplets for external verification."""
@@ -127,26 +118,30 @@ class DiscreteOperator:
 
 
 def assemble(grid: Grid2D) -> DiscreteOperator:
-    """Assemble the five-point operator on the active nodes of a grid."""
+    """Assemble the five-point operator on the active nodes of a grid.
+
+    The CSR arrays are built straight from the five stencil columns, whose
+    lexicographic order (i-1, j), (i, j-1), self, (i, j+1), (i+1, j) is
+    already ascending in every row; inactive neighbors are masked out.
+    """
     n = grid.n
     h2 = grid.h * grid.h
     imap = grid.index_map
     li = grid.active[:, 0] - grid.i0
     lj = grid.active[:, 1] - grid.j0
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 4.0 / h2)]
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        neighbor = imap[li + di, lj + dj]
-        ok = neighbor >= 0
-        rows.append(np.arange(n)[ok])
-        cols.append(neighbor[ok])
-        vals.append(np.full(int(ok.sum()), -1.0 / h2))
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return DiscreteOperator(matrix=mat, h=grid.h)
+    stencil = np.empty((n, 5), dtype=np.int32)
+    stencil[:, 0] = imap[li - 1, lj]
+    stencil[:, 1] = imap[li, lj - 1]
+    stencil[:, 2] = np.arange(n)
+    stencil[:, 3] = imap[li, lj + 1]
+    stencil[:, 4] = imap[li + 1, lj]
+    ok = stencil >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(ok.sum(axis=1), out=indptr[1:])
+    data = np.full(int(indptr[-1]), -1.0 / h2)
+    data[indptr[:-1] + ok[:, 0] + ok[:, 1]] = 4.0 / h2
+    mat = sp.csr_matrix((data, stencil[ok], indptr), shape=(n, n))
+    return DiscreteOperator(matrix=mat, h=grid.h, nodes=grid.active)
 
 
 def prolong(coarse: Grid2D, vec: np.ndarray, fine: Grid2D) -> np.ndarray:

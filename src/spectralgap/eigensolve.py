@@ -1,11 +1,20 @@
 """Two smallest eigenpairs of a sparse SPD operator by inverse iteration.
 
 Plain shift-zero inverse iteration: each outer step solves A y = x with
-diagonally preconditioned conjugate gradients to 1e-10 relative residual,
-then normalizes.  The second vector is re-orthogonalized against the first
-at every step (deflation), which also resolves degenerate pairs such as two
+preconditioned conjugate gradients to 1e-10 relative residual, then
+normalizes.  The second vector is re-orthogonalized against the first at
+every step (deflation), which also resolves degenerate pairs such as two
 identical disjoint components.  Starting vectors come from a seeded
 generator, so runs are bit-reproducible on one platform.
+
+The preconditioner is one symmetric aggregation-multigrid V-cycle (Braess,
+Computing 55, 1995), built once per call: each level merges the 2 x 2
+lattice blocks of its nodes into one unknown, the coarse operator is the
+Galerkin product P^T A P of the piecewise-constant prolongation P, damped
+Jacobi smooths once before and once after the coarse correction, and the
+correction is over-scaled to make up for the too-stiff constant
+interpolation.  Levels stop at COARSEST unknowns, which are solved with a
+dense inverse.  CG steps per solve then barely grow as the grid is refined.
 """
 
 from dataclasses import dataclass
@@ -24,6 +33,10 @@ __all__ = [
 
 DEFAULT_SEED = 2025
 
+COARSEST = 400  # unknowns at or below which a level is inverted densely
+OMEGA = 2.0 / 3.0  # damped-Jacobi weight of the smoothing sweeps
+OVERCORRECTION = 1.8  # scaling of the piecewise-constant coarse correction
+
 
 class IndefiniteOperatorError(RuntimeError):
     """The operator is not positive definite."""
@@ -41,13 +54,15 @@ class ConvergenceError(RuntimeError):
 class EigenResult:
     """Two smallest eigenpairs: values ascending, unit-norm vectors as
     columns, per-pair residual norms ||A v - lambda v|| and outer iteration
-    counts, and the tolerance the solve was run at."""
+    counts, the tolerance the solve was run at, and the total preconditioned
+    CG steps spent on each pair."""
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     iterations: tuple
     tol: float
+    inner_iterations: tuple = ()
 
 
 def _as_csr(operator):
@@ -60,8 +75,44 @@ def _as_csr(operator):
     return sp.csr_matrix(arr)
 
 
-def _pcg(A, b, inv_diag, x0=None, rtol=1e-10, max_iter=None):
-    """Jacobi-preconditioned CG for SPD systems; returns (x, iterations).
+def _hierarchy(A, nodes):
+    """Aggregation levels of the V-cycle for A with lattice indices ``nodes``.
+
+    Returns (levels, coarse_inverse); each level is (A, OMEGA / diag(A),
+    aggregate of each row, number of aggregates).
+    """
+    levels = []
+    while A.shape[0] > COARSEST:
+        n = A.shape[0]
+        nodes, agg = np.unique(nodes // 2, axis=0, return_inverse=True)
+        agg = agg.ravel()
+        P = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, len(nodes)))
+        levels.append((A, OMEGA / A.diagonal(), agg, len(nodes)))
+        A = (P.T @ A @ P).tocsr()
+        if np.any(A.diagonal() <= 0):
+            raise IndefiniteOperatorError("operator is not positive definite on aggregates")
+    try:
+        coarse = np.linalg.inv(A.toarray())
+    except np.linalg.LinAlgError:
+        raise IndefiniteOperatorError("coarsest operator is singular") from None
+    return levels, 0.5 * (coarse + coarse.T)
+
+
+def _vcycle(hierarchy, r, depth=0):
+    """Apply the symmetric V-cycle preconditioner to r from a zero guess."""
+    levels, coarse = hierarchy
+    if depth == len(levels):
+        return coarse @ r
+    A, smoother, agg, n_coarse = levels[depth]
+    x = smoother * r
+    r_coarse = np.bincount(agg, weights=r - A @ x, minlength=n_coarse)
+    x += OVERCORRECTION * _vcycle(hierarchy, r_coarse, depth + 1)[agg]
+    x += smoother * (r - A @ x)
+    return x
+
+
+def _pcg(A, b, hierarchy, x0=None, rtol=1e-10, max_iter=None):
+    """V-cycle-preconditioned CG for SPD systems; returns (x, iterations).
 
     Raises IndefiniteOperatorError when a search direction has nonpositive
     curvature, which cannot happen for a positive definite matrix.
@@ -78,7 +129,7 @@ def _pcg(A, b, inv_diag, x0=None, rtol=1e-10, max_iter=None):
     else:
         x = x0.copy()
         r = b - A @ x
-    z = inv_diag * r
+    z = _vcycle(hierarchy, r)
     p = z.copy()
     rz = float(r @ z)
     it = 0
@@ -92,7 +143,7 @@ def _pcg(A, b, inv_diag, x0=None, rtol=1e-10, max_iter=None):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = inv_diag * r
+        z = _vcycle(hierarchy, r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -119,10 +170,10 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     n = A.shape[0]
     if k > n:
         raise ValueError(f"requested {k} pairs from an operator of size {n}")
-    diag = A.diagonal()
-    if np.any(diag <= 0):
+    if np.any(A.diagonal() <= 0):
         raise IndefiniteOperatorError("operator has nonpositive diagonal entries")
-    inv_diag = 1.0 / diag
+    nodes = getattr(operator, "nodes", None)
+    hierarchy = _hierarchy(A, np.arange(n)[:, None] if nodes is None else nodes)
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
     starts = rng.standard_normal((n, k))
     if x0 is not None:
@@ -136,6 +187,7 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     vectors = []
     residuals = []
     iterations = []
+    inner_iterations = []
     for pair in range(k):
         # converge the first pair tighter so its residual cannot pollute the
         # deflated second one (the true residual of v2 bottoms out at r1.x)
@@ -153,8 +205,10 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         lam = None
         converged = False
         warm = None
+        inner = 0
         for outer in range(1, max_outer + 1):
-            y, _ = _pcg(A, x, inv_diag, x0=warm, rtol=pair_inner_rtol)
+            y, steps = _pcg(A, x, hierarchy, x0=warm, rtol=pair_inner_rtol)
+            inner += steps
             for v in vectors:
                 y = y - v * (v @ y)
             ny = float(np.linalg.norm(y))
@@ -177,17 +231,18 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         vectors.append(x)
         residuals.append(resid)
         iterations.append(outer)
+        inner_iterations.append(inner)
         if not converged:
-            partial = _pack(values, vectors, residuals, iterations, tol)
+            partial = _pack(values, vectors, residuals, iterations, inner_iterations, tol)
             raise ConvergenceError(
                 f"eigenpair {pair + 1} not converged after {max_outer} outer "
                 f"iterations (residual {resid:.3e}, tol {tol * abs(lam):.3e})",
                 result=partial,
             )
-    return _pack(values, vectors, residuals, iterations, tol)
+    return _pack(values, vectors, residuals, iterations, inner_iterations, tol)
 
 
-def _pack(values, vectors, residuals, iterations, tol):
+def _pack(values, vectors, residuals, iterations, inner_iterations, tol):
     order = np.argsort(values)
     return EigenResult(
         values=np.array([values[i] for i in order]),
@@ -195,6 +250,7 @@ def _pack(values, vectors, residuals, iterations, tol):
         residuals=np.array([residuals[i] for i in order]),
         iterations=tuple(iterations[i] for i in order),
         tol=tol,
+        inner_iterations=tuple(inner_iterations[i] for i in order),
     )
 
 

@@ -3,8 +3,10 @@ Richardson-extrapolate with a fitted order, and normalize to unit measure.
 
 Coarse-level eigenvectors are prolonged to the next grid as starting guesses,
 which keeps the fine-level inverse iteration short.  The per-eigenvalue error
-budget sums the extrapolation correction and the solver tolerance; callers
-add their own quadrature budgets where relevant.
+budget sums the extrapolation correction and the solver tolerance; when no
+order could be fitted (two levels, or a non-monotone sequence) the correction
+is at least the change between the two finest levels.  Callers add their own
+quadrature budgets where relevant.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +34,8 @@ class DomainSolve:
     """Raw, extrapolated, and measure-normalized eigenvalue estimates.
 
     ``error_est_raw`` budgets the unnormalized extrapolated values (the
-    extrapolation correction magnitude plus the solver tolerance);
+    extrapolation correction magnitude, at least the last level change when
+    no order could be fitted, plus the solver tolerance);
     ``error_est`` is the same budget carried through the normalization.
     """
 
@@ -93,15 +96,18 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
         prev_grid, prev_vectors = grid, result.vectors
 
     lambda_x = np.empty(k)
+    error_est_raw = np.empty(k)
     orders = []
     monotone = []
     for i in range(k):
         vals = [float(lv.values[i]) for lv in levels]
+        fitted = False
         if len(vals) >= 3:
             ext = discretize.extrapolate_three(vals[-3], vals[-2], vals[-1])
             lambda_x[i] = ext.value
             orders.append(ext.order)
             monotone.append(ext.monotone)
+            fitted = ext.monotone
         elif len(vals) == 2:
             lambda_x[i] = discretize.extrapolate(vals[0], vals[1], order=1.0)
             orders.append(1.0)
@@ -110,13 +116,17 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
             lambda_x[i] = vals[0]
             orders.append(None)
             monotone.append(True)
+        # without a fitted order the last level change is the smallest honest
+        # error budget: it must not collapse when the extrapolation fails
+        correction = abs(lambda_x[i] - vals[-1])
+        if not fitted and len(vals) >= 2:
+            correction = max(correction, abs(vals[-1] - vals[-2]))
+        error_est_raw[i] = correction + tol * abs(lambda_x[i])
 
     vol = measure(domain)
     omega = unit_ball_volume(domain.dim)
     t = (omega / vol) ** (1.0 / domain.dim)
     norm_factor = (vol / omega) ** (2.0 / domain.dim)
-    finest = levels[-1].values
-    error_est_raw = np.abs(lambda_x - finest) + tol * np.abs(lambda_x)
     return DomainSolve(
         domain=domain,
         h_list=tuple(hs),

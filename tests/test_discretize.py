@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from spectralgap import discretize as d
 from spectralgap import geometry as geo
@@ -58,7 +59,46 @@ def _connected_components(matrix):
     return connected_components(matrix, directed=False)
 
 
+def _coo_assembled(grid):
+    """The five-point matrix built the straightforward way, from COO
+    triplets, as a reference for the direct CSR assembly."""
+    n = grid.n
+    h2 = grid.h * grid.h
+    li = grid.active[:, 0] - grid.i0
+    lj = grid.active[:, 1] - grid.j0
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0 / h2)]
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        neighbor = grid.index_map[li + di, lj + dj]
+        ok = neighbor >= 0
+        rows.append(np.arange(n)[ok])
+        cols.append(neighbor[ok])
+        vals.append(np.full(int(ok.sum()), -1.0 / h2))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+
+
 class TestAssemble:
+    @pytest.mark.parametrize("domain", [geo.Ball(), geo.Dumbbell(0.2), geo.TwoBalls(),
+                                        geo.Rectangle(2.0, 1.0)])
+    def test_csr_equals_coo_build(self, domain):
+        grid = d.build_grid(domain, 1 / 16)
+        op = d.assemble(grid)
+        A, ref = op.matrix, _coo_assembled(grid)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(A, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        rows = np.repeat(np.arange(op.n), np.diff(A.indptr))
+        assert (np.diff(rows * op.n + A.indices) > 0).all()  # sorted within rows
+        assert np.array_equal(op.nodes, grid.active)
+
+    def test_coo_dump_unchanged(self, tmp_path):
+        grid = d.build_grid(geo.Dumbbell(0.2), 1 / 4)
+        path = tmp_path / "matrix.txt"
+        d.assemble(grid).dump_coo(path)
+        coo = _coo_assembled(grid).tocoo()
+        expected = "".join(f"{r} {c} {v:.12g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
+        assert path.read_text() == expected
+
     def test_single_node(self):
         grid = d.build_grid(geo.Ball(radius=0.2), 0.5)
         assert grid.n == 1

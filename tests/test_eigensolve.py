@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +10,7 @@ from spectralgap import discretize as d
 from spectralgap import eigensolve as es
 from spectralgap import geometry as geo
 
+from conftest import cli_env
 from test_discretize import square_mode_values
 
 
@@ -56,6 +60,8 @@ class TestSmallestPairs:
         b = es.smallest_pairs(disc_op, tol=1e-8, seed=123)
         assert np.array_equal(a.values, b.values)
         assert a.iterations == b.iterations
+        assert a.inner_iterations == b.inner_iterations
+        assert all(steps > 0 for steps in a.inner_iterations)
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_indefinite_rejected(self):
@@ -63,6 +69,12 @@ class TestSmallestPairs:
             es.smallest_pairs(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(es.IndefiniteOperatorError):
             es.smallest_pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(es.IndefiniteOperatorError):  # singular
+            es.smallest_pairs(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        # positive diagonal, but negative on the aggregated pairs
+        n = 2 * es.COARSEST
+        with pytest.raises(es.IndefiniteOperatorError):
+            es.smallest_pairs(sp.diags([-2.0, 1.0, -2.0], [-1, 0, 1], shape=(n, n)))
 
     def test_nonconvergence_reports_best_iterate(self, disc_op):
         with pytest.raises(es.ConvergenceError) as err:
@@ -81,6 +93,78 @@ class TestSmallestPairs:
         res = es.smallest_pairs(mat, tol=1e-10)
         exact = [2.0 - np.sqrt(2.0), 2.0]
         assert res.values == pytest.approx(exact, rel=1e-9)
+
+    def test_bare_matrix_above_coarsest(self, disc_op, disc_result):
+        # without lattice nodes the V-cycle aggregates consecutive rows
+        assert disc_op.n > es.COARSEST
+        res = es.smallest_pairs(disc_op.matrix, tol=1e-8)
+        assert res.values == pytest.approx(disc_result.values, rel=1e-8)
+        assert (res.residuals <= res.tol * res.values).all()
+
+
+def test_package_leaves_scipy_linalg_unloaded():
+    # importing scipy.sparse.linalg alone costs about 9 MB of peak memory
+    probe = ("import sys, spectralgap.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith("
+             "('scipy.sparse.linalg', 'scipy.linalg'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _multigrid(domain, h):
+    op = d.assemble(d.build_grid(domain, h))
+    return op, es._hierarchy(op.matrix, op.nodes)
+
+
+class TestVCycle:
+    """The preconditioner M r = _vcycle(hierarchy, r) is one V-cycle."""
+
+    def test_levels_coarsen_to_dense_inverse(self):
+        op, (levels, coarse) = _multigrid(geo.Ball(), 1 / 32)
+        sizes = [level[0].shape[0] for level in levels] + [coarse.shape[0]]
+        assert sizes[0] == op.n and len(levels) >= 2
+        assert all(a > b for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] <= es.COARSEST < sizes[-2]
+
+    def test_symmetric_positive_definite(self):
+        op, hierarchy = _multigrid(geo.Dumbbell(0.2), 1 / 16)
+        assert len(hierarchy[0]) >= 2
+        M = np.column_stack([es._vcycle(hierarchy, e) for e in np.eye(op.n)])
+        assert np.abs(M - M.T).max() <= 1e-14 * np.abs(M).max()
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            x = rng.standard_normal(op.n)
+            assert x @ es._vcycle(hierarchy, x) > 0.0
+
+    @pytest.mark.parametrize("domain, limit", [(geo.Ball(), 5.0), (geo.Dumbbell(0.2), 7.0)])
+    def test_condition_number(self, domain, limit):
+        """kappa(MA) from the extreme eigenvalues of the symmetric pencil
+        (A M A, A), which has the spectrum of MA; about 4.0 on the disc and
+        6.0 on Dumbbell(0.2) at h = 1/32."""
+        op, hierarchy = _multigrid(domain, 1 / 32)
+        A = op.matrix
+        lu = spla.splu(A.tocsc())
+        ama = spla.LinearOperator(
+            A.shape, dtype=float,
+            matvec=lambda x: A @ es._vcycle(hierarchy, A @ np.ravel(x)))
+        a_inv = spla.LinearOperator(A.shape, dtype=float,
+                                    matvec=lambda x: lu.solve(np.ravel(x)))
+        extremes = [spla.eigsh(ama, k=1, M=A, Minv=a_inv, which=which, v0=np.ones(op.n),
+                               return_eigenvectors=False)[0] for which in ("SA", "LA")]
+        assert 0.0 < extremes[0] and extremes[1] / extremes[0] <= limit
+
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
+    def test_cg_steps_bounded_as_h_halves(self, h):
+        op, hierarchy = _multigrid(geo.Ball(), h)
+        b = np.random.default_rng(5).standard_normal(op.n)
+        x, steps = es._pcg(op.matrix, b, hierarchy, rtol=1e-10)
+        assert steps <= 40
+        assert np.linalg.norm(b - op.matrix @ x) <= 1e-10 * np.linalg.norm(b)
+        res = es.smallest_pairs(op, tol=1e-6, seed=1)
+        for inner, outer in zip(res.inner_iterations, res.iterations):
+            assert inner <= 40 * outer
 
 
 class TestRayleighResidual:
