@@ -1,20 +1,24 @@
-"""Two smallest eigenpairs of a sparse SPD operator by inverse iteration.
+"""Two smallest eigenpairs of a sparse SPD operator by block LOBPCG.
 
-Plain shift-zero inverse iteration: each outer step solves A y = x with
-preconditioned conjugate gradients to 1e-10 relative residual, then
-normalizes.  The second vector is re-orthogonalized against the first at
-every step (deflation), which also resolves degenerate pairs such as two
-identical disjoint components.  Starting vectors come from a seeded
-generator, so runs are bit-reproducible on one platform.
+One block X of k vectors is improved by Rayleigh-Ritz on span[X, W, P]
+(Knyazev, SIAM J. Sci. Comput. 23(2), 2001): W holds the preconditioned
+residuals M (A x - theta x) of the pairs not yet converged and P the last
+update directions.  W and P are projected off X and orthonormalized through
+their scaled Gram matrix, which drops nearly dependent directions (Duersch,
+Shao, Yang & Gu, SIAM J. Sci. Comput. 40(5), 2018); that covers
+rank-deficient subspaces of tiny operators and exactly converged, zero
+residuals.  The block resolves degenerate pairs such as two identical
+disjoint components.  Starting vectors come from a seeded generator, so runs
+are bit-reproducible on one platform.
 
-The preconditioner is one symmetric aggregation-multigrid V-cycle (Braess,
+The preconditioner M is one symmetric aggregation-multigrid V-cycle (Braess,
 Computing 55, 1995), built once per call: each level merges the 2 x 2
 lattice blocks of its nodes into one unknown, the coarse operator is the
 Galerkin product P^T A P of the piecewise-constant prolongation P, damped
 Jacobi smooths once before and once after the coarse correction, and the
 correction is over-scaled to make up for the too-stiff constant
 interpolation.  Levels stop at COARSEST unknowns, which are solved with a
-dense inverse.  CG steps per solve then barely grow as the grid is refined.
+dense inverse.  Block iterations then barely grow as the grid is refined.
 """
 
 from dataclasses import dataclass
@@ -36,6 +40,7 @@ DEFAULT_SEED = 2025
 COARSEST = 400  # unknowns at or below which a level is inverted densely
 OMEGA = 2.0 / 3.0  # damped-Jacobi weight of the smoothing sweeps
 OVERCORRECTION = 1.8  # scaling of the piecewise-constant coarse correction
+DEPENDENT = 1e-10  # relative Gram eigenvalue below which a direction is dropped
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -52,10 +57,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Two smallest eigenpairs: values ascending, unit-norm vectors as
-    columns, per-pair residual norms ||A v - lambda v|| and outer iteration
-    counts, the tolerance the solve was run at, and the total preconditioned
-    CG steps spent on each pair."""
+    """Two smallest eigenpairs: values ascending, orthonormal vectors as
+    columns, per-pair residual norms ||A v - lambda v||, the block iterations
+    run, the tolerance the solve was run at, and the V-cycles applied to each
+    pair's residual."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -75,6 +80,19 @@ def _as_csr(operator):
     return sp.csr_matrix(arr)
 
 
+def _aggregate(nodes):
+    """Merge the 2 x 2 blocks of lattice indices ``nodes``: the aggregate of
+    each node, numbered in lexicographic block order, and the block indices
+    of each aggregate."""
+    half = nodes // 2
+    # one integer key per block; the unshifted indices go to the next level,
+    # since their parity decides the next merge
+    low = half.min(axis=0)
+    key = np.ravel_multi_index((half - low).T, half.max(axis=0) - low + 1)
+    _, first, agg = np.unique(key, return_index=True, return_inverse=True)
+    return agg, half[first]
+
+
 def _hierarchy(A, nodes):
     """Aggregation levels of the V-cycle for A with lattice indices ``nodes``.
 
@@ -84,8 +102,7 @@ def _hierarchy(A, nodes):
     levels = []
     while A.shape[0] > COARSEST:
         n = A.shape[0]
-        nodes, agg = np.unique(nodes // 2, axis=0, return_inverse=True)
-        agg = agg.ravel()
+        agg, nodes = _aggregate(nodes)
         P = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, len(nodes)))
         levels.append((A, OMEGA / A.diagonal(), agg, len(nodes)))
         A = (P.T @ A @ P).tocsr()
@@ -111,58 +128,49 @@ def _vcycle(hierarchy, r, depth=0):
     return x
 
 
-def _pcg(A, b, hierarchy, x0=None, rtol=1e-10, max_iter=None):
-    """V-cycle-preconditioned CG for SPD systems; returns (x, iterations).
+def _orthonormal(Y):
+    """Coefficients T such that the rows of T.T @ Y are orthonormal and span
+    the rows of Y, less its near-dependent directions.
 
-    Raises IndefiniteOperatorError when a search direction has nonpositive
-    curvature, which cannot happen for a positive definite matrix.
+    The Gram matrix is scaled to a unit diagonal (zero rows stay zero), and
+    its eigenvectors with eigenvalues above DEPENDENT times the largest give
+    the basis.
     """
-    n = A.shape[0]
-    if max_iter is None:
-        max_iter = max(1000, 40 * n)
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros(n), 0
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = x0.copy()
-        r = b - A @ x
-    z = _vcycle(hierarchy, r)
-    p = z.copy()
-    rz = float(r @ z)
-    it = 0
-    while float(np.linalg.norm(r)) > rtol * norm_b and it < max_iter:
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise IndefiniteOperatorError(
-                f"nonpositive curvature p.Ap = {pAp:.3e} in CG step {it}"
-            )
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = _vcycle(hierarchy, r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    if it >= max_iter:
-        raise ConvergenceError(f"CG stalled after {it} iterations")
-    return x, it
+    gram = Y @ Y.T
+    norms = np.sqrt(np.diag(gram))
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    d, U = np.linalg.eigh(scale[:, None] * gram * scale)
+    keep = d > DEPENDENT * d.max(initial=0.0)
+    return scale[:, None] * U[:, keep] / np.sqrt(d[keep])
+
+
+def _ritz(A, X):
+    """Rayleigh-Ritz in place on the span of the rows of X, which become the
+    orthonormal Ritz vectors; returns the ascending Ritz values and the
+    residuals A x - theta x as rows."""
+    T = _orthonormal(X)
+    AX = np.empty_like(X)
+    for x, ax in zip(X, AX):
+        ax[:] = A @ x
+    G = T.T @ (X @ AX.T) @ T
+    theta, U = np.linalg.eigh(0.5 * (G + G.T))
+    C = T @ U
+    X[:] = C.T @ X
+    AX[:] = C.T @ AX
+    AX -= theta[:, None] * X
+    return theta, AX
 
 
 def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = None,
-                   x0: np.ndarray | None = None, max_outer: int = 200,
-                   inner_rtol: float = 1e-10) -> EigenResult:
+                   x0: np.ndarray | None = None, max_outer: int = 200) -> EigenResult:
     """Compute the k (= 1 or 2) smallest eigenpairs of an SPD operator.
 
     Accepts a DiscreteOperator, a scipy sparse matrix, or a dense array.
-    Convergence requires both a relative eigenvalue change below ``tol`` and
-    an eigenresidual ||A v - lambda v|| <= tol * lambda.  Optional ``x0``
-    columns seed the iteration (used for grid continuation); otherwise the
-    start is pseudo-random with the given seed.
+    Runs block LOBPCG on k vectors for at most ``max_outer`` iterations.
+    Convergence requires, for every pair, both a relative eigenvalue change
+    below ``tol`` and an eigenresidual ||A v - lambda v|| <= tol * lambda.
+    Optional ``x0`` columns seed the iteration (used for grid continuation);
+    otherwise the start is pseudo-random with the given seed.
     """
     if k not in (1, 2):
         raise ValueError(f"only the two smallest pairs are supported, got k={k}")
@@ -175,83 +183,55 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     nodes = getattr(operator, "nodes", None)
     hierarchy = _hierarchy(A, np.arange(n)[:, None] if nodes is None else nodes)
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    starts = rng.standard_normal((n, k))
+    # block vectors as rows: X = S[:k], then p update directions P, then the
+    # preconditioned residuals W
+    S = np.empty((3 * k, n))
+    S[:k] = rng.standard_normal((n, k)).T
     if x0 is not None:
         x0 = np.atleast_2d(np.asarray(x0, dtype=float))
         if x0.shape[0] == n:
-            starts[:, : x0.shape[1]] = x0
+            S[: x0.shape[1]] = x0.T
         else:
-            starts[:, : x0.shape[0]] = x0.T
+            S[: x0.shape[0]] = x0
+    X = S[:k]
+    if _orthonormal(X).shape[1] < k:
+        raise ValueError("starting vectors are linearly dependent")
 
-    values = []
-    vectors = []
-    residuals = []
-    iterations = []
-    inner_iterations = []
-    for pair in range(k):
-        # converge the first pair tighter so its residual cannot pollute the
-        # deflated second one (the true residual of v2 bottoms out at r1.x)
-        pair_tol = tol / 4.0 if (pair == 0 and k > 1) else tol
-        # the inner solves must out-resolve the eigenresidual target,
-        # otherwise a warm-started CG can return unchanged and stall
-        pair_inner_rtol = min(inner_rtol, 0.2 * pair_tol)
-        x = starts[:, pair]
-        for v in vectors:
-            x = x - v * (v @ x)
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            raise ValueError("starting vector lies entirely in the deflated space")
-        x /= nx
-        lam = None
-        converged = False
-        warm = None
-        inner = 0
-        for outer in range(1, max_outer + 1):
-            y, steps = _pcg(A, x, hierarchy, x0=warm, rtol=pair_inner_rtol)
-            inner += steps
-            for v in vectors:
-                y = y - v * (v @ y)
-            ny = float(np.linalg.norm(y))
-            if ny == 0.0:
-                raise IndefiniteOperatorError("inverse iteration collapsed to zero")
-            lam_new = float(y @ x) / float(y @ y)
-            x = y / ny
-            resid = float(np.linalg.norm(A @ x - lam_new * x))
-            if (
-                lam is not None
-                and abs(lam_new - lam) <= pair_tol * abs(lam_new)
-                and resid <= pair_tol * abs(lam_new)
-            ):
-                lam = lam_new
-                converged = True
-                break
-            lam = lam_new
-            warm = x / lam  # next solve's solution is close to x/lambda
-        values.append(lam)
-        vectors.append(x)
-        residuals.append(resid)
-        iterations.append(outer)
-        inner_iterations.append(inner)
-        if not converged:
-            partial = _pack(values, vectors, residuals, iterations, inner_iterations, tol)
+    p = 0
+    previous = np.full(k, np.inf)
+    inner = np.zeros(k, dtype=int)
+    for iteration in range(max_outer + 1):
+        theta, R = _ritz(A, X)
+        if theta[0] <= 0.0:
+            raise IndefiniteOperatorError(f"nonpositive Ritz value {theta[0]:.3e}")
+        residuals = np.linalg.norm(R, axis=1)
+        done = (np.abs(theta - previous) <= tol * theta) & (residuals <= tol * theta)
+        if done.all() or iteration == max_outer:
+            result = EigenResult(values=theta, vectors=X.copy().T, residuals=residuals,
+                                 iterations=(iteration,) * k, tol=tol,
+                                 inner_iterations=tuple(int(i) for i in inner))
+            if done.all():
+                return result
             raise ConvergenceError(
-                f"eigenpair {pair + 1} not converged after {max_outer} outer "
-                f"iterations (residual {resid:.3e}, tol {tol * abs(lam):.3e})",
-                result=partial,
-            )
-    return _pack(values, vectors, residuals, iterations, inner_iterations, tol)
-
-
-def _pack(values, vectors, residuals, iterations, inner_iterations, tol):
-    order = np.argsort(values)
-    return EigenResult(
-        values=np.array([values[i] for i in order]),
-        vectors=np.column_stack([vectors[i] for i in order]),
-        residuals=np.array([residuals[i] for i in order]),
-        iterations=tuple(iterations[i] for i in order),
-        tol=tol,
-        inner_iterations=tuple(inner_iterations[i] for i in order),
-    )
+                f"eigenpairs not converged after {max_outer} iterations (residuals "
+                f"{residuals.max():.3e}, tol {tol * theta.max():.3e})", result=result)
+        # Rayleigh-Ritz on span[X, P, W]; converged pairs get no new direction
+        active = np.flatnonzero(~done)
+        inner[active] += 1
+        for row, i in zip(S[k + p:], active):
+            row[:] = _vcycle(hierarchy, R[i])
+        basis = S[k: k + p + len(active)]
+        for _ in range(2):  # twice is enough for orthogonality to working precision
+            for row in basis:
+                row -= (X @ row) @ X
+        T = _orthonormal(basis)
+        m = k + T.shape[1]
+        S[k:m] = T.T @ basis
+        gram = np.array([S[:m] @ (A @ s) for s in S[:m]])
+        _, C = np.linalg.eigh(0.5 * (gram + gram.T))
+        S[:k], S[k: 2 * k] = C[:, :k].T @ S[:m], C[k:m, :k].T @ S[k:m]
+        p = k
+        previous = theta
 
 
 def rayleigh_residual(operator, v: np.ndarray):

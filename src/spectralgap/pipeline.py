@@ -1,8 +1,8 @@
 """Grid eigensolve pipeline: solve a domain across halving grid levels,
 Richardson-extrapolate with a fitted order, and normalize to unit measure.
 
-Coarse-level eigenvectors are prolonged to the next grid as starting guesses,
-which keeps the fine-level inverse iteration short.  The per-eigenvalue error
+Coarse-level eigenvectors are prolonged to the next grid as starting guesses
+for its block eigensolve.  The per-eigenvalue error
 budget sums the extrapolation correction and the solver tolerance; when no
 order could be fitted (two levels, or a non-monotone sequence) the correction
 is at least the change between the two finest levels.  Callers add their own

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -75,12 +76,24 @@ class TestSmallestPairs:
         n = 2 * es.COARSEST
         with pytest.raises(es.IndefiniteOperatorError):
             es.smallest_pairs(sp.diags([-2.0, 1.0, -2.0], [-1, 0, 1], shape=(n, n)))
+        # positive diagonal and an invertible coarsest matrix: a Ritz value < 0
+        with pytest.raises(es.IndefiniteOperatorError):
+            es.smallest_pairs(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(es.IndefiniteOperatorError):
+            es.smallest_pairs(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
     def test_nonconvergence_reports_best_iterate(self, disc_op):
         with pytest.raises(es.ConvergenceError) as err:
             es.smallest_pairs(disc_op, tol=1e-12, max_outer=2)
         assert err.value.result is not None
         assert err.value.result.values[0] > 0
+
+    def test_exact_start_has_zero_residual(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = es.smallest_pairs(np.diag([1.0, 2.0, 3.0, 4.0]), x0=np.eye(4)[:, :2])
+        assert np.array_equal(res.values, [1.0, 2.0])
+        assert np.array_equal(res.residuals, [0.0, 0.0])
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -100,6 +113,17 @@ class TestSmallestPairs:
         res = es.smallest_pairs(disc_op.matrix, tol=1e-8)
         assert res.values == pytest.approx(disc_result.values, rel=1e-8)
         assert (res.residuals <= res.tol * res.values).all()
+
+
+@pytest.mark.parametrize("domain, h", [(geo.Dumbbell(0.2), 1 / 32), (geo.TwoBalls(), 1 / 16)])
+def test_hard_spectra_match_arpack(domain, h):
+    """Nearly and exactly degenerate pairs against shift-invert Lanczos."""
+    op = d.assemble(d.build_grid(domain, h))
+    res = es.smallest_pairs(op, tol=1e-8)
+    ref = np.sort(spla.eigsh(op.matrix, k=2, sigma=0.0, return_eigenvectors=False))
+    assert res.values == pytest.approx(ref, rel=1e-8)
+    assert (res.residuals <= res.tol * res.values).all()
+    assert np.abs(res.vectors.T @ res.vectors - np.eye(2)).max() <= 1e-10
 
 
 def test_package_leaves_scipy_linalg_unloaded():
@@ -156,15 +180,33 @@ class TestVCycle:
         assert 0.0 < extremes[0] and extremes[1] / extremes[0] <= limit
 
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
-    def test_cg_steps_bounded_as_h_halves(self, h):
-        op, hierarchy = _multigrid(geo.Ball(), h)
-        b = np.random.default_rng(5).standard_normal(op.n)
-        x, steps = es._pcg(op.matrix, b, hierarchy, rtol=1e-10)
-        assert steps <= 40
-        assert np.linalg.norm(b - op.matrix @ x) <= 1e-10 * np.linalg.norm(b)
+    def test_block_iterations_bounded_as_h_halves(self, h):
+        op = d.assemble(d.build_grid(geo.Ball(), h))
         res = es.smallest_pairs(op, tol=1e-6, seed=1)
+        assert all(iterations <= 40 for iterations in res.iterations)
         for inner, outer in zip(res.inner_iterations, res.iterations):
-            assert inner <= 40 * outer
+            assert inner <= outer
+
+    @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 128), (geo.Dumbbell(0.2), 1 / 64),
+                                           (geo.TwoBalls(), 1 / 32)])
+    def test_levels_match_row_unique_aggregation(self, domain, h):
+        """The integer-key aggregation builds the same levels as merging the
+        rows of nodes // 2 with np.unique(axis=0)."""
+        op, (levels, coarse) = _multigrid(domain, h)
+        A, nodes = op.matrix, op.nodes
+        assert len(levels) >= 2
+        for A_level, smoother, agg, n_coarse in levels:
+            n = A.shape[0]
+            nodes, ref_agg = np.unique(nodes // 2, axis=0, return_inverse=True)
+            ref_agg = ref_agg.ravel()
+            assert A_level.shape == A.shape and (A_level != A).nnz == 0
+            assert np.array_equal(smoother, es.OMEGA / A.diagonal())
+            assert np.array_equal(agg, ref_agg) and n_coarse == len(nodes)
+            P = sp.csr_matrix((np.ones(n), ref_agg, np.arange(n + 1)), shape=(n, len(nodes)))
+            A = (P.T @ A @ P).tocsr()
+        assert A.shape[0] <= es.COARSEST
+        ref_coarse = np.linalg.inv(A.toarray())
+        assert np.array_equal(coarse, 0.5 * (ref_coarse + ref_coarse.T))
 
 
 class TestRayleighResidual:
