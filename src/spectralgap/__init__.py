@@ -19,8 +19,8 @@ from .discretize import (
 from .eigensolve import EigenResult, rayleigh_residual, smallest_pairs
 from .geometry import (
     Ball, ConeRegion, DisjointUnion, Dumbbell, Ellipse, HalfDumbbell,
-    Rectangle, Scaled, TwoBalls, cone_volume, contains, domain_from_dict,
-    domain_to_dict, measure, rescale_to_unit_measure,
+    Rectangle, Scaled, cone_volume, contains, domain_from_dict, domain_to_dict,
+    measure, normalization, rescale_to_unit_measure, two_balls,
 )
 from .pipeline import DomainSolve, solve_domain
 from .testfn import (

@@ -17,7 +17,7 @@ resolution suffices.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

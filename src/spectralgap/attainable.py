@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import ball_spectrum, theta_spectrum, unit_ball_volume
 from .geometry import (
     Ball, DisjointUnion, Dumbbell, Ellipse, Rectangle, Scaled,
-    bounding_ball, measure,
+    bounding_ball, measure, normalization,
 )
 from .pipeline import solve_domain
 from .testfn import QuadConfig, lemma1_rayleigh, lemma2_rayleigh
@@ -65,6 +65,7 @@ class SweepConfig:
     grid_eps_min: float = 0.1  # dumbbells below this carry bounds only
     quad: QuadConfig = field(default_factory=QuadConfig)
     jobs: int = 1
+    dim: int = 2  # ambient dimension of the dumbbell family
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -103,11 +104,11 @@ class SweepRecord:
         return None
 
 
-def _family_domain(family: str, param: float):
+def _family_domain(family: str, param: float, dim: int):
     if family == "ball":
         return Ball(radius=param)
     if family == "dumbbell":
-        return Dumbbell(epsilon=param)
+        return Dumbbell(epsilon=param, dim=dim)
     if family == "two_balls_ratio":
         if not 0 < param <= 1:
             raise ValueError(f"radius ratio must be in (0, 1], got {param}")
@@ -129,11 +130,8 @@ def _family_domain(family: str, param: float):
 
 
 def _solve_one(family: str, param: float, config: SweepConfig) -> SweepRecord:
-    domain = _family_domain(family, param)
-    vol = measure(domain)
-    omega = unit_ball_volume(domain.dim)
-    t = (omega / vol) ** (1.0 / domain.dim)
-    norm_factor = (vol / omega) ** (2.0 / domain.dim)
+    domain = _family_domain(family, param, config.dim)
+    vol, t, norm_factor = normalization(domain)
     record = SweepRecord(family=family, param=param, measure=vol, t_factor=t)
 
     if family == "dumbbell":

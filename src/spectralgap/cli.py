@@ -25,8 +25,7 @@ from . import asymptotics, attainable, testfn
 from .analytic import ball_spectrum, theta_spectrum
 from .eigensolve import DEFAULT_SEED
 from .geometry import (
-    Ball, Dumbbell, HalfDumbbell, Rectangle, TwoBalls,
-    domain_from_dict, domain_to_dict, measure,
+    Ball, Dumbbell, HalfDumbbell, Rectangle, domain_from_dict, domain_to_dict, two_balls,
 )
 from .pipeline import solve_domain
 
@@ -138,8 +137,8 @@ def _parse_domain(args):
     named = {
         "ball": lambda: Ball(),
         "disc": lambda: Ball(),
-        "theta": lambda: TwoBalls(),
-        "two_balls": lambda: TwoBalls(),
+        "theta": two_balls,
+        "two_balls": two_balls,
         "square": lambda: Rectangle(width=1.0, height=1.0),
         "dumbbell": lambda: Dumbbell(epsilon=_require_eps(eps)),
         "half_dumbbell": lambda: HalfDumbbell(epsilon=_require_eps(eps)),
@@ -272,6 +271,18 @@ def cmd_lemma(args, which: str) -> int:
     return EXIT_OK
 
 
+def _ratio_rows(bound, grid):
+    """(eps, bound ratio, grid ratio or None) for each bound-path sample."""
+    grid_map = dict(grid)
+    return [(e, rb, grid_map.get(e)) for e, rb in bound]
+
+
+def _ratio_csv(rows) -> str:
+    lines = ["eps,bound_ratio,grid_ratio"]
+    lines += [f"{_fmt(e)},{_fmt(rb)},{'' if rg is None else _fmt(rg)}" for e, rb, rg in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_ratio(args) -> int:
     if args.dim not in (2, 3):
         raise ConfigError("--dim must be 2 or 3")
@@ -281,30 +292,15 @@ def cmd_ratio(args) -> int:
                                         tol=args.tol, seed=_resolve_seed(args),
                                         grid_eps_min=args.grid_eps_min, jobs=args.jobs)
     else:
-        config = attainable.SweepConfig(grid_eps_min=math.inf, jobs=args.jobs)
-    if args.dim == 3:
-        rows = []
-        lam_p = theta_spectrum(3)[0]
-        m_factor = lambda e: (measure(Dumbbell(epsilon=e, dim=3))
-                              / (4.0 * math.pi / 3.0)) ** (2.0 / 3.0)
-        for e in eps_grid:
-            f = m_factor(e)
-            num = f * testfn.lemma2_rayleigh(e, dim=3).quotient - lam_p
-            den = lam_p - f * testfn.lemma1_rayleigh(e, dim=3).quotient
-            rows.append((e, num / den if den > 0 else float("nan"), None))
-    else:
-        records = attainable.sweep("dumbbell", eps_grid, config)
-        curves = asymptotics.ratio_curve(records)
-        grid_map = dict(curves.grid)
-        rows = [(e, r, grid_map.get(e)) for e, r in curves.bound]
+        config = attainable.SweepConfig(grid_eps_min=math.inf, jobs=args.jobs, dim=args.dim)
+    records = attainable.sweep("dumbbell", eps_grid, config)
+    curves = asymptotics.ratio_curve(records, dim=args.dim)
+    rows = _ratio_rows(curves.bound, curves.grid)
     if args.format == "json":
         doc = [{"eps": e, "bound_ratio": rb, "grid_ratio": rg} for e, rb, rg in rows]
         _emit(_dump_json(doc), args.out)
     else:
-        lines = ["eps,bound_ratio,grid_ratio"]
-        for e, rb, rg in rows:
-            lines.append(f"{_fmt(e)},{_fmt(rb)},{'' if rg is None else _fmt(rg)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_ratio_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -348,13 +344,8 @@ def cmd_verify(args) -> int:
         data_csv = root + "_data.csv"
     if data_csv is None:
         data_csv = "ratio_curve.csv"
-    grid_map = dict(verdict.ratio_grid)
-    lines = ["eps,bound_ratio,grid_ratio"]
-    for e, rb in verdict.ratio_bound:
-        rg = grid_map.get(e)
-        lines.append(f"{_fmt(e)},{_fmt(rb)},{'' if rg is None else _fmt(rg)}")
     with open(data_csv, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_ratio_csv(_ratio_rows(verdict.ratio_bound, verdict.ratio_grid)))
 
     doc = verdict.to_dict()
     doc["data_csv_path"] = data_csv
@@ -477,14 +468,10 @@ def main(argv=None) -> int:
         args.format = args.default_format
     try:
         return args.func(args)
-    except (ConfigError,) as exc:
-        sys.stderr.write(_dump_json({"error": str(exc), "kind": "config"}) + "\n")
-        return EXIT_CONFIG if args.command == "verify" else EXIT_FAIL
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(_dump_json({"error": str(exc), "kind": type(exc).__name__}) + "\n")
-        return EXIT_FAIL if args.command != "verify" else EXIT_CONFIG
-    except RuntimeError as exc:
-        sys.stderr.write(_dump_json({"error": str(exc), "kind": type(exc).__name__}) + "\n")
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+        # ValueError covers ConfigError and json.JSONDecodeError
+        kind = "config" if isinstance(exc, ConfigError) else type(exc).__name__
+        sys.stderr.write(_dump_json({"error": str(exc), "kind": kind}) + "\n")
         return EXIT_CONFIG if args.command == "verify" else EXIT_FAIL
 
 

@@ -4,8 +4,9 @@ Nodes live on the integer lattice i*h (planar domains only); a node is active
 when it lies strictly inside the domain.  The stencil row of an active node
 carries 4/h^2 on the diagonal and -1/h^2 for each active lattice neighbor;
 neighbors outside the domain contribute nothing, which imposes u = 0 there.
-The dumbbell grid keeps its junction-disk nodes (interior-of-closure
-membership) so the discrete domain stays connected.
+Dumbbell grids keep their junction-disk nodes (interior-of-closure
+membership), also inside scaled copies and unions, so the discrete domain
+stays connected.
 
 Masked boundaries degrade the formal O(h^2) convergence of the stencil, so
 eigenvalues are Richardson-extrapolated with an order fitted from three grid
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Dumbbell, bounding_box, contains
+from .geometry import bounding_box, contains
 
 __all__ = [
     "GridError",
@@ -80,8 +81,7 @@ def build_grid(domain, h: float, include_junction: bool = True) -> Grid2D:
     jj = np.arange(j_lo, j_hi + 1)
     gi, gj = np.meshgrid(ii, jj, indexing="ij")
     pts = np.column_stack([gi.ravel() * h, gj.ravel() * h])
-    junction = include_junction and isinstance(domain, Dumbbell)
-    mask = contains(domain, pts, include_junction=junction).reshape(gi.shape)
+    mask = contains(domain, pts, include_junction=include_junction).reshape(gi.shape)
     count = int(mask.sum())
     if count == 0:
         raise GridError(

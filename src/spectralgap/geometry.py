@@ -1,10 +1,12 @@
 """Symbolic planar/spatial domains with exact membership and measures.
 
-Domains are constructive descriptions (balls, two-ball unions, dumbbells cut
-from overlapping balls, scaled copies, disjoint unions, rectangles and
-ellipses), not meshes.  Membership uses strict inequalities, so boundary
-points test False.  The dumbbell with junction parameter eps consists of the
-two half-balls
+Domains are constructive descriptions (balls, dumbbells cut from
+overlapping balls, scaled copies, disjoint unions, rectangles and ellipses),
+not meshes.  The two-ball point Theta has no type of its own: ``two_balls``
+(JSON kind ``"two_balls"``, CLI names ``theta`` and ``two_balls``) is an
+alias that builds the ``DisjointUnion`` of two equal balls.  Membership uses
+strict inequalities, so boundary points test False.  The dumbbell with
+junction parameter eps consists of the two half-balls
 
     {x1 > 0, (x1 - 1 + eps)^2 + |x'|^2 < 1}  and its mirror in {x1 < 0},
 
@@ -25,7 +27,7 @@ from .quadrature import quad_adaptive
 __all__ = [
     "Domain",
     "Ball",
-    "TwoBalls",
+    "two_balls",
     "Dumbbell",
     "HalfDumbbell",
     "Scaled",
@@ -35,6 +37,7 @@ __all__ = [
     "ConeRegion",
     "contains",
     "measure",
+    "normalization",
     "rescale_to_unit_measure",
     "cone_volume",
     "junction_radius",
@@ -68,29 +71,6 @@ class Ball(Domain):
         if len(center) != self.dim:
             raise ValueError(f"center has {len(center)} coordinates, dim is {self.dim}")
         object.__setattr__(self, "center", tuple(float(c) for c in center))
-
-
-@dataclass(frozen=True)
-class TwoBalls(Domain):
-    """Two equal balls centered at (+-separation/2, 0, ...).
-
-    The default separation 2(radius + 1) keeps the closures disjoint with a
-    margin; any separation > 2 radius is accepted.
-    """
-
-    separation: float = 4.0
-    radius: float = 1.0
-    dim: int = 2
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.radius <= 0:
-            raise ValueError(f"ball radius must be > 0, got {self.radius}")
-        if self.separation <= 2 * self.radius:
-            raise ValueError(
-                f"two-ball components must be disjoint: separation {self.separation} "
-                f"<= 2 x radius {self.radius}"
-            )
 
 
 @dataclass(frozen=True)
@@ -216,6 +196,17 @@ class ConeRegion:
         return bool(inside[0]) if scalar else inside
 
 
+def two_balls(separation: float = 4.0, radius: float = 1.0, dim: int = 2):
+    """Two equal balls centered at (+-separation/2, 0, ...), the + ball first.
+
+    The default separation 2(radius + 1) keeps the closures disjoint with a
+    margin; the union rejects any separation <= 2 radius.
+    """
+    rest = (0.0,) * (dim - 1)
+    return DisjointUnion(parts=tuple(Ball(center=(x1,) + rest, radius=radius, dim=dim)
+                                     for x1 in (0.5 * separation, -0.5 * separation)))
+
+
 def junction_radius(epsilon: float) -> float:
     """Half-width sqrt(2 eps - eps^2) of the dumbbell junction disk."""
     return math.sqrt(2.0 * epsilon - epsilon * epsilon)
@@ -253,11 +244,6 @@ def contains(domain, x, include_junction: bool = False):
 def _contains(domain, pts, junction):
     if isinstance(domain, Ball):
         return _sqdist(pts, domain.center) < domain.radius**2
-    if isinstance(domain, TwoBalls):
-        half = 0.5 * domain.separation
-        c = np.zeros(domain.dim)
-        c[0] = half
-        return (_sqdist(pts, c) < domain.radius**2) | (_sqdist(pts, -c) < domain.radius**2)
     if isinstance(domain, (Dumbbell, HalfDumbbell)):
         eps = domain.epsilon
         x1 = pts[:, 0]
@@ -312,8 +298,6 @@ def measure(domain) -> float:
     which use adaptive quadrature to 1e-10 relative accuracy."""
     if isinstance(domain, Ball):
         return unit_ball_volume(domain.dim) * domain.radius**domain.dim
-    if isinstance(domain, TwoBalls):
-        return 2.0 * unit_ball_volume(domain.dim) * domain.radius**domain.dim
     if isinstance(domain, Dumbbell):
         return 2.0 * (unit_ball_volume(domain.dim) - cap_volume(domain.epsilon, domain.dim))
     if isinstance(domain, HalfDumbbell):
@@ -329,15 +313,25 @@ def measure(domain) -> float:
     raise TypeError(f"unknown domain type {type(domain).__name__}")
 
 
+def normalization(domain):
+    """(|domain|, t, factor) for the unit-measure copy Scaled(t, domain).
+
+    t = (omega_N / |domain|)^(1/N) scales lengths, and eigenvalues of the
+    copy are those of the domain times factor = (|domain| / omega_N)^(2/N).
+    """
+    vol = measure(domain)
+    if not vol > 0 or not math.isfinite(vol):
+        raise ValueError(f"cannot normalize degenerate measure {vol}")
+    omega = unit_ball_volume(domain.dim)
+    return vol, (omega / vol) ** (1.0 / domain.dim), (vol / omega) ** (2.0 / domain.dim)
+
+
 def rescale_to_unit_measure(domain):
     """Scale the domain so its measure equals the unit-ball volume omega_N.
 
     Returns (Scaled(t, domain), t) with t = (omega_N / |domain|)^(1/N).
     """
-    m = measure(domain)
-    if not m > 0 or not math.isfinite(m):
-        raise ValueError(f"cannot normalize degenerate measure {m}")
-    t = (unit_ball_volume(domain.dim) / m) ** (1.0 / domain.dim)
+    _, t, _ = normalization(domain)
     return Scaled(factor=t, inner=domain), t
 
 
@@ -358,13 +352,6 @@ def bounding_box(domain):
     if isinstance(domain, Ball):
         c = np.asarray(domain.center)
         return c - domain.radius, c + domain.radius
-    if isinstance(domain, TwoBalls):
-        half = 0.5 * domain.separation
-        lo = np.full(n, -domain.radius)
-        hi = np.full(n, domain.radius)
-        lo[0] = -half - domain.radius
-        hi[0] = half + domain.radius
-        return lo, hi
     if isinstance(domain, Dumbbell):
         lo = np.full(n, -1.0)
         hi = np.full(n, 1.0)
@@ -417,9 +404,6 @@ def domain_to_dict(domain) -> dict:
     if isinstance(domain, Ball):
         params = {"center": list(domain.center), "radius": domain.radius}
         kind = "ball"
-    elif isinstance(domain, TwoBalls):
-        params = {"separation": domain.separation, "radius": domain.radius}
-        kind = "two_balls"
     elif isinstance(domain, Dumbbell):
         params = {"epsilon": domain.epsilon}
         kind = "dumbbell"
@@ -454,8 +438,8 @@ def domain_from_dict(doc: dict):
         center = tuple(params.get("center", (0.0,) * dim))
         return Ball(center=center, radius=float(params.get("radius", 1.0)), dim=dim)
     if kind == "two_balls":
-        return TwoBalls(separation=float(params.get("separation", 4.0)),
-                        radius=float(params.get("radius", 1.0)), dim=dim)
+        return two_balls(separation=float(params.get("separation", 4.0)),
+                         radius=float(params.get("radius", 1.0)), dim=dim)
     if kind == "dumbbell":
         return Dumbbell(epsilon=float(params["epsilon"]), dim=dim)
     if kind == "half_dumbbell":

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discretize, eigensolve
-from .analytic import unit_ball_volume
-from .geometry import measure
+from .geometry import normalization
 
 __all__ = ["LevelSolve", "DomainSolve", "solve_domain"]
 
@@ -123,10 +122,7 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
             correction = max(correction, abs(vals[-1] - vals[-2]))
         error_est_raw[i] = correction + tol * abs(lambda_x[i])
 
-    vol = measure(domain)
-    omega = unit_ball_volume(domain.dim)
-    t = (omega / vol) ** (1.0 / domain.dim)
-    norm_factor = (vol / omega) ** (2.0 / domain.dim)
+    vol, t, norm_factor = normalization(domain)
     return DomainSolve(
         domain=domain,
         h_list=tuple(hs),

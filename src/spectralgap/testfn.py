@@ -29,7 +29,7 @@ import numpy as np
 from .analytic import _series_profile, ball_spectrum, radial_profile
 from .geometry import (
     Ball, ConeRegion, DisjointUnion, Dumbbell, Ellipse, HalfDumbbell,
-    Rectangle, Scaled, TwoBalls, junction_radius,
+    Rectangle, Scaled, junction_radius,
 )
 from .pipeline import solve_domain
 from .quadrature import quad_adaptive, quad_nested_2d
@@ -432,12 +432,6 @@ def _integrate_components(domain, comps_fn, rel_tol, max_panels):
         return t * t * inner_vals, t * t * inner_errs
     if isinstance(domain, DisjointUnion):
         parts = [_integrate_components(p, comps_fn, rel_tol, max_panels) for p in domain.parts]
-        return sum(v for v, _ in parts), sum(e for _, e in parts)
-    if isinstance(domain, TwoBalls):
-        half_sep = 0.5 * domain.separation
-        balls = [Ball(center=(half_sep, 0.0), radius=domain.radius),
-                 Ball(center=(-half_sep, 0.0), radius=domain.radius)]
-        parts = [_integrate_components(b, comps_fn, rel_tol, max_panels) for b in balls]
         return sum(v for v, _ in parts), sum(e for _, e in parts)
     if isinstance(domain, Rectangle):
         hw, hh = 0.5 * domain.width, 0.5 * domain.height

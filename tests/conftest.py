@@ -70,7 +70,7 @@ def disc_solve_fine():
 
 @pytest.fixture(scope="session")
 def twoballs_solve():
-    return _timed(lambda: pipeline.solve_domain(geometry.TwoBalls(), MID_H, tol=1e-6))
+    return _timed(lambda: pipeline.solve_domain(geometry.two_balls(), MID_H, tol=1e-6))
 
 
 @pytest.fixture(scope="session")

@@ -63,6 +63,20 @@ class TestEig:
         assert "planar" in proc.stderr
 
 
+class TestErrorMapping:
+    @pytest.mark.parametrize("domain, kind", [
+        ("dumbbell", "config"),
+        ('{"kind":', "JSONDecodeError"),
+        ('{"kind": "ball", "N": 2, "params": {"center": [0.53, 0.53], "radius": 0.01}}',
+         "GridError"),
+    ])
+    def test_eig_kind_and_exit_code(self, domain, kind):
+        proc = run_cli("eig", "--domain", domain, "--h", "1/8,1/16")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["kind"] == kind
+
+
 class TestLemmaCommands:
     def test_lemma1_single(self):
         proc = run_cli("lemma1", "--eps", "0.1")
@@ -103,6 +117,16 @@ class TestRatio:
         assert lines[0] == "eps,bound_ratio,grid_ratio"
         ratios = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+    def test_dim3_rows_pinned(self):
+        proc = run_cli("ratio", "--dim", "3", "--eps-grid", "0.1,0.2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("eps,bound_ratio,grid_ratio\n"
+                               "0.1,0.455742851628,\n"
+                               "0.2,0.524187131981,\n")
+        parallel = run_cli("ratio", "--dim", "3", "--eps-grid", "0.1,0.2", "--jobs", "2")
+        assert parallel.returncode == 0, parallel.stderr
+        assert parallel.stdout == proc.stdout
 
 
 class TestVerify:

@@ -78,7 +78,7 @@ def _coo_assembled(grid):
 
 
 class TestAssemble:
-    @pytest.mark.parametrize("domain", [geo.Ball(), geo.Dumbbell(0.2), geo.TwoBalls(),
+    @pytest.mark.parametrize("domain", [geo.Ball(), geo.Dumbbell(0.2), geo.two_balls(),
                                         geo.Rectangle(2.0, 1.0)])
     def test_csr_equals_coo_build(self, domain):
         grid = d.build_grid(domain, 1 / 16)
@@ -141,7 +141,7 @@ class TestAssemble:
             assert np.min(scipy.linalg.eigvalsh(op.matrix.toarray())) > 0.0
 
     def test_two_balls_block_diagonal(self):
-        grid = d.build_grid(geo.TwoBalls(), 1 / 16)
+        grid = d.build_grid(geo.two_balls(), 1 / 16)
         A = d.assemble(grid).matrix
         left = grid.coords()[:, 0] < 0
         n_left = int(left.sum())

@@ -38,7 +38,7 @@ class TestSmallestPairs:
         assert res.values == pytest.approx(square_mode_values(m)[:2], rel=1e-8)
 
     def test_two_balls_degenerate_pair(self):
-        op = d.assemble(d.build_grid(geo.TwoBalls(), 1 / 16))
+        op = d.assemble(d.build_grid(geo.two_balls(), 1 / 16))
         res = es.smallest_pairs(op, tol=1e-8)
         ratio = res.values[0] / res.values[1]
         assert 1.0 - 5.0 * res.tol <= ratio <= 1.0
@@ -115,7 +115,7 @@ class TestSmallestPairs:
         assert (res.residuals <= res.tol * res.values).all()
 
 
-@pytest.mark.parametrize("domain, h", [(geo.Dumbbell(0.2), 1 / 32), (geo.TwoBalls(), 1 / 16)])
+@pytest.mark.parametrize("domain, h", [(geo.Dumbbell(0.2), 1 / 32), (geo.two_balls(), 1 / 16)])
 def test_hard_spectra_match_arpack(domain, h):
     """Nearly and exactly degenerate pairs against shift-invert Lanczos."""
     op = d.assemble(d.build_grid(domain, h))
@@ -188,7 +188,7 @@ class TestVCycle:
             assert inner <= outer
 
     @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 128), (geo.Dumbbell(0.2), 1 / 64),
-                                           (geo.TwoBalls(), 1 / 32)])
+                                           (geo.two_balls(), 1 / 32)])
     def test_levels_match_row_unique_aggregation(self, domain, h):
         """The integer-key aggregation builds the same levels as merging the
         rows of nodes // 2 with np.unique(axis=0)."""

@@ -113,7 +113,7 @@ class TestRescale:
         assert t == pytest.approx(1.0, abs=1e-15)
 
     def test_two_balls(self):
-        _, t = geo.rescale_to_unit_measure(geo.TwoBalls())
+        _, t = geo.rescale_to_unit_measure(geo.two_balls())
         assert t == pytest.approx(2.0 ** (-0.5), rel=1e-14)
 
     def test_dumbbell_frozen(self):
@@ -122,7 +122,7 @@ class TestRescale:
         assert geo.measure(scaled) == pytest.approx(math.pi, rel=1e-10)
 
     def test_3d(self):
-        scaled, t = geo.rescale_to_unit_measure(geo.TwoBalls(dim=3))
+        scaled, t = geo.rescale_to_unit_measure(geo.two_balls(dim=3))
         assert t == pytest.approx(2.0 ** (-1.0 / 3.0), rel=1e-14)
         assert geo.measure(scaled) == pytest.approx(unit_ball_volume(3), rel=1e-10)
 
@@ -157,7 +157,7 @@ class TestValidation:
 
     def test_two_balls_overlap(self):
         with pytest.raises(ValueError):
-            geo.TwoBalls(separation=1.9)
+            geo.two_balls(separation=1.9)
 
     def test_union_overlap(self):
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestValidation:
 class TestSerialization:
     @pytest.mark.parametrize("domain", [
         geo.Ball(center=(0.5, -1.0), radius=2.0),
-        geo.TwoBalls(separation=5.0),
+        geo.two_balls(separation=5.0),
         geo.Dumbbell(0.07),
         geo.HalfDumbbell(0.2, dim=3),
         geo.Scaled(0.5, geo.Dumbbell(0.1)),

@@ -42,3 +42,14 @@ class TestErrorBudget:
         assert (solve.error_est_raw >= [0.1, 0.15]).all()
         assert solve.lambda_x[0] - solve.error_est_raw[0] <= 5.1 <= (
             solve.lambda_x[0] + solve.error_est_raw[0])
+
+
+class TestWrappedDumbbell:
+    def test_scaled_dumbbell_keeps_junction(self):
+        # a wrapped dumbbell keeps its junction nodes and stays one domain
+        h_list = (1 / 8, 1 / 16, 1 / 32)
+        plain = pipeline.solve_domain(geo.Dumbbell(0.2), h_list, tol=TOL, seed=0)
+        scaled = pipeline.solve_domain(geo.Scaled(1.0, geo.Dumbbell(0.2)), h_list,
+                                       tol=TOL, seed=0)
+        assert np.array_equal(scaled.grid.active, plain.grid.active)
+        assert np.array_equal(scaled.lambda_norm, plain.lambda_norm)

@@ -297,6 +297,6 @@ class TestOddExtension:
     def test_two_balls_limit(self):
         # fully separated components: the two smallest values coincide
         from spectralgap import discretize as d, eigensolve as es
-        op = d.assemble(d.build_grid(geo.TwoBalls(), 1 / 16))
+        op = d.assemble(d.build_grid(geo.two_balls(), 1 / 16))
         res = es.smallest_pairs(op, tol=1e-8)
         assert abs(res.values[1] - res.values[0]) <= 5 * res.tol * res.values[0]
