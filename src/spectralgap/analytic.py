@@ -231,7 +231,7 @@ def ball_spectrum(dim: int) -> BallSpectrum:
     # |J_(nu+1)(j1)| from the profile series; c normalizes the L2 norm to 1
     jnu1_at_j1 = abs(j1 ** (nu + 1.0) * _series_profile(nu + 1.0, np.array([j1]))[0])
     norm_const = math.sqrt(2.0 / (dim * unit_ball_volume(dim))) / jnu1_at_j1
-    _, du = _radial_eval(nu, j1, norm_const, np.array([1.0]))
+    du = _radial_slope(nu, j1, norm_const, np.array([1.0]))
     return BallSpectrum(
         dim=dim,
         nu=nu,
@@ -259,16 +259,15 @@ def rescale_eigenvalue(lam: float, t: float) -> float:
     return lam / (t * t)
 
 
-def _radial_eval(nu, j1, c, r):
-    """Value and radial derivative of c r^(-nu) J_nu(j1 r).
+def _radial_value(nu, j1, c, r):
+    """u = c r^(-nu) J_nu(j1 r) as c j1^nu p_nu(j1 r), through the even profile
+    series p_nu(z) = z^(-nu) J_nu(z), which removes the r = 0 singularity."""
+    return c * j1**nu * _series_profile(nu, j1 * r)
 
-    Uses the even profile series p_nu(z) = z^(-nu) J_nu(z), removing the
-    r = 0 singularity: u = c j1^nu p_nu(j1 r), u' = -c j1^(nu+2) r p_(nu+1)(j1 r).
-    """
-    z = j1 * r
-    val = c * j1**nu * _series_profile(nu, z)
-    der = -c * j1 ** (nu + 2.0) * r * _series_profile(nu + 1.0, z)
-    return val, der
+
+def _radial_slope(nu, j1, c, r):
+    """Radial derivative u' = -c j1^(nu+2) r p_(nu+1)(j1 r) of _radial_value."""
+    return -c * j1 ** (nu + 2.0) * r * _series_profile(nu + 1.0, j1 * r)
 
 
 def ball_eigenfunction(dim: int, r):
@@ -281,7 +280,8 @@ def ball_eigenfunction(dim: int, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0) or np.any(r_arr > 1):
         raise ValueError("radius must lie in [0, 1]")
-    val, der = _radial_eval(spec.nu, spec.j1, spec.norm_const, r_arr)
+    args = (spec.nu, spec.j1, spec.norm_const, r_arr)
+    val, der = _radial_value(*args), _radial_slope(*args)
     if np.ndim(r) == 0:
         return float(val), float(der)
     return val, der
@@ -292,9 +292,9 @@ def radial_profile(dim: int):
     spec = ball_spectrum(dim)
 
     def value(r):
-        return _radial_eval(spec.nu, spec.j1, spec.norm_const, np.asarray(r, dtype=float))[0]
+        return _radial_value(spec.nu, spec.j1, spec.norm_const, np.asarray(r, dtype=float))
 
     def derivative(r):
-        return _radial_eval(spec.nu, spec.j1, spec.norm_const, np.asarray(r, dtype=float))[1]
+        return _radial_slope(spec.nu, spec.j1, spec.norm_const, np.asarray(r, dtype=float))
 
     return value, derivative

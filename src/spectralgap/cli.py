@@ -161,7 +161,7 @@ def _require_planar(args, command: str):
         raise ConfigError(
             f"{command!r} uses the grid solver, which is planar only; "
             f"--dim {args.dim} supports the analytic and quadrature commands "
-            f"(lemma1, lemma2, ratio, verify)"
+            f"(lemma1, lemma2, and ratio without --with-grid)"
         )
 
 
@@ -286,8 +286,10 @@ def _ratio_csv(rows) -> str:
 def cmd_ratio(args) -> int:
     if args.dim not in (2, 3):
         raise ConfigError("--dim must be 2 or 3")
+    if args.with_grid:
+        _require_planar(args, "ratio --with-grid")
     eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
-    if args.dim == 2 and args.with_grid:
+    if args.with_grid:
         config = attainable.SweepConfig(h_list=_parse_h_list(args.h),
                                         tol=args.tol, seed=_resolve_seed(args),
                                         grid_eps_min=args.grid_eps_min, jobs=args.jobs)

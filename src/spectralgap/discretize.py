@@ -10,9 +10,10 @@ stays connected.
 
 Masked boundaries degrade the formal O(h^2) convergence of the stencil, so
 eigenvalues are Richardson-extrapolated with an order fitted from three grid
-levels instead of an assumed exponent.
+levels instead of an assumed exponent, accepted only inside ORDER_BAND.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,18 +89,18 @@ def build_grid(domain, h: float, include_junction: bool = True) -> Grid2D:
             f"no lattice nodes of spacing {h} fall inside the domain "
             f"(bounding box {lo} .. {hi})"
         )
-    index_map = -np.ones(mask.shape, dtype=np.int64)
+    index_map = np.full(mask.shape, -1, dtype=np.int32)
     index_map[mask] = np.arange(count)  # row-major = lexicographic in (i, j)
     ai, aj = np.nonzero(mask)
-    active = np.column_stack([ai + i_lo, aj + j_lo])
+    active = np.column_stack([ai + i_lo, aj + j_lo]).astype(np.int32)
     return Grid2D(h=h, i0=i_lo, j0=j_lo, index_map=index_map, active=active)
 
 
 @dataclass(frozen=True)
 class DiscreteOperator:
     """Sparse symmetric positive-definite masked Laplacian; ``nodes`` holds
-    the lattice indices (i, j) of its rows, which the eigensolver's
-    multigrid preconditioner aggregates."""
+    the lattice indices (i, j) of its rows, from which the eigensolver's
+    multigrid preconditioner builds its coarse levels and interpolation."""
 
     matrix: sp.csr_matrix
     h: float
@@ -144,31 +145,54 @@ def assemble(grid: Grid2D) -> DiscreteOperator:
     return DiscreteOperator(matrix=mat, h=grid.h, nodes=grid.active)
 
 
-def prolong(coarse: Grid2D, vec: np.ndarray, fine: Grid2D) -> np.ndarray:
-    """Transfer node values from a grid to one of half the spacing.
-
-    Nearest-node injection; good enough as an eigensolver starting guess.
+def _interpolation(nodes, coarse_rows, origin):
+    """Multilinear interpolation (CSR, int32 indices) onto the lattice nodes
+    ``nodes`` (n, d) from the lattice of twice the spacing, where coarse node
+    c sits at fine index 2c and ``coarse_rows[c - origin]`` is its column, or
+    -1.  A node with m odd indices takes 2^-m from each of its 2^m parents; a
+    parent that is -1 or outside ``coarse_rows`` counts as a Dirichlet zero.
     """
-    ic = np.rint(fine.active[:, 0] * fine.h / coarse.h).astype(np.int64) - coarse.i0
-    jc = np.rint(fine.active[:, 1] * fine.h / coarse.h).astype(np.int64) - coarse.j0
-    ic = np.clip(ic, 0, coarse.index_map.shape[0] - 1)
-    jc = np.clip(jc, 0, coarse.index_map.shape[1] - 1)
-    src = coarse.index_map[ic, jc]
-    out = np.zeros(fine.n)
-    ok = src >= 0
-    out[ok] = vec[src[ok]]
-    return out
+    n, dim = nodes.shape
+    # a frame of -1 around coarse_rows catches every parent outside it
+    frame = np.pad(coarse_rows, 1, constant_values=-1)
+    cols = np.empty((2**dim, n), dtype=np.int32)
+    # parents in lexicographic order, so the columns of a row stay ascending
+    for col, step in zip(cols, itertools.product((0, 1), repeat=dim)):
+        index = []
+        for lattice, low, s, size in zip(nodes.T, origin, step, frame.shape):
+            i = (lattice >> 1) + (s + 1 - low)
+            if s:  # a step along an even index would repeat a parent
+                i[(lattice & 1) == 0] = 0
+            index.append(np.clip(i, 0, size - 1, out=i))
+        col[:] = frame[tuple(index)]
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=0), out=indptr[1:])
+    data = np.repeat(np.ldexp(1.0, -(nodes & 1).sum(axis=1)), np.diff(indptr))
+    return sp.csr_matrix((data, cols.T[keep.T], indptr), shape=(n, int(coarse_rows.max()) + 1))
+
+
+def prolong(coarse: Grid2D, vec: np.ndarray, fine: Grid2D) -> np.ndarray:
+    """Bilinear transfer of node values (one column per field) from a grid to
+    one of half the spacing, as in the eigensolver's multigrid; inactive
+    coarse nodes count as zero."""
+    if abs(coarse.h - 2.0 * fine.h) > 1e-12 * coarse.h:
+        raise ValueError(f"prolong needs half the spacing, got h = {coarse.h} and {fine.h}")
+    return _interpolation(fine.active, coarse.index_map, (coarse.i0, coarse.j0)) @ vec
 
 
 # ---------------------------------------------------------------------------
 # Richardson extrapolation
 # ---------------------------------------------------------------------------
 
+ORDER_BAND = (0.5, 2.5)  # fitted orders accepted; 1 / (2^p - 1) blows up as p -> 0
+
+
 @dataclass(frozen=True)
 class ExtrapolationResult:
     """Extrapolated value with the fitted order; ``monotone=False`` flags a
-    non-monotone level sequence for which the finest value is returned
-    unextrapolated."""
+    level sequence that is not monotone or whose fitted order lies outside
+    ORDER_BAND, for which the finest value is returned unextrapolated."""
 
     value: float
     order: float | None
@@ -201,6 +225,6 @@ def extrapolate_three(lambda_h: float, lambda_h2: float, lambda_h4: float) -> Ex
     if lambda_h == lambda_h2 == lambda_h4:
         return ExtrapolationResult(value=lambda_h4, order=None, monotone=True)
     p = fit_order(lambda_h, lambda_h2, lambda_h4)
-    if p is None or p <= 0:
+    if p is None or not ORDER_BAND[0] <= p <= ORDER_BAND[1]:
         return ExtrapolationResult(value=lambda_h4, order=p, monotone=False)
     return ExtrapolationResult(value=extrapolate(lambda_h2, lambda_h4, p), order=p, monotone=True)

@@ -11,20 +11,24 @@ residuals.  The block resolves degenerate pairs such as two identical
 disjoint components.  Starting vectors come from a seeded generator, so runs
 are bit-reproducible on one platform.
 
-The preconditioner M is one symmetric aggregation-multigrid V-cycle (Braess,
-Computing 55, 1995), built once per call: each level merges the 2 x 2
-lattice blocks of its nodes into one unknown, the coarse operator is the
-Galerkin product P^T A P of the piecewise-constant prolongation P, damped
-Jacobi smooths once before and once after the coarse correction, and the
-correction is over-scaled to make up for the too-stiff constant
-interpolation.  Levels stop at COARSEST unknowns, which are solved with a
-dense inverse.  Block iterations then barely grow as the grid is refined.
+The preconditioner M is one symmetric geometric-multigrid V-cycle
+(Trottenberg, Oosterlee & Schueller, Multigrid, 2001), built once per call
+from the lattice indices of the rows (a bare matrix: its row index).  The
+coarse nodes of a level are its all-even nodes, halved; P interpolates
+multilinearly from them (``discretize._interpolation``, which also prolongs
+eigenvectors between grid levels), the coarse operator is P^T A P, and
+damped Jacobi smooths before and after the coarse correction.  Levels stop
+at COARSEST unknowns, or at a level without an all-even node, which is
+inverted densely.  kappa(MA) stays near 1.8 as h shrinks, and so do the
+block iterations.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .discretize import _interpolation
 
 __all__ = [
     "ConvergenceError",
@@ -37,10 +41,10 @@ __all__ = [
 
 DEFAULT_SEED = 2025
 
-COARSEST = 400  # unknowns at or below which a level is inverted densely
+COARSEST = 100  # unknowns at or below which a level is inverted densely
 OMEGA = 2.0 / 3.0  # damped-Jacobi weight of the smoothing sweeps
-OVERCORRECTION = 1.8  # scaling of the piecewise-constant coarse correction
 DEPENDENT = 1e-10  # relative Gram eigenvalue below which a direction is dropped
+BLOCK = 8192  # columns per block when the block vectors are recombined
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -80,52 +84,48 @@ def _as_csr(operator):
     return sp.csr_matrix(arr)
 
 
-def _aggregate(nodes):
-    """Merge the 2 x 2 blocks of lattice indices ``nodes``: the aggregate of
-    each node, numbered in lexicographic block order, and the block indices
-    of each aggregate."""
-    half = nodes // 2
-    # one integer key per block; the unshifted indices go to the next level,
-    # since their parity decides the next merge
-    low = half.min(axis=0)
-    key = np.ravel_multi_index((half - low).T, half.max(axis=0) - low + 1)
-    _, first, agg = np.unique(key, return_index=True, return_inverse=True)
-    return agg, half[first]
-
-
 def _hierarchy(A, nodes):
-    """Aggregation levels of the V-cycle for A with lattice indices ``nodes``.
+    """Geometric levels of the V-cycle for A with lattice indices ``nodes``.
 
-    Returns (levels, coarse_inverse); each level is (A, OMEGA / diag(A),
-    aggregate of each row, number of aggregates).
+    Returns (levels, coarse_inverse); each level is (A, OMEGA / diag(A), P,
+    and work vectors for the residual and the coarse correction).
     """
     levels = []
     while A.shape[0] > COARSEST:
-        n = A.shape[0]
-        agg, nodes = _aggregate(nodes)
-        P = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, len(nodes)))
-        levels.append((A, OMEGA / A.diagonal(), agg, len(nodes)))
-        A = (P.T @ A @ P).tocsr()
+        coarse = nodes[~(nodes & 1).any(axis=1)] >> 1
+        if len(coarse) == 0:
+            break
+        low = coarse.min(axis=0)
+        rows = np.full(coarse.max(axis=0) - low + 1, -1, dtype=np.int32)
+        rows[tuple((coarse - low).T)] = np.arange(len(coarse))
+        P = _interpolation(nodes, rows, low)
+        coarse_A = (P.T @ A @ P).tocsr()
+        levels.append((A, OMEGA / A.diagonal(), P, np.empty(len(nodes)), np.empty(len(coarse))))
+        A, nodes = coarse_A, coarse
         if np.any(A.diagonal() <= 0):
-            raise IndefiniteOperatorError("operator is not positive definite on aggregates")
+            raise IndefiniteOperatorError("operator is not positive definite on a coarse level")
     try:
-        coarse = np.linalg.inv(A.toarray())
+        inverse = np.linalg.inv(A.toarray())
     except np.linalg.LinAlgError:
         raise IndefiniteOperatorError("coarsest operator is singular") from None
-    return levels, 0.5 * (coarse + coarse.T)
+    return levels, 0.5 * (inverse + inverse.T)
 
 
-def _vcycle(hierarchy, r, depth=0):
-    """Apply the symmetric V-cycle preconditioner to r from a zero guess."""
+def _vcycle(hierarchy, r, x, depth=0):
+    """Apply the symmetric V-cycle preconditioner to r from a zero guess,
+    writing the result into x."""
     levels, coarse = hierarchy
     if depth == len(levels):
-        return coarse @ r
-    A, smoother, agg, n_coarse = levels[depth]
-    x = smoother * r
-    r_coarse = np.bincount(agg, weights=r - A @ x, minlength=n_coarse)
-    x += OVERCORRECTION * _vcycle(hierarchy, r_coarse, depth + 1)[agg]
-    x += smoother * (r - A @ x)
-    return x
+        np.dot(coarse, r, out=x)
+        return
+    A, smoother, P, residual, correction = levels[depth]
+    np.multiply(smoother, r, out=x)
+    np.subtract(r, A @ x, out=residual)
+    _vcycle(hierarchy, P.T @ residual, correction, depth + 1)
+    x += P @ correction
+    np.subtract(r, A @ x, out=residual)
+    residual *= smoother
+    x += residual
 
 
 def _orthonormal(Y):
@@ -144,21 +144,27 @@ def _orthonormal(Y):
     return scale[:, None] * U[:, keep] / np.sqrt(d[keep])
 
 
-def _ritz(A, X):
+def _combine(C, Y, out):
+    """out = C.T @ Y one column block at a time, so that out may overlap Y and
+    no temporary the size of Y is made."""
+    for j in range(0, Y.shape[1], BLOCK):
+        out[:, j: j + BLOCK] = C.T @ Y[:, j: j + BLOCK]
+
+
+def _ritz(A, X, AX):
     """Rayleigh-Ritz in place on the span of the rows of X, which become the
-    orthonormal Ritz vectors; returns the ascending Ritz values and the
-    residuals A x - theta x as rows."""
+    orthonormal Ritz vectors; returns the ascending Ritz values and leaves
+    the residuals A x - theta x as the rows of AX."""
     T = _orthonormal(X)
-    AX = np.empty_like(X)
     for x, ax in zip(X, AX):
         ax[:] = A @ x
     G = T.T @ (X @ AX.T) @ T
     theta, U = np.linalg.eigh(0.5 * (G + G.T))
     C = T @ U
-    X[:] = C.T @ X
-    AX[:] = C.T @ AX
+    _combine(C, X, X)
+    _combine(C, AX, AX)
     AX -= theta[:, None] * X
-    return theta, AX
+    return theta
 
 
 def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = None,
@@ -182,26 +188,30 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         raise IndefiniteOperatorError("operator has nonpositive diagonal entries")
     nodes = getattr(operator, "nodes", None)
     hierarchy = _hierarchy(A, np.arange(n)[:, None] if nodes is None else nodes)
-    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
     # block vectors as rows: X = S[:k], then p update directions P, then the
     # preconditioned residuals W
     S = np.empty((3 * k, n))
-    S[:k] = rng.standard_normal((n, k)).T
+    X = S[:k]
+    start = 0
     if x0 is not None:
         x0 = np.atleast_2d(np.asarray(x0, dtype=float))
         if x0.shape[0] == n:
-            S[: x0.shape[1]] = x0.T
-        else:
-            S[: x0.shape[0]] = x0
-    X = S[:k]
+            x0 = x0.T
+        start = len(x0)
+        X[:start] = x0
+        del x0  # a caller that keeps no reference frees the columns here
+    if start < k:
+        rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+        X[start:] = rng.standard_normal((n, k)).T[start:]
     if _orthonormal(X).shape[1] < k:
         raise ValueError("starting vectors are linearly dependent")
 
+    R = np.empty_like(X)
     p = 0
     previous = np.full(k, np.inf)
     inner = np.zeros(k, dtype=int)
     for iteration in range(max_outer + 1):
-        theta, R = _ritz(A, X)
+        theta = _ritz(A, X, R)
         if theta[0] <= 0.0:
             raise IndefiniteOperatorError(f"nonpositive Ritz value {theta[0]:.3e}")
         residuals = np.linalg.norm(R, axis=1)
@@ -219,17 +229,20 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         active = np.flatnonzero(~done)
         inner[active] += 1
         for row, i in zip(S[k + p:], active):
-            row[:] = _vcycle(hierarchy, R[i])
+            _vcycle(hierarchy, R[i], row)
         basis = S[k: k + p + len(active)]
         for _ in range(2):  # twice is enough for orthogonality to working precision
             for row in basis:
                 row -= (X @ row) @ X
         T = _orthonormal(basis)
         m = k + T.shape[1]
-        S[k:m] = T.T @ basis
+        _combine(T, basis, S[k:m])
         gram = np.array([S[:m] @ (A @ s) for s in S[:m]])
         _, C = np.linalg.eigh(0.5 * (gram + gram.T))
-        S[:k], S[k: 2 * k] = C[:, :k].T @ S[:m], C[k:m, :k].T @ S[k:m]
+        # new X = C[:, :k]^T S[:m] and P = C[k:m, :k]^T S[k:m] in one pass
+        D = np.zeros((m, 2 * k))
+        D[:, :k], D[k:, k:] = C[:, :k], C[k:m, :k]
+        _combine(D, S[:m], S[: 2 * k])
         p = k
         previous = theta
 

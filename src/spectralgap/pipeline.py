@@ -1,12 +1,13 @@
 """Grid eigensolve pipeline: solve a domain across halving grid levels,
 Richardson-extrapolate with a fitted order, and normalize to unit measure.
 
-Coarse-level eigenvectors are prolonged to the next grid as starting guesses
-for its block eigensolve.  The per-eigenvalue error
-budget sums the extrapolation correction and the solver tolerance; when no
-order could be fitted (two levels, or a non-monotone sequence) the correction
-is at least the change between the two finest levels.  Callers add their own
-quadrature budgets where relevant.
+Each level's eigenvectors are prolonged bilinearly (``discretize.prolong``)
+as starting guesses for the next block eigensolve, and then dropped.  The
+per-eigenvalue error budget sums the extrapolation correction and the solver
+tolerance; without a fitted order (two levels, a non-monotone sequence, or
+an order outside ``discretize.ORDER_BAND``) the value is the finest one and
+the correction at least the change between the two finest levels.  Callers
+add their own quadrature budgets where relevant.
 """
 
 from dataclasses import dataclass, field
@@ -77,22 +78,20 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
     """
     hs = _check_h_list(h_list)
     levels = []
-    prev_grid = None
-    prev_vectors = None
-    grid = None
-    result = None
+    grid = result = None
     for h in hs:
-        grid = discretize.build_grid(domain, h)
+        coarse, grid = grid, discretize.build_grid(domain, h)
+        if grid.n < k:
+            raise discretize.GridError(f"{grid.n} active node(s) at spacing h = {h} in "
+                                       f"{domain!r}, fewer than the {k} pairs requested")
         op = discretize.assemble(grid)
-        x0 = None
-        if prev_grid is not None:
-            x0 = np.column_stack(
-                [discretize.prolong(prev_grid, prev_vectors[:, i], grid) for i in range(k)]
-            )
-        result = eigensolve.smallest_pairs(op, k=k, tol=tol, seed=seed, x0=x0)
+        x0 = [] if result is None else [discretize.prolong(coarse, result.vectors, grid)]
+        coarse = result = None  # the coarser level is done with
+        # pop hands the starting columns over: the solver frees them once copied
+        result = eigensolve.smallest_pairs(op, k=k, tol=tol, seed=seed,
+                                           x0=x0.pop() if x0 else None)
         levels.append(LevelSolve(h=h, n=grid.n, values=result.values,
                                  residuals=result.residuals, iterations=result.iterations))
-        prev_grid, prev_vectors = grid, result.vectors
 
     lambda_x = np.empty(k)
     error_est_raw = np.empty(k)

@@ -77,6 +77,16 @@ class TestErrorMapping:
         assert json.loads(proc.stderr)["kind"] == kind
 
 
+    def test_fewer_nodes_than_pairs_is_grid_error(self):
+        domain = '{"kind": "ball", "N": 2, "params": {"center": [0.5, 0.5], "radius": 0.01}}'
+        proc = run_cli("eig", "--domain", domain, "--h", "1/8,1/16")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        error = json.loads(proc.stderr)
+        assert error["kind"] == "GridError"
+        assert "h = 0.125" in error["error"] and "Ball(" in error["error"]
+
+
 class TestLemmaCommands:
     def test_lemma1_single(self):
         proc = run_cli("lemma1", "--eps", "0.1")
@@ -127,6 +137,16 @@ class TestRatio:
         parallel = run_cli("ratio", "--dim", "3", "--eps-grid", "0.1,0.2", "--jobs", "2")
         assert parallel.returncode == 0, parallel.stderr
         assert parallel.stdout == proc.stdout
+
+
+    def test_dim3_with_grid_rejected(self):
+        proc = run_cli("ratio", "--dim", "3", "--with-grid", "--eps-grid", "0.1,0.2")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        error = json.loads(proc.stderr)
+        assert error["kind"] == "config"
+        assert error["error"].startswith("'ratio --with-grid' uses the grid solver, "
+                                         "which is planar only")
 
 
 class TestVerify:

@@ -164,6 +164,52 @@ class TestAssemble:
         assert rebuilt == pytest.approx(op.matrix.toarray(), rel=1e-12)
 
 
+class TestProlong:
+    """Bilinear transfer to the grid of half the spacing."""
+
+    @staticmethod
+    def _bilinear(xy):
+        x, y = xy.T
+        return 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
+
+    def test_exact_for_bilinear_fields(self):
+        coarse = d.build_grid(geo.Ellipse(1.5, 1.0), 1 / 8)
+        fine = d.build_grid(geo.Ellipse(1.5, 1.0), 1 / 16)
+        f = self._bilinear
+        values = d.prolong(coarse, np.column_stack([f(coarse.coords()), -f(coarse.coords())]),
+                           fine)
+        assert values.shape == (fine.n, 2)
+        # parents: the coarse nodes at floor and ceil of half the lattice index
+        half = fine.active / 2.0
+        corners = [np.column_stack([lo(half[:, 0]), hi(half[:, 1])]).astype(int)
+                   for lo in (np.floor, np.ceil) for hi in (np.floor, np.ceil)]
+        active = np.all([coarse.index_map[c[:, 0] - coarse.i0, c[:, 1] - coarse.j0] >= 0
+                         for c in corners], axis=0)
+        assert active.sum() > fine.n // 2
+        exact = f(fine.coords()[active])
+        assert values[active, 0] == pytest.approx(exact, rel=1e-14, abs=1e-14)
+        assert np.array_equal(values[:, 1], -values[:, 0])
+        # a missing parent counts as zero: boundary values fall short of the field
+        ones = d.prolong(coarse, np.ones(coarse.n), fine)
+        assert (ones[active] == 1.0).all() and (ones[~active] < 1.0).all()
+
+    def test_even_nodes_copy_their_coarse_node(self):
+        coarse = d.build_grid(geo.Dumbbell(0.2), 1 / 8)
+        fine = d.build_grid(geo.Dumbbell(0.2), 1 / 16)
+        vec = np.arange(1.0, coarse.n + 1.0)
+        values = d.prolong(coarse, vec, fine)
+        even = ~(fine.active % 2).any(axis=1)
+        rows = coarse.index_map[fine.active[even, 0] // 2 - coarse.i0,
+                                fine.active[even, 1] // 2 - coarse.j0]
+        assert np.array_equal(values[even][rows >= 0], vec[rows[rows >= 0]])
+        assert (values[even][rows < 0] == 0.0).all()
+
+    def test_needs_half_the_spacing(self):
+        coarse = d.build_grid(geo.Ball(), 1 / 8)
+        with pytest.raises(ValueError, match="half the spacing"):
+            d.prolong(coarse, np.ones(coarse.n), d.build_grid(geo.Ball(), 1 / 32))
+
+
 class TestExtrapolate:
     def test_equal_values_fixed_point(self):
         assert d.extrapolate(3.7, 3.7, order=2.0) == 3.7

@@ -72,7 +72,7 @@ class TestSmallestPairs:
             es.smallest_pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(es.IndefiniteOperatorError):  # singular
             es.smallest_pairs(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        # positive diagonal, but negative on the aggregated pairs
+        # positive diagonal, but negative on the first coarse level
         n = 2 * es.COARSEST
         with pytest.raises(es.IndefiniteOperatorError):
             es.smallest_pairs(sp.diags([-2.0, 1.0, -2.0], [-1, 0, 1], shape=(n, n)))
@@ -108,7 +108,7 @@ class TestSmallestPairs:
         assert res.values == pytest.approx(exact, rel=1e-9)
 
     def test_bare_matrix_above_coarsest(self, disc_op, disc_result):
-        # without lattice nodes the V-cycle aggregates consecutive rows
+        # without lattice nodes the V-cycle coarsens the row index
         assert disc_op.n > es.COARSEST
         res = es.smallest_pairs(disc_op.matrix, tol=1e-8)
         assert res.values == pytest.approx(disc_result.values, rel=1e-8)
@@ -142,71 +142,140 @@ def _multigrid(domain, h):
     return op, es._hierarchy(op.matrix, op.nodes)
 
 
+def _precondition(hierarchy, r):
+    x = np.empty_like(r)
+    es._vcycle(hierarchy, r, x)
+    return x
+
+
+def _interior(nodes, radius):
+    """Rows whose lattice nodes within ``radius`` in every direction are all
+    present in ``nodes``."""
+    present = {tuple(ij) for ij in nodes}
+    steps = range(-radius, radius + 1)
+    return np.array([all((i + a, j + b) in present for a in steps for b in steps)
+                     for i, j in nodes])
+
+
 class TestVCycle:
-    """The preconditioner M r = _vcycle(hierarchy, r) is one V-cycle."""
+    """The preconditioner M r = _vcycle(hierarchy, r, x) is one V-cycle."""
 
     def test_levels_coarsen_to_dense_inverse(self):
-        op, (levels, coarse) = _multigrid(geo.Ball(), 1 / 32)
-        sizes = [level[0].shape[0] for level in levels] + [coarse.shape[0]]
-        assert sizes[0] == op.n and len(levels) >= 2
-        assert all(a > b for a, b in zip(sizes, sizes[1:]))
-        assert sizes[-1] <= es.COARSEST < sizes[-2]
+        for domain, h in ((geo.Ball(), 1 / 32), (geo.Dumbbell(0.2), 1 / 32),
+                          (geo.two_balls(), 1 / 16)):
+            op, (levels, coarse) = _multigrid(domain, h)
+            sizes = [level[0].shape[0] for level in levels] + [coarse.shape[0]]
+            assert sizes[0] == op.n and len(levels) >= 2
+            assert all(a > b for a, b in zip(sizes, sizes[1:]))
+            assert sizes[-1] <= es.COARSEST < sizes[-2]
+            # the columns of P are the all-even nodes of the level
+            nodes = op.nodes
+            for A, smoother, P, residual, correction in levels:
+                even = ~(nodes & 1).any(axis=1)
+                assert P.shape == (len(nodes), even.sum()) == (len(residual), len(correction))
+                assert P.indices.dtype == P.indptr.dtype == np.int32
+                nodes = nodes[even] // 2
 
     def test_symmetric_positive_definite(self):
         op, hierarchy = _multigrid(geo.Dumbbell(0.2), 1 / 16)
         assert len(hierarchy[0]) >= 2
-        M = np.column_stack([es._vcycle(hierarchy, e) for e in np.eye(op.n)])
+        M = np.column_stack([_precondition(hierarchy, e) for e in np.eye(op.n)])
         assert np.abs(M - M.T).max() <= 1e-14 * np.abs(M).max()
         rng = np.random.default_rng(8)
         for _ in range(20):
             x = rng.standard_normal(op.n)
-            assert x @ es._vcycle(hierarchy, x) > 0.0
+            assert x @ _precondition(hierarchy, x) > 0.0
 
-    @pytest.mark.parametrize("domain, limit", [(geo.Ball(), 5.0), (geo.Dumbbell(0.2), 7.0)])
-    def test_condition_number(self, domain, limit):
+    @pytest.mark.parametrize("domain", [geo.Ball(), geo.Dumbbell(0.2)])
+    def test_condition_number(self, domain):
         """kappa(MA) from the extreme eigenvalues of the symmetric pencil
-        (A M A, A), which has the spectrum of MA; about 4.0 on the disc and
-        6.0 on Dumbbell(0.2) at h = 1/32."""
+        (A M A, A), which has the spectrum of MA; about 1.8 on both domains
+        at h = 1/32."""
         op, hierarchy = _multigrid(domain, 1 / 32)
         A = op.matrix
         lu = spla.splu(A.tocsc())
         ama = spla.LinearOperator(
             A.shape, dtype=float,
-            matvec=lambda x: A @ es._vcycle(hierarchy, A @ np.ravel(x)))
+            matvec=lambda x: A @ _precondition(hierarchy, A @ np.ravel(x)))
         a_inv = spla.LinearOperator(A.shape, dtype=float,
                                     matvec=lambda x: lu.solve(np.ravel(x)))
+        # the spectrum is clustered in [0.55, 1], where Lanczos needs a
+        # tolerance to stop in seconds; 1e-6 moves kappa by far less than
+        # the margin
         extremes = [spla.eigsh(ama, k=1, M=A, Minv=a_inv, which=which, v0=np.ones(op.n),
-                               return_eigenvectors=False)[0] for which in ("SA", "LA")]
-        assert 0.0 < extremes[0] and extremes[1] / extremes[0] <= limit
+                               tol=1e-6, return_eigenvectors=False)[0]
+                    for which in ("SA", "LA")]
+        assert 0.0 < extremes[0] and extremes[1] / extremes[0] <= 2.5
 
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
     def test_block_iterations_bounded_as_h_halves(self, h):
         op = d.assemble(d.build_grid(geo.Ball(), h))
         res = es.smallest_pairs(op, tol=1e-6, seed=1)
-        assert all(iterations <= 40 for iterations in res.iterations)
+        assert all(iterations <= 16 for iterations in res.iterations)
         for inner, outer in zip(res.inner_iterations, res.iterations):
             assert inner <= outer
 
-    @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 128), (geo.Dumbbell(0.2), 1 / 64),
-                                           (geo.two_balls(), 1 / 32)])
-    def test_levels_match_row_unique_aggregation(self, domain, h):
-        """The integer-key aggregation builds the same levels as merging the
-        rows of nodes // 2 with np.unique(axis=0)."""
-        op, (levels, coarse) = _multigrid(domain, h)
-        A, nodes = op.matrix, op.nodes
-        assert len(levels) >= 2
-        for A_level, smoother, agg, n_coarse in levels:
-            n = A.shape[0]
-            nodes, ref_agg = np.unique(nodes // 2, axis=0, return_inverse=True)
-            ref_agg = ref_agg.ravel()
-            assert A_level.shape == A.shape and (A_level != A).nnz == 0
-            assert np.array_equal(smoother, es.OMEGA / A.diagonal())
-            assert np.array_equal(agg, ref_agg) and n_coarse == len(nodes)
-            P = sp.csr_matrix((np.ones(n), ref_agg, np.arange(n + 1)), shape=(n, len(nodes)))
-            A = (P.T @ A @ P).tocsr()
-        assert A.shape[0] <= es.COARSEST
-        ref_coarse = np.linalg.inv(A.toarray())
-        assert np.array_equal(coarse, 0.5 * (ref_coarse + ref_coarse.T))
+    def test_block_iterations_bounded_on_dumbbell(self):
+        op = d.assemble(d.build_grid(geo.Dumbbell(0.2), 1 / 64))
+        res = es.smallest_pairs(op, tol=1e-6, seed=1)
+        assert all(iterations <= 16 for iterations in res.iterations)
+
+
+class TestInterpolation:
+    """P of the finest level: multilinear interpolation from the all-even
+    nodes, with weight 1, 1/2 or 1/4 per parent."""
+
+    @pytest.fixture(scope="class", params=[(geo.Ball(), 1 / 32), (geo.Dumbbell(0.2), 1 / 32),
+                                           (geo.two_balls(), 1 / 16)])
+    def level(self, request):
+        op, (levels, _) = _multigrid(*request.param)
+        return op, levels[0][2], levels[1][0] if len(levels) > 1 else None
+
+    def test_even_nodes_are_identity_rows(self, level):
+        op, P, _ = level
+        even = np.flatnonzero(~(op.nodes & 1).any(axis=1))
+        assert np.array_equal(P[even].toarray(), np.eye(len(even)))
+
+    def test_weights_and_interior_row_sums(self, level):
+        op, P, _ = level
+        odd = (op.nodes & 1).sum(axis=1)
+        for row, m in enumerate(odd):
+            weights = P.data[P.indptr[row]: P.indptr[row + 1]]
+            assert len(weights) <= 2**m and (weights == 0.5**m).all()
+        sums = np.asarray(P.sum(axis=1)).ravel()
+        interior = _interior(op.nodes, 1)
+        assert interior.sum() > op.n // 2
+        assert (sums[interior] == 1.0).all() and (sums <= 1.0).all()
+
+    def test_galerkin_interior_is_nine_point_stencil(self, level):
+        op, P, coarse_A = level
+        h2 = op.h**2
+        expected = np.array([[-0.25, -0.5, -0.25], [-0.5, 3.0, -0.5],
+                             [-0.25, -0.5, -0.25]]) / h2
+        even = ~(op.nodes & 1).any(axis=1)
+        nodes = op.nodes[even] // 2
+        column = {tuple(ij): c for c, ij in enumerate(nodes)}
+        # a coarse row is interior when every fine node within 2 of it is present
+        rows = np.flatnonzero(_interior(op.nodes, 2)[even])
+        assert len(rows) > 10
+        for c in rows:
+            i, j = nodes[c]
+            stencil = [[coarse_A[c, column[(i + a, j + b)]] for b in (-1, 0, 1)]
+                       for a in (-1, 0, 1)]
+            assert stencil == pytest.approx(expected, rel=1e-12)
+            assert coarse_A[c].nnz == 9
+
+    def test_no_even_node_ends_hierarchy(self):
+        # a path of 150 nodes at odd lattice indices: no coarse node exists,
+        # so the whole operator is the dense level
+        n = 3 * es.COARSEST // 2
+        nodes = np.column_stack([2 * np.arange(n) + 1, np.ones(n, dtype=int)])
+        A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
+        levels, coarse = es._hierarchy(A, nodes)
+        assert levels == [] and coarse.shape == (n, n)
+        res = es.smallest_pairs(d.DiscreteOperator(matrix=A, h=1.0, nodes=nodes), tol=1e-10)
+        exact = 2.0 - 2.0 * np.cos(np.arange(1, 3) * np.pi / (n + 1))
+        assert res.values == pytest.approx(exact, rel=1e-9)
 
 
 class TestRayleighResidual:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spectralgap import discretize as d
 from spectralgap import eigensolve as es
 from spectralgap import geometry as geo
 from spectralgap import pipeline
@@ -36,6 +39,16 @@ class TestErrorBudget:
         assert solve.error_est_raw[1] == pytest.approx(correction + TOL * solve.lambda_x[1])
         assert solve.error_est_raw[1] < abs(10.01171875 - 10.046875)
 
+    def test_order_outside_band_takes_unfitted_path(self, monkeypatch):
+        # raw lambda1 of Dumbbell(0.3) at h = 1/64, 1/128, 1/256 fits order
+        # 0.03, where 1 / (2^p - 1) would add 0.85 to the finest value
+        _scripted(monkeypatch, [(4.0860, 10.1875), (4.1028, 10.046875), (4.1193, 10.01171875)])
+        solve = pipeline.solve_domain(geo.Ball(), self.H, tol=TOL)
+        assert solve.orders[0] < d.ORDER_BAND[0] <= solve.orders[1]
+        assert solve.monotone == (False, True)
+        assert solve.lambda_x[0] == 4.1193
+        assert 4.1193 - 4.1028 <= solve.error_est_raw[0] <= 0.02
+
     def test_two_levels_at_least_last_change(self, monkeypatch):
         _scripted(monkeypatch, [(5.0, 10.2), (5.1, 10.05)])
         solve = pipeline.solve_domain(geo.Ball(), self.H[1:], tol=TOL)
@@ -53,3 +66,22 @@ class TestWrappedDumbbell:
                                        tol=TOL, seed=0)
         assert np.array_equal(scaled.grid.active, plain.grid.active)
         assert np.array_equal(scaled.lambda_norm, plain.lambda_norm)
+
+
+def test_fewer_active_nodes_than_pairs():
+    domain = geo.Ball(center=(0.5, 0.5), radius=0.01)  # one node per grid
+    with pytest.raises(d.GridError, match=r"1 active node\(s\) at spacing h = 0\.125 in Ball"):
+        pipeline.solve_domain(domain, (1 / 8, 1 / 16), tol=TOL)
+
+
+def test_disc_solve_peak_memory():
+    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (about
+    12.8 MiB) stays within 10% of the 12.9 MiB of the aggregation-multigrid
+    solver it replaced."""
+    tracemalloc.start()
+    try:
+        pipeline.solve_domain(geo.Ball(), (1 / 32, 1 / 64, 1 / 128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.2 * 2**20

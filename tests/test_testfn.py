@@ -300,3 +300,25 @@ class TestOddExtension:
         op = d.assemble(d.build_grid(geo.two_balls(), 1 / 16))
         res = es.smallest_pairs(op, tol=1e-8)
         assert abs(res.values[1] - res.values[0]) <= 5 * res.tol * res.values[0]
+
+
+# (lemma1 quotient, lemma1 error_est, lemma2 quotient, lemma2 error_est) as
+# the bounds path computed them with U evaluated together with U'
+PINNED_BOUNDS = {
+    (2, 0.001): (5.781231982520764, 1.8224495264900197e-16,
+                 5.78344492439945, 3.66379218991368e-12),
+    (2, 0.08): (5.539939026296202, 1.1775960974188042e-14,
+                5.9756112542774575, 4.91504211707954e-13),
+    (3, 0.001): (9.869525718869673, 1.6645696749807572e-17,
+                 9.869616753345252, 2.6021035381358006e-13),
+    (3, 0.08): (9.775369212537173, 4.413567581554721e-14,
+                9.95427878517063, 8.570187968536485e-12),
+}
+
+
+@pytest.mark.parametrize("dim, eps", sorted(PINNED_BOUNDS))
+def test_bounds_bit_identical(dim, eps):
+    """U alone takes one profile series per point; the bounds keep every bit."""
+    b1 = tf.lemma1_rayleigh(eps, dim=dim)
+    b2 = tf.lemma2_rayleigh(eps, dim=dim)
+    assert (b1.quotient, b1.error_est, b2.quotient, b2.error_est) == PINNED_BOUNDS[(dim, eps)]
