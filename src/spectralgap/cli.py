@@ -200,6 +200,9 @@ def cmd_eig(args) -> int:
         },
         "residuals": [float(r) for r in solve.levels[-1].residuals],
         "iterations": list(solve.levels[-1].iterations),
+        "levels": [{"h": lv.h, "n": lv.n, "iterations": list(lv.iterations),
+                    "inner_iterations": list(lv.inner_iterations),
+                    "residuals": [float(r) for r in lv.residuals]} for lv in solve.levels],
     }
     _emit(_dump_json(doc), args.out)
     return EXIT_OK

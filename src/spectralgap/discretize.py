@@ -172,13 +172,15 @@ def _interpolation(nodes, coarse_rows, origin):
     return sp.csr_matrix((data, cols.T[keep.T], indptr), shape=(n, int(coarse_rows.max()) + 1))
 
 
-def prolong(coarse: Grid2D, vec: np.ndarray, fine: Grid2D) -> np.ndarray:
-    """Bilinear transfer of node values (one column per field) from a grid to
-    one of half the spacing, as in the eigensolver's multigrid; inactive
-    coarse nodes count as zero."""
+def prolong(coarse: Grid2D, fine: Grid2D) -> sp.csr_matrix:
+    """Bilinear interpolation (CSR) of node values from a grid to one of half
+    the spacing; inactive coarse nodes count as zero.  With exactly halved
+    spacings the all-even nodes of ``fine`` are the active nodes of
+    ``coarse``, so this is the first interpolation the eigensolver's V-cycle
+    would build for ``fine``, and grid continuation passes it on as such."""
     if abs(coarse.h - 2.0 * fine.h) > 1e-12 * coarse.h:
         raise ValueError(f"prolong needs half the spacing, got h = {coarse.h} and {fine.h}")
-    return _interpolation(fine.active, coarse.index_map, (coarse.i0, coarse.j0)) @ vec
+    return _interpolation(fine.active, coarse.index_map, (coarse.i0, coarse.j0))
 
 
 # ---------------------------------------------------------------------------

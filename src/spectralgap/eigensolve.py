@@ -1,26 +1,30 @@
 """Two smallest eigenpairs of a sparse SPD operator by block LOBPCG.
 
-One block X of k vectors is improved by Rayleigh-Ritz on span[X, W, P]
-(Knyazev, SIAM J. Sci. Comput. 23(2), 2001): W holds the preconditioned
-residuals M (A x - theta x) of the pairs not yet converged and P the last
-update directions.  W and P are projected off X and orthonormalized through
-their scaled Gram matrix, which drops nearly dependent directions (Duersch,
-Shao, Yang & Gu, SIAM J. Sci. Comput. 40(5), 2018); that covers
-rank-deficient subspaces of tiny operators and exactly converged, zero
-residuals.  The block resolves degenerate pairs such as two identical
-disjoint components.  Starting vectors come from a seeded generator, so runs
-are bit-reproducible on one platform.
+One block X of k vectors is improved by one Rayleigh-Ritz per iteration on
+span[X, W, P] (Knyazev, SIAM J. Sci. Comput. 23(2), 2001): W holds the
+preconditioned residuals M (A x - theta x) of the pairs not yet converged
+and P the last update directions.  W and P are projected off X and
+orthonormalized through their scaled Gram matrix, which drops nearly
+dependent directions (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput. 40(5),
+2018); that covers exactly converged, zero residuals.  A k x k Rayleigh-Ritz
+on the updated X (``_ritz``) keeps it orthonormal where span[X, W, P] is
+nearly rank-deficient; the A X it computes gives the Rayleigh quotients,
+the residuals and the X columns of the next Gram matrix, so A is applied
+once to every block vector.  The block resolves degenerate pairs such as
+two identical disjoint components.  Starting vectors come from a seeded
+generator, so runs are bit-reproducible on one platform.
 
 The preconditioner M is one symmetric geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), built once per call
 from the lattice indices of the rows (a bare matrix: its row index).  The
 coarse nodes of a level are its all-even nodes, halved; P interpolates
-multilinearly from them (``discretize._interpolation``, which also prolongs
-eigenvectors between grid levels), the coarse operator is P^T A P, and
-damped Jacobi smooths before and after the coarse correction.  Levels stop
-at COARSEST unknowns, or at a level without an all-even node, which is
-inverted densely.  kappa(MA) stays near 1.8 as h shrinks, and so do the
-block iterations.
+multilinearly from them (``discretize._interpolation``), the coarse
+operator is P^T A P, and damped Jacobi smooths before and after the coarse
+correction.  A caller may pass the first interpolation matrices: grid
+continuation passes those ``discretize.prolong`` built to carry eigenvectors
+between grid levels, which are the same matrices.  Levels stop at COARSEST
+unknowns, or at a level without an all-even node, which is inverted densely.
+kappa(MA) stays near 1.8 as h shrinks, and so do the block iterations.
 """
 
 from dataclasses import dataclass
@@ -84,21 +88,30 @@ def _as_csr(operator):
     return sp.csr_matrix(arr)
 
 
-def _hierarchy(A, nodes):
+def _hierarchy(A, nodes, transfers=()):
     """Geometric levels of the V-cycle for A with lattice indices ``nodes``.
 
-    Returns (levels, coarse_inverse); each level is (A, OMEGA / diag(A), P,
-    and work vectors for the residual and the coarse correction).
+    ``transfers`` are the interpolation matrices of the first levels, finest
+    first, as ``discretize.prolong`` builds them between grid levels; below
+    them the levels coarsen on their own.  Returns (levels, coarse_inverse);
+    each level is (A, OMEGA / diag(A), P, and work vectors for the residual
+    and the coarse correction).
     """
     levels = []
     while A.shape[0] > COARSEST:
         coarse = nodes[~(nodes & 1).any(axis=1)] >> 1
         if len(coarse) == 0:
             break
-        low = coarse.min(axis=0)
-        rows = np.full(coarse.max(axis=0) - low + 1, -1, dtype=np.int32)
-        rows[tuple((coarse - low).T)] = np.arange(len(coarse))
-        P = _interpolation(nodes, rows, low)
+        if len(levels) < len(transfers):
+            P = transfers[len(levels)]
+            if P.shape != (len(nodes), len(coarse)):
+                raise ValueError(f"transfer {len(levels)} has shape {P.shape}, the level "
+                                 f"needs {(len(nodes), len(coarse))}")
+        else:
+            low = coarse.min(axis=0)
+            rows = np.full(coarse.max(axis=0) - low + 1, -1, dtype=np.int32)
+            rows[tuple((coarse - low).T)] = np.arange(len(coarse))
+            P = _interpolation(nodes, rows, low)
         coarse_A = (P.T @ A @ P).tocsr()
         levels.append((A, OMEGA / A.diagonal(), P, np.empty(len(nodes)), np.empty(len(coarse))))
         A, nodes = coarse_A, coarse
@@ -168,7 +181,8 @@ def _ritz(A, X, AX):
 
 
 def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = None,
-                   x0: np.ndarray | None = None, max_outer: int = 200) -> EigenResult:
+                   x0: np.ndarray | None = None, max_outer: int = 200,
+                   transfers=()) -> EigenResult:
     """Compute the k (= 1 or 2) smallest eigenpairs of an SPD operator.
 
     Accepts a DiscreteOperator, a scipy sparse matrix, or a dense array.
@@ -176,7 +190,12 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     Convergence requires, for every pair, both a relative eigenvalue change
     below ``tol`` and an eigenresidual ||A v - lambda v|| <= tol * lambda.
     Optional ``x0`` columns seed the iteration (used for grid continuation);
-    otherwise the start is pseudo-random with the given seed.
+    otherwise the start is pseudo-random with the given seed.  Optional
+    ``transfers`` are the first interpolation matrices of the V-cycle,
+    finest first (grid continuation passes those of ``discretize.prolong``);
+    each must have the shape of the level it replaces.  Returned values are
+    the Rayleigh quotients of the returned orthonormal vectors, and the
+    residuals their true residuals.
     """
     if k not in (1, 2):
         raise ValueError(f"only the two smallest pairs are supported, got k={k}")
@@ -187,7 +206,7 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     if np.any(A.diagonal() <= 0):
         raise IndefiniteOperatorError("operator has nonpositive diagonal entries")
     nodes = getattr(operator, "nodes", None)
-    hierarchy = _hierarchy(A, np.arange(n)[:, None] if nodes is None else nodes)
+    hierarchy = _hierarchy(A, np.arange(n)[:, None] if nodes is None else nodes, transfers)
     # block vectors as rows: X = S[:k], then p update directions P, then the
     # preconditioned residuals W
     S = np.empty((3 * k, n))
@@ -206,12 +225,12 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     if _orthonormal(X).shape[1] < k:
         raise ValueError("starting vectors are linearly dependent")
 
-    R = np.empty_like(X)
+    R = np.empty_like(X)  # residuals A x - theta x of the rows of X
+    theta = _ritz(A, X, R)
     p = 0
     previous = np.full(k, np.inf)
     inner = np.zeros(k, dtype=int)
     for iteration in range(max_outer + 1):
-        theta = _ritz(A, X, R)
         if theta[0] <= 0.0:
             raise IndefiniteOperatorError(f"nonpositive Ritz value {theta[0]:.3e}")
         residuals = np.linalg.norm(R, axis=1)
@@ -237,7 +256,13 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         T = _orthonormal(basis)
         m = k + T.shape[1]
         _combine(T, basis, S[k:m])
-        gram = np.array([S[:m] @ (A @ s) for s in S[:m]])
+        # Gram matrix of A on S[:m]; its X columns come from A X = R + theta X,
+        # with S[:m] X^T = [I; 0]
+        gram = np.empty((m, m))
+        gram[:, :k] = S[:m] @ R.T
+        gram[:k, :k] += np.diag(theta)
+        for j in range(k, m):
+            gram[:, j] = S[:m] @ (A @ S[j])
         _, C = np.linalg.eigh(0.5 * (gram + gram.T))
         # new X = C[:, :k]^T S[:m] and P = C[k:m, :k]^T S[k:m] in one pass
         D = np.zeros((m, 2 * k))
@@ -245,6 +270,7 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         _combine(D, S[:m], S[: 2 * k])
         p = k
         previous = theta
+        theta = _ritz(A, X, R)
 
 
 def rayleigh_residual(operator, v: np.ndarray):

@@ -1,8 +1,11 @@
 """Grid eigensolve pipeline: solve a domain across halving grid levels,
 Richardson-extrapolate with a fitted order, and normalize to unit measure.
 
-Each level's eigenvectors are prolonged bilinearly (``discretize.prolong``)
-as starting guesses for the next block eigensolve, and then dropped.  The
+Spacings are made exact halves of the coarsest.  Each level's eigenvectors
+are prolonged bilinearly (``discretize.prolong``) as starting guesses for
+the next block eigensolve, and then dropped; the interpolation matrices are
+kept for the rest of the solve and passed, finest first, to the eigensolver
+as the first levels of its multigrid preconditioner.  The
 per-eigenvalue error budget sums the extrapolation correction and the solver
 tolerance; without a fitted order (two levels, a non-monotone sequence, or
 an order outside ``discretize.ORDER_BAND``) the value is the finest one and
@@ -27,6 +30,7 @@ class LevelSolve:
     values: np.ndarray
     residuals: np.ndarray
     iterations: tuple
+    inner_iterations: tuple
 
 
 @dataclass(frozen=True)
@@ -65,19 +69,23 @@ def _check_h_list(h_list):
     for a, b in zip(hs, hs[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ValueError(f"grid levels must halve: got spacings {hs}")
-    return hs
+    # exact halves: the all-even nodes of each grid are then the active nodes
+    # of the one before, bit for bit
+    return [hs[0] / 2**i for i in range(len(hs))]
 
 
 def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
                  k: int = 2) -> DomainSolve:
     """Solve the Dirichlet eigenproblem on each grid level and extrapolate.
 
-    ``h_list`` must be in exact halving ratio; order is irrelevant.  Returns
-    the full level data plus normalized values for the unit-measure copy of
-    the domain.
+    ``h_list`` must halve from level to level to within 1e-12 relative,
+    in any order; the levels are solved at exact halves of the largest
+    spacing.  Returns the full level data plus normalized values for the
+    unit-measure copy of the domain.
     """
     hs = _check_h_list(h_list)
     levels = []
+    transfers = []  # interpolation onto each level from the one before, finest first
     grid = result = None
     for h in hs:
         coarse, grid = grid, discretize.build_grid(domain, h)
@@ -85,13 +93,17 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
             raise discretize.GridError(f"{grid.n} active node(s) at spacing h = {h} in "
                                        f"{domain!r}, fewer than the {k} pairs requested")
         op = discretize.assemble(grid)
-        x0 = [] if result is None else [discretize.prolong(coarse, result.vectors, grid)]
+        x0 = []
+        if result is not None:
+            transfers.insert(0, discretize.prolong(coarse, grid))
+            x0.append(transfers[0] @ result.vectors)
         coarse = result = None  # the coarser level is done with
         # pop hands the starting columns over: the solver frees them once copied
         result = eigensolve.smallest_pairs(op, k=k, tol=tol, seed=seed,
-                                           x0=x0.pop() if x0 else None)
+                                           x0=x0.pop() if x0 else None, transfers=transfers)
         levels.append(LevelSolve(h=h, n=grid.n, values=result.values,
-                                 residuals=result.residuals, iterations=result.iterations))
+                                 residuals=result.residuals, iterations=result.iterations,
+                                 inner_iterations=result.inner_iterations))
 
     lambda_x = np.empty(k)
     error_est_raw = np.empty(k)

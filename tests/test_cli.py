@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from conftest import cli_env
+from spectralgap.discretize import build_grid
+from spectralgap.geometry import Ball
 
 CLI = [sys.executable, "-m", "spectralgap.cli"]
 CHEAP_H = "1/8,1/16,1/32"
@@ -23,6 +25,22 @@ class TestEig:
         assert doc["lambda1"]["extrapolated"] == pytest.approx(5.783185962947, rel=0.02)
         assert doc["domain"]["kind"] == "ball"
         assert doc["h"] == [0.125, 0.0625, 0.03125]
+
+    def test_levels_report_solver_data(self):
+        proc = run_cli("eig", "--domain", "ball", "--h", CHEAP_H, "--seed", "1")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        levels = doc["levels"]
+        assert [lv["h"] for lv in levels] == doc["h"]
+        assert [lv["n"] for lv in levels] == [build_grid(Ball(), h).n for h in doc["h"]]
+        for lv, lam1, lam2 in zip(levels, doc["lambda1"]["raw"], doc["lambda2"]["raw"]):
+            assert len(lv["iterations"]) == len(lv["inner_iterations"]) == 2
+            assert all(0 < inner <= outer
+                       for inner, outer in zip(lv["inner_iterations"], lv["iterations"]))
+            assert all(0 <= r <= doc["tol"] * lam
+                       for r, lam in zip(lv["residuals"], (lam1, lam2)))
+        assert levels[-1]["iterations"] == doc["iterations"]
+        assert levels[-1]["residuals"] == doc["residuals"]
 
     def test_theta_degenerate_pair(self):
         proc = run_cli("eig", "--domain", "theta", "--h", "1/8,1/16")

@@ -176,8 +176,8 @@ class TestProlong:
         coarse = d.build_grid(geo.Ellipse(1.5, 1.0), 1 / 8)
         fine = d.build_grid(geo.Ellipse(1.5, 1.0), 1 / 16)
         f = self._bilinear
-        values = d.prolong(coarse, np.column_stack([f(coarse.coords()), -f(coarse.coords())]),
-                           fine)
+        values = d.prolong(coarse, fine) @ np.column_stack([f(coarse.coords()),
+                                                            -f(coarse.coords())])
         assert values.shape == (fine.n, 2)
         # parents: the coarse nodes at floor and ceil of half the lattice index
         half = fine.active / 2.0
@@ -190,14 +190,14 @@ class TestProlong:
         assert values[active, 0] == pytest.approx(exact, rel=1e-14, abs=1e-14)
         assert np.array_equal(values[:, 1], -values[:, 0])
         # a missing parent counts as zero: boundary values fall short of the field
-        ones = d.prolong(coarse, np.ones(coarse.n), fine)
+        ones = d.prolong(coarse, fine) @ np.ones(coarse.n)
         assert (ones[active] == 1.0).all() and (ones[~active] < 1.0).all()
 
     def test_even_nodes_copy_their_coarse_node(self):
         coarse = d.build_grid(geo.Dumbbell(0.2), 1 / 8)
         fine = d.build_grid(geo.Dumbbell(0.2), 1 / 16)
         vec = np.arange(1.0, coarse.n + 1.0)
-        values = d.prolong(coarse, vec, fine)
+        values = d.prolong(coarse, fine) @ vec
         even = ~(fine.active % 2).any(axis=1)
         rows = coarse.index_map[fine.active[even, 0] // 2 - coarse.i0,
                                 fine.active[even, 1] // 2 - coarse.j0]
@@ -207,7 +207,7 @@ class TestProlong:
     def test_needs_half_the_spacing(self):
         coarse = d.build_grid(geo.Ball(), 1 / 8)
         with pytest.raises(ValueError, match="half the spacing"):
-            d.prolong(coarse, np.ones(coarse.n), d.build_grid(geo.Ball(), 1 / 32))
+            d.prolong(coarse, d.build_grid(geo.Ball(), 1 / 32)) @ np.ones(coarse.n)
 
 
 class TestExtrapolate:

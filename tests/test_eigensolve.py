@@ -126,6 +126,20 @@ def test_hard_spectra_match_arpack(domain, h):
     assert np.abs(res.vectors.T @ res.vectors - np.eye(2)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 32), (geo.Dumbbell(0.2), 1 / 32),
+                                       (geo.two_balls(), 1 / 16)])
+def test_values_are_rayleigh_quotients_with_true_residuals(domain, h):
+    op = d.assemble(d.build_grid(domain, h))
+    res = es.smallest_pairs(op, tol=1e-8, seed=1)
+    V = res.vectors
+    AV = op.matrix @ V
+    assert np.abs(V.T @ V - np.eye(2)).max() <= 1e-12
+    assert res.values == pytest.approx(np.einsum("ij,ij->j", V, AV), rel=1e-14)
+    assert np.all(np.diff(res.values) >= 0.0)
+    true = np.linalg.norm(AV - V * res.values, axis=0)
+    assert res.residuals == pytest.approx(true, rel=1e-6)
+
+
 def test_package_leaves_scipy_linalg_unloaded():
     # importing scipy.sparse.linalg alone costs about 9 MB of peak memory
     probe = ("import sys, spectralgap.cli; "
@@ -276,6 +290,67 @@ class TestInterpolation:
         res = es.smallest_pairs(d.DiscreteOperator(matrix=A, h=1.0, nodes=nodes), tol=1e-10)
         exact = 2.0 - 2.0 * np.cos(np.arange(1, 3) * np.pi / (n + 1))
         assert res.values == pytest.approx(exact, rel=1e-9)
+
+
+def _transfers(domain, h, count):
+    """Interpolation matrices onto the grid of spacing h from the grids of
+    2h, 4h, ..., finest first, as grid continuation builds them."""
+    grids = [d.build_grid(domain, h * 2**i) for i in range(count + 1)]
+    return [d.prolong(coarse, fine) for fine, coarse in zip(grids, grids[1:])]
+
+
+class TestTransfers:
+    """The V-cycle takes its first interpolation matrices from the caller."""
+
+    @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 128), (geo.Dumbbell(0.2), 1 / 64),
+                                           (geo.two_balls(), 1 / 32)])
+    def test_passed_transfers_give_the_same_hierarchy(self, domain, h):
+        op = d.assemble(d.build_grid(domain, h))
+        transfers = _transfers(domain, h, 2)
+        own_levels, own_coarse = es._hierarchy(op.matrix, op.nodes)
+        levels, coarse = es._hierarchy(op.matrix, op.nodes, transfers)
+        assert len(levels) == len(own_levels) > len(transfers)
+        assert all(levels[i][2] is P for i, P in enumerate(transfers))
+        for level, own in zip(levels, own_levels):
+            for matrix, own_matrix in ((level[0], own[0]), (level[2], own[2])):
+                assert matrix.shape == own_matrix.shape
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(matrix, attr), getattr(own_matrix, attr))
+        assert np.array_equal(coarse, own_coarse)
+
+    def test_mismatched_transfer_rejected(self):
+        op = d.assemble(d.build_grid(geo.Ball(), 1 / 32))
+        with pytest.raises(ValueError, match="transfer 0 has shape"):
+            es.smallest_pairs(op, transfers=_transfers(geo.Ball(), 1 / 64, 1))
+        with pytest.raises(ValueError, match="transfer 1 has shape"):
+            es.smallest_pairs(op, transfers=_transfers(geo.Ball(), 1 / 32, 1) * 2)
+
+
+class _CountingMatrix(sp.csr_matrix):
+    """CSR matrix that counts its products with vectors."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray) and other.ndim == 1:
+            type(self).products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_operator_products_per_block_iteration(k, monkeypatch):
+    """Each block iteration multiplies A into its k new Ritz vectors and
+    its new directions (k in P after the first, one in W per unconverged
+    pair): 3k products for a full iteration, none repeated.  Each
+    V-cycle adds two products on the finest level."""
+    op = d.assemble(d.build_grid(geo.Ball(), 1 / 32))
+    counted = d.DiscreteOperator(matrix=_CountingMatrix(op.matrix), h=op.h, nodes=op.nodes)
+    monkeypatch.setattr(_CountingMatrix, "products", 0)
+    res = es.smallest_pairs(counted, k=k, tol=1e-6, seed=1)
+    iterations, vcycles = res.iterations[0], sum(res.inner_iterations)
+    assert iterations > 2 and vcycles > 0
+    expected = k + k * iterations + vcycles + k * (iterations - 1)
+    assert _CountingMatrix.products == expected + 2 * vcycles
 
 
 class TestRayleighResidual:

@@ -15,7 +15,7 @@ def _scripted(monkeypatch, levels):
     """Make solve_domain see the given per-level eigenvalue pairs."""
     script = iter(levels)
 
-    def fake(op, k, tol, seed, x0):
+    def fake(op, k, tol, seed, x0, transfers):
         return es.EigenResult(values=np.array(next(script)), vectors=np.ones((op.n, k)),
                               residuals=np.zeros(k), iterations=(1,) * k, tol=tol)
 
@@ -85,3 +85,49 @@ def test_disc_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 14.2 * 2**20
+
+
+def test_transfers_passed_finest_first(monkeypatch):
+    """Each level's solve gets the interpolation onto it from every coarser
+    level, finest first, built once: the matrix that prolonged the starting
+    vectors is the one passed."""
+    seen = []
+    solve = pipeline.eigensolve.smallest_pairs
+
+    def record(op, k, tol, seed, x0, transfers):
+        seen.append((op.n, list(transfers)))
+        return solve(op, k=k, tol=tol, seed=seed, x0=x0, transfers=transfers)
+
+    monkeypatch.setattr(pipeline.eigensolve, "smallest_pairs", record)
+    h_list = (1 / 8, 1 / 16, 1 / 32)
+    pipeline.solve_domain(geo.Dumbbell(0.2), h_list, tol=TOL, seed=1)
+    sizes = [d.build_grid(geo.Dumbbell(0.2), h).n for h in h_list]
+    assert [n for n, _ in seen] == sizes
+    assert [[P.shape for P in transfers] for _, transfers in seen] == [
+        [], [(sizes[1], sizes[0])], [(sizes[2], sizes[1]), (sizes[1], sizes[0])]]
+    assert seen[2][1][1] is seen[1][1][0]
+
+
+def test_h_list_halves_exactly():
+    # spacings within the 1e-12 ratio tolerance are replaced by exact halves,
+    # so the all-even nodes of each grid are the active nodes of the one before
+    exact = (1 / 8, 1 / 16, 1 / 32)
+    perturbed = (1 / 8, (1 / 16) * (1 + 1e-13), (1 / 32) * (1 - 1e-13))
+    assert perturbed != exact
+    assert pipeline._check_h_list(perturbed) == list(exact)
+    a = pipeline.solve_domain(geo.Dumbbell(0.2), exact, tol=TOL, seed=1)
+    b = pipeline.solve_domain(geo.Dumbbell(0.2), perturbed, tol=TOL, seed=1)
+    assert a.h_list == b.h_list == exact
+    assert np.array_equal(a.grid.active, b.grid.active)
+    assert np.array_equal(a.lambda_x, b.lambda_x)
+
+
+@pytest.mark.parametrize("domain, h_list, iterations", [
+    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), (12, 8, 8)),
+    (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), (11, 8, 8)),
+])
+def test_block_iterations_per_level(domain, h_list, iterations):
+    solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
+    assert tuple(lv.iterations for lv in solve.levels) == tuple((i, i) for i in iterations)
+    for lv in solve.levels:
+        assert all(0 < inner <= outer for inner, outer in zip(lv.inner_iterations, lv.iterations))
