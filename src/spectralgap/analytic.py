@@ -231,7 +231,7 @@ def ball_spectrum(dim: int) -> BallSpectrum:
     # |J_(nu+1)(j1)| from the profile series; c normalizes the L2 norm to 1
     jnu1_at_j1 = abs(j1 ** (nu + 1.0) * _series_profile(nu + 1.0, np.array([j1]))[0])
     norm_const = math.sqrt(2.0 / (dim * unit_ball_volume(dim))) / jnu1_at_j1
-    du = _radial_slope(nu, j1, norm_const, np.array([1.0]))
+    slope_over_r = _ground_state(nu, j1, norm_const)[1]
     return BallSpectrum(
         dim=dim,
         nu=nu,
@@ -240,7 +240,7 @@ def ball_spectrum(dim: int) -> BallSpectrum:
         lambda1=j1 * j1,
         lambda2=j2 * j2,
         norm_const=norm_const,
-        kappa=float(abs(du[0])),
+        kappa=float(abs(slope_over_r(1.0))),
     )
 
 
@@ -259,15 +259,18 @@ def rescale_eigenvalue(lam: float, t: float) -> float:
     return lam / (t * t)
 
 
-def _radial_value(nu, j1, c, r):
-    """u = c r^(-nu) J_nu(j1 r) as c j1^nu p_nu(j1 r), through the even profile
-    series p_nu(z) = z^(-nu) J_nu(z), which removes the r = 0 singularity."""
-    return c * j1**nu * _series_profile(nu, j1 * r)
+def _ground_state(nu, j1, c):
+    """Vectorized (U, U'/r) for u = c r^(-nu) J_nu(j1 r), through the even
+    profile series p_nu(z) = z^(-nu) J_nu(z): U = c j1^nu p_nu(j1 r) and
+    U'/r = -c j1^(nu+2) p_(nu+1)(j1 r), both smooth at r = 0."""
 
+    def value(r):
+        return c * j1**nu * _series_profile(nu, j1 * np.asarray(r, dtype=float))
 
-def _radial_slope(nu, j1, c, r):
-    """Radial derivative u' = -c j1^(nu+2) r p_(nu+1)(j1 r) of _radial_value."""
-    return -c * j1 ** (nu + 2.0) * r * _series_profile(nu + 1.0, j1 * r)
+    def slope_over_r(r):
+        return -c * j1 ** (nu + 2.0) * _series_profile(nu + 1.0, j1 * np.asarray(r, dtype=float))
+
+    return value, slope_over_r
 
 
 def ball_eigenfunction(dim: int, r):
@@ -276,25 +279,18 @@ def ball_eigenfunction(dim: int, r):
     Returns (value, radial derivative); at r = 1 the value vanishes and the
     derivative magnitude equals ``kappa``.
     """
-    spec = ball_spectrum(dim)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0) or np.any(r_arr > 1):
         raise ValueError("radius must lie in [0, 1]")
-    args = (spec.nu, spec.j1, spec.norm_const, r_arr)
-    val, der = _radial_value(*args), _radial_slope(*args)
+    value, slope_over_r = radial_profile(dim)
+    val, der = value(r_arr), r_arr * slope_over_r(r_arr)
     if np.ndim(r) == 0:
         return float(val), float(der)
     return val, der
 
 
 def radial_profile(dim: int):
-    """Vectorized (U, U') callables for the unit-ball ground state."""
+    """Vectorized (U, U'/r) callables for the unit-ball ground state; U'/r is
+    finite at r = 0, and |U'/r| = ``kappa`` at r = 1."""
     spec = ball_spectrum(dim)
-
-    def value(r):
-        return _radial_value(spec.nu, spec.j1, spec.norm_const, np.asarray(r, dtype=float))
-
-    def derivative(r):
-        return _radial_slope(spec.nu, spec.j1, spec.norm_const, np.asarray(r, dtype=float))
-
-    return value, derivative
+    return _ground_state(spec.nu, spec.j1, spec.norm_const)

@@ -12,7 +12,7 @@ lambda2(two half balls) (that pair minimizes lambda2), and
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .geometry import (
     bounding_ball, measure, normalization,
 )
 from .pipeline import solve_domain
-from .testfn import QuadConfig, lemma1_rayleigh, lemma2_rayleigh
+from .testfn import lemma1_rayleigh, lemma2_rayleigh
 
 __all__ = [
     "SweepConfig",
@@ -63,7 +63,6 @@ class SweepConfig:
     tol: float = 1e-6
     seed: int | None = None
     grid_eps_min: float = 0.1  # dumbbells below this carry bounds only
-    quad: QuadConfig = field(default_factory=QuadConfig)
     jobs: int = 1
     dim: int = 2  # ambient dimension of the dumbbell family
 
@@ -135,8 +134,8 @@ def _solve_one(family: str, param: float, config: SweepConfig) -> SweepRecord:
     record = SweepRecord(family=family, param=param, measure=vol, t_factor=t)
 
     if family == "dumbbell":
-        b1 = lemma1_rayleigh(param, dim=domain.dim, quad=config.quad)
-        b2 = lemma2_rayleigh(param, dim=domain.dim, quad=config.quad)
+        b1 = lemma1_rayleigh(param, dim=domain.dim)
+        b2 = lemma2_rayleigh(param, dim=domain.dim)
         quad_err = (b1.error_est + b2.error_est) * norm_factor
         record = replace(record,
                          bound1=b1.quotient * norm_factor,
@@ -263,10 +262,6 @@ class ConeConstruction:
     filler_radius: float
     filler_lambda1: float
     target_lambda2: float
-
-    @property
-    def dominance_margin(self) -> float:
-        return self.filler_lambda1 - self.target_lambda2
 
 
 def cone_construction(base, t: float, base_lambda2: float | None = None) -> ConeConstruction:

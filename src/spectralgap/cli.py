@@ -2,17 +2,22 @@
 
 Commands
 --------
-eig       grid eigensolve of one domain (raw / extrapolated / normalized)
-sweep     family sweeps onto the (lambda1, lambda2) plane, CSV
-lemma1    cone-corrected upper bound for lambda1 over an eps grid
-lemma2    cutoff upper bound for lambda2 over an eps grid
-ratio     horizontal-tangent ratio curve (bound path, optional grid path)
-verify    full default pipeline and the three-check verdict (exit 0 = PASS)
+eig       grid eigensolve of one domain (raw / extrapolated / normalized), JSON
+sweep     family sweeps onto the (lambda1, lambda2) plane, CSV or JSON
+lemma1    cone-corrected upper bound for lambda1 over an eps grid, JSON or CSV
+lemma2    cutoff upper bound for lambda2 over an eps grid, JSON or CSV
+ratio     horizontal-tangent ratio curve (bound path, optional grid path), CSV or JSON
+verify    full default pipeline and the three-check verdict (exit 0 = PASS), JSON
 plotdata  attainable-cloud CSV plus the region boundary curves
 
-JSON is the default format for single solves and verdicts, CSV for sweeps
-and curves; floats are printed with 12 significant digits and outputs are
-byte-identical across runs for a fixed config and seed.
+The first format listed is the default.  Each command takes only the flags
+it reads: every command has --dim (2 or 3; the grid solver is planar, so
+eig, sweep, verify, plotdata and ratio --with-grid refuse 3) and --out; the
+grid commands (all but lemma1 and lemma2) have --seed, --tol and --h, and
+those that sweep also --jobs; --format exists where there is a choice.
+Values are checked once, at parse time or where they are used, and flags
+must be spelled in full.  Floats are printed with 12 significant digits,
+and outputs are byte-identical across runs for a fixed config and seed.
 """
 
 import argparse
@@ -27,7 +32,7 @@ from .eigensolve import DEFAULT_SEED
 from .geometry import (
     Ball, Dumbbell, HalfDumbbell, Rectangle, domain_from_dict, domain_to_dict, two_balls,
 )
-from .pipeline import solve_domain
+from .pipeline import halving_levels, solve_domain
 
 __all__ = ["main", "cmd_eig", "cmd_sweep", "cmd_lemma", "cmd_ratio", "cmd_verify",
            "cmd_plotdata"]
@@ -84,13 +89,17 @@ def _parse_h_list(spec: str):
             hs.append(float(num) / float(den))
         else:
             hs.append(float(token))
-    if not hs:
-        raise ConfigError("empty grid list")
-    hs = sorted(hs, reverse=True)
-    for a, b in zip(hs, hs[1:]):
-        if abs(a / b - 2.0) > 1e-12:
-            raise ConfigError(f"grid levels must be in halving ratio, got {spec!r}")
-    return tuple(hs)
+    try:
+        return tuple(halving_levels(hs))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _parse_eps_grid(spec: str, eps_max: float):
@@ -113,7 +122,7 @@ def _parse_eps_grid(spec: str, eps_max: float):
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SPECTRALGAP_SEED")
     if env is not None:
@@ -125,34 +134,30 @@ def _resolve_seed(args) -> int:
 
 
 def _parse_domain(args):
+    """A domain name first, then inline JSON, then a JSON file."""
     name = args.domain
-    if name is None:
-        raise ConfigError("--domain is required")
-    if name.lstrip().startswith("{"):
-        return domain_from_dict(json.loads(name))
-    if name.endswith(".json") or os.path.exists(name):
-        with open(name) as fh:
-            return domain_from_dict(json.load(fh))
-    eps = getattr(args, "eps", None)
     named = {
         "ball": lambda: Ball(),
         "disc": lambda: Ball(),
         "theta": two_balls,
         "two_balls": two_balls,
         "square": lambda: Rectangle(width=1.0, height=1.0),
-        "dumbbell": lambda: Dumbbell(epsilon=_require_eps(eps)),
-        "half_dumbbell": lambda: HalfDumbbell(epsilon=_require_eps(eps)),
+        "dumbbell": lambda: Dumbbell(epsilon=_require_eps(args.eps)),
+        "half_dumbbell": lambda: HalfDumbbell(epsilon=_require_eps(args.eps)),
     }
-    if name not in named:
-        raise ConfigError(f"unknown domain {name!r} (use a name, a JSON file, or inline JSON)")
-    return named[name]()
+    if name in named:
+        return named[name]()
+    if name.lstrip().startswith("{"):
+        return domain_from_dict(json.loads(name))
+    if name.endswith(".json") or os.path.exists(name):
+        with open(name) as fh:
+            return domain_from_dict(json.load(fh))
+    raise ConfigError(f"unknown domain {name!r} (use a name, a JSON file, or inline JSON)")
 
 
 def _require_eps(eps):
     if eps is None:
         raise ConfigError("this domain needs --eps")
-    if not 0.0 < eps <= testfn.EPS_MAX:
-        raise ConfigError(f"--eps must lie in (0, {testfn.EPS_MAX}], got {eps}")
     return eps
 
 
@@ -174,8 +179,6 @@ def cmd_eig(args) -> int:
     domain = _parse_domain(args)
     h_list = _parse_h_list(args.h)
     seed = _resolve_seed(args)
-    if args.tol <= 0:
-        raise ConfigError("--tol must be > 0")
     solve = solve_domain(domain, h_list, tol=args.tol, seed=seed)
     doc = {
         "domain": domain_to_dict(domain),
@@ -215,15 +218,7 @@ def cmd_sweep(args) -> int:
     if unknown:
         raise ConfigError(f"unknown families {unknown}; "
                           f"known: {sorted(attainable.DEFAULT_FAMILIES)}")
-    if args.tol <= 0:
-        raise ConfigError("--tol must be > 0")
-    config = attainable.SweepConfig(
-        h_list=_parse_h_list(args.h),
-        tol=args.tol,
-        seed=_resolve_seed(args),
-        jobs=args.jobs,
-    )
-    records = attainable.default_sweep(config, families=families)
+    records = attainable.default_sweep(_sweep_config(args), families=families)
     if args.format == "json":
         doc = [
             {k: getattr(r, k) for k in (
@@ -237,6 +232,11 @@ def cmd_sweep(args) -> int:
     else:
         _emit(attainable.records_to_csv(records), args.out)
     return EXIT_OK
+
+
+def _sweep_config(args, **overrides):
+    return attainable.SweepConfig(h_list=_parse_h_list(args.h), tol=args.tol,
+                                  seed=_resolve_seed(args), jobs=args.jobs, **overrides)
 
 
 def _bound_rows(eps_grid, dim, which):
@@ -254,10 +254,10 @@ def _bound_rows(eps_grid, dim, which):
 
 
 def cmd_lemma(args, which: str) -> int:
-    if args.dim not in (2, 3):
-        raise ConfigError("--dim must be 2 or 3")
     if args.eps is not None:
-        eps_grid = ( _require_eps(args.eps), )
+        if not 0.0 < args.eps <= testfn.EPS_MAX:
+            raise ConfigError(f"--eps must lie in (0, {testfn.EPS_MAX}], got {args.eps}")
+        eps_grid = (args.eps,)
     else:
         eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
     rows = _bound_rows(eps_grid, args.dim, which)
@@ -287,15 +287,11 @@ def _ratio_csv(rows) -> str:
 
 
 def cmd_ratio(args) -> int:
-    if args.dim not in (2, 3):
-        raise ConfigError("--dim must be 2 or 3")
     if args.with_grid:
         _require_planar(args, "ratio --with-grid")
     eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
     if args.with_grid:
-        config = attainable.SweepConfig(h_list=_parse_h_list(args.h),
-                                        tol=args.tol, seed=_resolve_seed(args),
-                                        grid_eps_min=args.grid_eps_min, jobs=args.jobs)
+        config = _sweep_config(args, grid_eps_min=args.grid_eps_min)
     else:
         config = attainable.SweepConfig(grid_eps_min=math.inf, jobs=args.jobs, dim=args.dim)
     records = attainable.sweep("dumbbell", eps_grid, config)
@@ -310,25 +306,15 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.dim not in (2, 3):
-        raise ConfigError("--dim must be 2 or 3")
+    _require_planar(args, "verify")
     eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
-    grid_check = args.dim == 2 and not args.no_grid_check
-    config = attainable.SweepConfig(
-        h_list=_parse_h_list(args.h),
-        tol=args.tol,
-        seed=_resolve_seed(args),
-        grid_eps_min=(args.grid_check_eps if grid_check else math.inf),
-        jobs=args.jobs,
-    )
-    if args.dim == 3:
-        raise ConfigError("the verdict pipeline is planar (the grid cross-checks "
-                          "and sweep records are N = 2); use lemma1/lemma2/ratio for N = 3")
+    config = _sweep_config(args, grid_eps_min=(math.inf if args.no_grid_check
+                                               else args.grid_check_eps))
     records = attainable.sweep("dumbbell", eps_grid, config)
     verdict = asymptotics.verify_theorem(records)
 
     crosscheck = []
-    if grid_check:
+    if not args.no_grid_check:
         for rec in records:
             if rec.lambda1_norm is None or rec.bound1 is None:
                 continue
@@ -361,13 +347,7 @@ def cmd_verify(args) -> int:
 
 def cmd_plotdata(args) -> int:
     _require_planar(args, "plotdata")
-    config = attainable.SweepConfig(
-        h_list=_parse_h_list(args.h),
-        tol=args.tol,
-        seed=_resolve_seed(args),
-        jobs=args.jobs,
-    )
-    records = attainable.default_sweep(config)
+    records = attainable.default_sweep(_sweep_config(args))
     prefix = args.out or "plotdata"
     cloud_path = f"{prefix}_cloud.csv"
     boundary_path = f"{prefix}_boundary.csv"
@@ -406,50 +386,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
-        p.add_argument("--dim", type=int, default=2, help="ambient dimension (2 or 3)")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (default {DEFAULT_SEED}; env SPECTRALGAP_SEED overrides)")
-        p.add_argument("--tol", type=float, default=1e-6, help="eigenvalue tolerance")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+    def command(name, func, help, fmt=None, grid=True, jobs=True):
+        """A subcommand with the flags it reads: ``fmt`` is its default output
+        format (no --format without one); grid commands read the solver
+        settings, and those that sweep read --jobs."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--dim", type=int, choices=(2, 3), default=2, help="ambient dimension")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        if fmt is not None:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
         if grid:
+            p.add_argument("--seed", type=int, default=None,
+                           help=f"RNG seed (default {DEFAULT_SEED}; env SPECTRALGAP_SEED "
+                                f"applies when the flag is absent)")
+            p.add_argument("--tol", type=_positive_float, default=1e-6,
+                           help="eigenvalue tolerance")
             p.add_argument("--h", default="1/32,1/64,1/128",
                            help="comma list of grid spacings in halving ratio")
+        if grid and jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("eig", help="grid eigensolve of one domain")
-    common(p)
+    p = command("eig", cmd_eig, "grid eigensolve of one domain (JSON)", jobs=False)
     p.add_argument("--domain", required=True,
-                   help="ball|theta|square|dumbbell|half_dumbbell, a JSON file, or inline JSON")
-    p.add_argument("--eps", type=float, default=None, help="dumbbell junction parameter")
-    p.set_defaults(func=cmd_eig, default_format="json")
+                   help="ball|theta|square|dumbbell|half_dumbbell, inline JSON, or a JSON file")
+    p.add_argument("--eps", type=float, default=None,
+                   help="dumbbell junction parameter, 0 < eps < 1")
 
-    p = sub.add_parser("sweep", help="family sweeps, CSV by default")
-    common(p)
+    p = command("sweep", cmd_sweep, "family sweeps, CSV by default", fmt="csv")
     p.add_argument("--families", default=",".join(attainable.DEFAULT_FAMILIES),
                    help="comma list of sweep families")
-    p.set_defaults(func=cmd_sweep, default_format="csv")
 
     for name in ("lemma1", "lemma2"):
-        p = sub.add_parser(name, help=f"{name} bound over an eps grid")
-        common(p, grid=False)
+        p = command(name, lambda a, w=name: cmd_lemma(a, w), f"{name} bound over an eps grid",
+                    fmt="json", grid=False)
         p.add_argument("--eps", type=float, default=None, help="single eps")
         p.add_argument("--eps-grid", default="default", help="comma list or 'default'")
         p.add_argument("--eps-max", type=float, default=0.2)
-        p.set_defaults(func=lambda a, w=name: cmd_lemma(a, w), default_format="json")
 
-    p = sub.add_parser("ratio", help="horizontal-tangent ratio curve")
-    common(p)
+    p = command("ratio", cmd_ratio, "horizontal-tangent ratio curve", fmt="csv")
     p.add_argument("--eps-grid", default="default")
     p.add_argument("--eps-max", type=float, default=0.2)
     p.add_argument("--with-grid", action="store_true",
                    help="add grid-path ratios for eps >= --grid-eps-min")
     p.add_argument("--grid-eps-min", type=float, default=0.1)
-    p.set_defaults(func=cmd_ratio, default_format="csv")
 
-    p = sub.add_parser("verify", help="run the default pipeline and verdict")
-    common(p)
+    p = command("verify", cmd_verify, "run the default pipeline and verdict (JSON)")
     p.add_argument("--eps-grid", default="default")
     p.add_argument("--eps-max", type=float, default=0.2)
     p.add_argument("--no-grid-check", action="store_true",
@@ -457,11 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-check-eps", type=float, default=0.2,
                    help="grid-solve dumbbells with eps >= this for the cross-check")
     p.add_argument("--data-out", default=None, help="ratio-curve CSV path")
-    p.set_defaults(func=cmd_verify, default_format="json")
 
-    p = sub.add_parser("plotdata", help="attainable cloud and region boundary CSVs")
-    common(p)
-    p.set_defaults(func=cmd_plotdata, default_format="csv")
+    command("plotdata", cmd_plotdata, "attainable cloud and region boundary CSVs")
 
     return parser
 
@@ -469,8 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

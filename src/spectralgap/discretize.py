@@ -63,11 +63,11 @@ class Grid2D:
         return self.active * self.h
 
 
-def build_grid(domain, h: float, include_junction: bool = True) -> Grid2D:
+def build_grid(domain, h: float) -> Grid2D:
     """Enumerate active lattice nodes of a planar domain at spacing h.
 
-    The bounding box is padded by 2h; dumbbell junction nodes are kept by
-    default (see module docstring).  Raises GridError when nothing is active.
+    The bounding box is padded by 2h; dumbbell junction nodes are kept (see
+    module docstring).  Raises GridError when nothing is active.
     """
     if domain.dim != 2:
         raise ValueError(f"grids are planar only, domain has dim {domain.dim}")
@@ -82,7 +82,7 @@ def build_grid(domain, h: float, include_junction: bool = True) -> Grid2D:
     jj = np.arange(j_lo, j_hi + 1)
     gi, gj = np.meshgrid(ii, jj, indexing="ij")
     pts = np.column_stack([gi.ravel() * h, gj.ravel() * h])
-    mask = contains(domain, pts, include_junction=include_junction).reshape(gi.shape)
+    mask = contains(domain, pts, include_junction=True).reshape(gi.shape)
     count = int(mask.sum())
     if count == 0:
         raise GridError(

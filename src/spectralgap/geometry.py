@@ -274,7 +274,7 @@ def _contains(domain, pts, junction):
 # measures
 # ---------------------------------------------------------------------------
 
-def cap_volume(epsilon: float, dim: int, rel_tol: float = 1e-12) -> float:
+def cap_volume(epsilon: float, dim: int) -> float:
     """Volume of the spherical cap of height eps cut from a unit ball.
 
     V = int_0^eps omega_(N-1) (2t - t^2)^((N-1)/2) dt; the substitution
@@ -290,12 +290,12 @@ def cap_volume(epsilon: float, dim: int, rel_tol: float = 1e-12) -> float:
     def integrand(s):
         return 2.0 * om * s * (s * s * (2.0 - s * s)) ** power
 
-    return quad_adaptive(integrand, 0.0, math.sqrt(epsilon), rel_tol=rel_tol).value
+    return quad_adaptive(integrand, 0.0, math.sqrt(epsilon), rel_tol=1e-12).value
 
 
 def measure(domain) -> float:
     """Lebesgue measure; closed forms everywhere except the dumbbell caps,
-    which use adaptive quadrature to 1e-10 relative accuracy."""
+    which use adaptive quadrature to 1e-12 relative accuracy."""
     if isinstance(domain, Ball):
         return unit_ball_volume(domain.dim) * domain.radius**domain.dim
     if isinstance(domain, Dumbbell):

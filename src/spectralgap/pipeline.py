@@ -20,7 +20,7 @@ import numpy as np
 from . import discretize, eigensolve
 from .geometry import normalization
 
-__all__ = ["LevelSolve", "DomainSolve", "solve_domain"]
+__all__ = ["LevelSolve", "DomainSolve", "halving_levels", "solve_domain"]
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,12 @@ class DomainSolve:
         return [float(lv.values[i]) for lv in self.levels]
 
 
-def _check_h_list(h_list):
+def halving_levels(h_list) -> list:
+    """The grid spacings, largest first, as exact halves of the largest.
+
+    Raises ValueError unless consecutive spacings halve to within 1e-12
+    relative, in any order.
+    """
     hs = sorted((float(h) for h in h_list), reverse=True)
     if not hs:
         raise ValueError("need at least one grid spacing")
@@ -83,7 +88,7 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
     spacing.  Returns the full level data plus normalized values for the
     unit-measure copy of the domain.
     """
-    hs = _check_h_list(h_list)
+    hs = halving_levels(h_list)
     levels = []
     transfers = []  # interpolation onto each level from the one before, finest first
     grid = result = None

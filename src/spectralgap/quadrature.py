@@ -92,7 +92,7 @@ def _panel(f, a, b):
     return k15, np.abs(k15 - g7), absval, scalar
 
 
-def quad_adaptive(f, a, b, rel_tol=1e-10, abs_tol=0.0, max_panels=4000):
+def quad_adaptive(f, a, b, rel_tol=1e-10, max_panels=4000):
     """Integrate ``f`` over [a, b] to the requested relative tolerance.
 
     ``f`` maps an array of nodes (n,) to values of shape (n,) or (n, k).
@@ -110,8 +110,7 @@ def quad_adaptive(f, a, b, rel_tol=1e-10, abs_tol=0.0, max_panels=4000):
     total_abs = absval.copy()
     panels = 1
     while True:
-        floor = np.maximum(rel_tol * np.abs(total), abs_tol)
-        floor = np.maximum(floor, 1e-15 * total_abs)
+        floor = np.maximum(rel_tol * np.abs(total), 1e-15 * total_abs)
         if np.all(total_err <= floor):
             break
         if panels >= max_panels:

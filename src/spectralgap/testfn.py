@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _series_profile, ball_spectrum, radial_profile
+from .analytic import ball_spectrum, radial_profile
 from .geometry import (
-    Ball, ConeRegion, DisjointUnion, Dumbbell, Ellipse, HalfDumbbell,
+    Ball, DisjointUnion, Dumbbell, Ellipse, HalfDumbbell,
     Rectangle, Scaled, junction_radius,
 )
 from .pipeline import solve_domain
@@ -62,15 +62,8 @@ class QuadConfig:
             raise ValueError("quadrature tolerance must be > 0")
 
 
-def _gradient_factor(dim):
-    """U'(r)/r as a smooth function of r (finite at r = 0)."""
-    spec = ball_spectrum(dim)
-
-    def factor(r):
-        z = spec.j1 * np.asarray(r, dtype=float)
-        return -spec.norm_const * spec.j1 ** (spec.nu + 2.0) * _series_profile(spec.nu + 1.0, z)
-
-    return factor
+# quadrature settings of the two trial-field bounds
+_BOUND_QUAD = QuadConfig()
 
 
 def _check_epsilon(epsilon):
@@ -92,18 +85,6 @@ class Lemma1Function:
     def __post_init__(self):
         _check_epsilon(self.epsilon)
 
-    @property
-    def ball_data(self):
-        return ball_spectrum(self.dim)
-
-    @property
-    def cone(self) -> ConeRegion:
-        return ConeRegion(epsilon=self.epsilon, dim=self.dim)
-
-    @property
-    def kappa(self) -> float:
-        return self.ball_data.kappa
-
     def field(self, pts):
         """Vectorized (values, gradients) on the dumbbell.
 
@@ -112,10 +93,9 @@ class Lemma1Function:
         direction independent there, so quadrature is unaffected.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        eps, kappa = self.epsilon, self.kappa
+        eps, kappa = self.epsilon, ball_spectrum(self.dim).kappa
         a = junction_radius(eps)
-        value_fn = radial_profile(self.dim)[0]
-        fac_fn = _gradient_factor(self.dim)
+        value_fn, fac_fn = radial_profile(self.dim)
         sign = np.where(pts[:, 0] < 0, -1.0, 1.0)
         x1 = np.abs(pts[:, 0])
         xp = pts[:, 1:]
@@ -148,14 +128,9 @@ class Lemma2Function:
 
     epsilon: float
     dim: int = 2
-    lipschitz_bound: float = 1.0
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-
-    @property
-    def ball_data(self):
-        return ball_spectrum(self.dim)
 
     def cutoff(self, x1):
         return np.clip(np.asarray(x1, dtype=float) / self.epsilon, 0.0, 1.0)
@@ -168,8 +143,7 @@ class Lemma2Function:
         """Vectorized (values, gradients) on the half dumbbell (x1 >= 0)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         eps = self.epsilon
-        value_fn = radial_profile(self.dim)[0]
-        fac_fn = _gradient_factor(self.dim)
+        value_fn, fac_fn = radial_profile(self.dim)
         x1 = pts[:, 0]
         if np.any(x1 < -1e-12):
             raise ValueError("point outside the half dumbbell")
@@ -217,7 +191,7 @@ def _sigma(dim):
     return 2.0 if dim == 2 else 2.0 * math.pi
 
 
-def _cap_integrals(epsilon, dim, quad):
+def _cap_integrals(epsilon, dim):
     """(int u^2, int |grad u|^2) over the ball part beyond {x1 = 0}.
 
     Polar coordinates about the ball center reduce the cap to a radial
@@ -225,8 +199,7 @@ def _cap_integrals(epsilon, dim, quad):
     opening angle at the inner radius.
     """
     c1 = 1.0 - epsilon
-    value_fn = radial_profile(dim)[0]
-    fac_fn = _gradient_factor(dim)
+    value_fn, fac_fn = radial_profile(dim)
 
     def integrand(tau):
         r = c1 + tau * tau
@@ -239,11 +212,11 @@ def _cap_integrals(epsilon, dim, quad):
         return np.column_stack([u * u, du * du]) * (w * 2.0 * tau)[:, None]
 
     res = quad_adaptive(integrand, 0.0, math.sqrt(epsilon),
-                        rel_tol=quad.rel_tol, max_panels=quad.max_panels)
+                        rel_tol=_BOUND_QUAD.rel_tol, max_panels=_BOUND_QUAD.max_panels)
     return res.value[0], res.value[1], res.error
 
 
-def _cone_integrals(epsilon, dim, quad):
+def _cone_integrals(epsilon, dim):
     """Corrections from the cone term: (mixed+square gradient, value) parts.
 
     Components: 2 <grad u, g> + kappa^2/2 and 2 u w + w^2 with
@@ -253,8 +226,7 @@ def _cone_integrals(epsilon, dim, quad):
     kappa = spec.kappa
     a = junction_radius(epsilon)
     c1 = 1.0 - epsilon
-    value_fn = radial_profile(dim)[0]
-    fac_fn = _gradient_factor(dim)
+    value_fn, fac_fn = radial_profile(dim)
     sig = _sigma(dim)
 
     def f(x1, s):
@@ -270,18 +242,17 @@ def _cone_integrals(epsilon, dim, quad):
         return comps * weight[:, None]
 
     res = quad_nested_2d(f, 0.0, a, lambda x1: 0.0, lambda x1: a - x1,
-                         rel_tol=quad.rel_tol, max_panels=quad.max_panels)
+                         rel_tol=_BOUND_QUAD.rel_tol, max_panels=_BOUND_QUAD.max_panels)
     return res.value[0], res.value[1], res.error
 
 
-def _slab_integrals(epsilon, dim, quad):
+def _slab_integrals(epsilon, dim):
     """Cutoff-layer integrals over {0 < x1 < eps} of the half dumbbell:
 
     [ |grad u|^2 (1 - xi^2),  u^2,  x1 u du/dx1,  u^2 (1 - xi^2) ].
     """
     c1 = 1.0 - epsilon
-    value_fn = radial_profile(dim)[0]
-    fac_fn = _gradient_factor(dim)
+    value_fn, fac_fn = radial_profile(dim)
     sig = _sigma(dim)
 
     def f(x1, s):
@@ -307,7 +278,7 @@ def _slab_integrals(epsilon, dim, quad):
         return math.sqrt(max(1.0 - dx * dx, 0.0))
 
     res = quad_nested_2d(f, 0.0, epsilon, lambda x1: 0.0, rho,
-                         rel_tol=quad.rel_tol, max_panels=quad.max_panels)
+                         rel_tol=_BOUND_QUAD.rel_tol, max_panels=_BOUND_QUAD.max_panels)
     return res.value, res.error
 
 
@@ -344,7 +315,7 @@ class Lemma2Bound:
     cap_grad: float
 
 
-def lemma1_rayleigh(epsilon: float, dim: int = 2, quad: QuadConfig = QuadConfig()) -> Lemma1Bound:
+def lemma1_rayleigh(epsilon: float, dim: int = 2) -> Lemma1Bound:
     """Rayleigh quotient of the cone-corrected even extension.
 
     The quotient upper-bounds lambda_1 of the dumbbell; ``deficit`` is
@@ -353,8 +324,8 @@ def lemma1_rayleigh(epsilon: float, dim: int = 2, quad: QuadConfig = QuadConfig(
     """
     _check_epsilon(epsilon)
     lam = ball_spectrum(dim).lambda1
-    cap_v, cap_g, cap_err = _cap_integrals(epsilon, dim, quad)
-    cone_m, cone_v, cone_err = _cone_integrals(epsilon, dim, quad)
+    cap_v, cap_g, cap_err = _cap_integrals(epsilon, dim)
+    cone_m, cone_v, cone_err = _cone_integrals(epsilon, dim)
     den = 1.0 - cap_v + cone_v
     deficit = (cap_g - cone_m - lam * (cap_v - cone_v)) / den
     quotient = lam - deficit
@@ -366,7 +337,7 @@ def lemma1_rayleigh(epsilon: float, dim: int = 2, quad: QuadConfig = QuadConfig(
     )
 
 
-def lemma2_rayleigh(epsilon: float, dim: int = 2, quad: QuadConfig = QuadConfig()) -> Lemma2Bound:
+def lemma2_rayleigh(epsilon: float, dim: int = 2) -> Lemma2Bound:
     """Rayleigh quotient of the cutoff product on the half dumbbell.
 
     The quotient upper-bounds lambda_1 of the half dumbbell; ``excess`` is
@@ -374,8 +345,8 @@ def lemma2_rayleigh(epsilon: float, dim: int = 2, quad: QuadConfig = QuadConfig(
     """
     _check_epsilon(epsilon)
     lam = ball_spectrum(dim).lambda1
-    cap_v, cap_g, cap_err = _cap_integrals(epsilon, dim, quad)
-    (a1, a2, a3, a4), slab_err = _slab_integrals(epsilon, dim, quad)
+    cap_v, cap_g, cap_err = _cap_integrals(epsilon, dim)
+    (a1, a2, a3, a4), slab_err = _slab_integrals(epsilon, dim)
     inv2 = 1.0 / (epsilon * epsilon)
     den = 1.0 - cap_v - a4
     excess = (-cap_g - a1 + a2 * inv2 + 2.0 * a3 * inv2 + lam * (cap_v + a4)) / den

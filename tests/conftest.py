@@ -100,10 +100,8 @@ def ball_ground_state_field(dim=2, center=(0.0, 0.0), scale=1.0):
     gradients are optionally multiplied by a constant (for homogeneity
     checks)."""
     from spectralgap.analytic import radial_profile
-    from spectralgap.testfn import _gradient_factor
 
-    value_fn = radial_profile(dim)[0]
-    fac_fn = _gradient_factor(dim)
+    value_fn, fac_fn = radial_profile(dim)
     c = np.asarray(center, dtype=float)
 
     def field(pts):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from conftest import cli_env
+from spectralgap import cli
 from spectralgap.discretize import build_grid
 from spectralgap.geometry import Ball
 
@@ -231,3 +233,104 @@ class TestPlotdata:
         ab = [line.split(",") for line in boundary[1:] if line.startswith("ab_line")]
         slope = float(ab[-1][2]) / float(ab[-1][1])
         assert slope == pytest.approx(2.5387, abs=2e-4)
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flags(subparser):
+    return {opt for a in subparser._actions for opt in a.option_strings
+            if opt not in ("-h", "--help")}
+
+
+SOLVER = {"--seed", "--tol", "--h"}
+FLAGS = {
+    "eig": {"--dim", "--out", "--domain", "--eps"} | SOLVER,
+    "sweep": {"--dim", "--out", "--format", "--jobs", "--families"} | SOLVER,
+    "lemma1": {"--dim", "--out", "--format", "--eps", "--eps-grid", "--eps-max"},
+    "lemma2": {"--dim", "--out", "--format", "--eps", "--eps-grid", "--eps-max"},
+    "ratio": {"--dim", "--out", "--format", "--jobs", "--eps-grid", "--eps-max",
+              "--with-grid", "--grid-eps-min"} | SOLVER,
+    "verify": {"--dim", "--out", "--jobs", "--eps-grid", "--eps-max", "--no-grid-check",
+               "--grid-check-eps", "--data-out"} | SOLVER,
+    "plotdata": {"--dim", "--out", "--jobs"} | SOLVER,
+}
+REQUIRED = {"eig": ["--domain", "ball"]}
+
+
+def _parse_exit(argv, capsys):
+    """Exit code of argument parsing alone (None when it succeeds); nothing runs."""
+    try:
+        cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        capsys.readouterr()
+        return exc.code
+    return None
+
+
+class TestFlags:
+    def test_each_command_takes_the_flags_it_reads(self):
+        commands = _subcommands()
+        assert {name: _flags(p) for name, p in commands.items()} == FLAGS
+        assert sum(len(flags) for flags in FLAGS.values()) == 55
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eig", "--jobs", "2"), ("eig", "--format", "json"),
+        ("lemma1", "--seed", "3"), ("lemma1", "--tol", "1e-12"), ("lemma1", "--jobs", "7"),
+        ("lemma2", "--seed", "3"), ("lemma2", "--tol", "1e-12"), ("lemma2", "--jobs", "7"),
+        ("verify", "--format", "csv"), ("plotdata", "--format", "csv"),
+    ])
+    def test_removed_flag_exits_2(self, command, flag, value, capsys):
+        assert _parse_exit([command, *REQUIRED.get(command, []), flag, value], capsys) == 2
+
+    def test_abbreviations_rejected(self, capsys):
+        assert _parse_exit(["lemma1", "--eps-grid", "0.1,0.2", "--format", "csv"], capsys) is None
+        assert _parse_exit(["lemma1", "--eps-g", "0.1,0.2", "--form", "csv"], capsys) == 2
+
+    @pytest.mark.parametrize("command", sorted(c for c, f in FLAGS.items() if "--tol" in f))
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_nonpositive_tol_rejected(self, command, tol, capsys):
+        assert _parse_exit([command, *REQUIRED.get(command, []), "--tol", tol], capsys) == 2
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_dim_4_rejected(self, command, capsys):
+        assert _parse_exit([command, *REQUIRED.get(command, []), "--dim", "4"], capsys) == 2
+
+
+class TestSettingChecks:
+    def test_eig_eps_is_checked_by_the_domain_type(self, capsys):
+        assert cli.main(["eig", "--domain", "dumbbell", "--eps", "0.5", "--h", "1/8,1/16"]) == 0
+        named = json.loads(capsys.readouterr().out)
+        spec = '{"kind": "dumbbell", "N": 2, "params": {"epsilon": 0.5}}'
+        assert cli.main(["eig", "--domain", spec, "--h", "1/8,1/16"]) == 0
+        assert json.loads(capsys.readouterr().out) == named
+        assert cli.main(["eig", "--domain", "dumbbell", "--eps", "1.5", "--h", "1/8,1/16"]) == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "ValueError"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eig", "--domain", "ball", "--h", "1/8,1/24"], 1),
+        (["verify", "--h", "1/8,1/24"], 2),
+        (["eig", "--domain", "ball", "--h", ","], 1),
+    ])
+    def test_bad_h_is_config_error(self, argv, code, capsys):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "config"
+
+    def test_verify_dim3_is_planar_error(self, capsys):
+        assert cli.main(["verify", "--dim", "3"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "config"
+        assert error["error"].startswith("'verify' uses the grid solver, which is planar only")
+
+    def test_domain_names_beat_files_of_that_name(self, tmp_path):
+        (tmp_path / "ball").write_text("not json")
+        (tmp_path / "theta").mkdir()
+        for name in ("ball", "theta"):
+            proc = run_cli("eig", "--domain", name, "--h", "1/8,1/16", cwd=str(tmp_path))
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["lambda1"]["raw"]

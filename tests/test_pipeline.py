@@ -114,7 +114,7 @@ def test_h_list_halves_exactly():
     exact = (1 / 8, 1 / 16, 1 / 32)
     perturbed = (1 / 8, (1 / 16) * (1 + 1e-13), (1 / 32) * (1 - 1e-13))
     assert perturbed != exact
-    assert pipeline._check_h_list(perturbed) == list(exact)
+    assert pipeline.halving_levels(perturbed) == list(exact)
     a = pipeline.solve_domain(geo.Dumbbell(0.2), exact, tol=TOL, seed=1)
     b = pipeline.solve_domain(geo.Dumbbell(0.2), perturbed, tol=TOL, seed=1)
     assert a.h_list == b.h_list == exact

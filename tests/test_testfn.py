@@ -130,7 +130,7 @@ class TestLemma2Function:
         assert ((0.0 <= xi) & (xi <= 1.0)).all()
         assert (f.cutoff(np.array([eps, 0.5, 1.0])) == 1.0).all()
         assert f.cutoff(0.0) == 0.0
-        assert (np.abs(f.cutoff_gradient(x1)) <= f.lipschitz_bound / eps).all()
+        assert (np.abs(f.cutoff_gradient(x1)) <= 1.0 / eps).all()
 
     def test_vanishes_on_junction_disk(self):
         eps = 0.1
