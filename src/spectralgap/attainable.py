@@ -9,6 +9,7 @@ lambda2(two half balls) (that pair minimizes lambda2), and
 1 <= lambda2/lambda1 <= lambda2(ball)/lambda1(ball).
 """
 
+import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -54,7 +55,7 @@ DEFAULT_FAMILIES = {
 }
 
 CSV_HEADER = ("family,param,h_list,lambda1_raw,lambda2_raw,lambda1_x,lambda2_x,"
-              "measure,t,lambda1_norm,lambda2_norm,bound1,bound2,err")
+              "measure,t,lambda1_norm,lambda2_norm,bound1,bound2,err,failure")
 
 
 @dataclass(frozen=True)
@@ -372,14 +373,18 @@ def _fmt(x) -> str:
 
 
 def records_to_csv(records: list) -> str:
-    """Render records in the fixed sweep schema with 12 significant digits."""
+    """Render records in the fixed sweep schema with 12 significant digits.
+
+    ``failure`` is empty for a successful record and otherwise holds its
+    error message, quoted when it contains a comma, quote or line break.
+    """
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
     for r in records:
-        row = [r.family, _fmt(r.param), _fmt(r.h_list), _fmt(r.lambda1_raw),
-               _fmt(r.lambda2_raw), _fmt(r.lambda1_x), _fmt(r.lambda2_x),
-               _fmt(r.measure), _fmt(r.t_factor), _fmt(r.lambda1_norm),
-               _fmt(r.lambda2_norm), _fmt(r.bound1), _fmt(r.bound2),
-               _fmt(r.error_est)]
-        buf.write(",".join(row) + "\n")
+        writer.writerow([r.family, _fmt(r.param), _fmt(r.h_list), _fmt(r.lambda1_raw),
+                         _fmt(r.lambda2_raw), _fmt(r.lambda1_x), _fmt(r.lambda2_x),
+                         _fmt(r.measure), _fmt(r.t_factor), _fmt(r.lambda1_norm),
+                         _fmt(r.lambda2_norm), _fmt(r.bound1), _fmt(r.bound2),
+                         _fmt(r.error_est), r.failure or ""])
     return buf.getvalue()

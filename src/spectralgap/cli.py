@@ -85,8 +85,10 @@ def _parse_h_list(spec: str):
         if not token:
             continue
         if "/" in token:
-            num, den = token.split("/")
-            hs.append(float(num) / float(den))
+            num, den = (float(part) for part in token.split("/"))
+            if den == 0.0:
+                raise ConfigError(f"grid spacing {token!r} has a zero denominator")
+            hs.append(num / den)
         else:
             hs.append(float(token))
     try:

@@ -13,6 +13,7 @@ the correction at least the change between the two finest levels.  Callers
 add their own quadrature budgets where relevant.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,12 +66,14 @@ class DomainSolve:
 def halving_levels(h_list) -> list:
     """The grid spacings, largest first, as exact halves of the largest.
 
-    Raises ValueError unless consecutive spacings halve to within 1e-12
-    relative, in any order.
+    Raises ValueError unless every spacing is positive and finite and
+    consecutive spacings halve to within 1e-12 relative, in any order.
     """
     hs = sorted((float(h) for h in h_list), reverse=True)
     if not hs:
         raise ValueError("need at least one grid spacing")
+    if not all(0.0 < h < math.inf for h in hs):
+        raise ValueError(f"grid spacings must be positive and finite: got {hs}")
     for a, b in zip(hs, hs[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ValueError(f"grid levels must halve: got spacings {hs}")

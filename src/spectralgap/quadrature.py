@@ -5,6 +5,12 @@ error estimate; panels with the worst contribution are bisected until the
 summed estimate meets the requested relative tolerance.  Integrands may be
 vector valued (an array of components integrated in one pass); the tolerance
 must then hold for every component.
+
+Integrands are called on batches of panels: both halves of a bisection come
+from one call.  The nested 2-d integral takes ``f(x, s)`` elementwise on
+paired arrays and computes the first inner panel of every node of an outer
+panel in one call; only inner integrals that miss their tolerance there are
+bisected further, in the same refinement loop as the 1-d integral.
 """
 
 import heapq
@@ -72,24 +78,77 @@ class QuadResult:
         return f"QuadResult(value={self.value!r}, error={self.error!r}, panels={self.panels})"
 
 
-def _as_columns(raw):
-    """Normalize integrand output to shape (15, k); report whether it was 1-d."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        return arr[:, None], True
-    if arr.ndim == 2 and arr.shape[0] == 15:
-        return arr, False
-    raise ValueError(f"integrand returned shape {arr.shape}, expected (15,) or (15, k)")
+def _panel(f, lo, hi):
+    """Kronrod sums of the m intervals [lo[i], hi[i]] from one call of ``f``.
 
-
-def _panel(f, a, b):
-    c = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    vals, scalar = _as_columns(f(c + hw * _NODES))
-    k15 = hw * (_WK @ vals)
-    g7 = hw * (_WG @ vals)
-    absval = hw * (_WK @ np.abs(vals))
+    ``f`` receives the 15 nodes of every interval, interval after interval,
+    as one array of 15 m nodes.  Returns the per-interval value, error
+    estimate and integral of |f|, each of shape (m, k), and whether ``f``
+    returned a 1-d array.  Each interval keeps its own weight products, so
+    its sums do not depend on the batch it was evaluated in.
+    """
+    m = len(lo)
+    c = 0.5 * (lo + hi)
+    hw = 0.5 * (hi - lo)
+    raw = np.asarray(f((c[:, None] + hw[:, None] * _NODES).ravel()), dtype=float)
+    if raw.ndim not in (1, 2) or raw.shape[0] != 15 * m:
+        raise ValueError(f"integrand returned shape {raw.shape} for {15 * m} nodes, "
+                         f"expected ({15 * m},) or ({15 * m}, k)")
+    scalar = raw.ndim == 1
+    vals = raw.reshape(m, 15, 1 if scalar else raw.shape[1])
+    absvals = np.abs(vals)
+    k15 = np.empty((m, vals.shape[2]))
+    g7 = np.empty_like(k15)
+    absval = np.empty_like(k15)
+    for i in range(m):
+        k15[i] = _WK @ vals[i]
+        g7[i] = _WG @ vals[i]
+        absval[i] = _WK @ absvals[i]
+    k15 *= hw[:, None]
+    g7 *= hw[:, None]
+    absval *= hw[:, None]
     return k15, np.abs(k15 - g7), absval, scalar
+
+
+def _floor(value, absval, rel_tol):
+    """Error each component may carry: the relative tolerance, or rounding
+    level of the integral of |f|."""
+    return np.maximum(rel_tol * np.abs(value), 1e-15 * absval)
+
+
+def _refine(f, a, b, val, err, absval, rel_tol, max_panels):
+    """Bisect [a, b], whose first panel (val, err, absval) is already known,
+    until the summed error meets ``rel_tol`` in every component.
+
+    The panel with the worst error is split next; both halves come from one
+    call of ``f``.  Returns (value, error, panels).
+    """
+    counter = itertools.count()
+    heap = [(-float(np.max(err)), next(counter), a, b, val, err, absval)]
+    total = val.copy()
+    total_err = err.copy()
+    total_abs = absval.copy()
+    panels = 1
+    while True:
+        floor = _floor(total, total_abs, rel_tol)
+        if np.all(total_err <= floor):
+            break
+        if panels >= max_panels:
+            raise QuadratureError(
+                f"quadrature did not converge within {max_panels} panels "
+                f"(error {total_err.ravel()} vs tolerance {floor.ravel()})"
+            )
+        _, _, pa, pb, pval, perr, pabs = heapq.heappop(heap)
+        pm = 0.5 * (pa + pb)
+        (lval, rval), (lerr, rerr), (labs, rabs), _ = _panel(
+            f, np.array([pa, pm]), np.array([pm, pb]))
+        total += lval + rval - pval
+        total_err += lerr + rerr - perr
+        total_abs += labs + rabs - pabs
+        heapq.heappush(heap, (-float(np.max(lerr)), next(counter), pa, pm, lval, lerr, labs))
+        heapq.heappush(heap, (-float(np.max(rerr)), next(counter), pm, pb, rval, rerr, rabs))
+        panels += 1
+    return total, total_err, panels
 
 
 def quad_adaptive(f, a, b, rel_tol=1e-10, max_panels=4000):
@@ -102,32 +161,8 @@ def quad_adaptive(f, a, b, rel_tol=1e-10, max_panels=4000):
         if b == a:
             return QuadResult(0.0, 0.0, 0)
         raise ValueError(f"empty integration interval [{a}, {b}]")
-    val, err, absval, scalar = _panel(f, a, b)
-    counter = itertools.count()
-    heap = [(-float(np.max(err)), next(counter), a, b, val, err, absval)]
-    total = val.copy()
-    total_err = err.copy()
-    total_abs = absval.copy()
-    panels = 1
-    while True:
-        floor = np.maximum(rel_tol * np.abs(total), 1e-15 * total_abs)
-        if np.all(total_err <= floor):
-            break
-        if panels >= max_panels:
-            raise QuadratureError(
-                f"quadrature did not converge within {max_panels} panels "
-                f"(error {total_err.ravel()} vs tolerance {floor.ravel()})"
-            )
-        _, _, pa, pb, pval, perr, pabs = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        lval, lerr, labs, _ = _panel(f, pa, pm)
-        rval, rerr, rabs, _ = _panel(f, pm, pb)
-        total += lval + rval - pval
-        total_err += lerr + rerr - perr
-        total_abs += labs + rabs - pabs
-        heapq.heappush(heap, (-float(np.max(lerr)), next(counter), pa, pm, lval, lerr, labs))
-        heapq.heappush(heap, (-float(np.max(rerr)), next(counter), pm, pb, rval, rerr, rabs))
-        panels += 1
+    val, err, absval, scalar = _panel(f, np.array([a], dtype=float), np.array([b], dtype=float))
+    total, total_err, panels = _refine(f, a, b, val[0], err[0], absval[0], rel_tol, max_panels)
     if scalar:
         return QuadResult(float(total[0]), float(total_err[0]), panels)
     return QuadResult(total, total_err, panels)
@@ -136,34 +171,40 @@ def quad_adaptive(f, a, b, rel_tol=1e-10, max_panels=4000):
 def quad_nested_2d(f, a, b, lo, hi, rel_tol=1e-8, max_panels=4000):
     """Integrate ``f(x, s)`` over a < x < b, lo(x) < s < hi(x).
 
-    ``f`` maps (x: float, s: array (n,)) to shape (n,) or (n, k); the inner
-    integral runs adaptively per outer node with a tighter tolerance.  The
-    returned error adds the outer estimate and the accumulated inner ones.
+    ``f`` maps paired arrays (x (n,), s (n,)) to shape (n,) or (n, k),
+    elementwise; ``lo`` and ``hi`` map one outer node to a float.  The outer
+    integral runs adaptively; at each of its panels one call of ``f`` gives
+    the first inner panel of every outer node.  Inner integrals that miss
+    their tighter tolerance on that panel are bisected on their own.
+    Degenerate inner intervals (hi <= lo) contribute zero and are never
+    passed to ``f``.  The returned error adds the outer estimate and the
+    largest inner one times (b - a).
     """
     inner_tol = 0.1 * rel_tol
-    inner_err = [0.0]
-    width = [None]
+    inner_err = 0.0
 
     def outer_integrand(xs):
-        rows = []
-        for x in xs:
-            s_lo, s_hi = lo(x), hi(x)
-            if s_hi <= s_lo:
-                if width[0] is None:
-                    probe = np.asarray(f(x, np.array([s_lo])), dtype=float)
-                    width[0] = probe.shape[1] if probe.ndim > 1 else 0
-                rows.append(np.zeros(width[0]) if width[0] else 0.0)
-                continue
-            res = quad_adaptive(lambda s: f(x, s), s_lo, s_hi,
-                                rel_tol=inner_tol, max_panels=max_panels)
-            inner_err[0] = max(inner_err[0], float(np.max(np.atleast_1d(res.error))))
-            if width[0] is None:
-                width[0] = np.size(res.value) if np.ndim(res.value) else 0
-            rows.append(res.value)
-        return np.array(rows)
+        nonlocal inner_err
+        s_lo = np.array([lo(x) for x in xs], dtype=float)
+        s_hi = np.array([hi(x) for x in xs], dtype=float)
+        live = np.flatnonzero(s_hi > s_lo)
+        x_live = xs[live]
+        s_lo, s_hi = s_lo[live], s_hi[live]
+        val, err, absval, scalar = _panel(
+            lambda s: f(np.repeat(x_live, 15), s), s_lo, s_hi)
+        done = np.all(err <= _floor(val, absval, inner_tol), axis=1)
+        for i in np.flatnonzero(~done):
+            x = x_live[i]
+            val[i], err[i], _ = _refine(lambda s: f(np.full_like(s, x), s), s_lo[i], s_hi[i],
+                                        val[i], err[i], absval[i], inner_tol, max_panels)
+        if live.size:
+            inner_err = max(inner_err, float(np.max(err)))
+        rows = np.zeros((len(xs), val.shape[1]))
+        rows[live] = val
+        return rows[:, 0] if scalar else rows
 
     res = quad_adaptive(outer_integrand, a, b, rel_tol=rel_tol, max_panels=max_panels)
-    err = np.atleast_1d(res.error) + (b - a) * inner_err[0]
+    err = np.atleast_1d(res.error) + (b - a) * inner_err
     if np.ndim(res.value) == 0:
         return QuadResult(res.value, float(err[0]), res.panels)
     return QuadResult(res.value, err, res.panels)

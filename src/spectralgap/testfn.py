@@ -408,8 +408,7 @@ def _integrate_components(domain, comps_fn, rel_tol, max_panels):
         hw, hh = 0.5 * domain.width, 0.5 * domain.height
 
         def f(x, ys):
-            pts = np.column_stack([np.full_like(ys, x), ys])
-            return comps_fn(pts)
+            return comps_fn(np.column_stack([x, ys]))
 
         res = quad_nested_2d(f, -hw, hw, lambda x: -hh, lambda x: hh,
                              rel_tol=rel_tol, max_panels=max_panels)
@@ -426,8 +425,7 @@ def _integrate_components(domain, comps_fn, rel_tol, max_panels):
     total_err = None
     for th_lo, th_hi, radius_fn in segments:
         def f(th, rs):
-            direction = np.array([math.cos(th), math.sin(th)])
-            pts = center + rs[:, None] * direction
+            pts = center + rs[:, None] * np.column_stack([np.cos(th), np.sin(th)])
             return comps_fn(pts) * rs[:, None]
 
         res = quad_nested_2d(f, th_lo, th_hi, lambda th: 0.0, radius_fn,

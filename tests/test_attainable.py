@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -165,7 +167,7 @@ class TestCsv:
     def test_header_schema(self):
         assert at.CSV_HEADER == ("family,param,h_list,lambda1_raw,lambda2_raw,"
                                  "lambda1_x,lambda2_x,measure,t,lambda1_norm,"
-                                 "lambda2_norm,bound1,bound2,err")
+                                 "lambda2_norm,bound1,bound2,err,failure")
 
     def test_roundtrip_and_determinism(self, bound_only_records):
         text1 = at.records_to_csv(bound_only_records)
@@ -179,3 +181,14 @@ class TestCsv:
         assert float(first[1]) == pytest.approx(0.005)
         # bounds are populated, grid columns empty for bound-only records
         assert first[11] != "" and first[3] == ""
+        assert first[-1] == ""
+
+    def test_failure_column_quotes_commas(self):
+        records = [at.SweepRecord(family="ellipses", param=2.0,
+                                  failure='GridError: no nodes at h=0.5, "coarse"'),
+                   at.SweepRecord(family="ball", param=1.0)]
+        rows = list(csv.reader(io.StringIO(at.records_to_csv(records))))
+        assert len(rows[0]) == len(rows[1]) == len(rows[2]) == 15
+        assert rows[1][0] == "ellipses"
+        assert rows[1][-1] == 'GridError: no nodes at h=0.5, "coarse"'
+        assert rows[2][-1] == ""

@@ -314,6 +314,10 @@ class TestSettingChecks:
         (["eig", "--domain", "ball", "--h", "1/8,1/24"], 1),
         (["verify", "--h", "1/8,1/24"], 2),
         (["eig", "--domain", "ball", "--h", ","], 1),
+        (["eig", "--domain", "ball", "--h", "1/0"], 1),
+        (["eig", "--domain", "ball", "--h", "0,0"], 1),
+        (["eig", "--domain", "ball", "--h", "nan,nan"], 1),
+        (["verify", "--h", "1/0"], 2),
     ])
     def test_bad_h_is_config_error(self, argv, code, capsys):
         assert cli.main(argv) == code

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,13 @@ def test_h_list_halves_exactly():
     assert a.h_list == b.h_list == exact
     assert np.array_equal(a.grid.active, b.grid.active)
     assert np.array_equal(a.lambda_x, b.lambda_x)
+
+
+@pytest.mark.parametrize("h_list", [(0.0, 0.0), (1 / 8, 0.0), (-1 / 8,), (math.nan, math.nan),
+                                    (math.inf, math.inf)])
+def test_h_list_rejects_nonpositive_and_nonfinite(h_list):
+    with pytest.raises(ValueError, match="positive and finite"):
+        pipeline.halving_levels(h_list)
 
 
 @pytest.mark.parametrize("domain, h_list, iterations", [
