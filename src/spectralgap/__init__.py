@@ -7,7 +7,7 @@ from .analytic import (
     BallSpectrum, ball_eigenfunction, ball_spectrum, bessel_j, bessel_zero,
     rescale_eigenvalue, theta_spectrum, unit_ball_volume,
 )
-from .asymptotics import SlopeFit, TheoremCriteria, fit_slope, ratio_curve, verify_theorem
+from .asymptotics import SlopeFit, fit_slope, ratio_curve, verify_theorem
 from .attainable import (
     SweepConfig, SweepRecord, cone_construction, default_sweep, lower_boundary,
     records_to_csv, region_check, sweep,

@@ -24,10 +24,16 @@ import numpy as np
 from .analytic import theta_spectrum
 from .attainable import RATE_FIT_WINDOW
 
+# thresholds of the horizontal-tangent verdict; the exponent is fitted on
+# RATE_FIT_WINDOW, the window the lemma rates are fitted on, beyond which
+# higher-order corrections visibly bend the bound-path curve
+MAX_INVERSIONS = 1
+ENDPOINT_FACTOR = 0.5
+MIN_EXPONENT = 0.3
+
 __all__ = [
     "SlopeFit",
     "RatioCurve",
-    "TheoremCriteria",
     "CheckResult",
     "TheoremVerdict",
     "fit_slope",
@@ -119,21 +125,6 @@ def ratio_curve(records, dim: int = 2) -> RatioCurve:
 
 
 @dataclass(frozen=True)
-class TheoremCriteria:
-    """Thresholds of the horizontal-tangent verdict.
-
-    The exponent fit runs on the asymptotic window (the same one the lemma
-    rates are fitted on); beyond it the higher-order corrections visibly
-    bend the bound-path curve.
-    """
-
-    max_inversions: int = 1
-    endpoint_factor: float = 0.5
-    min_exponent: float = 0.3
-    fit_window: tuple = RATE_FIT_WINDOW
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -169,12 +160,11 @@ class TheoremVerdict:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def verify_theorem(records, criteria: TheoremCriteria = TheoremCriteria(),
-                   dim: int = 2) -> TheoremVerdict:
+def verify_theorem(records, dim: int = 2) -> TheoremVerdict:
     """PASS when the bound-path ratio (a) decreases toward small eps with at
-    most ``max_inversions`` exceptions, (b) contracts by ``endpoint_factor``
-    from the largest to the smallest eps, and (c) fits a positive power law
-    with exponent >= ``min_exponent``."""
+    most MAX_INVERSIONS exceptions, (b) contracts by ENDPOINT_FACTOR from the
+    largest to the smallest eps, and (c) fits a positive power law with
+    exponent >= MIN_EXPONENT."""
     curves = ratio_curve(records, dim=dim)
     ratios = curves.bound
     if len(ratios) < 4:
@@ -184,23 +174,23 @@ def verify_theorem(records, criteria: TheoremCriteria = TheoremCriteria(),
     inversions = sum(1 for a, b in zip(values, values[1:]) if a >= b)
     check_a = CheckResult(
         name="monotone_decay",
-        passed=inversions <= criteria.max_inversions,
+        passed=inversions <= MAX_INVERSIONS,
         detail=f"{inversions} inversions along {len(values)} points "
-               f"(allowed {criteria.max_inversions})",
+               f"(allowed {MAX_INVERSIONS})",
     )
     contraction = values[0] / values[-1]
     check_b = CheckResult(
         name="endpoint_contraction",
-        passed=values[0] <= criteria.endpoint_factor * values[-1],
+        passed=values[0] <= ENDPOINT_FACTOR * values[-1],
         detail=f"ratio({ratios[0][0]:.6g}) / ratio({ratios[-1][0]:.6g}) = {contraction:.4f} "
-               f"(required <= {criteria.endpoint_factor})",
+               f"(required <= {ENDPOINT_FACTOR})",
     )
-    fit = fit_slope(ratios, window=criteria.fit_window)
+    fit = fit_slope(ratios, window=RATE_FIT_WINDOW)
     check_c = CheckResult(
         name="fitted_exponent",
-        passed=fit.exponent >= criteria.min_exponent,
+        passed=fit.exponent >= MIN_EXPONENT,
         detail=f"exponent {fit.exponent:.4f} over window {fit.window} "
-               f"(required >= {criteria.min_exponent}, r2 = {fit.r_squared:.6f})",
+               f"(required >= {MIN_EXPONENT}, r2 = {fit.r_squared:.6f})",
     )
     checks = (check_a, check_b, check_c)
     return TheoremVerdict(

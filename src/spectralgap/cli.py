@@ -84,13 +84,13 @@ def _parse_h_list(spec: str):
         token = token.strip()
         if not token:
             continue
-        if "/" in token:
-            num, den = (float(part) for part in token.split("/"))
-            if den == 0.0:
-                raise ConfigError(f"grid spacing {token!r} has a zero denominator")
-            hs.append(num / den)
-        else:
-            hs.append(float(token))
+        num, slash, den = token.partition("/")
+        try:
+            hs.append(float(num) / (float(den) if slash else 1.0))
+        except ValueError:
+            raise ConfigError(f"--h: {token!r} is not a spacing such as 0.05 or 1/20") from None
+        except ZeroDivisionError:
+            raise ConfigError(f"--h: grid spacing {token!r} has a zero denominator") from None
     try:
         return tuple(halving_levels(hs))
     except ValueError as exc:
@@ -112,7 +112,12 @@ def _parse_eps_grid(spec: str, eps_max: float):
     if spec == "default":
         grid = [e for e in attainable.DEFAULT_EPS_GRID if e <= eps_max + 1e-15]
     else:
-        grid = [float(t) for t in spec.split(",") if t.strip()]
+        grid = []
+        for token in filter(str.strip, spec.split(",")):
+            try:
+                grid.append(float(token))
+            except ValueError:
+                raise ConfigError(f"--eps-grid: {token.strip()!r} is not a number") from None
     if not grid:
         raise ConfigError("empty eps grid")
     for e in grid:

@@ -103,7 +103,6 @@ class DiscreteOperator:
     multigrid preconditioner builds its coarse levels and interpolation."""
 
     matrix: sp.csr_matrix
-    h: float
     nodes: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -142,45 +141,42 @@ def assemble(grid: Grid2D) -> DiscreteOperator:
     data = np.full(int(indptr[-1]), -1.0 / h2)
     data[indptr[:-1] + ok[:, 0] + ok[:, 1]] = 4.0 / h2
     mat = sp.csr_matrix((data, stencil[ok], indptr), shape=(n, n))
-    return DiscreteOperator(matrix=mat, h=grid.h, nodes=grid.active)
+    return DiscreteOperator(matrix=mat, nodes=grid.active)
 
 
-def _interpolation(nodes, coarse_rows, origin):
-    """Multilinear interpolation (CSR, int32 indices) onto the lattice nodes
-    ``nodes`` (n, d) from the lattice of twice the spacing, where coarse node
-    c sits at fine index 2c and ``coarse_rows[c - origin]`` is its column, or
-    -1.  A node with m odd indices takes 2^-m from each of its 2^m parents; a
-    parent that is -1 or outside ``coarse_rows`` counts as a Dirichlet zero.
+def prolong(nodes: np.ndarray):
+    """Coarsen lattice nodes (n, d) to the lattice of twice the spacing.
+
+    Returns the all-even nodes, halved, and the multilinear interpolation P
+    (CSR, int32 indices) onto ``nodes`` from them.  A node with m odd
+    indices takes 2^-m from each of its 2^m parents; a parent that is not a
+    coarse node counts as a Dirichlet zero.  With exactly halved spacings
+    the coarse nodes of a grid are the active nodes of the grid before it.
     """
     n, dim = nodes.shape
-    # a frame of -1 around coarse_rows catches every parent outside it
-    frame = np.pad(coarse_rows, 1, constant_values=-1)
+    coarse = nodes[~(nodes & 1).any(axis=1)] >> 1
+    if len(coarse) == 0:
+        return coarse, sp.csr_matrix((n, 0))
+    low = coarse.min(axis=0)
+    # coarse rows by lattice index, with a frame of -1 that catches every
+    # parent outside the coarse nodes' bounding box
+    rows = np.full(coarse.max(axis=0) - low + 3, -1, dtype=np.int32)
+    rows[tuple((coarse - low + 1).T)] = np.arange(len(coarse))
     cols = np.empty((2**dim, n), dtype=np.int32)
     # parents in lexicographic order, so the columns of a row stay ascending
     for col, step in zip(cols, itertools.product((0, 1), repeat=dim)):
         index = []
-        for lattice, low, s, size in zip(nodes.T, origin, step, frame.shape):
-            i = (lattice >> 1) + (s + 1 - low)
+        for lattice, lo, s, size in zip(nodes.T, low, step, rows.shape):
+            i = (lattice >> 1) + (s + 1 - lo)
             if s:  # a step along an even index would repeat a parent
                 i[(lattice & 1) == 0] = 0
             index.append(np.clip(i, 0, size - 1, out=i))
-        col[:] = frame[tuple(index)]
+        col[:] = rows[tuple(index)]
     keep = cols >= 0
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=0), out=indptr[1:])
     data = np.repeat(np.ldexp(1.0, -(nodes & 1).sum(axis=1)), np.diff(indptr))
-    return sp.csr_matrix((data, cols.T[keep.T], indptr), shape=(n, int(coarse_rows.max()) + 1))
-
-
-def prolong(coarse: Grid2D, fine: Grid2D) -> sp.csr_matrix:
-    """Bilinear interpolation (CSR) of node values from a grid to one of half
-    the spacing; inactive coarse nodes count as zero.  With exactly halved
-    spacings the all-even nodes of ``fine`` are the active nodes of
-    ``coarse``, so this is the first interpolation the eigensolver's V-cycle
-    would build for ``fine``, and grid continuation passes it on as such."""
-    if abs(coarse.h - 2.0 * fine.h) > 1e-12 * coarse.h:
-        raise ValueError(f"prolong needs half the spacing, got h = {coarse.h} and {fine.h}")
-    return _interpolation(fine.active, coarse.index_map, (coarse.i0, coarse.j0))
+    return coarse, sp.csr_matrix((data, cols.T[keep.T], indptr), shape=(n, len(coarse)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,11 @@ The preconditioner M is one symmetric geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), built once per call
 from the lattice indices of the rows (a bare matrix: its row index).  The
 coarse nodes of a level are its all-even nodes, halved; P interpolates
-multilinearly from them (``discretize._interpolation``), the coarse
-operator is P^T A P, and damped Jacobi smooths before and after the coarse
-correction.  A caller may pass the first interpolation matrices: grid
-continuation passes those ``discretize.prolong`` built to carry eigenvectors
-between grid levels, which are the same matrices.  Levels stop at COARSEST
-unknowns, or at a level without an all-even node, which is inverted densely.
+multilinearly from them (``discretize.prolong``), the coarse operator is
+P^T A P, and damped Jacobi smooths before and after the coarse correction.
+Levels stop at COARSEST unknowns, or at a level without an all-even node,
+which is inverted densely.  Grid continuation (``coarse=``) reuses the
+matrices P of the coarser grid's solve, so each is built once per domain.
 kappa(MA) stays near 1.8 as h shrinks, and so do the block iterations.
 """
 
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import _interpolation
+from .discretize import prolong
 
 __all__ = [
     "ConvergenceError",
@@ -67,8 +66,9 @@ class ConvergenceError(RuntimeError):
 class EigenResult:
     """Two smallest eigenpairs: values ascending, orthonormal vectors as
     columns, per-pair residual norms ||A v - lambda v||, the block iterations
-    run, the tolerance the solve was run at, and the V-cycles applied to each
-    pair's residual."""
+    run, the tolerance the solve was run at, the V-cycles applied to each
+    pair's residual, and the interpolation matrices down from its lattice,
+    finest first."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -76,6 +76,7 @@ class EigenResult:
     iterations: tuple
     tol: float
     inner_iterations: tuple = ()
+    transfers: tuple = ()
 
 
 def _as_csr(operator):
@@ -88,33 +89,32 @@ def _as_csr(operator):
     return sp.csr_matrix(arr)
 
 
-def _hierarchy(A, nodes, transfers=()):
-    """Geometric levels of the V-cycle for A with lattice indices ``nodes``.
+def _transfers(nodes):
+    """Interpolation matrices of the V-cycle for lattice indices ``nodes``,
+    finest first, down to COARSEST nodes or a level without an all-even node."""
+    transfers = []
+    while len(nodes) > COARSEST:
+        nodes, P = prolong(nodes)
+        if len(nodes) == 0:
+            break
+        transfers.append(P)
+    return transfers
 
-    ``transfers`` are the interpolation matrices of the first levels, finest
-    first, as ``discretize.prolong`` builds them between grid levels; below
-    them the levels coarsen on their own.  Returns (levels, coarse_inverse);
-    each level is (A, OMEGA / diag(A), P, and work vectors for the residual
-    and the coarse correction).
+
+def _hierarchy(A, transfers):
+    """Galerkin levels of the V-cycle for A with the interpolation matrices
+    ``transfers``, finest first, down to COARSEST unknowns.  Returns
+    (levels, coarse_inverse); each level is (A, OMEGA / diag(A), P, and work
+    vectors for the residual and the coarse correction).
     """
     levels = []
-    while A.shape[0] > COARSEST:
-        coarse = nodes[~(nodes & 1).any(axis=1)] >> 1
-        if len(coarse) == 0:
+    for P in transfers:
+        if A.shape[0] <= COARSEST:
             break
-        if len(levels) < len(transfers):
-            P = transfers[len(levels)]
-            if P.shape != (len(nodes), len(coarse)):
-                raise ValueError(f"transfer {len(levels)} has shape {P.shape}, the level "
-                                 f"needs {(len(nodes), len(coarse))}")
-        else:
-            low = coarse.min(axis=0)
-            rows = np.full(coarse.max(axis=0) - low + 1, -1, dtype=np.int32)
-            rows[tuple((coarse - low).T)] = np.arange(len(coarse))
-            P = _interpolation(nodes, rows, low)
+        # the product first: work vectors allocated before it raise a solve's memory peak
         coarse_A = (P.T @ A @ P).tocsr()
-        levels.append((A, OMEGA / A.diagonal(), P, np.empty(len(nodes)), np.empty(len(coarse))))
-        A, nodes = coarse_A, coarse
+        levels.append((A, OMEGA / A.diagonal(), P, np.empty(P.shape[0]), np.empty(P.shape[1])))
+        A = coarse_A
         if np.any(A.diagonal() <= 0):
             raise IndefiniteOperatorError("operator is not positive definite on a coarse level")
     try:
@@ -182,19 +182,19 @@ def _ritz(A, X, AX):
 
 def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = None,
                    x0: np.ndarray | None = None, max_outer: int = 200,
-                   transfers=()) -> EigenResult:
+                   coarse: EigenResult | None = None) -> EigenResult:
     """Compute the k (= 1 or 2) smallest eigenpairs of an SPD operator.
 
     Accepts a DiscreteOperator, a scipy sparse matrix, or a dense array.
     Runs block LOBPCG on k vectors for at most ``max_outer`` iterations.
     Convergence requires, for every pair, both a relative eigenvalue change
     below ``tol`` and an eigenresidual ||A v - lambda v|| <= tol * lambda.
-    Optional ``x0`` columns seed the iteration (used for grid continuation);
-    otherwise the start is pseudo-random with the given seed.  Optional
-    ``transfers`` are the first interpolation matrices of the V-cycle,
-    finest first (grid continuation passes those of ``discretize.prolong``);
-    each must have the shape of the level it replaces.  Returned values are
-    the Rayleigh quotients of the returned orthonormal vectors, and the
+    Optional ``x0`` columns seed the iteration; otherwise the start is
+    pseudo-random with the given seed.  Grid continuation passes instead
+    ``coarse``, the result of the same domain on the grid of twice the
+    spacing: the start is its vectors interpolated onto the rows, and the
+    V-cycle reuses its transfers below the one new level.  Returned values
+    are the Rayleigh quotients of the returned orthonormal vectors, and the
     residuals their true residuals.
     """
     if k not in (1, 2):
@@ -206,7 +206,19 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     if np.any(A.diagonal() <= 0):
         raise IndefiniteOperatorError("operator has nonpositive diagonal entries")
     nodes = getattr(operator, "nodes", None)
-    hierarchy = _hierarchy(A, np.arange(n)[:, None] if nodes is None else nodes, transfers)
+    nodes = np.arange(n)[:, None] if nodes is None else nodes
+    if coarse is None:
+        transfers = _transfers(nodes)
+    elif x0 is not None:
+        raise ValueError("pass starting vectors x0 or a coarse result, not both")
+    else:
+        P = prolong(nodes)[1]
+        if P.shape[1] != len(coarse.vectors):
+            raise ValueError(f"the coarse result has {len(coarse.vectors)} rows, but the "
+                             f"operator's lattice coarsens to {P.shape[1]} nodes")
+        transfers = [P, *coarse.transfers]
+        x0 = P @ coarse.vectors
+    hierarchy = _hierarchy(A, transfers)
     # block vectors as rows: X = S[:k], then p update directions P, then the
     # preconditioned residuals W
     S = np.empty((3 * k, n))
@@ -238,7 +250,8 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         if done.all() or iteration == max_outer:
             result = EigenResult(values=theta, vectors=X.copy().T, residuals=residuals,
                                  iterations=(iteration,) * k, tol=tol,
-                                 inner_iterations=tuple(int(i) for i in inner))
+                                 inner_iterations=tuple(int(i) for i in inner),
+                                 transfers=tuple(transfers))
             if done.all():
                 return result
             raise ConvergenceError(

@@ -1,16 +1,13 @@
 """Grid eigensolve pipeline: solve a domain across halving grid levels,
 Richardson-extrapolate with a fitted order, and normalize to unit measure.
 
-Spacings are made exact halves of the coarsest.  Each level's eigenvectors
-are prolonged bilinearly (``discretize.prolong``) as starting guesses for
-the next block eigensolve, and then dropped; the interpolation matrices are
-kept for the rest of the solve and passed, finest first, to the eigensolver
-as the first levels of its multigrid preconditioner.  The
-per-eigenvalue error budget sums the extrapolation correction and the solver
-tolerance; without a fitted order (two levels, a non-monotone sequence, or
-an order outside ``discretize.ORDER_BAND``) the value is the finest one and
-the correction at least the change between the two finest levels.  Callers
-add their own quadrature budgets where relevant.
+Spacings are made exact halves of the coarsest, and each level's eigensolve
+continues from the result of the one before (``smallest_pairs(coarse=)``).
+The per-eigenvalue error budget sums the extrapolation correction and the
+solver tolerance; without a fitted order (two levels, a non-monotone
+sequence, or an order outside ``discretize.ORDER_BAND``) the value is the
+finest one and the correction at least the change between the two finest
+levels.  Callers add their own quadrature budgets where relevant.
 """
 
 import math
@@ -93,22 +90,14 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
     """
     hs = halving_levels(h_list)
     levels = []
-    transfers = []  # interpolation onto each level from the one before, finest first
-    grid = result = None
+    result = None
     for h in hs:
-        coarse, grid = grid, discretize.build_grid(domain, h)
+        grid = discretize.build_grid(domain, h)
         if grid.n < k:
             raise discretize.GridError(f"{grid.n} active node(s) at spacing h = {h} in "
                                        f"{domain!r}, fewer than the {k} pairs requested")
-        op = discretize.assemble(grid)
-        x0 = []
-        if result is not None:
-            transfers.insert(0, discretize.prolong(coarse, grid))
-            x0.append(transfers[0] @ result.vectors)
-        coarse = result = None  # the coarser level is done with
-        # pop hands the starting columns over: the solver frees them once copied
-        result = eigensolve.smallest_pairs(op, k=k, tol=tol, seed=seed,
-                                           x0=x0.pop() if x0 else None, transfers=transfers)
+        result = eigensolve.smallest_pairs(discretize.assemble(grid), k=k, tol=tol, seed=seed,
+                                           coarse=result)
         levels.append(LevelSolve(h=h, n=grid.n, values=result.values,
                                  residuals=result.residuals, iterations=result.iterations,
                                  inner_iterations=result.inner_iterations))

@@ -318,12 +318,28 @@ class TestSettingChecks:
         (["eig", "--domain", "ball", "--h", "0,0"], 1),
         (["eig", "--domain", "ball", "--h", "nan,nan"], 1),
         (["verify", "--h", "1/0"], 2),
+        (["eig", "--domain", "ball", "--h", "1/2/3"], 1),
+        (["eig", "--domain", "ball", "--h", "a/b"], 1),
+        (["verify", "--h", "1/16,x"], 2),
     ])
     def test_bad_h_is_config_error(self, argv, code, capsys):
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "config"
+
+    @pytest.mark.parametrize("argv, code, token", [
+        (["eig", "--domain", "ball", "--h", "1/2/3"], 1, "'1/2/3'"),
+        (["lemma1", "--eps-grid", "0.1,a"], 1, "'a'"),
+        (["verify", "--eps-grid", "0.01, b,0.04"], 2, "'b'"),
+    ])
+    def test_malformed_token_names_flag_and_token(self, argv, code, token, capsys):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["kind"] == "config"
+        assert error["error"].startswith(argv[-2] + ": ") and token in error["error"]
 
     def test_verify_dim3_is_planar_error(self, capsys):
         assert cli.main(["verify", "--dim", "3"]) == 2

@@ -165,7 +165,8 @@ class TestAssemble:
 
 
 class TestProlong:
-    """Bilinear transfer to the grid of half the spacing."""
+    """Coarse nodes and bilinear interpolation from the grid of twice the
+    spacing."""
 
     @staticmethod
     def _bilinear(xy):
@@ -175,9 +176,10 @@ class TestProlong:
     def test_exact_for_bilinear_fields(self):
         coarse = d.build_grid(geo.Ellipse(1.5, 1.0), 1 / 8)
         fine = d.build_grid(geo.Ellipse(1.5, 1.0), 1 / 16)
+        nodes, P = d.prolong(fine.active)
+        assert np.array_equal(nodes, coarse.active)
         f = self._bilinear
-        values = d.prolong(coarse, fine) @ np.column_stack([f(coarse.coords()),
-                                                            -f(coarse.coords())])
+        values = P @ np.column_stack([f(coarse.coords()), -f(coarse.coords())])
         assert values.shape == (fine.n, 2)
         # parents: the coarse nodes at floor and ceil of half the lattice index
         half = fine.active / 2.0
@@ -190,24 +192,32 @@ class TestProlong:
         assert values[active, 0] == pytest.approx(exact, rel=1e-14, abs=1e-14)
         assert np.array_equal(values[:, 1], -values[:, 0])
         # a missing parent counts as zero: boundary values fall short of the field
-        ones = d.prolong(coarse, fine) @ np.ones(coarse.n)
+        ones = P @ np.ones(coarse.n)
         assert (ones[active] == 1.0).all() and (ones[~active] < 1.0).all()
 
     def test_even_nodes_copy_their_coarse_node(self):
         coarse = d.build_grid(geo.Dumbbell(0.2), 1 / 8)
         fine = d.build_grid(geo.Dumbbell(0.2), 1 / 16)
-        vec = np.arange(1.0, coarse.n + 1.0)
-        values = d.prolong(coarse, fine) @ vec
+        nodes, P = d.prolong(fine.active)
+        vec = np.arange(1.0, len(nodes) + 1.0)
+        values = P @ vec
         even = ~(fine.active % 2).any(axis=1)
         rows = coarse.index_map[fine.active[even, 0] // 2 - coarse.i0,
                                 fine.active[even, 1] // 2 - coarse.j0]
         assert np.array_equal(values[even][rows >= 0], vec[rows[rows >= 0]])
         assert (values[even][rows < 0] == 0.0).all()
 
-    def test_needs_half_the_spacing(self):
-        coarse = d.build_grid(geo.Ball(), 1 / 8)
-        with pytest.raises(ValueError, match="half the spacing"):
-            d.prolong(coarse, d.build_grid(geo.Ball(), 1 / 32)) @ np.ones(coarse.n)
+    @pytest.mark.parametrize("domain", [geo.Ball(), geo.Dumbbell(0.2), geo.two_balls(),
+                                        geo.Scaled(1.0, geo.Dumbbell(0.2))])
+    def test_coarse_nodes_are_the_grid_of_twice_the_spacing(self, domain):
+        for h in (1 / 8, 1 / 16, 1 / 32):
+            nodes, P = d.prolong(d.build_grid(domain, h).active)
+            assert np.array_equal(nodes, d.build_grid(domain, 2 * h).active)
+            assert P.indices.dtype == P.indptr.dtype == np.int32
+
+    def test_no_even_node_gives_no_coarse_node(self):
+        nodes, P = d.prolong(np.array([[1, 1], [1, 3], [3, 2]]))
+        assert nodes.shape == (0, 2) and P.shape == (3, 0)
 
 
 class TestExtrapolate:

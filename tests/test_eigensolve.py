@@ -153,7 +153,7 @@ def test_package_leaves_scipy_linalg_unloaded():
 
 def _multigrid(domain, h):
     op = d.assemble(d.build_grid(domain, h))
-    return op, es._hierarchy(op.matrix, op.nodes)
+    return op, es._hierarchy(op.matrix, es._transfers(op.nodes))
 
 
 def _precondition(hierarchy, r):
@@ -263,7 +263,7 @@ class TestInterpolation:
 
     def test_galerkin_interior_is_nine_point_stencil(self, level):
         op, P, coarse_A = level
-        h2 = op.h**2
+        h2 = 4.0 / op.matrix[0, 0]  # every diagonal entry is 4/h^2
         expected = np.array([[-0.25, -0.5, -0.25], [-0.5, 3.0, -0.5],
                              [-0.25, -0.5, -0.25]]) / h2
         even = ~(op.nodes & 1).any(axis=1)
@@ -285,45 +285,52 @@ class TestInterpolation:
         n = 3 * es.COARSEST // 2
         nodes = np.column_stack([2 * np.arange(n) + 1, np.ones(n, dtype=int)])
         A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
-        levels, coarse = es._hierarchy(A, nodes)
+        assert es._transfers(nodes) == []
+        levels, coarse = es._hierarchy(A, [])
         assert levels == [] and coarse.shape == (n, n)
-        res = es.smallest_pairs(d.DiscreteOperator(matrix=A, h=1.0, nodes=nodes), tol=1e-10)
+        res = es.smallest_pairs(d.DiscreteOperator(matrix=A, nodes=nodes), tol=1e-10)
         exact = 2.0 - 2.0 * np.cos(np.arange(1, 3) * np.pi / (n + 1))
         assert res.values == pytest.approx(exact, rel=1e-9)
 
 
-def _transfers(domain, h, count):
-    """Interpolation matrices onto the grid of spacing h from the grids of
-    2h, 4h, ..., finest first, as grid continuation builds them."""
-    grids = [d.build_grid(domain, h * 2**i) for i in range(count + 1)]
-    return [d.prolong(coarse, fine) for fine, coarse in zip(grids, grids[1:])]
-
-
 class TestTransfers:
-    """The V-cycle takes its first interpolation matrices from the caller."""
+    """A solve continued from the result on the grid of twice the spacing
+    builds one interpolation and reuses the coarse result's below it."""
 
     @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 128), (geo.Dumbbell(0.2), 1 / 64),
                                            (geo.two_balls(), 1 / 32)])
-    def test_passed_transfers_give_the_same_hierarchy(self, domain, h):
+    def test_continued_solve_builds_the_cold_hierarchy(self, domain, h, monkeypatch):
+        coarse = es.smallest_pairs(d.assemble(d.build_grid(domain, 2 * h)), tol=1e-3, seed=1)
         op = d.assemble(d.build_grid(domain, h))
-        transfers = _transfers(domain, h, 2)
-        own_levels, own_coarse = es._hierarchy(op.matrix, op.nodes)
-        levels, coarse = es._hierarchy(op.matrix, op.nodes, transfers)
-        assert len(levels) == len(own_levels) > len(transfers)
-        assert all(levels[i][2] is P for i, P in enumerate(transfers))
+        built = []
+        hierarchy = es._hierarchy
+        monkeypatch.setattr(es, "_hierarchy",
+                            lambda A, transfers: built.append(hierarchy(A, transfers)) or built[-1])
+        res = es.smallest_pairs(op, tol=1e-3, coarse=coarse)
+        (levels, coarse_inverse), = built
+        assert len(res.transfers) == len(coarse.transfers) + 1
+        assert all(P is own for P, own in zip(res.transfers[1:], coarse.transfers))
+        own_levels, own_inverse = hierarchy(op.matrix, es._transfers(op.nodes))
+        assert len(levels) == len(own_levels) >= 2
         for level, own in zip(levels, own_levels):
             for matrix, own_matrix in ((level[0], own[0]), (level[2], own[2])):
                 assert matrix.shape == own_matrix.shape
                 for attr in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(matrix, attr), getattr(own_matrix, attr))
-        assert np.array_equal(coarse, own_coarse)
+        assert np.array_equal(coarse_inverse, own_inverse)
 
-    def test_mismatched_transfer_rejected(self):
+    def test_coarse_result_from_another_lattice_rejected(self):
         op = d.assemble(d.build_grid(geo.Ball(), 1 / 32))
-        with pytest.raises(ValueError, match="transfer 0 has shape"):
-            es.smallest_pairs(op, transfers=_transfers(geo.Ball(), 1 / 64, 1))
-        with pytest.raises(ValueError, match="transfer 1 has shape"):
-            es.smallest_pairs(op, transfers=_transfers(geo.Ball(), 1 / 32, 1) * 2)
+        other = es.smallest_pairs(op, tol=1e-3, seed=1)
+        coarse_n = d.build_grid(geo.Ball(), 1 / 16).n
+        with pytest.raises(ValueError, match=f"has {op.n} rows.* to {coarse_n} nodes"):
+            es.smallest_pairs(op, coarse=other)
+
+    def test_x0_and_coarse_rejected_together(self):
+        op = d.assemble(d.build_grid(geo.Ball(), 1 / 16))
+        coarse = es.smallest_pairs(d.assemble(d.build_grid(geo.Ball(), 1 / 8)), seed=1)
+        with pytest.raises(ValueError, match="not both"):
+            es.smallest_pairs(op, x0=np.ones((op.n, 2)), coarse=coarse)
 
 
 class _CountingMatrix(sp.csr_matrix):
@@ -344,7 +351,7 @@ def test_operator_products_per_block_iteration(k, monkeypatch):
     pair): 3k products for a full iteration, none repeated.  Each
     V-cycle adds two products on the finest level."""
     op = d.assemble(d.build_grid(geo.Ball(), 1 / 32))
-    counted = d.DiscreteOperator(matrix=_CountingMatrix(op.matrix), h=op.h, nodes=op.nodes)
+    counted = d.DiscreteOperator(matrix=_CountingMatrix(op.matrix), nodes=op.nodes)
     monkeypatch.setattr(_CountingMatrix, "products", 0)
     res = es.smallest_pairs(counted, k=k, tol=1e-6, seed=1)
     iterations, vcycles = res.iterations[0], sum(res.inner_iterations)

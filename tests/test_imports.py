@@ -1,6 +1,7 @@
-"""Unused-import guard: every name a module under ``src/spectralgap``
-imports is used in that module or re-exported through its ``__all__``.
-The package ``__init__`` exists to re-export, so it is not checked."""
+"""Import and export guards for the modules under ``src/spectralgap``:
+every name a module imports is used in that module or re-exported through
+its ``__all__``, and every name in its ``__all__`` is bound at its top
+level.  The package ``__init__`` exists to re-export, so it is not checked."""
 
 import ast
 from pathlib import Path
@@ -22,11 +23,29 @@ def _unused_imports(tree):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_exports(tree))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _exports(tree):
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _undefined_exports(tree):
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return [name for name in _exports(tree) if name not in bound]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -37,3 +56,14 @@ def test_no_unused_imports(path: Path):
 def test_guard_flags_an_unused_name():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os)\n")
     assert _unused_imports(tree) == [(2, "pi")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_are_defined(path: Path):
+    assert _undefined_exports(ast.parse(path.read_text())) == []
+
+
+def test_guard_flags_a_stale_export():
+    tree = ast.parse("from math import pi\nX, Y = 1, 2\ndef f(): pass\nclass C: pass\n"
+                     "__all__ = ['pi', 'X', 'Y', 'f', 'C', 'gone']\n")
+    assert _undefined_exports(tree) == ["gone"]

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spectralgap import analytic
 from spectralgap import discretize as d
 from spectralgap import eigensolve as es
 from spectralgap import geometry as geo
@@ -16,7 +17,7 @@ def _scripted(monkeypatch, levels):
     """Make solve_domain see the given per-level eigenvalue pairs."""
     script = iter(levels)
 
-    def fake(op, k, tol, seed, x0, transfers):
+    def fake(op, k, tol, seed, coarse):
         return es.EigenResult(values=np.array(next(script)), vectors=np.ones((op.n, k)),
                               residuals=np.zeros(k), iterations=(1,) * k, tol=tol)
 
@@ -69,6 +70,17 @@ class TestWrappedDumbbell:
         assert np.array_equal(scaled.lambda_norm, plain.lambda_norm)
 
 
+@pytest.mark.parametrize("h_list", [(1 / 16, 1 / 32, 1 / 64), (1 / 32, 1 / 64, 1 / 128)])
+@pytest.mark.parametrize("domain, pairs", [(geo.Ball(), (1, 2)), (geo.two_balls(), (1, 1))])
+def test_error_budget_covers_exact_values(domain, pairs, h_list):
+    """|lambda_x - lambda| <= error_est_raw against the Bessel values: the
+    unit disc has j01^2 and j11^2, two unit discs j01^2 twice."""
+    spectrum = analytic.ball_spectrum(2)
+    exact = np.array([(spectrum.lambda1, spectrum.lambda2)[p - 1] for p in pairs])
+    solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
+    assert (np.abs(solve.lambda_x - exact) <= solve.error_est_raw).all()
+
+
 def test_fewer_active_nodes_than_pairs():
     domain = geo.Ball(center=(0.5, 0.5), radius=0.01)  # one node per grid
     with pytest.raises(d.GridError, match=r"1 active node\(s\) at spacing h = 0\.125 in Ball"):
@@ -88,25 +100,30 @@ def test_disc_solve_peak_memory():
     assert peak <= 14.2 * 2**20
 
 
-def test_transfers_passed_finest_first(monkeypatch):
-    """Each level's solve gets the interpolation onto it from every coarser
-    level, finest first, built once: the matrix that prolonged the starting
-    vectors is the one passed."""
-    seen = []
-    solve = pipeline.eigensolve.smallest_pairs
+@pytest.mark.parametrize("domain, h_list, builds", [
+    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), 5),
+    (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), 4),
+])
+def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
+    """Each level continues from the result of the one before and builds
+    one interpolation; the coarsest level builds its own chain."""
+    built, passed, results = [], [], []
+    prolong, solve = es.prolong, es.smallest_pairs
 
-    def record(op, k, tol, seed, x0, transfers):
-        seen.append((op.n, list(transfers)))
-        return solve(op, k=k, tol=tol, seed=seed, x0=x0, transfers=transfers)
+    def count(nodes):
+        built.append(len(nodes))
+        return prolong(nodes)
 
-    monkeypatch.setattr(pipeline.eigensolve, "smallest_pairs", record)
-    h_list = (1 / 8, 1 / 16, 1 / 32)
-    pipeline.solve_domain(geo.Dumbbell(0.2), h_list, tol=TOL, seed=1)
-    sizes = [d.build_grid(geo.Dumbbell(0.2), h).n for h in h_list]
-    assert [n for n, _ in seen] == sizes
-    assert [[P.shape for P in transfers] for _, transfers in seen] == [
-        [], [(sizes[1], sizes[0])], [(sizes[2], sizes[1]), (sizes[1], sizes[0])]]
-    assert seen[2][1][1] is seen[1][1][0]
+    def record(op, coarse, **kwargs):
+        passed.append(coarse)
+        results.append(solve(op, coarse=coarse, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(es, "prolong", count)
+    monkeypatch.setattr(es, "smallest_pairs", record)
+    pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
+    assert len(built) == len(set(built)) == builds
+    assert passed[0] is None and all(a is b for a, b in zip(passed[1:], results))
 
 
 def test_h_list_halves_exactly():
