@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from spectralgap import discretize as d
+from spectralgap import eigensolve as es
 from spectralgap import geometry as geo
 
 
@@ -214,6 +215,16 @@ class TestProlong:
             nodes, P = d.prolong(d.build_grid(domain, h).active)
             assert np.array_equal(nodes, d.build_grid(domain, 2 * h).active)
             assert P.indices.dtype == P.indptr.dtype == np.int32
+
+    def test_needs_half_the_spacing(self):
+        fine = d.build_grid(geo.Ball(), 1 / 32)
+        nodes, P = d.prolong(fine.active)
+        assert P.shape == (fine.n, d.build_grid(geo.Ball(), 1 / 16).n)
+        assert np.array_equal(d.prolong(nodes)[0], d.build_grid(geo.Ball(), 1 / 8).active)
+        # a continuation must start from the grid of twice the spacing, not four times
+        far = es.smallest_pairs(d.assemble(d.build_grid(geo.Ball(), 1 / 8)), tol=1e-3, seed=1)
+        with pytest.raises(ValueError, match=f"to {P.shape[1]} nodes"):
+            es.smallest_pairs(d.assemble(fine), coarse=far)
 
     def test_no_even_node_gives_no_coarse_node(self):
         nodes, P = d.prolong(np.array([[1, 1], [1, 3], [3, 2]]))

@@ -299,7 +299,7 @@ class TestTransfers:
 
     @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 128), (geo.Dumbbell(0.2), 1 / 64),
                                            (geo.two_balls(), 1 / 32)])
-    def test_continued_solve_builds_the_cold_hierarchy(self, domain, h, monkeypatch):
+    def test_passed_transfers_give_the_same_hierarchy(self, domain, h, monkeypatch):
         coarse = es.smallest_pairs(d.assemble(d.build_grid(domain, 2 * h)), tol=1e-3, seed=1)
         op = d.assemble(d.build_grid(domain, h))
         built = []
@@ -319,7 +319,7 @@ class TestTransfers:
                     assert np.array_equal(getattr(matrix, attr), getattr(own_matrix, attr))
         assert np.array_equal(coarse_inverse, own_inverse)
 
-    def test_coarse_result_from_another_lattice_rejected(self):
+    def test_mismatched_transfer_rejected(self):
         op = d.assemble(d.build_grid(geo.Ball(), 1 / 32))
         other = es.smallest_pairs(op, tol=1e-3, seed=1)
         coarse_n = d.build_grid(geo.Ball(), 1 / 16).n

@@ -126,6 +126,30 @@ def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
     assert passed[0] is None and all(a is b for a, b in zip(passed[1:], results))
 
 
+def test_transfers_passed_finest_first(monkeypatch):
+    """Each level's result carries the interpolation onto its grid first and
+    then the very matrices of the level before, so a transfer built at one
+    level is passed on, finest first, to every finer one."""
+    results = []
+    solve = es.smallest_pairs
+
+    def record(op, **kwargs):
+        results.append(solve(op, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(es, "smallest_pairs", record)
+    h_list = (1 / 8, 1 / 16, 1 / 32)
+    pipeline.solve_domain(geo.Dumbbell(0.2), h_list, tol=TOL, seed=1)
+    sizes = [d.build_grid(geo.Dumbbell(0.2), h).n for h in h_list]
+    assert [len(res.vectors) for res in results] == sizes
+    for fine, coarse, (n, coarse_n) in zip(results[1:], results, zip(sizes[1:], sizes)):
+        assert fine.transfers[0].shape == (n, coarse_n)
+        assert len(fine.transfers) == len(coarse.transfers) + 1
+        assert all(P is own for P, own in zip(fine.transfers[1:], coarse.transfers))
+    for res in results:
+        assert all(P.shape[1] == Q.shape[0] for P, Q in zip(res.transfers, res.transfers[1:]))
+
+
 def test_h_list_halves_exactly():
     # spacings within the 1e-12 ratio tolerance are replaced by exact halves,
     # so the all-even nodes of each grid are the active nodes of the one before
