@@ -25,7 +25,6 @@ __all__ = [
     "ball_spectrum",
     "theta_spectrum",
     "rescale_eigenvalue",
-    "ball_eigenfunction",
 ]
 
 _SERIES_CUTOFF = 8.0
@@ -271,22 +270,6 @@ def _ground_state(nu, j1, c):
         return -c * j1 ** (nu + 2.0) * _series_profile(nu + 1.0, j1 * np.asarray(r, dtype=float))
 
     return value, slope_over_r
-
-
-def ball_eigenfunction(dim: int, r):
-    """Unit-L2-norm first eigenfunction of the unit ball at radius r in [0, 1].
-
-    Returns (value, radial derivative); at r = 1 the value vanishes and the
-    derivative magnitude equals ``kappa``.
-    """
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0) or np.any(r_arr > 1):
-        raise ValueError("radius must lie in [0, 1]")
-    value, slope_over_r = radial_profile(dim)
-    val, der = value(r_arr), r_arr * slope_over_r(r_arr)
-    if np.ndim(r) == 0:
-        return float(val), float(der)
-    return val, der
 
 
 def radial_profile(dim: int):

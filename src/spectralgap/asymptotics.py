@@ -15,7 +15,6 @@ path; grid eigenvalues only cross-check the large-eps end, where desk-scale
 resolution suffices.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -155,9 +154,6 @@ class TheoremVerdict:
                 "n_points": self.fit.n_points,
             },
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def verify_theorem(records, dim: int = 2) -> TheoremVerdict:

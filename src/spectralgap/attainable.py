@@ -17,11 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import ball_spectrum, theta_spectrum, unit_ball_volume
-from .geometry import (
-    Ball, DisjointUnion, Dumbbell, Ellipse, Rectangle, Scaled,
-    bounding_ball, measure, normalization,
-)
+from .analytic import ball_spectrum, theta_spectrum
+from .geometry import Ball, DisjointUnion, Dumbbell, Ellipse, Rectangle, normalization
 from .pipeline import solve_domain
 from .testfn import lemma1_rayleigh, lemma2_rayleigh
 
@@ -29,15 +26,12 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "RegionReport",
-    "ConeConstruction",
     "DEFAULT_EPS_GRID",
     "DEFAULT_FAMILIES",
     "CSV_HEADER",
     "sweep",
     "default_sweep",
     "region_check",
-    "cone_construction",
-    "lower_boundary",
     "records_to_csv",
 ]
 
@@ -171,15 +165,17 @@ def sweep(family: str, params, config: SweepConfig = SweepConfig()) -> list:
     """Compute one SweepRecord per parameter; failures are recorded inline.
 
     Records are deterministic for a fixed config and are returned sorted by
-    parameter regardless of the number of worker processes.  An unknown
-    family is a configuration error and raises instead.
+    parameter regardless of the number of worker processes.  At most one
+    process per parameter is started, and a single one runs in-process.
+    An unknown family is a configuration error and raises instead.
     """
     if family not in DEFAULT_FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}; known: "
                          f"{sorted(DEFAULT_FAMILIES)}")
     tasks = [(family, float(p), config) for p in params]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_one_guarded, tasks))
     else:
         records = [_solve_one_guarded(t) for t in tasks]
@@ -248,114 +244,6 @@ def region_check(record: SweepRecord, dim: int = 2) -> RegionReport:
         ashbaugh_benguria_ok=(1.0 - ratio_tol <= ratio <= ab_limit + ratio_tol),
         tolerance=tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# scaling construction: (lam1, lam2) attainable implies (t lam1, t lam2) is
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConeConstruction:
-    """Shrunken base plus a far filler ball realizing (t lam1, t lam2)."""
-
-    domain: object
-    t: float
-    filler_radius: float
-    filler_lambda1: float
-    target_lambda2: float
-
-
-def cone_construction(base, t: float, base_lambda2: float | None = None) -> ConeConstruction:
-    """Shrink a unit-measure base by t^(-1/2) and restore the measure with a
-    far small ball, so the normalized pair becomes (t lam1, t lam2).
-
-    Requires the filler ball's first eigenvalue to exceed t * lambda2(base);
-    with a single filler this bounds t from above, and violations raise with
-    the admissible range.  ``base_lambda2`` defaults to the exact value when
-    the base is a unit ball.
-    """
-    if t < 1:
-        raise ValueError(f"scaling factor must be >= 1, got {t}")
-    omega = unit_ball_volume(base.dim)
-    vol = measure(base)
-    if abs(vol - omega) > 1e-9 * omega:
-        raise ValueError(f"base must have unit measure {omega:.12g}, got {vol:.12g}")
-    if base_lambda2 is None:
-        if isinstance(base, Ball) and base.radius == 1.0:
-            base_lambda2 = ball_spectrum(base.dim).lambda2
-        else:
-            raise ValueError("base_lambda2 is required for non-ball bases")
-    if t == 1:
-        return ConeConstruction(domain=base, t=1.0, filler_radius=0.0,
-                                filler_lambda1=math.inf, target_lambda2=base_lambda2)
-    n = base.dim
-    shrink = Scaled(factor=t ** (-0.5), inner=base)
-    filler_radius = (1.0 - t ** (-n / 2.0)) ** (1.0 / n)
-    filler_lambda1 = ball_spectrum(n).lambda1 / filler_radius**2
-    target = t * base_lambda2
-    if filler_lambda1 <= target:
-        t_max = _max_dominated_t(base_lambda2, n)
-        raise ValueError(
-            f"single filler ball cannot dominate: lambda1(filler) = "
-            f"{filler_lambda1:.6g} <= t lambda2(base) = {target:.6g}; "
-            f"construction valid for 1 <= t <= {t_max:.6g}"
-        )
-    c_shrink, r_shrink = bounding_ball(shrink)
-    distance = 10.0 * (2.0 * r_shrink + 2.0 * filler_radius)
-    filler_center = (distance,) + (0.0,) * (n - 1)
-    domain = DisjointUnion(parts=(shrink, Ball(center=filler_center,
-                                               radius=filler_radius, dim=n)))
-    return ConeConstruction(domain=domain, t=t, filler_radius=filler_radius,
-                            filler_lambda1=filler_lambda1, target_lambda2=target)
-
-
-def _max_dominated_t(base_lambda2: float, n: int) -> float:
-    lam1 = ball_spectrum(n).lambda1
-
-    def dominates(t):
-        radius_sq = (1.0 - t ** (-n / 2.0)) ** (2.0 / n)
-        return lam1 / radius_sq > t * base_lambda2
-
-    lo, hi = 1.0 + 1e-9, 2.0
-    while dominates(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e9:
-            return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dominates(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-# ---------------------------------------------------------------------------
-# empirical lower boundary
-# ---------------------------------------------------------------------------
-
-def lower_boundary(records: list) -> list:
-    """Records not radially dominated toward the origin by any other record.
-
-    A record dies when another has both coordinates smaller by one common
-    factor s < 1; survivors are returned sorted by lambda1.  A finite cloud
-    only approximates the true boundary, so treat this as empirical.
-    """
-    pairs = []
-    for rec in records:
-        pair = rec.normalized_pair() if isinstance(rec, SweepRecord) else tuple(rec)
-        if pair is not None:
-            pairs.append((pair, rec))
-    survivors = []
-    for i, ((l1, l2), rec) in enumerate(pairs):
-        dominated = any(
-            max(m1 / l1, m2 / l2) < 1.0
-            for j, ((m1, m2), _) in enumerate(pairs) if j != i
-        )
-        if not dominated:
-            survivors.append(((l1, l2), rec))
-    survivors.sort(key=lambda item: item[0][0])
-    return [rec for _, rec in survivors]
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectralgap",
         description="first two Dirichlet-Laplacian eigenvalues of planar domains: "
-                    "grid solves, certified trial-field bounds, attainable-set data",
+                    "grid solves, trial-field upper bounds, attainable-set data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

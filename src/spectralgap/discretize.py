@@ -109,13 +109,6 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def dump_coo(self, path):
-        """Write (row, col, value) triplets for external verification."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.12g}\n")
-
 
 def assemble(grid: Grid2D) -> DiscreteOperator:
     """Assemble the five-point operator on the active nodes of a grid.

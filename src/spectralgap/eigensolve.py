@@ -39,7 +39,6 @@ __all__ = [
     "EigenResult",
     "DEFAULT_SEED",
     "smallest_pairs",
-    "rayleigh_residual",
 ]
 
 DEFAULT_SEED = 2025
@@ -284,16 +283,3 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         p = k
         previous = theta
         theta = _ritz(A, X, R)
-
-
-def rayleigh_residual(operator, v: np.ndarray):
-    """Rayleigh quotient <Av, v>/<v, v> and residual ||Av - qv|| / ||v||."""
-    A = _as_csr(operator)
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    Av = A @ v
-    quotient = float(v @ Av) / (nv * nv)
-    residual = float(np.linalg.norm(Av - quotient * v)) / nv
-    return quotient, residual

@@ -34,12 +34,9 @@ __all__ = [
     "DisjointUnion",
     "Rectangle",
     "Ellipse",
-    "ConeRegion",
     "contains",
     "measure",
     "normalization",
-    "rescale_to_unit_measure",
-    "cone_volume",
     "junction_radius",
     "bounding_box",
     "bounding_ball",
@@ -167,33 +164,6 @@ class Ellipse(Domain):
             raise ValueError("ellipses are planar (dim = 2)")
         if self.semi_x <= 0 or self.semi_y <= 0:
             raise ValueError("ellipse semi-axes must be > 0")
-
-
-@dataclass(frozen=True)
-class ConeRegion:
-    """Right circular cone {x1 > 0, sqrt(2 eps - eps^2) - x1 - |x'| > 0}.
-
-    Its apex sits on the x1-axis at the junction half-width
-    a = sqrt(2 eps - eps^2); the base is the junction disk in {x1 = 0}.
-    """
-
-    epsilon: float
-    dim: int = 2
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"cone parameter must satisfy 0 < eps < 1, got {self.epsilon}")
-
-    @property
-    def apex_offset(self) -> float:
-        return junction_radius(self.epsilon)
-
-    def contains(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        a = self.apex_offset
-        s = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1))
-        inside = (pts[:, 0] > 0) & (a - pts[:, 0] - s > 0)
-        return bool(inside[0]) if scalar else inside
 
 
 def two_balls(separation: float = 4.0, radius: float = 1.0, dim: int = 2):
@@ -324,22 +294,6 @@ def normalization(domain):
         raise ValueError(f"cannot normalize degenerate measure {vol}")
     omega = unit_ball_volume(domain.dim)
     return vol, (omega / vol) ** (1.0 / domain.dim), (vol / omega) ** (2.0 / domain.dim)
-
-
-def rescale_to_unit_measure(domain):
-    """Scale the domain so its measure equals the unit-ball volume omega_N.
-
-    Returns (Scaled(t, domain), t) with t = (omega_N / |domain|)^(1/N).
-    """
-    _, t, _ = normalization(domain)
-    return Scaled(factor=t, inner=domain), t
-
-
-def cone_volume(epsilon: float, dim: int) -> float:
-    """Volume (omega_(N-1)/N) (2 eps - eps^2)^(N/2) of the junction cone."""
-    if not 0 < epsilon < 1:
-        raise ValueError(f"cone parameter must satisfy 0 < eps < 1, got {epsilon}")
-    return unit_ball_volume(dim - 1) / dim * (2.0 * epsilon - epsilon * epsilon) ** (dim / 2.0)
 
 
 # ---------------------------------------------------------------------------

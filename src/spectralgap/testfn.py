@@ -1,7 +1,8 @@
 """Explicit trial fields on the dumbbell and their Rayleigh quotients.
 
 Two constructions turn the unit-ball ground state u (shifted to the right
-ball of the dumbbell, center (1-eps, 0)) into certified upper bounds:
+ball of the dumbbell, center (1-eps, 0)) into variational upper bounds, each
+with an estimated quadrature error:
 
 * ``lemma1_*``: inside the junction cone T = {x1 > 0, a - x1 - |x'| > 0},
   a = sqrt(2 eps - eps^2), add the corrector (kappa/2)(a - x1 - |x'|) and
@@ -41,7 +42,6 @@ __all__ = [
     "Lemma1Bound",
     "Lemma2Bound",
     "OddExtensionReport",
-    "lemma1_value_and_gradient",
     "lemma1_rayleigh",
     "lemma2_rayleigh",
     "odd_extension_check",
@@ -162,23 +162,6 @@ class Lemma2Function:
         grads[:, 0] = xi * fac * dx + u * dxi
         grads[:, 1:] = xi[:, None] * fac[:, None] * xp
         return u * xi, grads
-
-
-def lemma1_value_and_gradient(f: Lemma1Function, x):
-    """Point evaluation of the cone-corrected field.
-
-    Returns (value, gradient); the gradient is None on the cone axis, where
-    the transverse corrector direction x'/|x'| is undefined.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) != f.dim:
-        raise ValueError(f"expected one point with {f.dim} coordinates")
-    vals, grads = f.field(x[None, :])
-    s = math.hypot(*x[1:]) if f.dim > 2 else abs(x[1])
-    on_axis_in_cone = s == 0.0 and abs(x[0]) > 0 and junction_radius(f.epsilon) - abs(x[0]) > 0
-    if on_axis_in_cone:
-        return float(vals[0]), None
-    return float(vals[0]), grads[0]
 
 
 # ---------------------------------------------------------------------------

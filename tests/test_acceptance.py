@@ -2,14 +2,12 @@
 line.  All tolerances are fixed here, none are tuned at runtime; the heavy
 grid solves come from timed session fixtures shared with the module tests."""
 
-import json
 import math
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
 from scipy import optimize, special
 
 from conftest import cli_env

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -131,9 +132,8 @@ class TestVerifyTheorem:
             asy.verify_theorem(synthetic_records(EPS[:3], lambda e: math.sqrt(e)))
 
     def test_report_is_json_serializable(self):
-        import json
         verdict = asy.verify_theorem(synthetic_records(EPS, lambda e: math.sqrt(e)))
-        doc = json.loads(verdict.to_json())
+        doc = json.loads(json.dumps(verdict.to_dict()))
         assert doc["pass"] is True
         assert {c["name"] for c in doc["checks"]} == {
             "monotone_decay", "endpoint_contraction", "fitted_exponent"}

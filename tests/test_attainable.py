@@ -2,13 +2,9 @@ import csv
 import io
 import math
 
-import numpy as np
 import pytest
 
 from spectralgap import attainable as at
-from spectralgap import geometry as geo
-from spectralgap import pipeline
-from spectralgap.analytic import ball_spectrum, theta_spectrum
 
 CHEAP = at.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32), tol=1e-6)
 LAM1_DISC = 5.783185962946785
@@ -20,6 +16,25 @@ LAM_P = 11.566371925893570
 def bound_only_records():
     config = at.SweepConfig(grid_eps_min=math.inf)
     return at.sweep("dumbbell", at.DEFAULT_EPS_GRID, config)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the requested worker
+    count and maps in this process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        _SerialPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 class TestSweep:
@@ -61,6 +76,23 @@ class TestSweep:
         par = at.sweep("dumbbell", at.DEFAULT_EPS_GRID, config)
         for a, b in zip(bound_only_records, par):
             assert a == b
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        monkeypatch.setattr(at, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "started", [])
+        config = at.SweepConfig(grid_eps_min=math.inf, jobs=12)
+        records = at.sweep("dumbbell", [0.2, 0.1], config)
+        assert _SerialPool.started == [2]
+        serial = at.sweep("dumbbell", [0.2, 0.1], at.SweepConfig(grid_eps_min=math.inf))
+        assert records == serial
+
+    def test_single_parameter_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(at, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "started", [])
+        config = at.SweepConfig(grid_eps_min=math.inf, jobs=4)
+        records = at.sweep("dumbbell", [0.1], config)
+        assert _SerialPool.started == []
+        assert records[0].failure is None and records[0].bound1 is not None
 
     def test_dumbbell_bounds_always_present(self, bound_only_records):
         for rec in bound_only_records:
@@ -105,62 +137,6 @@ class TestRegionCheck:
         rec = at.SweepRecord(family="dumbbell", param=-1.0, failure="boom")
         with pytest.raises(ValueError):
             at.region_check(rec)
-
-
-class TestConeConstruction:
-    def test_identity_at_one(self):
-        base = geo.Ball()
-        res = at.cone_construction(base, 1.0)
-        assert res.domain is base
-
-    def test_symbolic_measure_exact(self):
-        res = at.cone_construction(geo.Ball(), 1.3)
-        assert geo.measure(res.domain) == pytest.approx(math.pi, rel=1e-12)
-        assert res.filler_lambda1 > res.target_lambda2
-
-    def test_grid_pair_scales(self):
-        res = at.cone_construction(geo.Ball(), 1.3)
-        solve = pipeline.solve_domain(res.domain, (1 / 16, 1 / 32, 1 / 64), tol=1e-6)
-        assert solve.lambda_norm[0] == pytest.approx(1.3 * LAM1_DISC, rel=0.025)
-        assert solve.lambda_norm[1] == pytest.approx(1.3 * LAM2_DISC, rel=0.025)
-
-    def test_dominance_violation_reports_range(self):
-        with pytest.raises(ValueError) as err:
-            at.cone_construction(geo.Ball(), 2.0)
-        msg = str(err.value)
-        assert "valid for" in msg
-        # max admissible t for the unit ball base is 1 + lam1/lam2
-        t_max = 1.0 + LAM1_DISC / LAM2_DISC
-        assert f"{t_max:.4f}"[:5] in msg
-
-    def test_nonunit_base_rejected(self):
-        with pytest.raises(ValueError):
-            at.cone_construction(geo.Ball(radius=2.0), 1.2)
-
-    def test_t_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            at.cone_construction(geo.Ball(), 0.5)
-
-
-class TestLowerBoundary:
-    def test_scaled_points_dominated(self):
-        spec = ball_spectrum(2)
-        p = (LAM_P, LAM_P)
-        q = (spec.lambda1, spec.lambda2)
-        cloud = [p, q, tuple(1.5 * np.array(p)), tuple(1.5 * np.array(q))]
-        surviving = at.lower_boundary(cloud)
-        assert surviving == [q, p]  # sorted by lambda1
-
-    def test_single_record(self):
-        assert at.lower_boundary([(3.0, 4.0)]) == [(3.0, 4.0)]
-
-    def test_dumbbell_cloud_end_approaches_p(self, bound_only_records):
-        # the boundary end nearest the corner (largest lambda1 = smallest eps)
-        # converges to P as eps -> 0
-        boundary = at.lower_boundary(bound_only_records)
-        assert boundary
-        l1, l2 = boundary[-1].normalized_pair()
-        assert math.hypot(l1 - LAM_P, l2 - LAM_P) <= 0.05
 
 
 class TestCsv:

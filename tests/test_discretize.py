@@ -92,14 +92,6 @@ class TestAssemble:
         assert (np.diff(rows * op.n + A.indices) > 0).all()  # sorted within rows
         assert np.array_equal(op.nodes, grid.active)
 
-    def test_coo_dump_unchanged(self, tmp_path):
-        grid = d.build_grid(geo.Dumbbell(0.2), 1 / 4)
-        path = tmp_path / "matrix.txt"
-        d.assemble(grid).dump_coo(path)
-        coo = _coo_assembled(grid).tocoo()
-        expected = "".join(f"{r} {c} {v:.12g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
-        assert path.read_text() == expected
-
     def test_single_node(self):
         grid = d.build_grid(geo.Ball(radius=0.2), 0.5)
         assert grid.n == 1
@@ -152,17 +144,6 @@ class TestAssemble:
         block_l = A[:n_left, :n_left].toarray()
         block_r = A[n_left:, n_left:].toarray()
         assert block_l == pytest.approx(block_r)
-
-    def test_coo_dump(self, tmp_path):
-        grid = d.build_grid(geo.Ball(radius=0.3, center=(0.25, 0.0)), 0.5)
-        op = d.assemble(grid)
-        path = tmp_path / "matrix.txt"
-        op.dump_coo(path)
-        rows = [line.split() for line in path.read_text().splitlines()]
-        rebuilt = np.zeros((op.n, op.n))
-        for r, c, v in rows:
-            rebuilt[int(r), int(c)] = float(v)
-        assert rebuilt == pytest.approx(op.matrix.toarray(), rel=1e-12)
 
 
 class TestProlong:

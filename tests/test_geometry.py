@@ -109,44 +109,24 @@ class TestMeasure:
 
 class TestRescale:
     def test_unit_ball_identity(self):
-        _, t = geo.rescale_to_unit_measure(geo.Ball())
+        t = geo.normalization(geo.Ball())[1]
         assert t == pytest.approx(1.0, abs=1e-15)
 
     def test_two_balls(self):
-        _, t = geo.rescale_to_unit_measure(geo.two_balls())
+        t = geo.normalization(geo.two_balls())[1]
         assert t == pytest.approx(2.0 ** (-0.5), rel=1e-14)
 
     def test_dumbbell_frozen(self):
-        scaled, t = geo.rescale_to_unit_measure(geo.Dumbbell(0.05))
+        dumbbell = geo.Dumbbell(0.05)
+        t = geo.normalization(dumbbell)[1]
         assert t == pytest.approx(T_FACTOR_005, rel=1e-9)
-        assert geo.measure(scaled) == pytest.approx(math.pi, rel=1e-10)
+        assert geo.measure(geo.Scaled(t, dumbbell)) == pytest.approx(math.pi, rel=1e-10)
 
     def test_3d(self):
-        scaled, t = geo.rescale_to_unit_measure(geo.two_balls(dim=3))
+        union = geo.two_balls(dim=3)
+        t = geo.normalization(union)[1]
         assert t == pytest.approx(2.0 ** (-1.0 / 3.0), rel=1e-14)
-        assert geo.measure(scaled) == pytest.approx(unit_ball_volume(3), rel=1e-10)
-
-
-class TestCone:
-    def test_printed_formula(self):
-        assert geo.cone_volume(0.1, 2) == pytest.approx(0.19, rel=1e-12)
-
-    def test_vanishes(self):
-        assert geo.cone_volume(1e-12, 2) < 1e-11
-
-    def test_monte_carlo(self):
-        cone = geo.ConeRegion(0.1, dim=2)
-        a = cone.apex_offset
-        sampler = qmc.Sobol(d=2, scramble=True, seed=1)
-        lo, hi = np.array([0.0, -a]), np.array([a, a])
-        pts = qmc.scale(sampler.random_base2(21), lo, hi)
-        inside = cone.contains(pts)
-        est = inside.mean() * float(np.prod(hi - lo))
-        se = math.sqrt(inside.mean() * (1 - inside.mean()) / len(pts)) * float(np.prod(hi - lo))
-        assert abs(est - geo.cone_volume(0.1, 2)) <= 3.0 * se
-
-    def test_apex_offset(self):
-        assert geo.ConeRegion(0.1).apex_offset == pytest.approx(math.sqrt(0.19))
+        assert geo.measure(geo.Scaled(t, union)) == pytest.approx(unit_ball_volume(3), rel=1e-10)
 
 
 class TestValidation:

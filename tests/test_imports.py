@@ -1,7 +1,8 @@
 """Import and export guards for the modules under ``src/spectralgap``:
 every name a module imports is used in that module or re-exported through
 its ``__all__``, and every name in its ``__all__`` is bound at its top
-level.  The package ``__init__`` exists to re-export, so it is not checked."""
+level.  The package ``__init__`` exists to re-export, so it is not checked.
+The unused-import guard also runs over the test modules."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from conftest import SRC_DIR
 
 MODULES = sorted(p for p in (SRC_DIR / "spectralgap").glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -48,7 +50,7 @@ def _undefined_exports(tree):
     return [name for name in _exports(tree) if name not in bound]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path: Path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
