@@ -24,8 +24,8 @@ from .geometry import (
 )
 from .pipeline import DomainSolve, solve_domain
 from .testfn import (
-    Lemma1Function, Lemma2Function, QuadConfig, lemma1_rayleigh,
-    lemma2_rayleigh, odd_extension_check, rayleigh_quotient,
+    Lemma1Function, Lemma2Function, lemma1_rayleigh, lemma2_rayleigh,
+    odd_extension_check, rayleigh_quotient,
 )
 
 __version__ = "0.1.0"

@@ -3,10 +3,10 @@
 The first Dirichlet eigenfunction of the unit ball in R^N is radial,
 u(r) = c r^(-nu) J_nu(j1 r) with nu = N/2 - 1 and j1 the first positive zero
 of J_nu; its eigenvalue is j1^2.  The second eigenvalue is the square of the
-first zero of J_(nu+1).  Everything here is computed, not tabulated: J_nu by
-ascending series (small arguments), backward recurrence (large integer
-orders) or spherical closed forms (half-integer orders); zeros by bracketing
-plus bisection and a Newton polish.
+first zero of J_(nu+1).  Everything the ball spectra need is computed here,
+not tabulated: J_nu by its ascending series up to x = 8, where all those zeros
+lie (scipy's ``jv`` takes larger arguments); zeros by bracketing plus
+bisection and a Newton polish.
 """
 
 import math
@@ -65,55 +65,12 @@ def _series_profile(nu: float, z):
     return acc * 0.5**nu
 
 
-def _miller_integer(n: int, x: float) -> float:
-    """J_n(x) for integer n and large x by backward (Miller) recurrence.
-
-    Normalized with J_0 + 2 J_2 + 2 J_4 + ... = 1; start order far enough
-    above max(n, x) that the downward recursion has converged.
-    """
-    m_start = int(x + 20 + 12 * math.sqrt(x))
-    if m_start % 2:
-        m_start += 1
-    m_start = max(m_start, n + 20)
-    jp, jc = 0.0, 1e-30
-    norm = 0.0
-    result = jc if n == m_start else 0.0
-    for k in range(m_start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == n:
-            result = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * jc
-        if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-    norm += jc  # jc now holds the unnormalized J_0
-    return result / norm
-
-
-def _spherical_large(nu: float, x):
-    """J_(n+1/2)(x) closed forms, stable for x away from 0."""
-    x = np.asarray(x, dtype=float)
-    pref = np.sqrt(2.0 / (math.pi * x))
-    s, c = np.sin(x), np.cos(x)
-    if nu == 0.5:
-        return pref * s
-    if nu == 1.5:
-        return pref * (s / x - c)
-    if nu == 2.5:
-        return pref * ((3.0 / (x * x) - 1.0) * s - 3.0 * c / x)
-    raise ValueError(f"half-integer order {nu} not supported for large arguments")
-
-
 def bessel_j(nu: float, x):
     """Bessel function J_nu(x) for nu >= 0, x >= 0 (vectorized in x).
 
-    Ascending series below x = 10; above that, Miller backward recurrence for
-    integer orders and spherical closed forms for half-integer orders up to
-    5/2.  Absolute error stays below 1e-12 on [0, 50].
+    Ascending series up to x = 8, which covers every zero the ball spectra
+    need; above that, ``scipy.special.jv``, imported only when reached.
+    Absolute error stays below 1e-12 on [0, 50].
     """
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
@@ -128,13 +85,9 @@ def bessel_j(nu: float, x):
         xs = x_arr[small]
         out[small] = xs**nu * _series_profile(nu, xs)
     if np.any(~small):
-        xl = x_arr[~small]
-        if nu == int(nu):
-            out[~small] = [_miller_integer(int(nu), float(v)) for v in xl]
-        elif (2 * nu) == int(2 * nu):
-            out[~small] = _spherical_large(nu, xl)
-        else:
-            raise ValueError(f"order {nu} not supported for arguments above {_SERIES_CUTOFF}")
+        from scipy.special import jv
+
+        out[~small] = jv(nu, x_arr[~small])
     return float(out[0]) if scalar else out
 
 

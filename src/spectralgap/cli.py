@@ -21,6 +21,7 @@ and outputs are byte-identical across runs for a fixed config and seed.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -227,15 +228,7 @@ def cmd_sweep(args) -> int:
                           f"known: {sorted(attainable.DEFAULT_FAMILIES)}")
     records = attainable.default_sweep(_sweep_config(args), families=families)
     if args.format == "json":
-        doc = [
-            {k: getattr(r, k) for k in (
-                "family", "param", "h_list", "lambda1_raw", "lambda2_raw",
-                "lambda1_x", "lambda2_x", "measure", "t_factor",
-                "lambda1_norm", "lambda2_norm", "bound1", "bound2",
-                "error_est", "failure")}
-            for r in records
-        ]
-        _emit(_dump_json(doc), args.out)
+        _emit(_dump_json([dataclasses.asdict(r) for r in records]), args.out)
     else:
         _emit(attainable.records_to_csv(records), args.out)
     return EXIT_OK

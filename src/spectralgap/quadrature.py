@@ -15,6 +15,7 @@ bisected further, in the same refinement loop as the 1-d integral.
 
 import heapq
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +61,13 @@ _WG = np.zeros(15)
 _WG[1:14:2] = list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HALF[:-1]))
 
 
+@dataclass(frozen=True)
 class QuadResult:
     """Integral value, absolute error estimate, and panel count."""
 
-    __slots__ = ("value", "error", "panels")
-
-    def __init__(self, value, error, panels):
-        self.value = value
-        self.error = error
-        self.panels = panels
-
-    def __iter__(self):  # allows ``value, err = quad_adaptive(...)``
-        yield self.value
-        yield self.error
-
-    def __repr__(self):
-        return f"QuadResult(value={self.value!r}, error={self.error!r}, panels={self.panels})"
+    value: float | np.ndarray
+    error: float | np.ndarray
+    panels: int
 
 
 def _panel(f, lo, hi):
@@ -156,7 +148,10 @@ def quad_adaptive(f, a, b, rel_tol=1e-10, max_panels=4000):
 
     ``f`` maps an array of nodes (n,) to values of shape (n,) or (n, k).
     Returns a :class:`QuadResult`; ``value`` is scalar for 1-d integrands.
+    Raises ValueError unless ``rel_tol > 0``.
     """
+    if not rel_tol > 0:
+        raise ValueError(f"quadrature tolerance must be > 0, got {rel_tol}")
     if not b > a:
         if b == a:
             return QuadResult(0.0, 0.0, 0)

@@ -28,15 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ball_spectrum, radial_profile
-from .geometry import (
-    Ball, DisjointUnion, Dumbbell, Ellipse, HalfDumbbell,
-    Rectangle, Scaled, junction_radius,
-)
+from .geometry import Ball, Dumbbell, HalfDumbbell, junction_radius
 from .pipeline import solve_domain
 from .quadrature import quad_adaptive, quad_nested_2d
 
 __all__ = [
-    "QuadConfig",
     "Lemma1Function",
     "Lemma2Function",
     "Lemma1Bound",
@@ -52,18 +48,8 @@ __all__ = [
 EPS_MAX = 0.3
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    rel_tol: float = 1e-8
-    max_panels: int = 4000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("quadrature tolerance must be > 0")
-
-
-# quadrature settings of the two trial-field bounds
-_BOUND_QUAD = QuadConfig()
+# relative tolerance of the trial-field bounds' quadrature
+_BOUND_TOL = 1e-8
 
 
 def _check_epsilon(epsilon):
@@ -194,8 +180,7 @@ def _cap_integrals(epsilon, dim):
         du = fac_fn(r) * r
         return np.column_stack([u * u, du * du]) * (w * 2.0 * tau)[:, None]
 
-    res = quad_adaptive(integrand, 0.0, math.sqrt(epsilon),
-                        rel_tol=_BOUND_QUAD.rel_tol, max_panels=_BOUND_QUAD.max_panels)
+    res = quad_adaptive(integrand, 0.0, math.sqrt(epsilon), rel_tol=_BOUND_TOL)
     return res.value[0], res.value[1], res.error
 
 
@@ -224,8 +209,7 @@ def _cone_integrals(epsilon, dim):
         weight = sig * s ** (dim - 2)
         return comps * weight[:, None]
 
-    res = quad_nested_2d(f, 0.0, a, lambda x1: 0.0, lambda x1: a - x1,
-                         rel_tol=_BOUND_QUAD.rel_tol, max_panels=_BOUND_QUAD.max_panels)
+    res = quad_nested_2d(f, 0.0, a, lambda x1: 0.0, lambda x1: a - x1, rel_tol=_BOUND_TOL)
     return res.value[0], res.value[1], res.error
 
 
@@ -260,8 +244,7 @@ def _slab_integrals(epsilon, dim):
         dx = x1 - c1
         return math.sqrt(max(1.0 - dx * dx, 0.0))
 
-    res = quad_nested_2d(f, 0.0, epsilon, lambda x1: 0.0, rho,
-                         rel_tol=_BOUND_QUAD.rel_tol, max_panels=_BOUND_QUAD.max_panels)
+    res = quad_nested_2d(f, 0.0, epsilon, lambda x1: 0.0, rho, rel_tol=_BOUND_TOL)
     return res.value, res.error
 
 
@@ -343,7 +326,8 @@ def lemma2_rayleigh(epsilon: float, dim: int = 2) -> Lemma2Bound:
 
 
 # ---------------------------------------------------------------------------
-# generic chart quadrature and the Rayleigh quotient of arbitrary fields
+# chart quadrature over discs and dumbbells, and the Rayleigh quotient of
+# fields on them
 # ---------------------------------------------------------------------------
 
 def _polar_segments(domain):
@@ -351,13 +335,6 @@ def _polar_segments(domain):
     if isinstance(domain, Ball):
         radius = domain.radius
         return domain.center, [(-math.pi, math.pi, lambda th: radius)]
-    if isinstance(domain, Ellipse):
-        ax, ay = domain.semi_x, domain.semi_y
-
-        def radius_fn(th):
-            return 1.0 / math.sqrt((math.cos(th) / ax) ** 2 + (math.sin(th) / ay) ** 2)
-
-        return (0.0, 0.0), [(-math.pi, math.pi, radius_fn)]
     if isinstance(domain, HalfDumbbell):
         eps = domain.epsilon
         c1 = 1.0 - eps
@@ -375,27 +352,11 @@ def _polar_segments(domain):
 
 
 def _integrate_components(domain, comps_fn, rel_tol, max_panels):
-    """Integrate vector components of a point function over a planar domain
-    using exact charts; returns (values, error estimates)."""
+    """Integrate vector components of a point function over a planar ball,
+    dumbbell or half dumbbell using exact charts; returns (values, error
+    estimates)."""
     if domain.dim != 2:
-        raise ValueError("generic field quadrature is planar only")
-    if isinstance(domain, Scaled):
-        t = domain.factor
-        inner_vals, inner_errs = _integrate_components(
-            domain.inner, lambda pts: comps_fn(t * pts), rel_tol, max_panels)
-        return t * t * inner_vals, t * t * inner_errs
-    if isinstance(domain, DisjointUnion):
-        parts = [_integrate_components(p, comps_fn, rel_tol, max_panels) for p in domain.parts]
-        return sum(v for v, _ in parts), sum(e for _, e in parts)
-    if isinstance(domain, Rectangle):
-        hw, hh = 0.5 * domain.width, 0.5 * domain.height
-
-        def f(x, ys):
-            return comps_fn(np.column_stack([x, ys]))
-
-        res = quad_nested_2d(f, -hw, hw, lambda x: -hh, lambda x: hh,
-                             rel_tol=rel_tol, max_panels=max_panels)
-        return np.atleast_1d(res.value), np.atleast_1d(res.error)
+        raise ValueError("field quadrature is planar only")
     if isinstance(domain, Dumbbell):
         half = HalfDumbbell(epsilon=domain.epsilon, dim=2)
         plus = _integrate_components(half, comps_fn, rel_tol, max_panels)
@@ -420,10 +381,12 @@ def _integrate_components(domain, comps_fn, rel_tol, max_panels):
     return total, total_err
 
 
-def rayleigh_quotient(domain, field, quad: QuadConfig = QuadConfig()):
-    """Quadrature Rayleigh quotient of a value+gradient field over a domain.
+def rayleigh_quotient(domain, field, rel_tol=1e-8, max_panels=4000):
+    """Quadrature Rayleigh quotient of a value+gradient field over a planar
+    ball, dumbbell or half dumbbell.
 
-    ``field(pts)`` maps (m, 2) points to (values (m,), gradients (m, 2)).
+    ``field(pts)`` maps (m, 2) points to (values (m,), gradients (m, 2));
+    ``rel_tol`` and ``max_panels`` go to the quadrature of each chart.
     Returns (quotient, relative error estimate); raises on a vanishing
     denominator.
     """
@@ -433,7 +396,7 @@ def rayleigh_quotient(domain, field, quad: QuadConfig = QuadConfig()):
         return np.column_stack([vals * vals, np.sum(grads * grads, axis=1)])
 
     (den, num), (den_err, num_err) = _integrate_components(
-        domain, comps, quad.rel_tol, quad.max_panels)
+        domain, comps, rel_tol, max_panels)
     if den <= 0:
         raise ValueError(f"field has vanishing L2 norm on the domain ({den})")
     rel_err = num_err / abs(num) + den_err / den if num != 0 else den_err / den

@@ -226,9 +226,9 @@ def test_criterion_10_property_suites(disc_solve_fine):
     # homogeneity of the Rayleigh quotient under field scaling
     from conftest import ball_ground_state_field
     q1, _ = testfn.rayleigh_quotient(geometry.Ball(), ball_ground_state_field(),
-                                     testfn.QuadConfig(rel_tol=1e-6))
+                                     rel_tol=1e-6)
     q2, _ = testfn.rayleigh_quotient(geometry.Ball(), ball_ground_state_field(scale=11.3),
-                                     testfn.QuadConfig(rel_tol=1e-6))
+                                     rel_tol=1e-6)
     if abs(q1 - q2) > 1e-12 * abs(q1):
         failures.append("quotient homogeneity")
     if abs(q1 - spec.lambda1) > 1e-6 * spec.lambda1:

@@ -55,6 +55,10 @@ class TestBesselJ:
         ref[np.isnan(ref)] = 0.0  # scipy jv(nu>0, 0) quirks
         assert np.max(np.abs(an.bessel_j(nu, x) - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("nu, x", [(0.3, 12.0), (3.5, 20.0)])
+    def test_scipy_above_series_cutoff(self, nu, x):
+        assert an.bessel_j(nu, x) == special.jv(nu, x)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             an.bessel_j(-1.0, 1.0)
@@ -80,6 +84,12 @@ class TestBesselZero:
         j_nu1_1 = an.bessel_zero(nu + 1.0, 1)
         j_nu_2 = an.bessel_zero(nu, 2)
         assert j_nu_1 < j_nu1_1 < j_nu_2
+
+    def test_zero_above_series_cutoff(self):
+        # j_(9/2),1 = 8.18...: its square is lambda2 of the unit ball in R^9
+        ref = brentq_zero(4.5, 1)
+        assert abs(ref - 8.182561452571242) <= 1e-12 * ref
+        assert abs(an.bessel_zero(4.5, 1) - ref) <= 1e-12 * ref
 
     def test_bracket_failure_reported(self):
         with pytest.raises(an.BracketError):

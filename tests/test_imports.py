@@ -2,14 +2,18 @@
 every name a module imports is used in that module or re-exported through
 its ``__all__``, and every name in its ``__all__`` is bound at its top
 level.  The package ``__init__`` exists to re-export, so it is not checked.
-The unused-import guard also runs over the test modules."""
+The unused-import guard also runs over the test modules.  A last guard
+keeps ``scipy.special`` out of the commands: importing it costs about 0.06 s,
+so ``bessel_j`` loads it only for arguments above its series cutoff."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import SRC_DIR
+from conftest import SRC_DIR, cli_env
 
 MODULES = sorted(p for p in (SRC_DIR / "spectralgap").glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
@@ -69,3 +73,26 @@ def test_guard_flags_a_stale_export():
     tree = ast.parse("from math import pi\nX, Y = 1, 2\ndef f(): pass\nclass C: pass\n"
                      "__all__ = ['pi', 'X', 'Y', 'f', 'C', 'gone']\n")
     assert _undefined_exports(tree) == ["gone"]
+
+
+LAZY_SCIPY_SPECIAL = """
+import sys
+from spectralgap import cli
+from spectralgap.analytic import bessel_j
+
+for argv in (["eig", "--domain", "ball", "--h", "1/8,1/16,1/32"],
+             ["lemma1", "--eps", "0.05"],
+             ["lemma2", "--dim", "3", "--eps", "0.05"],
+             ["verify", "--no-grid-check", "--out", "report.json", "--data-out", "curve.csv"]):
+    assert cli.main(argv) == 0, argv
+assert "scipy.special" not in sys.modules
+bessel_j(0.0, 20.0)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_commands_leave_scipy_special_unimported(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SPECIAL], capture_output=True,
+                          text=True, env=cli_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").exists() and (tmp_path / "curve.csv").exists()

@@ -3,6 +3,7 @@ import pytest
 
 from spectralgap import testfn as tf
 from spectralgap.attainable import DEFAULT_EPS_GRID
+from spectralgap.geometry import Ball
 from spectralgap.quadrature import QuadratureError, QuadResult, quad_adaptive, quad_nested_2d
 
 
@@ -40,6 +41,26 @@ def test_empty_interval():
     assert quad_adaptive(np.sin, 1.0, 1.0).value == 0.0
     with pytest.raises(ValueError):
         quad_adaptive(np.sin, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan")])
+def test_tolerance_checked_before_any_call(rel_tol):
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapped
+
+    with pytest.raises(ValueError, match="tolerance"):
+        quad_adaptive(counted(np.sin), 0.0, 1.0, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        quad_nested_2d(counted(lambda x, s: x * s), 0.0, 1.0, counted(lambda x: 0.0),
+                       counted(lambda x: 1.0), rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        tf.rayleigh_quotient(Ball(), counted(lambda pts: (pts[:, 0], pts)), rel_tol=rel_tol)
+    assert calls == []
 
 
 def test_panel_budget_exhaustion():

@@ -171,7 +171,7 @@ class TestLemma1Rayleigh:
         bound = tf.lemma1_rayleigh(eps)
         field = tf.Lemma1Function(eps).field
         quotient, rel_err = tf.rayleigh_quotient(geo.Dumbbell(eps), field,
-                                                 tf.QuadConfig(rel_tol=1e-7))
+                                                 rel_tol=1e-7)
         assert quotient == pytest.approx(bound.quotient, rel=1e-6)
         assert rel_err < 1e-5
 
@@ -218,7 +218,7 @@ class TestLemma2Rayleigh:
         bound = tf.lemma2_rayleigh(eps)
         field = tf.Lemma2Function(eps).field
         quotient, rel_err = tf.rayleigh_quotient(geo.HalfDumbbell(eps), field,
-                                                 tf.QuadConfig(rel_tol=1e-7))
+                                                 rel_tol=1e-7)
         assert quotient == pytest.approx(bound.quotient, rel=1e-6)
 
     def test_3d(self):
@@ -271,7 +271,7 @@ class TestRayleighQuotient:
             return vals, np.column_stack([gx, gy])
 
         quotient, _ = tf.rayleigh_quotient(geo.Ball(), field,
-                                           tf.QuadConfig(rel_tol=1e-3, max_panels=20000))
+                                           rel_tol=1e-3, max_panels=20000)
         # the interpolant spills at most h past the disc, so compare against
         # the slightly inflated ball
         assert quotient >= LAM1_DISC * (1.0 - 2.0 * h) - 0.05
