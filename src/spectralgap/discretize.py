@@ -141,15 +141,17 @@ def prolong(nodes: np.ndarray):
     """Coarsen lattice nodes (n, d) to the lattice of twice the spacing.
 
     Returns the all-even nodes, halved, and the multilinear interpolation P
-    (CSR, int32 indices) onto ``nodes`` from them.  A node with m odd
+    (CSC, int32 indices) onto ``nodes`` from them.  A node with m odd
     indices takes 2^-m from each of its 2^m parents; a parent that is not a
     coarse node counts as a Dirichlet zero.  With exactly halved spacings
     the coarse nodes of a grid are the active nodes of the grid before it.
+    CSC makes P.T a CSR view of P's arrays, so the restriction P^T r runs
+    as a row-wise product with no copy of P.
     """
     n, dim = nodes.shape
     coarse = nodes[~(nodes & 1).any(axis=1)] >> 1
     if len(coarse) == 0:
-        return coarse, sp.csr_matrix((n, 0))
+        return coarse, sp.csc_matrix((n, 0))
     low = coarse.min(axis=0)
     # coarse rows by lattice index, with a frame of -1 that catches every
     # parent outside the coarse nodes' bounding box
@@ -169,7 +171,8 @@ def prolong(nodes: np.ndarray):
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=0), out=indptr[1:])
     data = np.repeat(np.ldexp(1.0, -(nodes & 1).sum(axis=1)), np.diff(indptr))
-    return coarse, sp.csr_matrix((data, cols.T[keep.T], indptr), shape=(n, len(coarse)))
+    P = sp.csr_matrix((data, cols.T[keep.T], indptr), shape=(n, len(coarse)))
+    return coarse, P.tocsc()
 
 
 # ---------------------------------------------------------------------------

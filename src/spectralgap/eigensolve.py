@@ -19,10 +19,14 @@ The preconditioner M is one symmetric geometric-multigrid V-cycle
 from the lattice indices of the rows (a bare matrix: its row index).  The
 coarse nodes of a level are its all-even nodes, halved; P interpolates
 multilinearly from them (``discretize.prolong``), the coarse operator is
-P^T A P, and damped Jacobi smooths before and after the coarse correction.
-Levels stop at COARSEST unknowns, or at a level without an all-even node,
-which is inverted densely.  Grid continuation (``coarse=``) reuses the
-matrices P of the coarser grid's solve, so each is built once per domain.
+P^T A P, formed as R (A P), and damped Jacobi smooths before and after the
+coarse correction.  Every P is kept in CSC, and each level keeps R = P^T,
+taken once: a CSR view of P's arrays, not a copy.  So the V-cycle restricts
+with R and prolongs with P in plain compressed-matrix products that make
+no matrix object per call.  Levels stop at COARSEST unknowns, or at a level
+without an all-even node, which is inverted densely.  Grid continuation
+(``coarse=``) reuses the matrices P of the coarser grid's solve, so each
+is built once per domain.
 kappa(MA) stays near 1.8 as h shrinks, and so do the block iterations.
 """
 
@@ -66,8 +70,9 @@ class EigenResult:
     """Two smallest eigenpairs: values ascending, orthonormal vectors as
     columns, per-pair residual norms ||A v - lambda v||, the block iterations
     run, the tolerance the solve was run at, the V-cycles applied to each
-    pair's residual, and the interpolation matrices down from its lattice,
-    finest first."""
+    pair's residual, and the interpolation matrices (CSC) down from its
+    lattice, finest first; a continued solve takes them as its lower levels
+    and restricts through their transposes, CSR views of the same arrays."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -102,17 +107,22 @@ def _transfers(nodes):
 
 def _hierarchy(A, transfers):
     """Galerkin levels of the V-cycle for A with the interpolation matrices
-    ``transfers``, finest first, down to COARSEST unknowns.  Returns
-    (levels, coarse_inverse); each level is (A, OMEGA / diag(A), P, and work
-    vectors for the residual and the coarse correction).
+    ``transfers`` (CSC), finest first, down to COARSEST unknowns.  Returns
+    (levels, coarse_inverse); each level is (A, OMEGA / diag(A), P, the
+    restriction R = P^T as a CSR view of P's arrays, and work vectors for
+    the residual and the coarse correction).
     """
     levels = []
     for P in transfers:
         if A.shape[0] <= COARSEST:
             break
-        # the product first: work vectors allocated before it raise a solve's memory peak
-        coarse_A = (P.T @ A @ P).tocsr()
-        levels.append((A, OMEGA / A.diagonal(), P, np.empty(P.shape[0]), np.empty(P.shape[1])))
+        R = P.T
+        # the product first: work vectors allocated before it raise a solve's
+        # memory peak
+        coarse_A = R @ (A @ P)
+        coarse_A.sort_indices()
+        levels.append((A, OMEGA / A.diagonal(), P, R, np.empty(P.shape[0]),
+                       np.empty(P.shape[1])))
         A = coarse_A
         if np.any(A.diagonal() <= 0):
             raise IndefiniteOperatorError("operator is not positive definite on a coarse level")
@@ -130,10 +140,10 @@ def _vcycle(hierarchy, r, x, depth=0):
     if depth == len(levels):
         np.dot(coarse, r, out=x)
         return
-    A, smoother, P, residual, correction = levels[depth]
+    A, smoother, P, R, residual, correction = levels[depth]
     np.multiply(smoother, r, out=x)
     np.subtract(r, A @ x, out=residual)
-    _vcycle(hierarchy, P.T @ residual, correction, depth + 1)
+    _vcycle(hierarchy, R @ residual, correction, depth + 1)
     x += P @ correction
     np.subtract(r, A @ x, out=residual)
     residual *= smoother

@@ -147,17 +147,23 @@ def quad_adaptive(f, a, b, rel_tol=1e-10, max_panels=4000):
     """Integrate ``f`` over [a, b] to the requested relative tolerance.
 
     ``f`` maps an array of nodes (n,) to values of shape (n,) or (n, k).
-    Returns a :class:`QuadResult`; ``value`` is scalar for 1-d integrands.
+    Returns a :class:`QuadResult`; ``value`` is scalar for 1-d integrands
+    and of shape (k,) otherwise, also when a == b (zeros, 0 panels).
     Raises ValueError unless ``rel_tol > 0``.
     """
     if not rel_tol > 0:
         raise ValueError(f"quadrature tolerance must be > 0, got {rel_tol}")
-    if not b > a:
-        if b == a:
-            return QuadResult(0.0, 0.0, 0)
+    if b > a:
+        val, err, absval, scalar = _panel(f, np.array([a], dtype=float),
+                                          np.array([b], dtype=float))
+        total, total_err, panels = _refine(f, a, b, val[0], err[0], absval[0], rel_tol,
+                                           max_panels)
+    elif b == a:
+        # one call on no nodes gives the shape of the integrand's values
+        val, _, _, scalar = _panel(f, np.empty(0), np.empty(0))
+        total, total_err, panels = np.zeros(val.shape[1]), np.zeros(val.shape[1]), 0
+    else:
         raise ValueError(f"empty integration interval [{a}, {b}]")
-    val, err, absval, scalar = _panel(f, np.array([a], dtype=float), np.array([b], dtype=float))
-    total, total_err, panels = _refine(f, a, b, val[0], err[0], absval[0], rel_tol, max_panels)
     if scalar:
         return QuadResult(float(total[0]), float(total_err[0]), panels)
     return QuadResult(total, total_err, panels)

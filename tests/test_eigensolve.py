@@ -184,11 +184,90 @@ class TestVCycle:
             assert sizes[-1] <= es.COARSEST < sizes[-2]
             # the columns of P are the all-even nodes of the level
             nodes = op.nodes
-            for A, smoother, P, residual, correction in levels:
+            for A, smoother, P, R, residual, correction in levels:
                 even = ~(nodes & 1).any(axis=1)
                 assert P.shape == (len(nodes), even.sum()) == (len(residual), len(correction))
+                assert R.shape == P.shape[::-1]
                 assert P.indices.dtype == P.indptr.dtype == np.int32
                 nodes = nodes[even] // 2
+
+    @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 64), (geo.Dumbbell(0.2), 1 / 32),
+                                           (geo.two_balls(), 1 / 16)])
+    def test_restriction_is_a_view_of_the_csc_transfer(self, domain, h):
+        _, (levels, _) = _multigrid(domain, h)
+        for _, _, P, R, _, _ in levels:
+            assert P.format == "csc" and R.format == "csr" and P.has_sorted_indices
+            for attr in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(R, attr), getattr(P, attr))
+
+    @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 128), (geo.Dumbbell(0.2), 1 / 64),
+                                           (geo.two_balls(), 1 / 32), (geo.Dumbbell(0.2), 0.03)])
+    def test_coarse_operators_equal_the_csr_galerkin_products(self, domain, h):
+        """Every coarse operator has the arrays of (P^T A P).tocsr() with P
+        in CSR: bit for bit at a dyadic h, where every Galerkin sum is
+        exact, and to rounding at h = 0.03, where R (A P) adds up in
+        another order than (P^T A) P."""
+        exact = np.log2(h).is_integer()
+        op, (levels, coarse) = _multigrid(domain, h)
+        A = op.matrix
+        for depth, (_, _, P, _, _, _) in enumerate(levels):
+            P = P.tocsr()
+            A = (P.T @ A @ P).tocsr()
+            if depth + 1 < len(levels):
+                own = levels[depth + 1][0]
+                assert np.array_equal(own.indices, A.indices)
+                assert np.array_equal(own.indptr, A.indptr)
+                if exact:
+                    assert np.array_equal(own.data, A.data)
+                else:
+                    assert own.data == pytest.approx(A.data, rel=1e-14)
+        inverse = np.linalg.inv(A.toarray())
+        inverse = 0.5 * (inverse + inverse.T)
+        if exact:
+            assert np.array_equal(coarse, inverse)
+        else:
+            assert np.abs(coarse - inverse).max() <= 1e-13 * np.abs(inverse).max()
+
+    @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 64), (geo.Dumbbell(0.2), 0.03),
+                                           (geo.two_balls(), 1 / 16)])
+    def test_vcycle_equals_csr_reference(self, domain, h):
+        op, hierarchy = _multigrid(domain, h)
+        levels, coarse = hierarchy
+
+        def reference(r, depth=0):
+            """The V-cycle with each P in CSR and a fresh P.T per restriction."""
+            if depth == len(levels):
+                return coarse @ r
+            A, smoother, P = levels[depth][:3]
+            P = P.tocsr()
+            x = smoother * r
+            x += P @ reference(P.T @ (r - A @ x), depth + 1)
+            x += smoother * (r - A @ x)
+            return x
+
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            r = rng.standard_normal(op.n)
+            assert np.array_equal(_precondition(hierarchy, r), reference(r))
+
+    def test_one_transpose_per_level(self, monkeypatch):
+        """The restrictions are taken once, when the hierarchy is built, not
+        once per V-cycle."""
+        op = d.assemble(d.build_grid(geo.Ball(), 1 / 64))
+        calls = []
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            transpose = cls.transpose
+            monkeypatch.setattr(cls, "transpose",
+                                lambda self, *args, transpose=transpose, **kwargs:
+                                calls.append(self.format) or transpose(self, *args, **kwargs))
+        built = []
+        hierarchy = es._hierarchy
+        monkeypatch.setattr(es, "_hierarchy",
+                            lambda A, transfers: built.append(hierarchy(A, transfers)) or built[-1])
+        res = es.smallest_pairs(op, tol=1e-6, seed=1)
+        (levels, _), = built
+        assert len(levels) >= 3 and sum(res.inner_iterations) > 3
+        assert calls == ["csc"] * len(levels)
 
     def test_symmetric_positive_definite(self):
         op, hierarchy = _multigrid(geo.Dumbbell(0.2), 1 / 16)
@@ -253,8 +332,9 @@ class TestInterpolation:
     def test_weights_and_interior_row_sums(self, level):
         op, P, _ = level
         odd = (op.nodes & 1).sum(axis=1)
+        rows = P.tocsr()
         for row, m in enumerate(odd):
-            weights = P.data[P.indptr[row]: P.indptr[row + 1]]
+            weights = rows.data[rows.indptr[row]: rows.indptr[row + 1]]
             assert len(weights) <= 2**m and (weights == 0.5**m).all()
         sums = np.asarray(P.sum(axis=1)).ravel()
         interior = _interior(op.nodes, 1)

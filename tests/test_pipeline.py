@@ -88,9 +88,9 @@ def test_fewer_active_nodes_than_pairs():
 
 
 def test_disc_solve_peak_memory():
-    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (about
-    12.8 MiB) stays within 10% of the 12.9 MiB of the aggregation-multigrid
-    solver it replaced."""
+    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (12.75 MiB
+    with CSC transfers and their transposes as views) stays within 10% of
+    the 12.9 MiB of the aggregation-multigrid solver it replaced."""
     tracemalloc.start()
     try:
         pipeline.solve_domain(geo.Ball(), (1 / 32, 1 / 64, 1 / 128))

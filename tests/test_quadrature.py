@@ -38,9 +38,25 @@ def test_sqrt_endpoint():
 
 
 def test_empty_interval():
-    assert quad_adaptive(np.sin, 1.0, 1.0).value == 0.0
+    """An empty interval gives zeros of the integrand's shape: a float for
+    a 1-d integrand, arrays of shape (k,) for a vector-valued one."""
+    res = quad_adaptive(np.sin, 1.0, 1.0)
+    assert type(res.value) is type(res.error) is float and res.value == res.error == 0.0
+    res = quad_adaptive(lambda x: np.column_stack([x, x * x]), 1.0, 1.0)
+    assert res.value.shape == res.error.shape == (2,) and res.panels == 0
+    assert (res.value == 0.0).all() and (res.error == 0.0).all()
     with pytest.raises(ValueError):
         quad_adaptive(np.sin, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("f, shape", [(lambda x, s: x * s, ()),
+                                      (lambda x, s: np.column_stack([x, x * s, s]), (3,))])
+def test_nested_empty_outer_interval_keeps_the_integrand_shape(f, shape):
+    res = quad_nested_2d(f, 0.5, 0.5, lambda x: 0.0, lambda x: 1.0)
+    assert np.shape(res.value) == np.shape(res.error) == shape and res.panels == 0
+    assert np.all(res.value == 0.0) and np.all(res.error == 0.0)
+    # the same shape as a non-empty interval
+    assert np.shape(quad_nested_2d(f, 0.0, 0.5, lambda x: 0.0, lambda x: 1.0).value) == shape
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan")])
