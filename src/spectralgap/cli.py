@@ -100,8 +100,16 @@ def _parse_h_list(spec: str):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _grid_eps_min(value: float, flag: str) -> float:
+    """The smallest eps that is grid-solved; NaN would compare false and
+    grid-solve every eps."""
+    if math.isnan(value):
+        raise ConfigError(f"{flag} must be a number, got nan")
     return value
 
 
@@ -131,14 +139,19 @@ def _parse_eps_grid(spec: str, eps_max: float):
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     env = os.environ.get("SPECTRALGAP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SPECTRALGAP_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ConfigError(f"SPECTRALGAP_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 def _parse_domain(args):
@@ -291,7 +304,8 @@ def cmd_ratio(args) -> int:
         _require_planar(args, "ratio --with-grid")
     eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
     if args.with_grid:
-        config = _sweep_config(args, grid_eps_min=args.grid_eps_min)
+        grid_eps_min = _grid_eps_min(args.grid_eps_min, "--grid-eps-min")
+        config = _sweep_config(args, grid_eps_min=grid_eps_min)
     else:
         config = attainable.SweepConfig(grid_eps_min=math.inf, jobs=args.jobs, dim=args.dim)
     records = attainable.sweep("dumbbell", eps_grid, config)
@@ -308,8 +322,9 @@ def cmd_ratio(args) -> int:
 def cmd_verify(args) -> int:
     _require_planar(args, "verify")
     eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
-    config = _sweep_config(args, grid_eps_min=(math.inf if args.no_grid_check
-                                               else args.grid_check_eps))
+    grid_eps_min = (math.inf if args.no_grid_check
+                    else _grid_eps_min(args.grid_check_eps, "--grid-check-eps"))
+    config = _sweep_config(args, grid_eps_min=grid_eps_min)
     records = attainable.sweep("dumbbell", eps_grid, config)
     verdict = asymptotics.verify_theorem(records)
 

@@ -113,21 +113,19 @@ class DiscreteOperator:
 def assemble(grid: Grid2D) -> DiscreteOperator:
     """Assemble the five-point operator on the active nodes of a grid.
 
-    The CSR arrays are built straight from the five stencil columns, whose
-    lexicographic order (i-1, j), (i, j-1), self, (i, j+1), (i+1, j) is
-    already ascending in every row; inactive neighbors are masked out.
+    The five stencil columns are one gather from the flattened
+    ``index_map`` at each active node's flat index plus -width, -1, 0, 1
+    and +width: the lexicographic order (i-1, j), (i, j-1), self, (i, j+1),
+    (i+1, j), already ascending in every row.  The CSR arrays are built
+    straight from them; inactive neighbors are masked out.
     """
     n = grid.n
     h2 = grid.h * grid.h
-    imap = grid.index_map
-    li = grid.active[:, 0] - grid.i0
-    lj = grid.active[:, 1] - grid.j0
-    stencil = np.empty((n, 5), dtype=np.int32)
-    stencil[:, 0] = imap[li - 1, lj]
-    stencil[:, 1] = imap[li, lj - 1]
-    stencil[:, 2] = np.arange(n)
-    stencil[:, 3] = imap[li, lj + 1]
-    stencil[:, 4] = imap[li + 1, lj]
+    width = grid.index_map.shape[1]
+    flat = (grid.active[:, 0] - grid.i0) * width + (grid.active[:, 1] - grid.j0)
+    # indexed through the transpose of a (5, n) array, so that each stencil
+    # column is contiguous
+    stencil = grid.index_map.ravel()[(np.array([-width, -1, 0, 1, width])[:, None] + flat).T]
     ok = stencil >= 0
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(ok.sum(axis=1), out=indptr[1:])
@@ -138,7 +136,8 @@ def assemble(grid: Grid2D) -> DiscreteOperator:
 
 
 def prolong(nodes: np.ndarray):
-    """Coarsen lattice nodes (n, d) to the lattice of twice the spacing.
+    """Coarsen distinct lattice nodes (n, d) to the lattice of twice the
+    spacing.
 
     Returns the all-even nodes, halved, and the multilinear interpolation P
     (CSC, int32 indices) onto ``nodes`` from them.  A node with m odd
@@ -147,32 +146,42 @@ def prolong(nodes: np.ndarray):
     the coarse nodes of a grid are the active nodes of the grid before it.
     CSC makes P.T a CSR view of P's arrays, so the restriction P^T r runs
     as a row-wise product with no copy of P.
+
+    P is built column by column, with no CSR intermediate: the fine rows
+    sit in a dense map over the nodes' bounding box, and column C holds the
+    fine nodes 2C + o, o in {-1, 0, 1}^d, with weight 2^-|o|_1, all read
+    in one gather at flat offsets.  Lexicographic nodes (every grid and
+    every coarse level) give ascending rows; other orders are sorted.
     """
     n, dim = nodes.shape
-    coarse = nodes[~(nodes & 1).any(axis=1)] >> 1
+    lattice = np.ascontiguousarray(nodes.T)
+    even = ~(lattice & 1).any(axis=0)
+    coarse = np.compress(even, nodes, axis=0) >> 1
     if len(coarse) == 0:
         return coarse, sp.csc_matrix((n, 0))
-    low = coarse.min(axis=0)
-    # coarse rows by lattice index, with a frame of -1 that catches every
-    # parent outside the coarse nodes' bounding box
-    rows = np.full(coarse.max(axis=0) - low + 3, -1, dtype=np.int32)
-    rows[tuple((coarse - low + 1).T)] = np.arange(len(coarse))
-    cols = np.empty((2**dim, n), dtype=np.int32)
-    # parents in lexicographic order, so the columns of a row stay ascending
-    for col, step in zip(cols, itertools.product((0, 1), repeat=dim)):
-        index = []
-        for lattice, lo, s, size in zip(nodes.T, low, step, rows.shape):
-            i = (lattice >> 1) + (s + 1 - lo)
-            if s:  # a step along an even index would repeat a parent
-                i[(lattice & 1) == 0] = 0
-            index.append(np.clip(i, 0, size - 1, out=i))
-        col[:] = rows[tuple(index)]
-    keep = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=0), out=indptr[1:])
-    data = np.repeat(np.ldexp(1.0, -(nodes & 1).sum(axis=1)), np.diff(indptr))
-    P = sp.csr_matrix((data, cols.T[keep.T], indptr), shape=(n, len(coarse)))
-    return coarse, P.tocsc()
+    # fine rows by flat lattice index, with a frame of -1 that catches every
+    # neighbor outside the nodes' bounding box
+    low = lattice.min(axis=1) - 1
+    rows = np.full(lattice.max(axis=1) - low + 2, -1, dtype=np.int32)
+    flat = np.ravel_multi_index(lattice - low[:, None], rows.shape)
+    strides = np.array(rows.strides) // rows.itemsize
+    rows = rows.ravel()
+    rows[flat] = np.arange(n, dtype=np.int32)
+    # offsets in lexicographic order, so the rows of a column stay ascending
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+    # indexed through the transpose of a (3^d, m) array, so that each
+    # offset's column is contiguous
+    hits = rows[((offsets @ strides)[:, None] + np.compress(even, flat)).T]
+    keep = hits >= 0
+    indptr = np.zeros(len(coarse) + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    data = np.broadcast_to(np.ldexp(1.0, -np.abs(offsets).sum(axis=1)), hits.shape)[keep]
+    P = sp.csc_matrix((data, hits[keep], indptr), shape=(n, len(coarse)))
+    if (np.diff(flat) > 0).all():  # lexicographic nodes: every column ascends
+        P.has_sorted_indices = True
+    else:
+        P.sort_indices()
+    return coarse, P
 
 
 # ---------------------------------------------------------------------------

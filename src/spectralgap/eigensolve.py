@@ -110,9 +110,13 @@ def _hierarchy(A, transfers):
     ``transfers`` (CSC), finest first, down to COARSEST unknowns.  Returns
     (levels, coarse_inverse); each level is (A, OMEGA / diag(A), P, the
     restriction R = P^T as a CSR view of P's arrays, and work vectors for
-    the residual and the coarse correction).
+    the residual and the coarse correction).  A level whose diagonal is not
+    positive is refused, the finest as a nonpositive operator diagonal.
     """
     levels = []
+    diagonal = A.diagonal()
+    if np.any(diagonal <= 0):
+        raise IndefiniteOperatorError("operator has nonpositive diagonal entries")
     for P in transfers:
         if A.shape[0] <= COARSEST:
             break
@@ -121,10 +125,11 @@ def _hierarchy(A, transfers):
         # memory peak
         coarse_A = R @ (A @ P)
         coarse_A.sort_indices()
-        levels.append((A, OMEGA / A.diagonal(), P, R, np.empty(P.shape[0]),
+        levels.append((A, OMEGA / diagonal, P, R, np.empty(P.shape[0]),
                        np.empty(P.shape[1])))
         A = coarse_A
-        if np.any(A.diagonal() <= 0):
+        diagonal = A.diagonal()
+        if np.any(diagonal <= 0):
             raise IndefiniteOperatorError("operator is not positive definite on a coarse level")
     try:
         inverse = np.linalg.inv(A.toarray())
@@ -212,8 +217,6 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     n = A.shape[0]
     if k > n:
         raise ValueError(f"requested {k} pairs from an operator of size {n}")
-    if np.any(A.diagonal() <= 0):
-        raise IndefiniteOperatorError("operator has nonpositive diagonal entries")
     nodes = getattr(operator, "nodes", None)
     nodes = np.arange(n)[:, None] if nodes is None else nodes
     if coarse is None:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import cli_env
-from spectralgap import cli
+from spectralgap import attainable, cli
 from spectralgap.discretize import build_grid
 from spectralgap.geometry import Ball
 
@@ -206,6 +206,22 @@ class TestSeed:
                        "--seed", "5", env_extra={"SPECTRALGAP_SEED": "77"})
         assert json.loads(proc.stdout)["seed"] == 5
 
+    @pytest.mark.parametrize("argv, env, source", [
+        (["--seed", "-1"], None, "--seed"),
+        ([], "-3", "SPECTRALGAP_SEED"),
+        ([], "x", "SPECTRALGAP_SEED"),
+    ])
+    def test_negative_seed_is_config_error(self, argv, env, source, monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("SPECTRALGAP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SPECTRALGAP_SEED", env)
+        assert cli.main(["eig", "--domain", "ball", "--h", "1/8,1/16", *argv]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)
+        assert captured.out == "" and error["kind"] == "config"
+        assert error["error"].startswith(f"{source} must be a non-negative integer")
+
     def test_determinism_across_runs(self):
         a = run_cli("eig", "--domain", "dumbbell", "--eps", "0.2", "--h", "1/8,1/16")
         b = run_cli("eig", "--domain", "dumbbell", "--eps", "0.2", "--h", "1/8,1/16")
@@ -291,7 +307,7 @@ class TestFlags:
         assert _parse_exit(["lemma1", "--eps-g", "0.1,0.2", "--form", "csv"], capsys) == 2
 
     @pytest.mark.parametrize("command", sorted(c for c, f in FLAGS.items() if "--tol" in f))
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_nonpositive_tol_rejected(self, command, tol, capsys):
         assert _parse_exit([command, *REQUIRED.get(command, []), "--tol", tol], capsys) == 2
 
@@ -340,6 +356,21 @@ class TestSettingChecks:
         error = json.loads(captured.err)
         assert error["kind"] == "config"
         assert error["error"].startswith(argv[-2] + ": ") and token in error["error"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--grid-check-eps", "nan"], 2),
+        (["ratio", "--with-grid", "--grid-eps-min", "nan"], 1),
+    ])
+    def test_nan_grid_eps_is_config_error(self, argv, code, monkeypatch, capsys):
+        # NaN compares false with every eps, so it would grid-solve them all
+        solved = []
+        monkeypatch.setattr(attainable, "solve_domain", lambda *a, **kw: solved.append(a))
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)
+        assert captured.out == "" and error["kind"] == "config"
+        assert error["error"] == f"{argv[-2]} must be a number, got nan"
+        assert solved == []
 
     def test_verify_dim3_is_planar_error(self, capsys):
         assert cli.main(["verify", "--dim", "3"]) == 2

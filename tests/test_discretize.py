@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -79,10 +81,12 @@ def _coo_assembled(grid):
 
 
 class TestAssemble:
-    @pytest.mark.parametrize("domain", [geo.Ball(), geo.Dumbbell(0.2), geo.two_balls(),
-                                        geo.Rectangle(2.0, 1.0)])
-    def test_csr_equals_coo_build(self, domain):
-        grid = d.build_grid(domain, 1 / 16)
+    @pytest.mark.parametrize("domain, h", [
+        (geo.Ball(), 1 / 16), (geo.Dumbbell(0.2), 1 / 16), (geo.two_balls(), 1 / 16),
+        (geo.Rectangle(2.0, 1.0), 1 / 16), (geo.Ball(), 0.03), (geo.HalfDumbbell(0.2), 1 / 16),
+    ], ids=["domain0", "domain1", "domain2", "domain3", "disc-0.03", "half_dumbbell"])
+    def test_csr_equals_coo_build(self, domain, h):
+        grid = d.build_grid(domain, h)
         op = d.assemble(grid)
         A, ref = op.matrix, _coo_assembled(grid)
         for name in ("indptr", "indices", "data"):
@@ -146,9 +150,85 @@ class TestAssemble:
         assert block_l == pytest.approx(block_r)
 
 
+def _csr_prolong(nodes):
+    """The interpolation built row by row, as a reference for the direct
+    column build: each node's parents from a map of the coarse nodes, in
+    lexicographic order, give the CSR rows, converted to CSC at the end."""
+    n, dim = nodes.shape
+    coarse = nodes[~(nodes & 1).any(axis=1)] >> 1
+    if len(coarse) == 0:
+        return coarse, sp.csc_matrix((n, 0))
+    low = coarse.min(axis=0)
+    rows = np.full(coarse.max(axis=0) - low + 3, -1, dtype=np.int32)
+    rows[tuple((coarse - low + 1).T)] = np.arange(len(coarse))
+    cols = np.empty((2**dim, n), dtype=np.int32)
+    for col, step in zip(cols, itertools.product((0, 1), repeat=dim)):
+        index = []
+        for lattice, lo, s, size in zip(nodes.T, low, step, rows.shape):
+            i = (lattice >> 1) + (s + 1 - lo)
+            if s:  # a step along an even index would repeat a parent
+                i[(lattice & 1) == 0] = 0
+            index.append(np.clip(i, 0, size - 1, out=i))
+        col[:] = rows[tuple(index)]
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=0), out=indptr[1:])
+    data = np.repeat(np.ldexp(1.0, -(nodes & 1).sum(axis=1)), np.diff(indptr))
+    P = sp.csr_matrix((data, cols.T[keep.T], indptr), shape=(n, len(coarse)))
+    return coarse, P.tocsc()
+
+
+def _assert_prolong_matches_csr_build(nodes):
+    """prolong(nodes) equals the reference array for array, dtypes included;
+    returns the coarse nodes."""
+    coarse, P = d.prolong(nodes)
+    want_coarse, want = _csr_prolong(nodes)
+    assert coarse.dtype == want_coarse.dtype and coarse.shape == want_coarse.shape
+    assert np.array_equal(coarse, want_coarse)
+    assert P.format == "csc" and P.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(P, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert P.has_sorted_indices
+    return coarse
+
+
 class TestProlong:
     """Coarse nodes and bilinear interpolation from the grid of twice the
     spacing."""
+
+    @pytest.mark.parametrize("domain, h", [
+        (geo.Ball(), 1 / 32), (geo.Ball(), 1 / 64), (geo.Ball(), 1 / 128),
+        (geo.Dumbbell(0.2), 1 / 64), (geo.two_balls(), 1 / 32), (geo.HalfDumbbell(0.2), 1 / 64),
+        (geo.Ellipse(1.5, 0.7), 0.02), (geo.Ball(), 0.03),
+    ])
+    def test_equals_csr_build_on_every_level(self, domain, h):
+        nodes = d.build_grid(domain, h).active
+        levels = 0
+        while len(nodes) > 1:
+            nodes = _assert_prolong_matches_csr_build(nodes)
+            levels += 1
+        assert levels >= 4
+
+    @pytest.mark.parametrize("domain, h", [(geo.Ball(), 1 / 32), (geo.Dumbbell(0.2), 1 / 16)])
+    def test_equals_csr_build_on_shuffled_nodes(self, domain, h):
+        nodes = d.build_grid(domain, h).active
+        shuffled = nodes[np.random.default_rng(3).permutation(len(nodes))]
+        _assert_prolong_matches_csr_build(shuffled)
+        _assert_prolong_matches_csr_build(shuffled[:, ::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
+    def test_equals_csr_build_on_a_1d_lattice(self, n):
+        nodes = np.arange(n)[:, None]  # the lattice of a bare matrix
+        while len(nodes) > 1:
+            nodes = _assert_prolong_matches_csr_build(nodes)
+        _assert_prolong_matches_csr_build(nodes)  # the one node 0 is its own parent
+        _assert_prolong_matches_csr_build(np.arange(-n, 2 * n, 3)[:, None])
+
+    def test_equals_csr_build_on_a_3d_lattice(self):
+        cube = np.array(list(itertools.product(range(-3, 6), repeat=3)))
+        nodes = cube[np.random.default_rng(5).random(len(cube)) < 0.7]
+        _assert_prolong_matches_csr_build(nodes)
 
     @staticmethod
     def _bilinear(xy):
@@ -208,8 +288,10 @@ class TestProlong:
             es.smallest_pairs(d.assemble(fine), coarse=far)
 
     def test_no_even_node_gives_no_coarse_node(self):
-        nodes, P = d.prolong(np.array([[1, 1], [1, 3], [3, 2]]))
+        odd = np.array([[1, 1], [1, 3], [3, 2]])
+        nodes, P = d.prolong(odd)
         assert nodes.shape == (0, 2) and P.shape == (3, 0)
+        _assert_prolong_matches_csr_build(odd)
 
 
 class TestExtrapolate:

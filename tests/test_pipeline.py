@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spectralgap import analytic
 from spectralgap import discretize as d
@@ -124,6 +125,22 @@ def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
     pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
     assert len(built) == len(set(built)) == builds
     assert passed[0] is None and all(a is b for a, b in zip(passed[1:], results))
+
+
+def test_disc_solve_converts_no_csr_matrix_to_csc(monkeypatch):
+    """Every interpolation is built straight into CSC and the Galerkin
+    products take CSR and CSC operands as they are, so a whole disc solve
+    never turns a CSR matrix into CSC."""
+    converted = []
+    tocsc = sp.csr_matrix.tocsc
+
+    def count(self, *args, **kwargs):
+        converted.append(self.shape)
+        return tocsc(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "tocsc", count)
+    result = pipeline.solve_domain(geo.Ball(), (1 / 32, 1 / 64, 1 / 128))
+    assert result.lambda_x[0] > 0 and converted == []
 
 
 def test_transfers_passed_finest_first(monkeypatch):
