@@ -105,6 +105,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _grid_eps_min(value: float, flag: str) -> float:
     """The smallest eps that is grid-solved; NaN would compare false and
     grid-solve every eps."""
@@ -419,7 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--h", default="1/32,1/64,1/128",
                            help="comma list of grid spacings in halving ratio")
         if grid and jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+            p.add_argument("--jobs", type=_positive_int, default=1,
+                           help="parallel sweep workers")
         p.set_defaults(func=func)
         return p
 

@@ -1,17 +1,20 @@
 """Two smallest eigenpairs of a sparse SPD operator by block LOBPCG.
 
 One block X of k vectors is improved by one Rayleigh-Ritz per iteration on
-span[X, W, P] (Knyazev, SIAM J. Sci. Comput. 23(2), 2001): W holds the
+span[X, P, W] (Knyazev, SIAM J. Sci. Comput. 23(2), 2001): W holds the
 preconditioned residuals M (A x - theta x) of the pairs not yet converged
-and P the last update directions.  W and P are projected off X and
-orthonormalized through their scaled Gram matrix, which drops nearly
-dependent directions (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput. 40(5),
-2018); that covers exactly converged, zero residuals.  A k x k Rayleigh-Ritz
-on the updated X (``_ritz``) keeps it orthonormal where span[X, W, P] is
-nearly rank-deficient; the A X it computes gives the Rayleigh quotients,
-the residuals and the X columns of the next Gram matrix, so A is applied
-once to every block vector.  The block resolves degenerate pairs such as
-two identical disjoint components.  Starting vectors come from a seeded
+and P the last update directions.  W is projected off X, and all of
+[X; P; W] is orthonormalized through its scaled Gram matrix, which drops
+nearly dependent directions (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput.
+40(5), 2018); that covers exactly converged, zero residuals and operators
+of size k.  A second buffer carries A times every block vector through the
+same coefficient updates, so A is applied once per new direction: k
+products per full iteration.  A k x k Rayleigh-Ritz on X alone (``_ritz``)
+runs at the start and again whenever the carried residuals say stop, so
+the returned values are the Rayleigh quotients of the returned orthonormal
+vectors and the residuals their true residuals; if that fresh check fails,
+the iteration goes on.  The block resolves degenerate pairs such as two
+identical disjoint components.  Starting vectors come from a seeded
 generator, so runs are bit-reproducible on one platform.
 
 The preconditioner M is one symmetric geometric-multigrid V-cycle
@@ -178,19 +181,35 @@ def _combine(C, Y, out):
         out[:, j: j + BLOCK] = C.T @ Y[:, j: j + BLOCK]
 
 
+def _project_off(X, W):
+    """Project the rows of W off the orthonormal rows of X in place, twice
+    (enough for orthogonality to working precision), one column block at a
+    time so that no temporary the size of W is made."""
+    for _ in range(2):
+        C = W @ X.T
+        for j in range(0, W.shape[1], BLOCK):
+            W[:, j: j + BLOCK] -= C @ X[:, j: j + BLOCK]
+
+
+def _rayleigh_ritz(Y, AY, k):
+    """The k smallest Ritz values of A on the span of the rows of Y, given
+    AY = A Y, ascending, and coefficients C such that the rows of C.T @ Y
+    are their orthonormal Ritz vectors."""
+    T = _orthonormal(Y)
+    G = T.T @ (Y @ AY.T) @ T
+    theta, U = np.linalg.eigh(0.5 * (G + G.T))
+    return theta[:k], T @ U[:, :k]
+
+
 def _ritz(A, X, AX):
     """Rayleigh-Ritz in place on the span of the rows of X, which become the
-    orthonormal Ritz vectors; returns the ascending Ritz values and leaves
-    the residuals A x - theta x as the rows of AX."""
-    T = _orthonormal(X)
+    orthonormal Ritz vectors, and A applied to each into the rows of AX;
+    returns the ascending Ritz values."""
     for x, ax in zip(X, AX):
         ax[:] = A @ x
-    G = T.T @ (X @ AX.T) @ T
-    theta, U = np.linalg.eigh(0.5 * (G + G.T))
-    C = T @ U
+    theta, C = _rayleigh_ritz(X, AX, len(X))
     _combine(C, X, X)
     _combine(C, AX, AX)
-    AX -= theta[:, None] * X
     return theta
 
 
@@ -200,9 +219,13 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     """Compute the k (= 1 or 2) smallest eigenpairs of an SPD operator.
 
     Accepts a DiscreteOperator, a scipy sparse matrix, or a dense array.
-    Runs block LOBPCG on k vectors for at most ``max_outer`` iterations.
+    Runs block LOBPCG on k vectors for at most ``max_outer`` iterations,
+    applying the operator once to each new preconditioned residual and
+    carrying its products with the other block vectors.
     Convergence requires, for every pair, both a relative eigenvalue change
-    below ``tol`` and an eigenresidual ||A v - lambda v|| <= tol * lambda.
+    below ``tol`` and an eigenresidual ||A v - lambda v|| <= tol * lambda;
+    when the carried residuals meet it, or the budget runs out, a
+    Rayleigh-Ritz on the block alone checks it afresh.
     Optional ``x0`` columns seed the iteration; otherwise the start is
     pseudo-random with the given seed.  Grid continuation passes instead
     ``coarse``, the result of the same domain on the grid of twice the
@@ -249,17 +272,30 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     if _orthonormal(X).shape[1] < k:
         raise ValueError("starting vectors are linearly dependent")
 
-    R = np.empty_like(X)  # residuals A x - theta x of the rows of X
-    theta = _ritz(A, X, R)
+    AS = np.empty_like(S)  # A times each row of S
+    AX = AS[:k]
+    theta = _ritz(A, X, AX)
+    fresh = True  # theta and AX come from a Rayleigh-Ritz on X alone
     p = 0
     previous = np.full(k, np.inf)
     inner = np.zeros(k, dtype=int)
     for iteration in range(max_outer + 1):
-        if theta[0] <= 0.0:
-            raise IndefiniteOperatorError(f"nonpositive Ritz value {theta[0]:.3e}")
-        residuals = np.linalg.norm(R, axis=1)
-        done = (np.abs(theta - previous) <= tol * theta) & (residuals <= tol * theta)
-        if done.all() or iteration == max_outer:
+        while True:
+            if theta[0] <= 0.0:
+                raise IndefiniteOperatorError(f"nonpositive Ritz value {theta[0]:.3e}")
+            # residuals A x - theta x of the rows of X, in the W slots of AS
+            R = AS[k + p: 2 * k + p]
+            np.multiply(theta[:, None], X, out=R)
+            np.subtract(AX, R, out=R)
+            residuals = np.sqrt(np.einsum("ij,ij->i", R, R))
+            done = (np.abs(theta - previous) <= tol * theta) & (residuals <= tol * theta)
+            stop = done.all() or iteration == max_outer
+            if fresh or not stop:
+                break
+            theta = _ritz(A, X, AX)
+            fresh = True
+        if stop:
+            del AS, AX, R  # released before the copy of X raises the memory peak
             result = EigenResult(values=theta, vectors=X.copy().T, residuals=residuals,
                                  iterations=(iteration,) * k, tol=tol,
                                  inner_iterations=tuple(int(i) for i in inner),
@@ -272,27 +308,19 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         # Rayleigh-Ritz on span[X, P, W]; converged pairs get no new direction
         active = np.flatnonzero(~done)
         inner[active] += 1
-        for row, i in zip(S[k + p:], active):
+        m = k + p + len(active)
+        W = S[k + p: m]
+        for row, i in zip(W, active):
             _vcycle(hierarchy, R[i], row)
-        basis = S[k: k + p + len(active)]
-        for _ in range(2):  # twice is enough for orthogonality to working precision
-            for row in basis:
-                row -= (X @ row) @ X
-        T = _orthonormal(basis)
-        m = k + T.shape[1]
-        _combine(T, basis, S[k:m])
-        # Gram matrix of A on S[:m]; its X columns come from A X = R + theta X,
-        # with S[:m] X^T = [I; 0]
-        gram = np.empty((m, m))
-        gram[:, :k] = S[:m] @ R.T
-        gram[:k, :k] += np.diag(theta)
-        for j in range(k, m):
-            gram[:, j] = S[:m] @ (A @ S[j])
-        _, C = np.linalg.eigh(0.5 * (gram + gram.T))
-        # new X = C[:, :k]^T S[:m] and P = C[k:m, :k]^T S[k:m] in one pass
+        _project_off(X, W)
+        for j, row in enumerate(W, start=k + p):
+            AS[j] = A @ row
+        values, C = _rayleigh_ritz(S[:m], AS[:m], k)
+        # new X = C^T S[:m] and P = C[k:]^T S[k:m] in one pass, and so for AS
         D = np.zeros((m, 2 * k))
-        D[:, :k], D[k:, k:] = C[:, :k], C[k:m, :k]
+        D[:, :k], D[k:, k:] = C, C[k:]
         _combine(D, S[:m], S[: 2 * k])
+        _combine(D, AS[:m], AS[: 2 * k])
+        fresh = False
         p = k
-        previous = theta
-        theta = _ritz(A, X, R)
+        previous, theta = theta, values

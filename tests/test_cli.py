@@ -311,6 +311,15 @@ class TestFlags:
     def test_nonpositive_tol_rejected(self, command, tol, capsys):
         assert _parse_exit([command, *REQUIRED.get(command, []), "--tol", tol], capsys) == 2
 
+    @pytest.mark.parametrize("argv", [["ratio", "--jobs", "0"],
+                                      ["verify", "--jobs", "0", "--no-grid-check"],
+                                      ["sweep", "--jobs", "-1"]])
+    def test_jobs_below_one_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_dim_4_rejected(self, command, capsys):
         assert _parse_exit([command, *REQUIRED.get(command, []), "--dim", "4"], capsys) == 2
