@@ -5,8 +5,8 @@ u(r) = c r^(-nu) J_nu(j1 r) with nu = N/2 - 1 and j1 the first positive zero
 of J_nu; its eigenvalue is j1^2.  The second eigenvalue is the square of the
 first zero of J_(nu+1).  Everything the ball spectra need is computed here,
 not tabulated: J_nu by its ascending series up to x = 8, where all those zeros
-lie (scipy's ``jv`` takes larger arguments); zeros by bracketing plus
-bisection and a Newton polish.
+lie (scipy's ``jv`` takes larger arguments); zeros by a sign-change scan and
+Newton's method kept inside the bracket.
 """
 
 import math
@@ -29,6 +29,8 @@ __all__ = [
 
 _SERIES_CUTOFF = 8.0
 _SERIES_TERMS = 32
+_SCAN_STEP = 0.1  # largest grid step of the zero scan
+_NEWTON_STEPS = 50
 
 
 class BracketError(RuntimeError):
@@ -107,45 +109,48 @@ def bessel_jp(nu: float, x):
 
 
 def bessel_zero(nu: float, k: int, max_arg: float = 200.0) -> float:
-    """k-th positive zero of J_nu by sign-change bracketing and bisection.
+    """k-th positive zero of J_nu by a sign-change scan and Newton's method.
 
-    A Newton polish with J_nu' finishes to ~1e-14 relative accuracy; a
-    bracket that cannot be found below ``max_arg`` raises BracketError.
+    J_nu is evaluated at once on a grid of step at most 0.1 from
+    max(0.05, nu) up to the series cutoff, and up to ``max_arg`` only when
+    the k-th sign change is not found there (``bessel_j`` then imports
+    scipy).  Newton steps with J_nu' start from the midpoint of the bracket
+    around that sign change and stay inside it, shrinking it as they go,
+    until a step falls below 1e-14 relative.  A bracket that cannot be
+    found below ``max_arg`` raises BracketError.
     """
     if k < 1:
         raise ValueError(f"zero index must be >= 1, got {k}")
     lo = max(0.05, nu)  # j_(nu,1) > nu
-    step = 0.1
-    a = lo
-    fa = bessel_j(nu, a)
-    found = 0
-    while a < max_arg:
-        b = a + step
-        fb = bessel_j(nu, b)
-        if fa * fb < 0 or fb == 0.0:
-            found += 1
-            if found == k:
-                break
-        a, fa = b, fb
+    tops = [_SERIES_CUTOFF] if lo < _SERIES_CUTOFF < max_arg else []
+    for top in tops + [max_arg]:
+        x = np.linspace(lo, top, max(2, math.ceil((top - lo) / _SCAN_STEP) + 1))
+        f = bessel_j(nu, x)
+        changes = np.flatnonzero((f[:-1] * f[1:] < 0) | (f[1:] == 0.0))
+        if len(changes) >= k:
+            break
     else:
-        raise BracketError(
-            f"could not bracket zero {k} of J_{nu} below x = {max_arg}"
-        )
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        fm = bessel_j(nu, m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-        if b - a < 1e-13 * b:
-            break
+        raise BracketError(f"could not bracket zero {k} of J_{nu} below x = {max_arg}")
+    i = changes[k - 1]
+    a, b = x[i], x[i + 1]
+    negative = f[i] < 0  # the sign of J_nu at a
     root = 0.5 * (a + b)
-    for _ in range(4):
-        dj = bessel_jp(nu, root)
-        if dj == 0:
+    for _ in range(_NEWTON_STEPS):
+        value = bessel_j(nu, root)
+        if value == 0.0:
             break
-        root -= bessel_j(nu, root) / dj
+        if (value < 0) == negative:
+            a = root
+        else:
+            b = root
+        slope = bessel_jp(nu, root)
+        new = 0.5 * (a + b)
+        if slope != 0.0 and a <= root - value / slope <= b:
+            new = root - value / slope
+        settled = abs(new - root) <= 1e-14 * root
+        root = new
+        if settled:
+            break
     return float(root)
 
 

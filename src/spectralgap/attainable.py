@@ -12,7 +12,6 @@ lambda2(two half balls) (that pair minimizes lambda2), and
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -175,6 +174,8 @@ def sweep(family: str, params, config: SweepConfig = SweepConfig()) -> list:
     tasks = [(family, float(p), config) for p in params]
     workers = min(config.jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_one_guarded, tasks))
     else:

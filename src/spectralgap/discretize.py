@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import bounding_box, contains
 
@@ -102,7 +101,7 @@ class DiscreteOperator:
     the lattice indices (i, j) of its rows, from which the eigensolver's
     multigrid preconditioner builds its coarse levels and interpolation."""
 
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
     nodes: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -119,6 +118,8 @@ def assemble(grid: Grid2D) -> DiscreteOperator:
     (i+1, j), already ascending in every row.  The CSR arrays are built
     straight from them; inactive neighbors are masked out.
     """
+    import scipy.sparse as sp  # here, so that commands without grids never load it
+
     n = grid.n
     h2 = grid.h * grid.h
     width = grid.index_map.shape[1]
@@ -153,6 +154,8 @@ def prolong(nodes: np.ndarray):
     in one gather at flat offsets.  Lexicographic nodes (every grid and
     every coarse level) give ascending rows; other orders are sorted.
     """
+    import scipy.sparse as sp
+
     n, dim = nodes.shape
     lattice = np.ascontiguousarray(nodes.T)
     even = ~(lattice & 1).any(axis=0)

@@ -13,9 +13,14 @@ products per full iteration.  A k x k Rayleigh-Ritz on X alone (``_ritz``)
 runs at the start and again whenever the carried residuals say stop, so
 the returned values are the Rayleigh quotients of the returned orthonormal
 vectors and the residuals their true residuals; if that fresh check fails,
-the iteration goes on.  The block resolves degenerate pairs such as two
-identical disjoint components.  Starting vectors come from a seeded
-generator, so runs are bit-reproducible on one platform.
+the iteration goes on.  A caller that needs only the eigenvalues, and the
+vectors as a start, stops on Temple's estimate instead of the residual
+(``values_only``; Temple, Proc. R. Soc. A 119, 1928; Parlett, The Symmetric
+Eigenvalue Problem, ch. 10): theta - lambda <= ||r||^2 / gap, the gap taken
+from the other Ritz values of the last Rayleigh-Ritz on [X; P; W].  The
+block resolves degenerate pairs such as two identical disjoint components.
+Starting vectors come from a seeded generator, so runs are bit-reproducible
+on one platform.
 
 The preconditioner M is one symmetric geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), built once per call
@@ -36,7 +41,6 @@ kappa(MA) stays near 1.8 as h shrinks, and so do the block iterations.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretize import prolong
 
@@ -54,6 +58,7 @@ COARSEST = 100  # unknowns at or below which a level is inverted densely
 OMEGA = 2.0 / 3.0  # damped-Jacobi weight of the smoothing sweeps
 DEPENDENT = 1e-10  # relative Gram eigenvalue below which a direction is dropped
 BLOCK = 8192  # columns per block when the block vectors are recombined
+CLUSTER = 1e-3  # relative separation within which Ritz values form one cluster
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -87,6 +92,8 @@ class EigenResult:
 
 
 def _as_csr(operator):
+    import scipy.sparse as sp
+
     matrix = getattr(operator, "matrix", operator)
     if sp.issparse(matrix):
         return matrix.tocsr()
@@ -192,13 +199,13 @@ def _project_off(X, W):
 
 
 def _rayleigh_ritz(Y, AY, k):
-    """The k smallest Ritz values of A on the span of the rows of Y, given
-    AY = A Y, ascending, and coefficients C such that the rows of C.T @ Y
-    are their orthonormal Ritz vectors."""
+    """All Ritz values of A on the span of the rows of Y, given AY = A Y,
+    ascending, and coefficients C such that the rows of C.T @ Y are the
+    orthonormal Ritz vectors of the k smallest."""
     T = _orthonormal(Y)
     G = T.T @ (Y @ AY.T) @ T
     theta, U = np.linalg.eigh(0.5 * (G + G.T))
-    return theta[:k], T @ U[:, :k]
+    return theta, T @ U[:, :k]
 
 
 def _ritz(A, X, AX):
@@ -213,9 +220,19 @@ def _ritz(A, X, AX):
     return theta
 
 
+def _gaps(theta, others):
+    """Distance from each Ritz value theta_i to the nearest of theta and
+    ``others`` outside its cluster (the values within CLUSTER relative),
+    capped at theta_i."""
+    distance = np.abs(np.concatenate([theta, others])[None, :] - theta[:, None])
+    distance[distance <= CLUSTER * theta[:, None]] = np.inf
+    return np.minimum(distance.min(axis=1), theta)
+
+
 def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = None,
                    x0: np.ndarray | None = None, max_outer: int = 200,
-                   coarse: EigenResult | None = None) -> EigenResult:
+                   coarse: EigenResult | None = None, *,
+                   values_only: bool = False) -> EigenResult:
     """Compute the k (= 1 or 2) smallest eigenpairs of an SPD operator.
 
     Accepts a DiscreteOperator, a scipy sparse matrix, or a dense array.
@@ -225,7 +242,14 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     Convergence requires, for every pair, both a relative eigenvalue change
     below ``tol`` and an eigenresidual ||A v - lambda v|| <= tol * lambda;
     when the carried residuals meet it, or the budget runs out, a
-    Rayleigh-Ritz on the block alone checks it afresh.
+    Rayleigh-Ritz on the block alone checks it afresh.  With
+    ``values_only``, once a Rayleigh-Ritz on [X; P; W] has run, the
+    residual need only meet Temple's estimate ||r||^2 <= tol * lambda * gap:
+    the gap is the distance to the nearest other Ritz value of that
+    Rayleigh-Ritz, its (k+1)-th included, outside the pair's cluster (the
+    values within CLUSTER relative), and at most lambda.  It is an estimate,
+    not an enclosure, as the Ritz values above the block lie above the
+    eigenvalues they approximate.
     Optional ``x0`` columns seed the iteration; otherwise the start is
     pseudo-random with the given seed.  Grid continuation passes instead
     ``coarse``, the result of the same domain on the grid of twice the
@@ -278,6 +302,7 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     fresh = True  # theta and AX come from a Rayleigh-Ritz on X alone
     p = 0
     previous = np.full(k, np.inf)
+    upper = None  # the Ritz values above X of the last Rayleigh-Ritz on [X; P; W]
     inner = np.zeros(k, dtype=int)
     for iteration in range(max_outer + 1):
         while True:
@@ -288,7 +313,12 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
             np.multiply(theta[:, None], X, out=R)
             np.subtract(AX, R, out=R)
             residuals = np.sqrt(np.einsum("ij,ij->i", R, R))
-            done = (np.abs(theta - previous) <= tol * theta) & (residuals <= tol * theta)
+            if values_only and upper is not None:
+                # Temple: theta - lambda <= ||r||^2 / gap
+                small = residuals**2 <= tol * theta * _gaps(theta, upper)
+            else:
+                small = residuals <= tol * theta
+            done = (np.abs(theta - previous) <= tol * theta) & small
             stop = done.all() or iteration == max_outer
             if fresh or not stop:
                 break
@@ -316,6 +346,7 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         for j, row in enumerate(W, start=k + p):
             AS[j] = A @ row
         values, C = _rayleigh_ritz(S[:m], AS[:m], k)
+        upper = values[k:]
         # new X = C^T S[:m] and P = C[k:]^T S[k:m] in one pass, and so for AS
         D = np.zeros((m, 2 * k))
         D[:, :k], D[k:, k:] = C, C[k:]
@@ -323,4 +354,4 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         _combine(D, AS[:m], AS[: 2 * k])
         fresh = False
         p = k
-        previous, theta = theta, values
+        previous, theta = theta, values[:k]

@@ -3,6 +3,10 @@ Richardson-extrapolate with a fitted order, and normalize to unit measure.
 
 Spacings are made exact halves of the coarsest, and each level's eigensolve
 continues from the result of the one before (``smallest_pairs(coarse=)``).
+The fit needs only the eigenvalues of a coarser level, and the next level
+its vectors as a start, so every level but the finest stops on Temple's
+eigenvalue-error estimate (``values_only=True``); the finest, whose vectors
+are returned, stops on its residual ||A v - lambda v|| <= tol * lambda.
 The per-eigenvalue error budget sums the extrapolation correction and the
 solver tolerance; without a fitted order (two levels, a non-monotone
 sequence, or an order outside ``discretize.ORDER_BAND``) the value is the
@@ -85,7 +89,9 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
 
     ``h_list`` must halve from level to level to within 1e-12 relative,
     in any order; the levels are solved at exact halves of the largest
-    spacing.  Returns the full level data plus normalized values for the
+    spacing.  Every level but the finest stops on Temple's estimate, so
+    only the finest level's residuals are at most ``tol`` times its values.
+    Returns the full level data plus normalized values for the
     unit-measure copy of the domain.
     """
     hs = halving_levels(h_list)
@@ -97,7 +103,7 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
             raise discretize.GridError(f"{grid.n} active node(s) at spacing h = {h} in "
                                        f"{domain!r}, fewer than the {k} pairs requested")
         result = eigensolve.smallest_pairs(discretize.assemble(grid), k=k, tol=tol, seed=seed,
-                                           coarse=result)
+                                           coarse=result, values_only=h > hs[-1])
         levels.append(LevelSolve(h=h, n=grid.n, values=result.values,
                                  residuals=result.residuals, iterations=result.iterations,
                                  inner_iterations=result.inner_iterations))

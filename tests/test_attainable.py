@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import math
@@ -19,8 +20,9 @@ def bound_only_records():
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the requested worker
-    count and maps in this process."""
+    """Stands in for ProcessPoolExecutor, which ``sweep`` imports from
+    ``concurrent.futures`` when it starts a pool: records the requested
+    worker count and maps in this process."""
 
     started = []
 
@@ -78,7 +80,7 @@ class TestSweep:
             assert a == b
 
     def test_pool_capped_at_task_count(self, monkeypatch):
-        monkeypatch.setattr(at, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "started", [])
         config = at.SweepConfig(grid_eps_min=math.inf, jobs=12)
         records = at.sweep("dumbbell", [0.2, 0.1], config)
@@ -87,7 +89,7 @@ class TestSweep:
         assert records == serial
 
     def test_single_parameter_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(at, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "started", [])
         config = at.SweepConfig(grid_eps_min=math.inf, jobs=4)
         records = at.sweep("dumbbell", [0.1], config)

@@ -35,12 +35,15 @@ class TestEig:
         levels = doc["levels"]
         assert [lv["h"] for lv in levels] == doc["h"]
         assert [lv["n"] for lv in levels] == [build_grid(Ball(), h).n for h in doc["h"]]
-        for lv, lam1, lam2 in zip(levels, doc["lambda1"]["raw"], doc["lambda2"]["raw"]):
+        for lv in levels:
             assert len(lv["iterations"]) == len(lv["inner_iterations"]) == 2
             assert all(0 < inner <= outer
                        for inner, outer in zip(lv["inner_iterations"], lv["iterations"]))
-            assert all(0 <= r <= doc["tol"] * lam
-                       for r, lam in zip(lv["residuals"], (lam1, lam2)))
+            assert all(r >= 0 for r in lv["residuals"])
+        # only the finest level stops on the residual; the coarser ones on
+        # their Temple estimate
+        finest = (doc["lambda1"]["raw"][-1], doc["lambda2"]["raw"][-1])
+        assert all(r <= doc["tol"] * lam for r, lam in zip(levels[-1]["residuals"], finest))
         assert levels[-1]["iterations"] == doc["iterations"]
         assert levels[-1]["residuals"] == doc["residuals"]
 

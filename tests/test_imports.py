@@ -2,9 +2,12 @@
 every name a module imports is used in that module or re-exported through
 its ``__all__``, and every name in its ``__all__`` is bound at its top
 level.  The package ``__init__`` exists to re-export, so it is not checked.
-The unused-import guard also runs over the test modules.  A last guard
-keeps ``scipy.special`` out of the commands: importing it costs about 0.06 s,
-so ``bessel_j`` loads it only for arguments above its series cutoff."""
+The unused-import guard also runs over the test modules.  The last guards
+keep modules out of the commands that do not need them: ``scipy.special``
+costs about 0.06 s to import, so ``bessel_j`` loads it only for arguments
+above its series cutoff; ``scipy.sparse`` costs about 0.3 s, so only the
+functions that build matrices load it, and the commands without grids never
+do; nor do they load the process pool, which only a parallel sweep starts."""
 
 import ast
 import subprocess
@@ -94,5 +97,26 @@ assert "scipy.special" in sys.modules
 def test_commands_leave_scipy_special_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SPECIAL], capture_output=True,
                           text=True, env=cli_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").exists() and (tmp_path / "curve.csv").exists()
+
+
+LAZY_GRID = """
+import sys
+from spectralgap import cli
+
+for argv in (["lemma1", "--eps", "0.05"],
+             ["lemma2", "--dim", "3", "--eps", "0.05"],
+             ["ratio", "--eps-grid", "0.05,0.1"],
+             ["verify", "--no-grid-check", "--out", "report.json", "--data-out", "curve.csv"]):
+    assert cli.main(argv) == 0, argv
+loaded = [m for m in ("scipy.sparse", "concurrent.futures.process") if m in sys.modules]
+assert loaded == [], loaded
+"""
+
+
+def test_commands_without_grids_leave_scipy_sparse_unimported(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", LAZY_GRID], capture_output=True, text=True,
+                          env=cli_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.json").exists() and (tmp_path / "curve.csv").exists()

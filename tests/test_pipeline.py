@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spectralgap import analytic
 from spectralgap import discretize as d
@@ -18,7 +19,7 @@ def _scripted(monkeypatch, levels):
     """Make solve_domain see the given per-level eigenvalue pairs."""
     script = iter(levels)
 
-    def fake(op, k, tol, seed, coarse):
+    def fake(op, k, tol, seed, coarse, values_only):
         return es.EigenResult(values=np.array(next(script)), vectors=np.ones((op.n, k)),
                               residuals=np.zeros(k), iterations=(1,) * k, tol=tol)
 
@@ -71,15 +72,33 @@ class TestWrappedDumbbell:
         assert np.array_equal(scaled.lambda_norm, plain.lambda_norm)
 
 
+def _exact_values(domain, pairs):
+    """Eigenvalues ``pairs`` (1-based) of the unit disc, j01^2 and j11^2, of
+    two unit discs, j01^2 twice, or of a w x h rectangle, the smallest
+    pi^2 (m^2 / w^2 + n^2 / h^2)."""
+    if isinstance(domain, geo.Rectangle):
+        values = sorted(math.pi**2 * ((m / domain.width) ** 2 + (n / domain.height) ** 2)
+                        for m in range(1, 4) for n in range(1, 4))
+    else:
+        spectrum = analytic.ball_spectrum(2)
+        values = (spectrum.lambda1, spectrum.lambda2)
+    return np.array([values[p - 1] for p in pairs])
+
+
 @pytest.mark.parametrize("h_list", [(1 / 16, 1 / 32, 1 / 64), (1 / 32, 1 / 64, 1 / 128)])
-@pytest.mark.parametrize("domain, pairs", [(geo.Ball(), (1, 2)), (geo.two_balls(), (1, 1))])
+@pytest.mark.parametrize("domain, pairs", [
+    (geo.Ball(), (1, 2)), (geo.two_balls(), (1, 1)),
+    (geo.Rectangle(1.0, 1.0), (1, 2)), (geo.Rectangle(2.0, 1.0), (1, 2)),
+    (geo.Rectangle(3.0, 1.0), (1, 2)),
+])
 def test_error_budget_covers_exact_values(domain, pairs, h_list):
-    """|lambda_x - lambda| <= error_est_raw against the Bessel values: the
-    unit disc has j01^2 and j11^2, two unit discs j01^2 twice."""
-    spectrum = analytic.ball_spectrum(2)
-    exact = np.array([(spectrum.lambda1, spectrum.lambda2)[p - 1] for p in pairs])
+    """|lambda_x - lambda| <= error_est_raw against the exact values.  The
+    rectangles' sides lie on lattice lines, so their grid values converge
+    with the stencil's own order 2."""
     solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
-    assert (np.abs(solve.lambda_x - exact) <= solve.error_est_raw).all()
+    assert (np.abs(solve.lambda_x - _exact_values(domain, pairs)) <= solve.error_est_raw).all()
+    if isinstance(domain, geo.Rectangle):
+        assert all(1.9 <= order <= 2.1 for order in solve.orders)
 
 
 def test_fewer_active_nodes_than_pairs():
@@ -189,11 +208,45 @@ def test_h_list_rejects_nonpositive_and_nonfinite(h_list):
 
 
 @pytest.mark.parametrize("domain, h_list, iterations", [
-    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), (12, 8, 8)),
-    (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), (11, 8, 8)),
+    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), (7, 4, 8)),
+    (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), (8, 5, 8)),
 ])
 def test_block_iterations_per_level(domain, h_list, iterations):
     solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
     assert tuple(lv.iterations for lv in solve.levels) == tuple((i, i) for i in iterations)
     for lv in solve.levels:
         assert all(0 < inner <= outer for inner, outer in zip(lv.inner_iterations, lv.iterations))
+
+
+@pytest.mark.parametrize("domain, h_list, k", [
+    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), 2),
+    (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), 2),
+    (geo.Dumbbell(0.05), (1 / 16, 1 / 32, 1 / 64), 2),
+    (geo.two_balls(), (1 / 16, 1 / 32, 1 / 64), 2),
+    (geo.HalfDumbbell(0.1), (1 / 32, 1 / 64, 1 / 128), 1),
+    (geo.Rectangle(3.0, 1.0), (1 / 16, 1 / 32, 1 / 64), 2),
+])
+def test_coarser_levels_stop_within_the_true_temple_bound(domain, h_list, k, monkeypatch):
+    """Every level but the finest stops on a Temple estimate whose gap comes
+    from the Ritz values; with the true gap from shift-invert Lanczos, to the
+    nearest eigenvalue above the pair's cluster, the Temple bound
+    ||r||^2 / gap on theta - lambda is within tol * theta there too.  The
+    finest level stops on ||r|| <= tol * theta."""
+    stops = []
+    solve = es.smallest_pairs
+
+    def record(op, **kwargs):
+        stops.append((op, kwargs["values_only"], solve(op, **kwargs)))
+        return stops[-1][-1]
+
+    monkeypatch.setattr(es, "smallest_pairs", record)
+    pipeline.solve_domain(domain, h_list, tol=TOL, seed=1, k=k)
+    assert [values_only for _, values_only, _ in stops] == [True] * (len(h_list) - 1) + [False]
+    *coarser, (_, _, finest) = stops
+    assert (finest.residuals <= TOL * finest.values).all()
+    for op, _, res in coarser:
+        exact = np.sort(spla.eigsh(op.matrix, k=k + 3, sigma=0.0, return_eigenvectors=False))
+        for theta, residual, lam in zip(res.values, res.residuals, exact):
+            gap = exact[exact > theta * (1.0 + es.CLUSTER)][0] - theta
+            assert residual**2 / gap <= TOL * theta
+            assert abs(theta - lam) <= TOL * theta
