@@ -19,8 +19,7 @@ from .discretize import (
 from .eigensolve import EigenResult, smallest_pairs
 from .geometry import (
     Ball, DisjointUnion, Dumbbell, Ellipse, HalfDumbbell, Rectangle, Scaled,
-    contains, domain_from_dict, domain_to_dict, measure, normalization,
-    two_balls,
+    contains, domain_from_dict, domain_to_dict, normalization, two_balls,
 )
 from .pipeline import DomainSolve, solve_domain
 from .testfn import (

@@ -29,6 +29,7 @@ import sys
 
 from . import asymptotics, attainable, testfn
 from .analytic import ball_spectrum, theta_spectrum
+from .attainable import _fmt
 from .eigensolve import DEFAULT_SEED
 from .geometry import (
     Ball, Dumbbell, HalfDumbbell, Rectangle, domain_from_dict, domain_to_dict, two_balls,
@@ -45,10 +46,6 @@ EXIT_CONFIG = 2
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x) -> str:
-    return f"{x:.12g}"
 
 
 def _jsonable(obj):
@@ -302,7 +299,7 @@ def _ratio_rows(bound, grid):
 
 def _ratio_csv(rows) -> str:
     lines = ["eps,bound_ratio,grid_ratio"]
-    lines += [f"{_fmt(e)},{_fmt(rb)},{'' if rg is None else _fmt(rg)}" for e, rb, rg in rows]
+    lines += [f"{_fmt(e)},{_fmt(rb)},{_fmt(rg)}" for e, rb, rg in rows]
     return "\n".join(lines) + "\n"
 
 

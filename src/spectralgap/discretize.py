@@ -4,9 +4,8 @@ Nodes live on the integer lattice i*h (planar domains only); a node is active
 when it lies strictly inside the domain.  The stencil row of an active node
 carries 4/h^2 on the diagonal and -1/h^2 for each active lattice neighbor;
 neighbors outside the domain contribute nothing, which imposes u = 0 there.
-Dumbbell grids keep their junction-disk nodes (interior-of-closure
-membership), also inside scaled copies and unions, so the discrete domain
-stays connected.
+A dumbbell contains its open junction disk, so its grid keeps the
+junction nodes, also inside scaled copies and unions, and stays connected.
 
 Masked boundaries degrade the formal O(h^2) convergence of the stencil, so
 eigenvalues are Richardson-extrapolated with an order fitted from three grid
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import bounding_box, contains
+from .geometry import contains
 
 __all__ = [
     "GridError",
@@ -65,14 +64,14 @@ class Grid2D:
 def build_grid(domain, h: float) -> Grid2D:
     """Enumerate active lattice nodes of a planar domain at spacing h.
 
-    The bounding box is padded by 2h; dumbbell junction nodes are kept (see
-    module docstring).  Raises GridError when nothing is active.
+    The domain's box is padded by 2h, and every node that ``contains``
+    accepts is active.  Raises GridError when nothing is active.
     """
     if domain.dim != 2:
         raise ValueError(f"grids are planar only, domain has dim {domain.dim}")
     if h <= 0:
         raise ValueError(f"grid spacing must be > 0, got {h}")
-    lo, hi = bounding_box(domain)
+    lo, hi = domain.box()
     i_lo = int(np.floor(lo[0] / h)) - 2
     i_hi = int(np.ceil(hi[0] / h)) + 2
     j_lo = int(np.floor(lo[1] / h)) - 2
@@ -81,7 +80,7 @@ def build_grid(domain, h: float) -> Grid2D:
     jj = np.arange(j_lo, j_hi + 1)
     gi, gj = np.meshgrid(ii, jj, indexing="ij")
     pts = np.column_stack([gi.ravel() * h, gj.ravel() * h])
-    mask = contains(domain, pts, include_junction=True).reshape(gi.shape)
+    mask = contains(domain, pts).reshape(gi.shape)
     count = int(mask.sum())
     if count == 0:
         raise GridError(

@@ -59,6 +59,7 @@ OMEGA = 2.0 / 3.0  # damped-Jacobi weight of the smoothing sweeps
 DEPENDENT = 1e-10  # relative Gram eigenvalue below which a direction is dropped
 BLOCK = 8192  # columns per block when the block vectors are recombined
 CLUSTER = 1e-3  # relative separation within which Ritz values form one cluster
+MAX_OUTER = 200  # block iterations before ConvergenceError
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -230,13 +231,12 @@ def _gaps(theta, others):
 
 
 def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = None,
-                   x0: np.ndarray | None = None, max_outer: int = 200,
                    coarse: EigenResult | None = None, *,
                    values_only: bool = False) -> EigenResult:
     """Compute the k (= 1 or 2) smallest eigenpairs of an SPD operator.
 
     Accepts a DiscreteOperator, a scipy sparse matrix, or a dense array.
-    Runs block LOBPCG on k vectors for at most ``max_outer`` iterations,
+    Runs block LOBPCG on k vectors for at most MAX_OUTER iterations,
     applying the operator once to each new preconditioned residual and
     carrying its products with the other block vectors.
     Convergence requires, for every pair, both a relative eigenvalue change
@@ -250,11 +250,11 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     values within CLUSTER relative), and at most lambda.  It is an estimate,
     not an enclosure, as the Ritz values above the block lie above the
     eigenvalues they approximate.
-    Optional ``x0`` columns seed the iteration; otherwise the start is
-    pseudo-random with the given seed.  Grid continuation passes instead
-    ``coarse``, the result of the same domain on the grid of twice the
-    spacing: the start is its vectors interpolated onto the rows, and the
-    V-cycle reuses its transfers below the one new level.  Returned values
+    The start is pseudo-random with the given seed, unless grid
+    continuation passes ``coarse``, the result of the same domain on the
+    grid of twice the spacing: the start is then its vectors interpolated
+    onto the rows, and the V-cycle reuses its transfers below the one new
+    level.  Returned values
     are the Rayleigh quotients of the returned orthonormal vectors, and the
     residuals their true residuals.
     """
@@ -266,33 +266,26 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
         raise ValueError(f"requested {k} pairs from an operator of size {n}")
     nodes = getattr(operator, "nodes", None)
     nodes = np.arange(n)[:, None] if nodes is None else nodes
+    start = None
     if coarse is None:
         transfers = _transfers(nodes)
-    elif x0 is not None:
-        raise ValueError("pass starting vectors x0 or a coarse result, not both")
     else:
         P = prolong(nodes)[1]
         if P.shape[1] != len(coarse.vectors):
             raise ValueError(f"the coarse result has {len(coarse.vectors)} rows, but the "
                              f"operator's lattice coarsens to {P.shape[1]} nodes")
         transfers = [P, *coarse.transfers]
-        x0 = P @ coarse.vectors
+        start = P @ coarse.vectors
     hierarchy = _hierarchy(A, transfers)
     # block vectors as rows: X = S[:k], then p update directions P, then the
     # preconditioned residuals W
     S = np.empty((3 * k, n))
     X = S[:k]
-    start = 0
-    if x0 is not None:
-        x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-        if x0.shape[0] == n:
-            x0 = x0.T
-        start = len(x0)
-        X[:start] = x0
-        del x0  # a caller that keeps no reference frees the columns here
-    if start < k:
+    if start is None:
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-        X[start:] = rng.standard_normal((n, k)).T[start:]
+        start = rng.standard_normal((n, k))
+    X[:] = start.T
+    del start  # freed before the solve's own buffers grow
     if _orthonormal(X).shape[1] < k:
         raise ValueError("starting vectors are linearly dependent")
 
@@ -304,7 +297,7 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     previous = np.full(k, np.inf)
     upper = None  # the Ritz values above X of the last Rayleigh-Ritz on [X; P; W]
     inner = np.zeros(k, dtype=int)
-    for iteration in range(max_outer + 1):
+    for iteration in range(MAX_OUTER + 1):
         while True:
             if theta[0] <= 0.0:
                 raise IndefiniteOperatorError(f"nonpositive Ritz value {theta[0]:.3e}")
@@ -319,7 +312,7 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
             else:
                 small = residuals <= tol * theta
             done = (np.abs(theta - previous) <= tol * theta) & small
-            stop = done.all() or iteration == max_outer
+            stop = done.all() or iteration == MAX_OUTER
             if fresh or not stop:
                 break
             theta = _ritz(A, X, AX)
@@ -333,7 +326,7 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
             if done.all():
                 return result
             raise ConvergenceError(
-                f"eigenpairs not converged after {max_outer} iterations (residuals "
+                f"eigenpairs not converged after {MAX_OUTER} iterations (residuals "
                 f"{residuals.max():.3e}, tol {tol * theta.max():.3e})", result=result)
         # Rayleigh-Ritz on span[X, P, W]; converged pairs get no new direction
         active = np.flatnonzero(~done)

@@ -62,6 +62,22 @@ class TestEig:
         assert proc.stdout == ""
         assert "error" in proc.stderr
 
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "ball", "N": 2, "params": []}',
+        '{"kind": "ball", "N": 2, "params": {"center": 5}}',
+        '{"kind": "disjoint_union", "N": 2, "params": {"parts": 5}}',
+        '{"kind": "ball", "N": 2, "params": {"radius": null}}',
+        '{"kind": "scaled", "N": 3, "params": {"factor": 1, "inner": {"kind": "ball", "N": 2}}}',
+    ], ids=["params_list", "center_int", "parts_int", "radius_null", "n_mismatch"])
+    def test_malformed_document_is_json_error(self, spec):
+        proc = run_cli("eig", "--domain", spec, "--h", "1/8,1/16")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)
+        assert error["kind"] == "ValueError"
+        assert error["error"].startswith("malformed domain document: ")
+
     def test_dumbbell_needs_eps(self):
         proc = run_cli("eig", "--domain", "dumbbell", "--h", CHEAP_H)
         assert proc.returncode != 0

@@ -35,7 +35,7 @@ class TestBuildGrid:
     def test_nodes_inside_domain(self):
         domain = geo.Dumbbell(0.2)
         grid = d.build_grid(domain, 1 / 16)
-        inside = geo.contains(domain, grid.coords(), include_junction=True)
+        inside = geo.contains(domain, grid.coords())
         assert inside.all()
 
     def test_lexicographic_order(self):

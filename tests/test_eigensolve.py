@@ -1,7 +1,6 @@
 import itertools
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -89,11 +88,12 @@ class TestSmallestPairs:
         with pytest.raises(es.IndefiniteOperatorError):
             es.smallest_pairs(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
-    def test_nonconvergence_reports_best_iterate(self, disc_op):
+    def test_nonconvergence_reports_best_iterate(self, disc_op, monkeypatch):
         """The attached result has the Rayleigh quotients and true residuals
         of its vectors, not the values carried through the iteration."""
+        monkeypatch.setattr(es, "MAX_OUTER", 2)
         with pytest.raises(es.ConvergenceError) as err:
-            es.smallest_pairs(disc_op, tol=1e-12, max_outer=2)
+            es.smallest_pairs(disc_op, tol=1e-12)
         res = err.value.result
         assert res is not None and res.values[0] > 0 and res.iterations == (2, 2)
         V = res.vectors
@@ -102,12 +102,17 @@ class TestSmallestPairs:
         true = np.linalg.norm(AV - V * res.values, axis=0)
         assert res.residuals == pytest.approx(true, rel=1e-6, abs=0)
 
-    def test_exact_start_has_zero_residual(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = es.smallest_pairs(np.diag([1.0, 2.0, 3.0, 4.0]), x0=np.eye(4)[:, :2])
-        assert np.array_equal(res.values, [1.0, 2.0])
-        assert np.array_equal(res.residuals, [0.0, 0.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_orthonormal_drops_a_zero_row(self):
+        """A converged pair's zero residual is a zero row of the block: it
+        is dropped without a division by zero, and the rest comes out
+        orthonormal."""
+        Y = np.array([[3.0, 0.0, 4.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]])
+        T = es._orthonormal(Y)
+        assert T.shape == (3, 2)
+        assert np.array_equal(T[1], [0.0, 0.0])
+        Q = T.T @ Y
+        assert Q @ Q.T == pytest.approx(np.eye(2), abs=1e-14)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -423,12 +428,6 @@ class TestTransfers:
         coarse_n = d.build_grid(geo.Ball(), 1 / 16).n
         with pytest.raises(ValueError, match=f"has {op.n} rows.* to {coarse_n} nodes"):
             es.smallest_pairs(op, coarse=other)
-
-    def test_x0_and_coarse_rejected_together(self):
-        op = d.assemble(d.build_grid(geo.Ball(), 1 / 16))
-        coarse = es.smallest_pairs(d.assemble(d.build_grid(geo.Ball(), 1 / 8)), seed=1)
-        with pytest.raises(ValueError, match="not both"):
-            es.smallest_pairs(op, x0=np.ones((op.n, 2)), coarse=coarse)
 
 
 class _CountingMatrix(sp.csr_matrix):
