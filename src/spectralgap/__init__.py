@@ -12,10 +12,7 @@ from .asymptotics import SlopeFit, fit_slope, ratio_curve, verify_theorem
 from .attainable import (
     SweepConfig, SweepRecord, default_sweep, records_to_csv, region_check, sweep,
 )
-from .discretize import (
-    DiscreteOperator, Grid2D, assemble, build_grid, extrapolate,
-    extrapolate_three, fit_order,
-)
+from .discretize import DiscreteOperator, Grid2D, assemble, build_grid, extrapolate
 from .eigensolve import EigenResult, smallest_pairs
 from .geometry import (
     Ball, DisjointUnion, Dumbbell, Ellipse, HalfDumbbell, Rectangle, Scaled,

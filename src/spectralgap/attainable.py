@@ -112,12 +112,8 @@ def _family_domain(family: str, param: float, dim: int):
             Ball(center=(half, 0.0), radius=param),
         ))
     if family == "rectangles":
-        if param <= 0:
-            raise ValueError(f"aspect ratio must be > 0, got {param}")
         return Rectangle(width=param, height=1.0)
     if family == "ellipses":
-        if param <= 0:
-            raise ValueError(f"aspect ratio must be > 0, got {param}")
         return Ellipse(semi_x=param, semi_y=1.0)
     raise ValueError(f"unknown sweep family {family!r}")
 

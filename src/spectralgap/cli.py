@@ -421,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=_positive_float, default=1e-6,
                            help="eigenvalue tolerance")
             p.add_argument("--h", default="1/32,1/64,1/128",
-                           help="comma list of grid spacings in halving ratio")
+                           help="comma list of two or more grid spacings in halving ratio")
         if grid and jobs:
             p.add_argument("--jobs", type=_positive_int, default=1,
                            help="parallel sweep workers")

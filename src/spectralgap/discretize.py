@@ -8,8 +8,9 @@ A dumbbell contains its open junction disk, so its grid keeps the
 junction nodes, also inside scaled copies and unions, and stays connected.
 
 Masked boundaries degrade the formal O(h^2) convergence of the stencil, so
-eigenvalues are Richardson-extrapolated with an order fitted from three grid
-levels instead of an assumed exponent, accepted only inside ORDER_BAND.
+``extrapolate`` Richardson-extrapolates eigenvalues with an order fitted
+from three grid levels instead of an assumed exponent, accepted only inside
+ORDER_BAND, and gives each value its error budget.
 """
 
 import itertools
@@ -23,13 +24,11 @@ __all__ = [
     "GridError",
     "Grid2D",
     "DiscreteOperator",
-    "ExtrapolationResult",
+    "Extrapolation",
     "build_grid",
     "assemble",
     "prolong",
     "extrapolate",
-    "extrapolate_three",
-    "fit_order",
 ]
 
 
@@ -194,42 +193,48 @@ ORDER_BAND = (0.5, 2.5)  # fitted orders accepted; 1 / (2^p - 1) blows up as p -
 
 
 @dataclass(frozen=True)
-class ExtrapolationResult:
-    """Extrapolated value with the fitted order; ``monotone=False`` flags a
-    level sequence that is not monotone or whose fitted order lies outside
-    ORDER_BAND, for which the finest value is returned unextrapolated."""
+class Extrapolation:
+    """A grid eigenvalue's extrapolated value, the order it used (None when
+    three levels gave none), whether that order was fitted, and its budget."""
 
     value: float
     order: float | None
-    monotone: bool
+    fitted: bool
+    error_est: float
 
 
-def extrapolate(lambda_h: float, lambda_h2: float, order: float = 2.0) -> float:
-    """Two-level Richardson step for spacings in exact ratio 2:
+def extrapolate(values, tol: float) -> Extrapolation:
+    """Richardson extrapolation of one eigenvalue at halving spacings.
 
-    lambda* ~= lambda_(h/2) + (lambda_(h/2) - lambda_h) / (2^p - 1).
+    ``values`` are the level values coarse to fine, at least two of them.
+    With the last level change ``change``, the value is
+    fine + change / (2^p - 1).  Three or more levels fit p = log2(before /
+    change) from the last three, ``before`` being the change one level up;
+    the order is fitted when the three move the same way with p inside
+    ORDER_BAND, or when they are equal.  A non-monotone sequence or an order
+    outside the band leaves the finest value unextrapolated.  Two levels
+    assume p = 1, which is not a fitted order.
+
+    The error budget sums the extrapolation correction |value - fine| and
+    the solver tolerance tol * |value|.  Without a fitted order the
+    correction is at least |change|, so the budget does not collapse when
+    the extrapolation fails.  One level has no honest budget and raises
+    ValueError.
     """
-    if order <= 0:
-        raise ValueError(f"extrapolation order must be > 0, got {order}")
-    return lambda_h2 + (lambda_h2 - lambda_h) / (2.0**order - 1.0)
-
-
-def fit_order(lambda_h: float, lambda_h2: float, lambda_h4: float):
-    """Observed convergence order log2 of successive-difference ratio, or
-    None when the sequence is not monotone."""
-    d1 = lambda_h - lambda_h2
-    d2 = lambda_h2 - lambda_h4
-    if d1 * d2 <= 0:
-        return None
-    return float(np.log2(d1 / d2))
-
-
-def extrapolate_three(lambda_h: float, lambda_h2: float, lambda_h4: float) -> ExtrapolationResult:
-    """Richardson extrapolation of the finest pair with the order fitted
-    from three levels at spacings h, h/2, h/4."""
-    if lambda_h == lambda_h2 == lambda_h4:
-        return ExtrapolationResult(value=lambda_h4, order=None, monotone=True)
-    p = fit_order(lambda_h, lambda_h2, lambda_h4)
-    if p is None or not ORDER_BAND[0] <= p <= ORDER_BAND[1]:
-        return ExtrapolationResult(value=lambda_h4, order=p, monotone=False)
-    return ExtrapolationResult(value=extrapolate(lambda_h2, lambda_h4, p), order=p, monotone=True)
+    if len(values) < 2:
+        raise ValueError(f"extrapolation needs at least two grid levels, got {len(values)}")
+    fine = values[-1]
+    change = fine - values[-2]
+    if len(values) == 2:
+        order, fitted, value = 1.0, False, fine + change
+    else:
+        before = values[-2] - values[-3]
+        order = None if before * change <= 0 else float(np.log2(before / change))
+        in_band = order is not None and ORDER_BAND[0] <= order <= ORDER_BAND[1]
+        value = fine + change / (2.0**order - 1.0) if in_band else fine
+        fitted = in_band or before == change == 0.0
+    correction = abs(value - fine)
+    if not fitted:
+        correction = max(correction, abs(change))
+    return Extrapolation(value=value, order=order, fitted=fitted,
+                         error_est=correction + tol * abs(value))

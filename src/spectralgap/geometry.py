@@ -72,12 +72,15 @@ class Ball(Domain):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.radius <= 0:
-            raise ValueError(f"ball radius must be > 0, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
         center = (0.0,) * self.dim if self.center is None else self.center
         if len(center) != self.dim:
             raise ValueError(f"center has {len(center)} coordinates, dim is {self.dim}")
-        object.__setattr__(self, "center", tuple(float(c) for c in center))
+        center = tuple(float(c) for c in center)
+        if not all(map(math.isfinite, center)):
+            raise ValueError(f"ball center must be finite, got {center}")
+        object.__setattr__(self, "center", center)
 
     def inside(self, pts):
         d = pts - np.asarray(self.center, dtype=float)
@@ -166,8 +169,8 @@ class Scaled(Domain):
     def __post_init__(self):
         object.__setattr__(self, "dim", self.inner.dim)
         super().__post_init__()
-        if self.factor <= 0:
-            raise ValueError(f"scale factor must be > 0, got {self.factor}")
+        if not 0 < self.factor < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {self.factor}")
 
     def inside(self, pts):
         return self.inner.inside(pts / self.factor)
@@ -237,8 +240,9 @@ class Rectangle(Domain):
         super().__post_init__()
         if self.dim != 2:
             raise ValueError("rectangles are planar (dim = 2)")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("rectangle sides must be > 0")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"rectangle sides must be positive and finite, "
+                             f"got {self.width} x {self.height}")
 
     def inside(self, pts):
         return (np.abs(pts[:, 0]) < 0.5 * self.width) & (np.abs(pts[:, 1]) < 0.5 * self.height)
@@ -264,8 +268,9 @@ class Ellipse(Domain):
         super().__post_init__()
         if self.dim != 2:
             raise ValueError("ellipses are planar (dim = 2)")
-        if self.semi_x <= 0 or self.semi_y <= 0:
-            raise ValueError("ellipse semi-axes must be > 0")
+        if not (0 < self.semi_x < math.inf and 0 < self.semi_y < math.inf):
+            raise ValueError(f"ellipse semi-axes must be positive and finite, "
+                             f"got {self.semi_x} and {self.semi_y}")
 
     def inside(self, pts):
         return (pts[:, 0] / self.semi_x) ** 2 + (pts[:, 1] / self.semi_y) ** 2 < 1.0
@@ -358,10 +363,12 @@ def domain_to_dict(domain) -> dict:
 
 def domain_from_dict(doc: dict):
     """Build a domain from its JSON document, filling defaults.  A document
-    of the wrong shape, or whose N is not the built domain's dimension,
-    raises ValueError."""
+    of the wrong shape, whose N is not an integer, or whose N is not the
+    built domain's dimension, raises ValueError."""
     try:
-        kind, dim, params = doc["kind"], int(doc["N"]), doc.get("params", {})
+        kind, dim, params = doc["kind"], doc["N"], doc.get("params", {})
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"N must be an integer, got {dim!r}")
         build = {
             "ball": lambda: Ball(center=tuple(params.get("center", (0.0,) * dim)),
                                  radius=float(params.get("radius", 1.0)), dim=dim),

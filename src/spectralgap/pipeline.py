@@ -7,11 +7,8 @@ The fit needs only the eigenvalues of a coarser level, and the next level
 its vectors as a start, so every level but the finest stops on Temple's
 eigenvalue-error estimate (``values_only=True``); the finest, whose vectors
 are returned, stops on its residual ||A v - lambda v|| <= tol * lambda.
-The per-eigenvalue error budget sums the extrapolation correction and the
-solver tolerance; without a fitted order (two levels, a non-monotone
-sequence, or an order outside ``discretize.ORDER_BAND``) the value is the
-finest one and the correction at least the change between the two finest
-levels.  Callers add their own quadrature budgets where relevant.
+``discretize.extrapolate`` turns each eigenvalue's levels into a value and
+its error budget.  Callers add their own quadrature budgets where relevant.
 """
 
 import math
@@ -39,10 +36,9 @@ class LevelSolve:
 class DomainSolve:
     """Raw, extrapolated, and measure-normalized eigenvalue estimates.
 
-    ``error_est_raw`` budgets the unnormalized extrapolated values (the
-    extrapolation correction magnitude, at least the last level change when
-    no order could be fitted, plus the solver tolerance);
-    ``error_est`` is the same budget carried through the normalization.
+    ``orders``, ``fitted`` and ``error_est_raw`` come from
+    ``discretize.extrapolate`` on the unnormalized values; ``error_est`` is
+    the same budget carried through the normalization.
     """
 
     domain: object
@@ -50,7 +46,7 @@ class DomainSolve:
     levels: tuple
     lambda_x: np.ndarray
     orders: tuple
-    monotone: tuple
+    fitted: tuple
     measure: float
     t_factor: float
     lambda_norm: np.ndarray
@@ -67,14 +63,15 @@ class DomainSolve:
 def halving_levels(h_list) -> list:
     """The grid spacings, largest first, as exact halves of the largest.
 
-    Raises ValueError unless every spacing is positive and finite and
-    consecutive spacings halve to within 1e-12 relative, in any order.
+    Raises ValueError unless every spacing is positive and finite, there are
+    at least two (one level has no honest error budget), and consecutive
+    spacings halve to within 1e-12 relative, in any order.
     """
     hs = sorted((float(h) for h in h_list), reverse=True)
-    if not hs:
-        raise ValueError("need at least one grid spacing")
     if not all(0.0 < h < math.inf for h in hs):
         raise ValueError(f"grid spacings must be positive and finite: got {hs}")
+    if len(hs) < 2:
+        raise ValueError(f"need at least two grid spacings: got {hs}")
     for a, b in zip(hs, hs[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ValueError(f"grid levels must halve: got spacings {hs}")
@@ -108,33 +105,10 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
                                  residuals=result.residuals, iterations=result.iterations,
                                  inner_iterations=result.inner_iterations))
 
-    lambda_x = np.empty(k)
-    error_est_raw = np.empty(k)
-    orders = []
-    monotone = []
-    for i in range(k):
-        vals = [float(lv.values[i]) for lv in levels]
-        fitted = False
-        if len(vals) >= 3:
-            ext = discretize.extrapolate_three(vals[-3], vals[-2], vals[-1])
-            lambda_x[i] = ext.value
-            orders.append(ext.order)
-            monotone.append(ext.monotone)
-            fitted = ext.monotone
-        elif len(vals) == 2:
-            lambda_x[i] = discretize.extrapolate(vals[0], vals[1], order=1.0)
-            orders.append(1.0)
-            monotone.append(True)
-        else:
-            lambda_x[i] = vals[0]
-            orders.append(None)
-            monotone.append(True)
-        # without a fitted order the last level change is the smallest honest
-        # error budget: it must not collapse when the extrapolation fails
-        correction = abs(lambda_x[i] - vals[-1])
-        if not fitted and len(vals) >= 2:
-            correction = max(correction, abs(vals[-1] - vals[-2]))
-        error_est_raw[i] = correction + tol * abs(lambda_x[i])
+    fits = [discretize.extrapolate([float(lv.values[i]) for lv in levels], tol)
+            for i in range(k)]
+    lambda_x = np.array([fit.value for fit in fits])
+    error_est_raw = np.array([fit.error_est for fit in fits])
 
     vol, t, norm_factor = normalization(domain)
     return DomainSolve(
@@ -142,8 +116,8 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
         h_list=tuple(hs),
         levels=tuple(levels),
         lambda_x=lambda_x,
-        orders=tuple(orders),
-        monotone=tuple(monotone),
+        orders=tuple(fit.order for fit in fits),
+        fitted=tuple(fit.fitted for fit in fits),
         measure=vol,
         t_factor=t,
         lambda_norm=lambda_x * norm_factor,

@@ -261,10 +261,6 @@ class Lemma1Bound:
     quotient: float
     deficit: float
     error_est: float
-    cap_value: float
-    cap_grad: float
-    cone_mixed: float
-    cone_value: float
 
 
 @dataclass(frozen=True)
@@ -277,8 +273,6 @@ class Lemma2Bound:
     quotient: float
     excess: float
     error_est: float
-    cap_value: float
-    cap_grad: float
 
 
 def lemma1_rayleigh(epsilon: float, dim: int = 2) -> Lemma1Bound:
@@ -296,11 +290,8 @@ def lemma1_rayleigh(epsilon: float, dim: int = 2) -> Lemma1Bound:
     deficit = (cap_g - cone_m - lam * (cap_v - cone_v)) / den
     quotient = lam - deficit
     err = (cap_err[1] + cone_err[0] + lam * (cap_err[0] + cone_err[1])) / den * 2.0
-    return Lemma1Bound(
-        epsilon=epsilon, dim=dim, quotient=float(quotient), deficit=float(deficit),
-        error_est=float(err), cap_value=float(cap_v), cap_grad=float(cap_g),
-        cone_mixed=float(cone_m), cone_value=float(cone_v),
-    )
+    return Lemma1Bound(epsilon=epsilon, dim=dim, quotient=float(quotient),
+                       deficit=float(deficit), error_est=float(err))
 
 
 def lemma2_rayleigh(epsilon: float, dim: int = 2) -> Lemma2Bound:
@@ -319,10 +310,8 @@ def lemma2_rayleigh(epsilon: float, dim: int = 2) -> Lemma2Bound:
     quotient = lam + excess
     err = (cap_err[1] + slab_err[0] + (slab_err[1] + 2.0 * slab_err[2]) * inv2
            + lam * (cap_err[0] + slab_err[3])) / den * 2.0
-    return Lemma2Bound(
-        epsilon=epsilon, dim=dim, quotient=float(quotient), excess=float(excess),
-        error_est=float(err), cap_value=float(cap_v), cap_grad=float(cap_g),
-    )
+    return Lemma2Bound(epsilon=epsilon, dim=dim, quotient=float(quotient),
+                       excess=float(excess), error_est=float(err))
 
 
 # ---------------------------------------------------------------------------

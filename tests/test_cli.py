@@ -12,6 +12,7 @@ from spectralgap.geometry import Ball
 
 CLI = [sys.executable, "-m", "spectralgap.cli"]
 CHEAP_H = "1/8,1/16,1/32"
+MALFORMED = "malformed domain document: "
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -62,21 +63,38 @@ class TestEig:
         assert proc.stdout == ""
         assert "error" in proc.stderr
 
-    @pytest.mark.parametrize("spec", [
-        '{"kind": "ball", "N": 2, "params": []}',
-        '{"kind": "ball", "N": 2, "params": {"center": 5}}',
-        '{"kind": "disjoint_union", "N": 2, "params": {"parts": 5}}',
-        '{"kind": "ball", "N": 2, "params": {"radius": null}}',
-        '{"kind": "scaled", "N": 3, "params": {"factor": 1, "inner": {"kind": "ball", "N": 2}}}',
-    ], ids=["params_list", "center_int", "parts_int", "radius_null", "n_mismatch"])
-    def test_malformed_document_is_json_error(self, spec):
+    @pytest.mark.parametrize("spec, message", [
+        ('{"kind": "ball", "N": 2, "params": []}', MALFORMED),
+        ('{"kind": "ball", "N": 2, "params": {"center": 5}}', MALFORMED),
+        ('{"kind": "disjoint_union", "N": 2, "params": {"parts": 5}}', MALFORMED),
+        ('{"kind": "ball", "N": 2, "params": {"radius": null}}', MALFORMED),
+        ('{"kind": "scaled", "N": 3, "params": {"factor": 1, "inner": {"kind": "ball", "N": 2}}}',
+         MALFORMED),
+        ('{"kind": "ball", "N": 2.7}', MALFORMED),
+        ('{"kind": "ball", "N": "2"}', MALFORMED),
+        ('{"kind": "ball", "N": 2, "params": {"radius": NaN}}', "ball radius must be positive"),
+        ('{"kind": "ball", "N": 2, "params": {"radius": Infinity}}',
+         "ball radius must be positive"),
+        ('{"kind": "ball", "N": 2, "params": {"center": [NaN, 0]}}', "ball center must be finite"),
+        ('{"kind": "two_balls", "N": 2, "params": {"separation": NaN}}',
+         "ball center must be finite"),
+        ('{"kind": "rectangle", "N": 2, "params": {"width": NaN, "height": 1}}',
+         "rectangle sides must be positive"),
+        ('{"kind": "ellipse", "N": 2, "params": {"semi_x": 1, "semi_y": NaN}}',
+         "ellipse semi-axes must be positive"),
+        ('{"kind": "scaled", "N": 2, "params": {"inner": {"kind": "ball", "N": 2}, "factor": NaN}}',
+         "scale factor must be positive"),
+    ], ids=["params_list", "center_int", "parts_int", "radius_null", "n_mismatch", "n_float",
+            "n_string", "radius_nan", "radius_inf", "center_nan", "separation_nan", "width_nan",
+            "semi_y_nan", "factor_nan"])
+    def test_malformed_document_is_json_error(self, spec, message):
         proc = run_cli("eig", "--domain", spec, "--h", "1/8,1/16")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         error = json.loads(proc.stderr)
         assert error["kind"] == "ValueError"
-        assert error["error"].startswith("malformed domain document: ")
+        assert error["error"].startswith(message)
 
     def test_dumbbell_needs_eps(self):
         proc = run_cli("eig", "--domain", "dumbbell", "--h", CHEAP_H)
@@ -365,6 +383,8 @@ class TestSettingChecks:
         (["eig", "--domain", "ball", "--h", "1/2/3"], 1),
         (["eig", "--domain", "ball", "--h", "a/b"], 1),
         (["verify", "--h", "1/16,x"], 2),
+        (["eig", "--domain", "ball", "--h", "0.1"], 1),
+        (["verify", "--h", "1/16"], 2),
     ])
     def test_bad_h_is_config_error(self, argv, code, capsys):
         assert cli.main(argv) == code

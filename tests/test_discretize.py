@@ -294,30 +294,45 @@ class TestProlong:
         _assert_prolong_matches_csr_build(odd)
 
 
+POWER_2 = [5.0 + 2.3 * h**2 for h in (0.1, 0.05, 0.025)]
+POWER_13 = [1.0 + 0.5 * h**1.3 for h in (0.2, 0.1, 0.05)]
+
+
+# level values coarse to fine -> value, order, fitted, and the correction
+# that the budget adds to tol * |value|
+@pytest.mark.parametrize("values, value, order, fitted, correction", [
+    pytest.param(POWER_2, 5.0, 2.0, True, 2.3 * 0.025**2, id="power_law_order_2"),
+    pytest.param(POWER_13, 1.0, 1.3, True, 0.5 * 0.05**1.3, id="power_law_order_1.3"),
+    # turns back on the finest level: the finest value, budgeted by the last change
+    pytest.param((1.0, 1.2, 1.1), 1.1, None, False, 0.1, id="non_monotone"),
+    # raw lambda1 of Dumbbell(0.3) at h = 1/64, 1/128, 1/256 fits order 0.03,
+    # where 1 / (2^p - 1) would add 0.85 to the finest value
+    pytest.param((4.0860, 4.1028, 4.1193), 4.1193, 0.026, False, 0.0165,
+                 id="dumbbell_0.3_order_below_band"),
+    pytest.param((3.7, 3.7, 3.7), 3.7, None, True, 0.0, id="three_equal"),
+    # an assumed order 1 is not a fitted one: the correction is at least the change
+    pytest.param((5.0, 5.1), 5.2, 1.0, False, 0.1, id="two_levels"),
+    pytest.param((-1.0, *POWER_2), 5.0, 2.0, True, 2.3 * 0.025**2, id="four_levels_last_three"),
+])
+def test_extrapolate(values, value, order, fitted, correction):
+    tol = 1e-6
+    fit = d.extrapolate(values, tol)
+    assert fit.value == pytest.approx(value, abs=1e-12)
+    assert fit.order is None if order is None else fit.order == pytest.approx(order, abs=1e-4)
+    assert fit.fitted is fitted
+    assert fit.error_est == pytest.approx(correction + tol * abs(value), rel=1e-9)
+
+
+def test_extrapolate_refuses_one_level():
+    with pytest.raises(ValueError, match="at least two grid levels"):
+        d.extrapolate([5.0], 1e-6)
+
+
 class TestExtrapolate:
-    def test_equal_values_fixed_point(self):
-        assert d.extrapolate(3.7, 3.7, order=2.0) == 3.7
-
-    def test_exact_power_law(self):
-        lam_star, c = 5.0, 2.3
-        vals = [lam_star + c * h**2 for h in (0.1, 0.05, 0.025)]
-        res = d.extrapolate_three(*vals)
-        assert res.value == pytest.approx(lam_star, abs=1e-12)
-        assert res.order == pytest.approx(2.0, abs=1e-9)
-        assert res.monotone
-
-    def test_fit_order_fractional(self):
-        vals = [1.0 + 0.5 * h**1.3 for h in (0.2, 0.1, 0.05)]
-        assert d.fit_order(*vals) == pytest.approx(1.3, abs=1e-9)
-
     def test_non_monotone_flagged(self):
-        res = d.extrapolate_three(1.0, 1.2, 1.1)
-        assert not res.monotone
-        assert res.value == 1.1  # falls back to the finest value
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            d.extrapolate(1.0, 2.0, order=0.0)
+        fit = d.extrapolate((1.0, 1.2, 1.1), 1e-6)
+        assert not fit.fitted
+        assert fit.value == 1.1  # falls back to the finest value
 
 
 class TestDiscMonotonicity:

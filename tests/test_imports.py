@@ -1,7 +1,8 @@
 """Import and export guards for the modules under ``src/spectralgap``:
 every name a module imports is used in that module or re-exported through
 its ``__all__``, and every name in its ``__all__`` is bound at its top
-level.  The package ``__init__`` exists to re-export, so it is not checked.
+level.  The package ``__init__`` exists to re-export, so it is checked the
+other way: every name it imports is in its source module's ``__all__``.
 The unused-import guard also runs over the test modules.  The last guards
 keep modules out of the commands that do not need them: ``scipy.special``
 costs about 0.06 s to import, so ``bessel_j`` loads it only for arguments
@@ -76,6 +77,18 @@ def test_guard_flags_a_stale_export():
     tree = ast.parse("from math import pi\nX, Y = 1, 2\ndef f(): pass\nclass C: pass\n"
                      "__all__ = ['pi', 'X', 'Y', 'f', 'C', 'gone']\n")
     assert _undefined_exports(tree) == ["gone"]
+
+
+def test_package_imports_only_exported_names():
+    # a name dropped from a module's __all__ must leave the package surface too
+    init = ast.parse((SRC_DIR / "spectralgap" / "__init__.py").read_text())
+    stray = []
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            source = ast.parse((SRC_DIR / "spectralgap" / f"{node.module}.py").read_text())
+            stray += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name not in _exports(source)]
+    assert stray == []
 
 
 LAZY_SCIPY_SPECIAL = """

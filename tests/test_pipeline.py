@@ -15,6 +15,15 @@ from spectralgap import pipeline
 TOL = 1e-6
 
 
+def test_two_levels_are_unfitted():
+    # each eigenvalue's value, order, flag and budget come from extrapolate
+    solve = pipeline.solve_domain(geo.Ball(), (1 / 8, 1 / 16), tol=TOL, seed=1)
+    fits = [d.extrapolate(solve.raw(i), TOL) for i in range(2)]
+    assert solve.orders == (1.0, 1.0) and solve.fitted == (False, False)
+    assert solve.lambda_x.tolist() == [fit.value for fit in fits]
+    assert solve.error_est_raw.tolist() == [fit.error_est for fit in fits]
+
+
 def _scripted(monkeypatch, levels):
     """Make solve_domain see the given per-level eigenvalue pairs."""
     script = iter(levels)
@@ -33,7 +42,7 @@ class TestErrorBudget:
         # lambda1 turns back on the finest level; lambda2 follows 10 + 3h^2
         _scripted(monkeypatch, [(5.0, 10.1875), (5.2, 10.046875), (5.1, 10.01171875)])
         solve = pipeline.solve_domain(geo.Ball(), self.H, tol=TOL)
-        assert solve.monotone == (False, True)
+        assert solve.fitted == (False, True)
         assert solve.lambda_x[0] == 5.1
         assert solve.error_est_raw[0] >= abs(5.1 - 5.2)
         assert solve.error_est[0] >= abs(5.1 - 5.2) * (solve.measure / np.pi)
@@ -42,23 +51,6 @@ class TestErrorBudget:
         correction = abs(solve.lambda_x[1] - 10.01171875)
         assert solve.error_est_raw[1] == pytest.approx(correction + TOL * solve.lambda_x[1])
         assert solve.error_est_raw[1] < abs(10.01171875 - 10.046875)
-
-    def test_order_outside_band_takes_unfitted_path(self, monkeypatch):
-        # raw lambda1 of Dumbbell(0.3) at h = 1/64, 1/128, 1/256 fits order
-        # 0.03, where 1 / (2^p - 1) would add 0.85 to the finest value
-        _scripted(monkeypatch, [(4.0860, 10.1875), (4.1028, 10.046875), (4.1193, 10.01171875)])
-        solve = pipeline.solve_domain(geo.Ball(), self.H, tol=TOL)
-        assert solve.orders[0] < d.ORDER_BAND[0] <= solve.orders[1]
-        assert solve.monotone == (False, True)
-        assert solve.lambda_x[0] == 4.1193
-        assert 4.1193 - 4.1028 <= solve.error_est_raw[0] <= 0.02
-
-    def test_two_levels_at_least_last_change(self, monkeypatch):
-        _scripted(monkeypatch, [(5.0, 10.2), (5.1, 10.05)])
-        solve = pipeline.solve_domain(geo.Ball(), self.H[1:], tol=TOL)
-        assert (solve.error_est_raw >= [0.1, 0.15]).all()
-        assert solve.lambda_x[0] - solve.error_est_raw[0] <= 5.1 <= (
-            solve.lambda_x[0] + solve.error_est_raw[0])
 
 
 class TestWrappedDumbbell:
