@@ -22,6 +22,7 @@ __all__ = [
     "bessel_j",
     "bessel_jp",
     "bessel_zero",
+    "ZERO_RTOL",
     "ball_spectrum",
     "theta_spectrum",
     "rescale_eigenvalue",
@@ -31,6 +32,8 @@ _SERIES_CUTOFF = 8.0
 _SERIES_TERMS = 32
 _SCAN_STEP = 0.1  # largest grid step of the zero scan
 _NEWTON_STEPS = 50
+# bessel_zero stops once a Newton step is at most this fraction of the root
+ZERO_RTOL = 1e-14
 
 
 class BracketError(RuntimeError):
@@ -116,7 +119,7 @@ def bessel_zero(nu: float, k: int, max_arg: float = 200.0) -> float:
     the k-th sign change is not found there (``bessel_j`` then imports
     scipy).  Newton steps with J_nu' start from the midpoint of the bracket
     around that sign change and stay inside it, shrinking it as they go,
-    until a step falls below 1e-14 relative.  A bracket that cannot be
+    until a step falls below ``ZERO_RTOL`` relative.  A bracket that cannot be
     found below ``max_arg`` raises BracketError.
     """
     if k < 1:
@@ -147,7 +150,7 @@ def bessel_zero(nu: float, k: int, max_arg: float = 200.0) -> float:
         new = 0.5 * (a + b)
         if slope != 0.0 and a <= root - value / slope <= b:
             new = root - value / slope
-        settled = abs(new - root) <= 1e-14 * root
+        settled = abs(new - root) <= ZERO_RTOL * root
         root = new
         if settled:
             break

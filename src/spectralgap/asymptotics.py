@@ -135,25 +135,8 @@ class TheoremVerdict:
     passed: bool
     checks: tuple
     ratio_bound: tuple
-    ratio_grid: tuple = ()
-    fit: SlopeFit | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "checks": [
-                {"name": c.name, "pass": c.passed, "detail": c.detail} for c in self.checks
-            ],
-            "ratio_bound": [[e, r] for e, r in self.ratio_bound],
-            "ratio_grid": [[e, r] for e, r in self.ratio_grid],
-            "fit": None if self.fit is None else {
-                "exponent": self.fit.exponent,
-                "prefactor": self.fit.prefactor,
-                "r_squared": self.fit.r_squared,
-                "window": list(self.fit.window),
-                "n_points": self.fit.n_points,
-            },
-        }
+    ratio_grid: tuple
+    fit: SlopeFit
 
 
 def verify_theorem(records, dim: int = 2) -> TheoremVerdict:

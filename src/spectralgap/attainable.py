@@ -9,9 +9,6 @@ lambda2(two half balls) (that pair minimizes lambda2), and
 1 <= lambda2/lambda1 <= lambda2(ball)/lambda1(ball).
 """
 
-import csv
-import io
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,11 +24,9 @@ __all__ = [
     "RegionReport",
     "DEFAULT_EPS_GRID",
     "DEFAULT_FAMILIES",
-    "CSV_HEADER",
     "sweep",
     "default_sweep",
     "region_check",
-    "records_to_csv",
 ]
 
 # half-decade (factor sqrt(2)) grid from 5e-3 to 0.2; rates are fitted on
@@ -46,10 +41,6 @@ DEFAULT_FAMILIES = {
     "ellipses": (1.5, 2.0),
     "dumbbell": DEFAULT_EPS_GRID,
 }
-
-CSV_HEADER = ("family,param,h_list,lambda1_raw,lambda2_raw,lambda1_x,lambda2_x,"
-              "measure,t,lambda1_norm,lambda2_norm,bound1,bound2,err,failure")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -152,8 +143,9 @@ def _solve_one_guarded(args):
     family, param, config = args
     try:
         return _solve_one(family, param, config)
-    except Exception as exc:  # record inline, sweep continues
-        return SweepRecord(family=family, param=param, failure=f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # record inline, sweep continues; no values, no budget
+        return SweepRecord(family=family, param=param, error_est=float("nan"),
+                           failure=f"{type(exc).__name__}: {exc}")
 
 
 def sweep(family: str, params, config: SweepConfig = SweepConfig()) -> list:
@@ -242,34 +234,3 @@ def region_check(record: SweepRecord, dim: int = 2) -> RegionReport:
         tolerance=tol,
     )
 
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (tuple, list)):
-        return ";".join(_fmt(v) for v in x)
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return f"{x:.12g}"
-
-
-def records_to_csv(records: list) -> str:
-    """Render records in the fixed sweep schema with 12 significant digits.
-
-    ``failure`` is empty for a successful record and otherwise holds its
-    error message, quoted when it contains a comma, quote or line break.
-    """
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for r in records:
-        writer.writerow([r.family, _fmt(r.param), _fmt(r.h_list), _fmt(r.lambda1_raw),
-                         _fmt(r.lambda2_raw), _fmt(r.lambda1_x), _fmt(r.lambda2_x),
-                         _fmt(r.measure), _fmt(r.t_factor), _fmt(r.lambda1_norm),
-                         _fmt(r.lambda2_norm), _fmt(r.bound1), _fmt(r.bound2),
-                         _fmt(r.error_est), r.failure or ""])
-    return buf.getvalue()

@@ -21,7 +21,9 @@ and outputs are byte-identical across runs for a fixed config and seed.
 """
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -29,7 +31,6 @@ import sys
 
 from . import asymptotics, attainable, testfn
 from .analytic import ball_spectrum, theta_spectrum
-from .attainable import _fmt
 from .eigensolve import DEFAULT_SEED
 from .geometry import (
     Ball, Dumbbell, HalfDumbbell, Rectangle, domain_from_dict, domain_to_dict, two_balls,
@@ -46,6 +47,39 @@ EXIT_CONFIG = 2
 
 class ConfigError(ValueError):
     pass
+
+
+# columns of a sweep record, in the field order of attainable.SweepRecord
+SWEEP_HEADER = ("family", "param", "h_list", "lambda1_raw", "lambda2_raw", "lambda1_x",
+                "lambda2_x", "measure", "t", "lambda1_norm", "lambda2_norm", "bound1",
+                "bound2", "err", "failure")
+RATIO_HEADER = ("eps", "bound_ratio", "grid_ratio")
+
+
+def _fmt(x) -> str:
+    """One output cell: 12 significant digits, levels joined by ';', empty
+    for a missing value (None or NaN), and text unchanged."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (tuple, list)):
+        return ";".join(_fmt(v) for v in x)
+    return f"{x:.12g}"
+
+
+def _csv(header, rows) -> str:
+    """A header line and one line per row of cells; a cell holding a comma,
+    quote or line break is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def _sweep_csv(records) -> str:
+    return _csv(SWEEP_HEADER, map(dataclasses.astuple, records))
 
 
 def _jsonable(obj):
@@ -212,20 +246,9 @@ def cmd_eig(args) -> int:
         "seed": seed,
         "measure": solve.measure,
         "t_factor": solve.t_factor,
-        "lambda1": {
-            "raw": solve.raw(0),
-            "extrapolated": float(solve.lambda_x[0]),
-            "order": solve.orders[0],
-            "normalized": float(solve.lambda_norm[0]),
-            "error_est": float(solve.error_est[0]),
-        },
-        "lambda2": {
-            "raw": solve.raw(1),
-            "extrapolated": float(solve.lambda_x[1]),
-            "order": solve.orders[1],
-            "normalized": float(solve.lambda_norm[1]),
-            "error_est": float(solve.error_est[1]),
-        },
+        **{f"lambda{i + 1}": {"raw": solve.raw(i), "extrapolated": solve.lambda_x[i],
+                              "order": solve.orders[i], "normalized": solve.lambda_norm[i],
+                              "error_est": solve.error_est[i]} for i in range(2)},
         "residuals": [float(r) for r in solve.levels[-1].residuals],
         "iterations": list(solve.levels[-1].iterations),
         "levels": [{"h": lv.h, "n": lv.n, "iterations": list(lv.iterations),
@@ -247,27 +270,13 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _emit(_dump_json([dataclasses.asdict(r) for r in records]), args.out)
     else:
-        _emit(attainable.records_to_csv(records), args.out)
+        _emit(_sweep_csv(records), args.out)
     return EXIT_OK
 
 
 def _sweep_config(args, **overrides):
     return attainable.SweepConfig(h_list=_parse_h_list(args.h), tol=args.tol,
                                   seed=_resolve_seed(args), jobs=args.jobs, **overrides)
-
-
-def _bound_rows(eps_grid, dim, which):
-    rows = []
-    for e in eps_grid:
-        if which == "lemma1":
-            b = testfn.lemma1_rayleigh(e, dim=dim)
-            rows.append({"eps": e, "quotient": b.quotient, "deficit": b.deficit,
-                         "error_est": b.error_est})
-        else:
-            b = testfn.lemma2_rayleigh(e, dim=dim)
-            rows.append({"eps": e, "quotient": b.quotient, "excess": b.excess,
-                         "error_est": b.error_est})
-    return rows
 
 
 def cmd_lemma(args, which: str) -> int:
@@ -277,17 +286,15 @@ def cmd_lemma(args, which: str) -> int:
         eps_grid = (args.eps,)
     else:
         eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
-    rows = _bound_rows(eps_grid, args.dim, which)
+    rayleigh, key = ((testfn.lemma1_rayleigh, "deficit") if which == "lemma1"
+                     else (testfn.lemma2_rayleigh, "excess"))
+    bounds = [rayleigh(e, dim=args.dim) for e in eps_grid]
+    rows = [(b.epsilon, b.quotient, getattr(b, key), b.error_est) for b in bounds]
     if args.format == "csv":
-        key = "deficit" if which == "lemma1" else "excess"
-        lines = [f"eps,quotient,{key},err"]
-        lines += [
-            ",".join(_fmt(r[c]) for c in ("eps", "quotient", key, "error_est"))
-            for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv(("eps", "quotient", key, "err"), rows), args.out)
     else:
-        _emit(_dump_json(rows), args.out)
+        keys = ("eps", "quotient", key, "error_est")
+        _emit(_dump_json([dict(zip(keys, row)) for row in rows]), args.out)
     return EXIT_OK
 
 
@@ -295,12 +302,6 @@ def _ratio_rows(bound, grid):
     """(eps, bound ratio, grid ratio or None) for each bound-path sample."""
     grid_map = dict(grid)
     return [(e, rb, grid_map.get(e)) for e, rb in bound]
-
-
-def _ratio_csv(rows) -> str:
-    lines = ["eps,bound_ratio,grid_ratio"]
-    lines += [f"{_fmt(e)},{_fmt(rb)},{_fmt(rg)}" for e, rb, rg in rows]
-    return "\n".join(lines) + "\n"
 
 
 def cmd_ratio(args) -> int:
@@ -316,10 +317,9 @@ def cmd_ratio(args) -> int:
     curves = asymptotics.ratio_curve(records, dim=args.dim)
     rows = _ratio_rows(curves.bound, curves.grid)
     if args.format == "json":
-        doc = [{"eps": e, "bound_ratio": rb, "grid_ratio": rg} for e, rb, rg in rows]
-        _emit(_dump_json(doc), args.out)
+        _emit(_dump_json([dict(zip(RATIO_HEADER, row)) for row in rows]), args.out)
     else:
-        _emit(_ratio_csv(rows), args.out)
+        _emit(_csv(RATIO_HEADER, rows), args.out)
     return EXIT_OK
 
 
@@ -355,13 +355,24 @@ def cmd_verify(args) -> int:
     if data_csv is None:
         data_csv = "ratio_curve.csv"
     with open(data_csv, "w") as fh:
-        fh.write(_ratio_csv(_ratio_rows(verdict.ratio_bound, verdict.ratio_grid)))
+        fh.write(_csv(RATIO_HEADER, _ratio_rows(verdict.ratio_bound, verdict.ratio_grid)))
 
-    doc = verdict.to_dict()
-    doc["data_csv_path"] = data_csv
-    doc["grid_crosscheck"] = crosscheck
+    doc = {**_verdict_doc(verdict), "data_csv_path": data_csv, "grid_crosscheck": crosscheck}
     _emit(_dump_json(doc), args.out)
     return EXIT_OK if verdict.passed else EXIT_FAIL
+
+
+def _verdict_doc(verdict) -> dict:
+    """The verdict's part of the verify document: the checks, both ratio
+    curves and the fit."""
+    return {
+        "pass": verdict.passed,
+        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail}
+                   for c in verdict.checks],
+        "ratio_bound": verdict.ratio_bound,
+        "ratio_grid": verdict.ratio_grid,
+        "fit": dataclasses.asdict(verdict.fit),
+    }
 
 
 def cmd_plotdata(args) -> int:
@@ -371,24 +382,19 @@ def cmd_plotdata(args) -> int:
     cloud_path = f"{prefix}_cloud.csv"
     boundary_path = f"{prefix}_boundary.csv"
     with open(cloud_path, "w") as fh:
-        fh.write(attainable.records_to_csv(records))
+        fh.write(_sweep_csv(records))
 
     spec = ball_spectrum(2)
     lam_p = theta_spectrum(2)[0]
     slope = spec.lambda2 / spec.lambda1
     t_max = 3.0 * lam_p
-    lines = ["kind,x,y"]
-    lines.append(f"P,{_fmt(lam_p)},{_fmt(lam_p)}")
-    lines.append(f"Q,{_fmt(spec.lambda1)},{_fmt(spec.lambda2)}")
     samples = 50
-    for i in range(samples + 1):
-        t = lam_p + (t_max - lam_p) * i / samples
-        lines.append(f"diag,{_fmt(t)},{_fmt(t)}")
-    for i in range(samples + 1):
-        t = spec.lambda1 + (t_max - spec.lambda1) * i / samples
-        lines.append(f"ab_line,{_fmt(t)},{_fmt(slope * t)}")
+    diag = [lam_p + (t_max - lam_p) * i / samples for i in range(samples + 1)]
+    ab_line = [spec.lambda1 + (t_max - spec.lambda1) * i / samples for i in range(samples + 1)]
+    rows = [("P", lam_p, lam_p), ("Q", spec.lambda1, spec.lambda2)]
+    rows += [("diag", t, t) for t in diag] + [("ab_line", t, slope * t) for t in ab_line]
     with open(boundary_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv(("kind", "x", "y"), rows))
     sys.stdout.write(f"{cloud_path}\n{boundary_path}\n")
     return EXIT_OK
 

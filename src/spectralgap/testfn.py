@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ball_spectrum, radial_profile
+from .analytic import ZERO_RTOL, ball_spectrum, radial_profile
 from .geometry import Ball, Dumbbell, HalfDumbbell, junction_radius
-from .pipeline import solve_domain
 from .quadrature import quad_adaptive, quad_nested_2d
 
 __all__ = [
@@ -50,6 +49,13 @@ EPS_MAX = 0.3
 
 # relative tolerance of the trial-field bounds' quadrature
 _BOUND_TOL = 1e-8
+
+
+def _budget(quad_err, lam):
+    """A bound's error estimate: its quadrature estimate, but never below the
+    error lambda_1(ball) = j^2 carries from its Bessel zero j, which the
+    quotient inherits (squaring doubles j's relative error)."""
+    return float(max(quad_err, 2.0 * ZERO_RTOL * lam))
 
 
 def _check_epsilon(epsilon):
@@ -291,7 +297,7 @@ def lemma1_rayleigh(epsilon: float, dim: int = 2) -> Lemma1Bound:
     quotient = lam - deficit
     err = (cap_err[1] + cone_err[0] + lam * (cap_err[0] + cone_err[1])) / den * 2.0
     return Lemma1Bound(epsilon=epsilon, dim=dim, quotient=float(quotient),
-                       deficit=float(deficit), error_est=float(err))
+                       deficit=float(deficit), error_est=_budget(err, lam))
 
 
 def lemma2_rayleigh(epsilon: float, dim: int = 2) -> Lemma2Bound:
@@ -311,7 +317,7 @@ def lemma2_rayleigh(epsilon: float, dim: int = 2) -> Lemma2Bound:
     err = (cap_err[1] + slab_err[0] + (slab_err[1] + 2.0 * slab_err[2]) * inv2
            + lam * (cap_err[0] + slab_err[3])) / den * 2.0
     return Lemma2Bound(epsilon=epsilon, dim=dim, quotient=float(quotient),
-                       excess=float(excess), error_est=float(err))
+                       excess=float(excess), error_est=_budget(err, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +421,26 @@ class OddExtensionReport:
         return self.upper_bound_ok and self.symmetry_ok
 
 
-def odd_extension_check(epsilon: float, h_list=(1 / 16, 1 / 32, 1 / 64),
-                        tol: float = 1e-6, seed: int | None = None,
-                        solves=None) -> OddExtensionReport:
+def odd_extension_check(dumbbell, half) -> OddExtensionReport:
     """Verify on grids that lambda_2(dumbbell) <= lambda_1(half dumbbell)
     within twice the combined tolerance, and that the dumbbell's second
     eigenvector is odd across the junction plane.
 
-    ``solves=(dumbbell_solve, half_solve)`` reuses precomputed pipeline
-    results instead of solving again.
+    ``dumbbell`` and ``half`` are ``pipeline.solve_domain`` results for
+    ``Dumbbell(eps)`` and ``HalfDumbbell(eps)`` on the same grid levels;
+    any other pair raises ValueError.
     """
-    _check_epsilon(epsilon)
-    if solves is not None:
-        dumb, half = solves
-    else:
-        dumb = solve_domain(Dumbbell(epsilon=epsilon), h_list, tol=tol, seed=seed)
-        half = solve_domain(HalfDumbbell(epsilon=epsilon), h_list, tol=tol, seed=seed, k=1)
-    lam2 = float(dumb.lambda_x[1])
+    if not isinstance(dumbbell.domain, Dumbbell):
+        raise ValueError(f"first solve is of {dumbbell.domain!r}, not of a dumbbell")
+    epsilon = dumbbell.domain.epsilon
+    if half.domain != HalfDumbbell(epsilon) or half.h_list != dumbbell.h_list:
+        raise ValueError(f"second solve, of {half.domain!r} at h = {half.h_list}, is not "
+                         f"of the half of {dumbbell.domain!r} at h = {dumbbell.h_list}")
+    lam2 = float(dumbbell.lambda_x[1])
     lam1_half = float(half.lambda_x[0])
-    budget = float(dumb.error_est_raw[1] + half.error_est_raw[0])
-    grid = dumb.grid
-    v2 = dumb.vectors[:, 1]
+    budget = float(dumbbell.error_est_raw[1] + half.error_est_raw[0])
+    grid = dumbbell.grid
+    v2 = dumbbell.vectors[:, 1]
     mirror_idx = grid.index_map[-grid.active[:, 0] - grid.i0, grid.active[:, 1] - grid.j0]
     ok = mirror_idx >= 0
     corr = -float(v2[ok] @ v2[mirror_idx[ok]]) / float(v2[ok] @ v2[ok])

@@ -63,6 +63,13 @@ def lemma_bounds():
 
 
 @pytest.fixture(scope="session")
+def bound_only_records():
+    """Dumbbell sweep records over the default eps grid with bounds only."""
+    config = attainable.SweepConfig(grid_eps_min=float("inf"))
+    return attainable.sweep("dumbbell", attainable.DEFAULT_EPS_GRID, config)
+
+
+@pytest.fixture(scope="session")
 def disc_solve_fine():
     """Unit disc at the criterion grids {1/64, 1/128, 1/256}, timed."""
     return _timed(lambda: pipeline.solve_domain(geometry.Ball(), FINE_H, tol=1e-6))

@@ -134,7 +134,7 @@ def test_criterion_7_odd_reflection_inequality(dumbbell_solves):
     ok = True
     details = []
     for eps, pair in sorted(solves.items()):
-        report = testfn.odd_extension_check(eps, solves=pair)
+        report = testfn.odd_extension_check(*pair)
         ok = ok and report.upper_bound_ok and report.symmetry_ok
         details.append(f"eps {eps}: gap {report.gap:.1e}, corr {report.symmetry_correlation:.4f}")
     assert criterion(

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -130,10 +129,3 @@ class TestVerifyTheorem:
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
             asy.verify_theorem(synthetic_records(EPS[:3], lambda e: math.sqrt(e)))
-
-    def test_report_is_json_serializable(self):
-        verdict = asy.verify_theorem(synthetic_records(EPS, lambda e: math.sqrt(e)))
-        doc = json.loads(json.dumps(verdict.to_dict()))
-        assert doc["pass"] is True
-        assert {c["name"] for c in doc["checks"]} == {
-            "monotone_decay", "endpoint_contraction", "fitted_exponent"}

@@ -1,6 +1,4 @@
 import concurrent.futures
-import csv
-import io
 import math
 
 import pytest
@@ -11,12 +9,6 @@ CHEAP = at.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32), tol=1e-6)
 LAM1_DISC = 5.783185962946785
 LAM2_DISC = 14.681970642123895
 LAM_P = 11.566371925893570
-
-
-@pytest.fixture(scope="module")
-def bound_only_records():
-    config = at.SweepConfig(grid_eps_min=math.inf)
-    return at.sweep("dumbbell", at.DEFAULT_EPS_GRID, config)
 
 
 class _SerialPool:
@@ -140,33 +132,3 @@ class TestRegionCheck:
         with pytest.raises(ValueError):
             at.region_check(rec)
 
-
-class TestCsv:
-    def test_header_schema(self):
-        assert at.CSV_HEADER == ("family,param,h_list,lambda1_raw,lambda2_raw,"
-                                 "lambda1_x,lambda2_x,measure,t,lambda1_norm,"
-                                 "lambda2_norm,bound1,bound2,err,failure")
-
-    def test_roundtrip_and_determinism(self, bound_only_records):
-        text1 = at.records_to_csv(bound_only_records)
-        text2 = at.records_to_csv(bound_only_records)
-        assert text1 == text2
-        lines = text1.strip().splitlines()
-        assert lines[0] == at.CSV_HEADER
-        assert len(lines) == len(bound_only_records) + 1
-        first = lines[1].split(",")
-        assert first[0] == "dumbbell"
-        assert float(first[1]) == pytest.approx(0.005)
-        # bounds are populated, grid columns empty for bound-only records
-        assert first[11] != "" and first[3] == ""
-        assert first[-1] == ""
-
-    def test_failure_column_quotes_commas(self):
-        records = [at.SweepRecord(family="ellipses", param=2.0,
-                                  failure='GridError: no nodes at h=0.5, "coarse"'),
-                   at.SweepRecord(family="ball", param=1.0)]
-        rows = list(csv.reader(io.StringIO(at.records_to_csv(records))))
-        assert len(rows[0]) == len(rows[1]) == len(rows[2]) == 15
-        assert rows[1][0] == "ellipses"
-        assert rows[1][-1] == 'GridError: no nodes at h=0.5, "coarse"'
-        assert rows[2][-1] == ""

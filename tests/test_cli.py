@@ -1,4 +1,7 @@
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -6,7 +9,7 @@ import sys
 import pytest
 
 from conftest import cli_env
-from spectralgap import attainable, cli
+from spectralgap import asymptotics, attainable, cli
 from spectralgap.discretize import build_grid
 from spectralgap.geometry import Ball
 
@@ -271,8 +274,7 @@ class TestPlotdata:
                        str(tmp_path / "fig"), cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         cloud = (tmp_path / "fig_cloud.csv").read_text().splitlines()
-        from spectralgap.attainable import CSV_HEADER
-        assert cloud[0] == CSV_HEADER
+        assert cloud[0] == ",".join(cli.SWEEP_HEADER)
         assert len(cloud) > 10
         boundary = (tmp_path / "fig_boundary.csv").read_text().splitlines()
         assert boundary[0] == "kind,x,y"
@@ -286,6 +288,67 @@ class TestPlotdata:
         ab = [line.split(",") for line in boundary[1:] if line.startswith("ab_line")]
         slope = float(ab[-1][2]) / float(ab[-1][1])
         assert slope == pytest.approx(2.5387, abs=2e-4)
+
+
+class TestCsv:
+    """The one CSV writer, on sweep records."""
+
+    def test_header_schema(self):
+        assert cli._sweep_csv([]) == ("family,param,h_list,lambda1_raw,lambda2_raw,"
+                                      "lambda1_x,lambda2_x,measure,t,lambda1_norm,"
+                                      "lambda2_norm,bound1,bound2,err,failure\n")
+        assert len(cli.SWEEP_HEADER) == len(dataclasses.fields(attainable.SweepRecord))
+
+    def test_roundtrip_and_determinism(self, bound_only_records):
+        text1 = cli._sweep_csv(bound_only_records)
+        text2 = cli._sweep_csv(bound_only_records)
+        assert text1 == text2
+        lines = text1.strip().splitlines()
+        assert lines[0] == ",".join(cli.SWEEP_HEADER)
+        assert len(lines) == len(bound_only_records) + 1
+        first = lines[1].split(",")
+        assert first[0] == "dumbbell"
+        assert float(first[1]) == pytest.approx(0.005)
+        # bounds are populated, grid columns empty for bound-only records
+        assert first[11] != "" and first[3] == ""
+        assert first[-1] == ""
+
+    def test_failure_column_quotes_commas(self):
+        records = [attainable.SweepRecord(family="ellipses", param=2.0,
+                                          failure='GridError: no nodes at h=0.5, "coarse"'),
+                   attainable.SweepRecord(family="ball", param=1.0)]
+        rows = list(csv.reader(io.StringIO(cli._sweep_csv(records))))
+        assert len(rows[0]) == len(rows[1]) == len(rows[2]) == 15
+        assert rows[1][0] == "ellipses"
+        assert rows[1][-1] == 'GridError: no nodes at h=0.5, "coarse"'
+        assert rows[2][-1] == ""
+
+    def test_failed_sweep_record_has_no_budget(self, capsys):
+        # h = 1/2 leaves one node in the unit square: that record fails
+        argv = ["sweep", "--families", "rectangles", "--h", "1/2,1/4"]
+        assert cli.main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[1][:2] == ["rectangles", "1"] and rows[1][-1].startswith("GridError: ")
+        assert rows[1][2:-1] == [""] * 12
+        assert all(float(row[-2]) > 0 for row in rows[2:])
+        assert cli.main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc[0]["failure"].startswith("GridError: ") and doc[0]["error_est"] is None
+        assert all(rec["error_est"] > 0 for rec in doc[1:])
+
+
+class TestVerifyDocument:
+    def test_report_is_json_serializable(self, bound_only_records):
+        verdict = asymptotics.verify_theorem(bound_only_records)
+        doc = json.loads(json.dumps(cli._verdict_doc(verdict)))
+        assert doc["pass"] is True
+        assert {c["name"] for c in doc["checks"]} == {
+            "monotone_decay", "endpoint_contraction", "fitted_exponent"}
+        assert doc["fit"] == {"exponent": verdict.fit.exponent,
+                              "prefactor": verdict.fit.prefactor,
+                              "r_squared": verdict.fit.r_squared,
+                              "window": list(verdict.fit.window),
+                              "n_points": verdict.fit.n_points}
 
 
 def _subcommands():

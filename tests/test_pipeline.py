@@ -64,13 +64,20 @@ class TestWrappedDumbbell:
         assert np.array_equal(scaled.lambda_norm, plain.lambda_norm)
 
 
+# (lambda1, lambda2) of the dumbbell by particular solutions (ROADMAP item 3),
+# each within 5e-6, against grid budgets of about 0.02
+DUMBBELL_REFERENCE = {0.1: (5.020558, 5.9177947), 0.3: (4.130651, 6.5831600)}
+
+
 def _exact_values(domain, pairs):
     """Eigenvalues ``pairs`` (1-based) of the unit disc, j01^2 and j11^2, of
-    two unit discs, j01^2 twice, or of a w x h rectangle, the smallest
-    pi^2 (m^2 / w^2 + n^2 / h^2)."""
+    two unit discs, j01^2 twice, of a w x h rectangle, the smallest
+    pi^2 (m^2 / w^2 + n^2 / h^2), or of a dumbbell, its reference pair."""
     if isinstance(domain, geo.Rectangle):
         values = sorted(math.pi**2 * ((m / domain.width) ** 2 + (n / domain.height) ** 2)
                         for m in range(1, 4) for n in range(1, 4))
+    elif isinstance(domain, geo.Dumbbell):
+        values = DUMBBELL_REFERENCE[domain.epsilon]
     else:
         spectrum = analytic.ball_spectrum(2)
         values = (spectrum.lambda1, spectrum.lambda2)
@@ -81,12 +88,17 @@ def _exact_values(domain, pairs):
 @pytest.mark.parametrize("domain, pairs", [
     (geo.Ball(), (1, 2)), (geo.two_balls(), (1, 1)),
     (geo.Rectangle(1.0, 1.0), (1, 2)), (geo.Rectangle(2.0, 1.0), (1, 2)),
-    (geo.Rectangle(3.0, 1.0), (1, 2)),
+    (geo.Rectangle(3.0, 1.0), (1, 2)), (geo.Dumbbell(0.1), (1, 2)), (geo.Dumbbell(0.3), (1, 2)),
 ])
-def test_error_budget_covers_exact_values(domain, pairs, h_list):
+def test_error_budget_covers_exact_values(domain, pairs, h_list, request):
     """|lambda_x - lambda| <= error_est_raw against the exact values.  The
     rectangles' sides lie on lattice lines, so their grid values converge
     with the stencil's own order 2."""
+    if domain == geo.Dumbbell(0.3) and h_list[0] == 1 / 16:
+        request.applymarker(pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: ORDER_BAND accepts the fitted lambda1 order 2.09, above the "
+            "cap of about 1.34 that the reentrant junction corners set, so the budget "
+            "covers a quarter of the error")))
     solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
     assert (np.abs(solve.lambda_x - _exact_values(domain, pairs)) <= solve.error_est_raw).all()
     if isinstance(domain, geo.Rectangle):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from spectralgap import geometry as geo
 from spectralgap import testfn as tf
 from spectralgap.analytic import ball_spectrum
 from spectralgap.geometry import junction_radius
+from spectralgap.pipeline import solve_domain
 
 from conftest import ball_ground_state_field
 
@@ -286,12 +288,27 @@ class TestRayleighQuotient:
 
 
 class TestOddExtension:
+    H = (1 / 8, 1 / 16, 1 / 32)
+
     def test_cheap_dumbbell(self):
-        rep = tf.odd_extension_check(0.2, h_list=(1 / 8, 1 / 16, 1 / 32), tol=1e-6)
+        rep = tf.odd_extension_check(
+            solve_domain(geo.Dumbbell(0.2), self.H, tol=1e-6),
+            solve_domain(geo.HalfDumbbell(0.2), self.H, tol=1e-6, k=1))
+        assert rep.epsilon == 0.2
         assert rep.upper_bound_ok
         assert rep.symmetry_ok
         assert rep.symmetry_correlation >= 0.99
         assert abs(rep.gap) <= rep.tolerance
+
+    def test_refuses_a_mismatched_half(self):
+        dumbbell = solve_domain(geo.Dumbbell(0.3), self.H, tol=1e-6)
+        disc = solve_domain(geo.Ball(), self.H, tol=1e-6, k=1)
+        for half in (solve_domain(geo.HalfDumbbell(0.1), self.H, tol=1e-6, k=1),
+                     solve_domain(geo.HalfDumbbell(0.3), self.H[:2], tol=1e-6, k=1), disc):
+            with pytest.raises(ValueError, match="is not of the half of Dumbbell"):
+                tf.odd_extension_check(dumbbell, half)
+        with pytest.raises(ValueError, match="not of a dumbbell"):
+            tf.odd_extension_check(disc, disc)
 
     def test_two_balls_limit(self):
         # fully separated components: the two smallest values coincide
@@ -302,15 +319,16 @@ class TestOddExtension:
 
 
 # (lemma1 quotient, lemma1 error_est, lemma2 quotient, lemma2 error_est) as
-# the bounds path computed them with U evaluated together with U'
+# the bounds path computed them with U evaluated together with U'; the lemma1
+# estimates are the floor 2 * ZERO_RTOL * lambda_1(ball)
 PINNED_BOUNDS = {
-    (2, 0.001): (5.781231982520764, 1.8224495264900197e-16,
+    (2, 0.001): (5.781231982520764, 1.1566371925893578e-13,
                  5.78344492439945, 3.66379218991368e-12),
-    (2, 0.08): (5.539939026296202, 1.1775960974188042e-14,
+    (2, 0.08): (5.539939026296202, 1.1566371925893578e-13,
                 5.9756112542774575, 4.91504211707954e-13),
-    (3, 0.001): (9.869525718869673, 1.6645696749807572e-17,
+    (3, 0.001): (9.869525718869673, 1.9739208802178784e-13,
                  9.869616753345252, 2.6021035381358006e-13),
-    (3, 0.08): (9.775369212537173, 4.413567581554721e-14,
+    (3, 0.08): (9.775369212537173, 1.9739208802178784e-13,
                 9.95427878517063, 8.570187968536485e-12),
 }
 
@@ -321,3 +339,14 @@ def test_bounds_bit_identical(dim, eps):
     b1 = tf.lemma1_rayleigh(eps, dim=dim)
     b2 = tf.lemma2_rayleigh(eps, dim=dim)
     assert (b1.quotient, b1.error_est, b2.quotient, b2.error_est) == PINNED_BOUNDS[(dim, eps)]
+
+
+@pytest.mark.parametrize("eps", [1e-3, 5e-3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lemma1_budget_covers_the_ball_eigenvalue_error(dim, eps):
+    """The quotient is lambda_1(ball) - deficit, so its budget covers the
+    error of lambda_1(ball) itself: j01^2 from scipy in N = 2, pi^2 in N = 3."""
+    oracle = special.jn_zeros(0, 1)[0] ** 2 if dim == 2 else math.pi**2
+    error = abs(ball_spectrum(dim).lambda1 - oracle)
+    assert error > 0
+    assert tf.lemma1_rayleigh(eps, dim=dim).error_est >= error
