@@ -19,7 +19,7 @@ from .geometry import (
 from .pipeline import DomainSolve, solve_domain
 from .testfn import (
     Lemma1Function, Lemma2Function, lemma1_rayleigh, lemma2_rayleigh,
-    odd_extension_check, rayleigh_quotient,
+    odd_extension_check,
 )
 
 __version__ = "0.1.0"

@@ -12,9 +12,10 @@ plotdata  attainable-cloud CSV plus the region boundary curves
 
 The first format listed is the default.  Each command takes only the flags
 it reads: every command has --dim (2 or 3; the grid solver is planar, so
-eig, sweep, verify, plotdata and ratio --with-grid refuse 3) and --out; the
-grid commands (all but lemma1 and lemma2) have --seed, --tol and --h, and
-those that sweep also --jobs; --format exists where there is a choice.
+eig, sweep, plotdata, ratio --with-grid and verify without --no-grid-check
+refuse 3) and --out; the grid commands (all but lemma1 and lemma2) have
+--seed, --tol and --h, and those that sweep also --jobs; --format exists
+where there is a choice.
 Values are checked once, at parse time or where they are used, and flags
 must be spelled in full.  Floats are printed with 12 significant digits,
 and outputs are byte-identical across runs for a fixed config and seed.
@@ -225,7 +226,7 @@ def _require_planar(args, command: str):
         raise ConfigError(
             f"{command!r} uses the grid solver, which is planar only; "
             f"--dim {args.dim} supports the analytic and quadrature commands "
-            f"(lemma1, lemma2, and ratio without --with-grid)"
+            f"(lemma1, lemma2, ratio without --with-grid and verify --no-grid-check)"
         )
 
 
@@ -324,13 +325,14 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_planar(args, "verify")
+    if not args.no_grid_check:
+        _require_planar(args, "verify")
     eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
     grid_eps_min = (math.inf if args.no_grid_check
                     else _grid_eps_min(args.grid_check_eps, "--grid-check-eps"))
-    config = _sweep_config(args, grid_eps_min=grid_eps_min)
+    config = _sweep_config(args, grid_eps_min=grid_eps_min, dim=args.dim)
     records = attainable.sweep("dumbbell", eps_grid, config)
-    verdict = asymptotics.verify_theorem(records)
+    verdict = asymptotics.verify_theorem(records, dim=args.dim)
 
     crosscheck = []
     if not args.no_grid_check:

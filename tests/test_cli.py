@@ -178,6 +178,11 @@ class TestLemmaCommands:
         proc = run_cli("lemma1", "--eps", "0.5")
         assert proc.returncode != 0
 
+    def test_tiny_eps(self, capsys):
+        assert cli.main(["lemma2", "--eps", "1e-8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc[0]["eps"] == 1e-8 and doc[0]["excess"] > 0
+
 
 class TestRatio:
     def test_bound_csv(self):
@@ -225,6 +230,15 @@ class TestVerify:
         proc = run_cli("verify", "--eps-max", "0.9")
         assert proc.returncode == 2
         assert "regime" in proc.stderr
+
+    def test_dim3_without_grid_check(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        assert cli.main(["verify", "--dim", "3", "--no-grid-check", "--data-out", str(curve)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is True and doc["grid_crosscheck"] == [] and doc["ratio_grid"] == []
+        # the verdict reads the N = 3 ratios that `ratio --dim 3` prints
+        assert cli.main(["ratio", "--dim", "3"]) == 0
+        assert curve.read_text() == capsys.readouterr().out
 
     def test_csv_schema_matches_ratio_command(self, tmp_path):
         curve = tmp_path / "curve.csv"

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -87,6 +88,16 @@ class TestMeasure:
 
     def test_dumbbell_frozen_value(self):
         assert geo.Dumbbell(0.1).measure() == pytest.approx(DUMBBELL_MEASURE_01, rel=1e-9)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.1, 0.3, 0.5, 0.9, 0.999])
+    def test_cap_volume_matches_closed_form(self, eps):
+        """One fixed panel carries the cap to rounding level for every height."""
+        with mp.workdps(30):
+            e = mp.mpf(eps)
+            exact = {2: mp.acos(1 - e) - (1 - e) * mp.sqrt(2 * e - e * e),
+                     3: mp.pi * e * e * (3 - e) / 3}
+            for dim in (2, 3):
+                assert abs(geo.cap_volume(eps, dim) - exact[dim]) <= 1e-14 * exact[dim]
 
     def test_dumbbell_monte_carlo(self):
         d = geo.Dumbbell(0.1)

@@ -11,6 +11,7 @@ from spectralgap.geometry import junction_radius
 from spectralgap.pipeline import solve_domain
 
 from conftest import ball_ground_state_field
+from oracle import bound_components, rayleigh_quotient
 
 LAM1_DISC = 5.783185962946785
 
@@ -172,8 +173,7 @@ class TestLemma1Rayleigh:
         eps = 0.1
         bound = tf.lemma1_rayleigh(eps)
         field = tf.Lemma1Function(eps).field
-        quotient, rel_err = tf.rayleigh_quotient(geo.Dumbbell(eps), field,
-                                                 rel_tol=1e-7)
+        quotient, rel_err = rayleigh_quotient(geo.Dumbbell(eps), field, rel_tol=1e-7)
         assert quotient == pytest.approx(bound.quotient, rel=1e-6)
         assert rel_err < 1e-5
 
@@ -219,8 +219,7 @@ class TestLemma2Rayleigh:
         eps = 0.1
         bound = tf.lemma2_rayleigh(eps)
         field = tf.Lemma2Function(eps).field
-        quotient, rel_err = tf.rayleigh_quotient(geo.HalfDumbbell(eps), field,
-                                                 rel_tol=1e-7)
+        quotient, rel_err = rayleigh_quotient(geo.HalfDumbbell(eps), field, rel_tol=1e-7)
         assert quotient == pytest.approx(bound.quotient, rel=1e-6)
 
     def test_3d(self):
@@ -230,13 +229,13 @@ class TestLemma2Rayleigh:
 
 class TestRayleighQuotient:
     def test_exact_ground_state_gives_lambda1(self):
-        quotient, rel_err = tf.rayleigh_quotient(geo.Ball(), ball_ground_state_field())
+        quotient, rel_err = rayleigh_quotient(geo.Ball(), ball_ground_state_field())
         assert quotient == pytest.approx(LAM1_DISC, rel=1e-8)
         assert rel_err <= 1e-7
 
     def test_homogeneity(self):
-        q1, _ = tf.rayleigh_quotient(geo.Ball(), ball_ground_state_field())
-        q2, _ = tf.rayleigh_quotient(geo.Ball(), ball_ground_state_field(scale=3.7))
+        q1, _ = rayleigh_quotient(geo.Ball(), ball_ground_state_field())
+        q2, _ = rayleigh_quotient(geo.Ball(), ball_ground_state_field(scale=3.7))
         assert q2 == pytest.approx(q1, rel=5e-13)
 
     def test_interpolated_discrete_eigenvector(self):
@@ -272,8 +271,7 @@ class TestRayleighQuotient:
             gy = ((1 - fx) * (v01 - v00) + fx * (v11 - v10)) / h
             return vals, np.column_stack([gx, gy])
 
-        quotient, _ = tf.rayleigh_quotient(geo.Ball(), field,
-                                           rel_tol=1e-3, max_panels=20000)
+        quotient, _ = rayleigh_quotient(geo.Ball(), field, rel_tol=1e-3, max_panels=20000)
         # the interpolant spills at most h past the disc, so compare against
         # the slightly inflated ball
         assert quotient >= LAM1_DISC * (1.0 - 2.0 * h) - 0.05
@@ -284,7 +282,7 @@ class TestRayleighQuotient:
             return np.zeros(len(pts)), np.zeros_like(pts)
 
         with pytest.raises(ValueError):
-            tf.rayleigh_quotient(geo.Ball(), null_field)
+            rayleigh_quotient(geo.Ball(), null_field)
 
 
 class TestOddExtension:
@@ -350,3 +348,36 @@ def test_lemma1_budget_covers_the_ball_eigenvalue_error(dim, eps):
     error = abs(ball_spectrum(dim).lambda1 - oracle)
     assert error > 0
     assert tf.lemma1_rayleigh(eps, dim=dim).error_est >= error
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tiny_eps_bounds_are_finite_and_signed(dim, eps):
+    """Far below the default grid the bounds still come out: one fixed panel
+    per integral, no refinement that could run out of panels."""
+    b1 = tf.lemma1_rayleigh(eps, dim=dim)
+    b2 = tf.lemma2_rayleigh(eps, dim=dim)
+    assert all(math.isfinite(x) for x in (b1.quotient, b1.error_est, b2.quotient, b2.error_est))
+    assert b1.deficit > 0 and b2.excess > 0
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.005, 0.3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bounds_within_their_estimates_of_mpmath_references(dim, eps, monkeypatch):
+    """The deficit and the excess, built with testfn's own formulas from
+    30-digit references of the cap, cone and slab integrals, lie within the
+    bounds' error estimates of the computed ones.  The components alone are
+    not compared: there |K15 - G7| can miss the integrand's rounding, which
+    only the bound's floor 2 * ZERO_RTOL * lambda_1(ball) covers."""
+    b1 = tf.lemma1_rayleigh(eps, dim=dim)
+    b2 = tf.lemma2_rayleigh(eps, dim=dim)
+    cap, cone, slab = bound_components(eps, dim)
+    # the 24-point Gauss-Legendre references agree with the 12-point ones
+    for fine, coarse in zip(cone + slab, sum(bound_components(eps, dim, degree=3)[1:], [])):
+        assert abs(fine - coarse) <= 1e-20 * abs(fine)
+    cap, cone, slab = ([float(x) for x in part] for part in (cap, cone, slab))
+    monkeypatch.setattr(tf, "_cap_integrals", lambda e, d: (*cap, np.zeros(2)))
+    monkeypatch.setattr(tf, "_cone_integrals", lambda e, d: (*cone, np.zeros(2)))
+    monkeypatch.setattr(tf, "_slab_integrals", lambda e, d: (np.array(slab), np.zeros(4)))
+    assert abs(b1.deficit - tf.lemma1_rayleigh(eps, dim=dim).deficit) <= b1.error_est
+    assert abs(b2.excess - tf.lemma2_rayleigh(eps, dim=dim).excess) <= b2.error_est
