@@ -22,7 +22,7 @@ from spectralgap.geometry import Ball, Dumbbell, HalfDumbbell
 from spectralgap.quadrature import kronrod
 
 
-def quad(f, a, b, rel_tol=1e-10, max_panels=4000):
+def quad(f, a, b, rel_tol, max_panels=4000):
     """(value, error) of the integral of ``f`` over [a, b], bisecting panels
     until the error is at most ``rel_tol`` times |value| in every component.
 
