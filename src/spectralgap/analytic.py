@@ -20,7 +20,6 @@ __all__ = [
     "BallSpectrum",
     "unit_ball_volume",
     "bessel_j",
-    "bessel_jp",
     "bessel_zero",
     "ZERO_RTOL",
     "ball_spectrum",
@@ -31,6 +30,7 @@ __all__ = [
 _SERIES_CUTOFF = 8.0
 _SERIES_TERMS = 32
 _SCAN_STEP = 0.1  # largest grid step of the zero scan
+MAX_ARG = 200.0  # the zero scan's upper end
 _NEWTON_STEPS = 50
 # bessel_zero stops once a Newton step is at most this fraction of the root
 ZERO_RTOL = 1e-14
@@ -96,44 +96,29 @@ def bessel_j(nu: float, x):
     return float(out[0]) if scalar else out
 
 
-def bessel_jp(nu: float, x):
-    """Derivative J_nu'(x) via J_nu' = (nu/x) J_nu - J_(nu+1)."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    out = np.empty_like(x_arr)
-    pos = x_arr > 0
-    if np.any(pos):
-        xp = x_arr[pos]
-        out[pos] = (nu / xp) * bessel_j(nu, xp) - bessel_j(nu + 1, xp)
-    if np.any(~pos):
-        # limits at the origin: J_1'(0) = 1/2, all other orders give 0
-        out[~pos] = 0.5 if nu == 1 else 0.0
-    return float(out[0]) if scalar else out
-
-
-def bessel_zero(nu: float, k: int, max_arg: float = 200.0) -> float:
+def bessel_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu by a sign-change scan and Newton's method.
 
     J_nu is evaluated at once on a grid of step at most 0.1 from
-    max(0.05, nu) up to the series cutoff, and up to ``max_arg`` only when
+    max(0.05, nu) up to the series cutoff, and up to ``MAX_ARG`` only when
     the k-th sign change is not found there (``bessel_j`` then imports
-    scipy).  Newton steps with J_nu' start from the midpoint of the bracket
-    around that sign change and stay inside it, shrinking it as they go,
-    until a step falls below ``ZERO_RTOL`` relative.  A bracket that cannot be
-    found below ``max_arg`` raises BracketError.
+    scipy).  Newton steps with J_nu' = (nu/x) J_nu - J_(nu+1) start from the
+    midpoint of the bracket around that sign change and stay inside it,
+    shrinking it as they go, until a step falls below ``ZERO_RTOL``
+    relative.  A zero beyond ``MAX_ARG`` raises BracketError.
     """
     if k < 1:
         raise ValueError(f"zero index must be >= 1, got {k}")
     lo = max(0.05, nu)  # j_(nu,1) > nu
-    tops = [_SERIES_CUTOFF] if lo < _SERIES_CUTOFF < max_arg else []
-    for top in tops + [max_arg]:
+    tops = [_SERIES_CUTOFF] if lo < _SERIES_CUTOFF else []
+    for top in tops + [MAX_ARG]:
         x = np.linspace(lo, top, max(2, math.ceil((top - lo) / _SCAN_STEP) + 1))
         f = bessel_j(nu, x)
         changes = np.flatnonzero((f[:-1] * f[1:] < 0) | (f[1:] == 0.0))
         if len(changes) >= k:
             break
     else:
-        raise BracketError(f"could not bracket zero {k} of J_{nu} below x = {max_arg}")
+        raise BracketError(f"could not bracket zero {k} of J_{nu} below x = {MAX_ARG}")
     i = changes[k - 1]
     a, b = x[i], x[i + 1]
     negative = f[i] < 0  # the sign of J_nu at a
@@ -146,7 +131,7 @@ def bessel_zero(nu: float, k: int, max_arg: float = 200.0) -> float:
             a = root
         else:
             b = root
-        slope = bessel_jp(nu, root)
+        slope = (nu / root) * value - bessel_j(nu + 1, root)
         new = 0.5 * (a + b)
         if slope != 0.0 and a <= root - value / slope <= b:
             new = root - value / slope

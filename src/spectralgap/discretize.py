@@ -100,7 +100,7 @@ class DiscreteOperator:
     multigrid preconditioner builds its coarse levels and interpolation."""
 
     matrix: "scipy.sparse.csr_matrix"
-    nodes: np.ndarray | None = field(default=None, repr=False)
+    nodes: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:

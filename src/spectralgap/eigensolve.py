@@ -24,11 +24,10 @@ on one platform.
 
 The preconditioner M is one symmetric geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), built once per call
-from the lattice indices of the rows (a bare matrix: its row index).  The
-coarse nodes of a level are its all-even nodes, halved; P interpolates
-multilinearly from them (``discretize.prolong``), the coarse operator is
-P^T A P, formed as R (A P), and damped Jacobi smooths before and after the
-coarse correction.  Every P is kept in CSC, and each level keeps R = P^T,
+from the lattice indices of the operator's rows.  The coarse nodes of a
+level are its all-even nodes, halved; P interpolates multilinearly from
+them (``discretize.prolong``), the coarse operator is P^T A P, formed as
+R (A P), and damped Jacobi smooths before and after the coarse correction.  Every P is kept in CSC, and each level keeps R = P^T,
 taken once: a CSR view of P's arrays, not a copy.  So the V-cycle restricts
 with R and prolongs with P in plain compressed-matrix products that make
 no matrix object per call.  Levels stop at COARSEST unknowns, or at a level
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import prolong
+from .discretize import DiscreteOperator, prolong
 
 __all__ = [
     "ConvergenceError",
@@ -90,18 +89,6 @@ class EigenResult:
     tol: float
     inner_iterations: tuple = ()
     transfers: tuple = ()
-
-
-def _as_csr(operator):
-    import scipy.sparse as sp
-
-    matrix = getattr(operator, "matrix", operator)
-    if sp.issparse(matrix):
-        return matrix.tocsr()
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"operator must be square, got shape {arr.shape}")
-    return sp.csr_matrix(arr)
 
 
 def _transfers(nodes):
@@ -230,12 +217,11 @@ def _gaps(theta, others):
     return np.minimum(distance.min(axis=1), theta)
 
 
-def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = None,
-                   coarse: EigenResult | None = None, *,
+def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
+                   seed: int | None = None, coarse: EigenResult | None = None, *,
                    values_only: bool = False) -> EigenResult:
-    """Compute the k (= 1 or 2) smallest eigenpairs of an SPD operator.
-
-    Accepts a DiscreteOperator, a scipy sparse matrix, or a dense array.
+    """Compute the k (= 1 or 2) smallest eigenpairs of a DiscreteOperator's
+    SPD matrix (CSR), whose lattice nodes the V-cycle coarsens.
     Runs block LOBPCG on k vectors for at most MAX_OUTER iterations,
     applying the operator once to each new preconditioned residual and
     carrying its products with the other block vectors.
@@ -260,12 +246,10 @@ def smallest_pairs(operator, k: int = 2, tol: float = 1e-8, seed: int | None = N
     """
     if k not in (1, 2):
         raise ValueError(f"only the two smallest pairs are supported, got k={k}")
-    A = _as_csr(operator)
+    A, nodes = operator.matrix, operator.nodes
     n = A.shape[0]
     if k > n:
         raise ValueError(f"requested {k} pairs from an operator of size {n}")
-    nodes = getattr(operator, "nodes", None)
-    nodes = np.arange(n)[:, None] if nodes is None else nodes
     start = None
     if coarse is None:
         transfers = _transfers(nodes)

@@ -3,7 +3,7 @@
 The value is the 15-point Kronrod sum and its error estimate is the distance
 |K15 - G7| to the embedded 7-point Gauss sum.  Integrands may be vector
 valued (an array of components integrated in one pass).  The 2-d rule
-integrates over a < x < b, lo(x) < s < hi(x): one call of the integrand takes
+integrates over a < x < b, 0 < s < hi(x): one call of the integrand takes
 the 15 inner nodes of every one of the 15 outer nodes.
 
 No panel is ever bisected, so the rule is meant for integrands that are
@@ -89,21 +89,21 @@ def kronrod(f, a, b):
     return value, error
 
 
-def kronrod_2d(f, a, b, lo, hi):
+def kronrod_2d(f, a, b, hi):
     """(value, error estimate) of the integral of ``f(x, s)`` over
-    a < x < b, lo(x) < s < hi(x).
+    a < x < b, 0 < s < hi(x).
 
     ``f`` maps paired arrays (x (n,), s (n,)) to shape (n,) or (n, k),
-    elementwise; ``lo`` and ``hi`` map the array of outer nodes to arrays of
-    inner limits, and must keep lo <= hi.  The error adds the outer estimate
-    and the largest inner one times (b - a).
+    elementwise; ``hi`` maps the array of outer nodes to an array of upper
+    inner limits, and must keep hi >= 0.  The error of each component adds
+    its outer estimate and its largest inner one times (b - a).
     """
     inner_err = 0.0
 
     def outer_integrand(xs):
         nonlocal inner_err
-        value, error = kronrod(lambda s: f(np.repeat(xs, 15), s), lo(xs), hi(xs))
-        inner_err = float(np.max(error))
+        value, error = kronrod(lambda s: f(np.repeat(xs, 15), s), np.zeros_like(xs), hi(xs))
+        inner_err = np.max(error, axis=0)
         return value
 
     value, error = kronrod(outer_integrand, a, b)

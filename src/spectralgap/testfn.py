@@ -213,7 +213,7 @@ def _cone_integrals(epsilon, dim):
         weight = sig * s ** (dim - 2)
         return comps * weight[:, None]
 
-    value, err = kronrod_2d(f, 0.0, a, np.zeros_like, lambda x1: a - x1)
+    value, err = kronrod_2d(f, 0.0, a, lambda x1: a - x1)
     return value[0], value[1], err
 
 
@@ -248,7 +248,7 @@ def _slab_integrals(epsilon, dim):
         dx = x1 - c1
         return np.sqrt(np.maximum(1.0 - dx * dx, 0.0))
 
-    return kronrod_2d(f, 0.0, epsilon, np.zeros_like, rho)
+    return kronrod_2d(f, 0.0, epsilon, rho)
 
 
 # ---------------------------------------------------------------------------

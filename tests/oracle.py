@@ -56,8 +56,8 @@ def nested(f, a, b, lo, hi, rel_tol=1e-8, max_panels=4000):
     at a tenth of the tolerance.
 
     ``f`` maps paired arrays to shape (n,) or (n, k); ``lo`` and ``hi`` map
-    one outer node to a limit.  The error adds the outer estimate and the
-    largest inner one times (b - a).
+    one outer node to a limit.  The error of each component adds its outer
+    estimate and its largest inner one times (b - a).
     """
     inner_err = 0.0
 
@@ -67,7 +67,7 @@ def nested(f, a, b, lo, hi, rel_tol=1e-8, max_panels=4000):
         for x in xs:
             value, error = quad(lambda s: f(np.full_like(s, x), s), lo(x), hi(x),
                                 rel_tol=0.1 * rel_tol, max_panels=max_panels)
-            inner_err = max(inner_err, float(np.max(error)))
+            inner_err = np.maximum(inner_err, error)
             rows.append(value)
         return np.array(rows)
 

@@ -92,8 +92,10 @@ class TestBesselZero:
         assert abs(an.bessel_zero(4.5, 1) - ref) <= 1e-12 * ref
 
     def test_bracket_failure_reported(self):
+        # j_(0,70) is near 219, beyond the scan's end at MAX_ARG = 200
+        assert an.MAX_ARG < special.jn_zeros(0, 70)[-1]
         with pytest.raises(an.BracketError):
-            an.bessel_zero(0.0, 3, max_arg=5.0)
+            an.bessel_zero(0.0, 70)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):

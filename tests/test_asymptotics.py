@@ -1,11 +1,14 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from spectralgap import asymptotics as asy
-from spectralgap.analytic import theta_spectrum
-from spectralgap.attainable import SweepRecord
+from spectralgap import testfn
+from spectralgap.analytic import ball_spectrum, theta_spectrum, unit_ball_volume
+from spectralgap.attainable import SweepConfig, SweepRecord, sweep
+from spectralgap.geometry import cap_volume
 
 # the synthetic records check exact algebraic identities against the value
 # the package itself computes
@@ -102,6 +105,28 @@ class TestRatioCurve:
         rec = SweepRecord(family="ball", param=1.0,
                           lambda1_norm=5.8, lambda2_norm=14.7)
         assert asy.ratio_curve([rec]).bound == ()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: ratio_curve subtracts lambda(P) from the O(1) normalized "
+        "quotients, whose difference is about eps^((N+1)/2)"))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bound_ratio_free_of_cancellation(self, dim):
+        """At eps = 1e-7 the bound-path ratio is, within 1e-12 relative, the
+        ratio that the deficit d, the excess x, lambda = lambda_1(ball) and
+        the cap fraction c = |cap| / omega_N give in 40-digit arithmetic:
+        (lambda (g - 1) + x g) / (d g - lambda (g - 1)), g = (1 - c)^(2/N)."""
+        eps = 1e-7
+        records = sweep("dumbbell", [eps], SweepConfig(grid_eps_min=math.inf, dim=dim))
+        ((_, ratio),) = asy.ratio_curve(records, dim=dim).bound
+        with mp.workdps(40):
+            lam = mp.mpf(ball_spectrum(dim).lambda1)
+            d = mp.mpf(testfn.lemma1_rayleigh(eps, dim).deficit)
+            x = mp.mpf(testfn.lemma2_rayleigh(eps, dim).excess)
+            g = (1 - mp.mpf(cap_volume(eps, dim)) / mp.mpf(unit_ball_volume(dim))) ** (
+                mp.mpf(2) / dim)
+            reference = (lam * (g - 1) + x * g) / (d * g - lam * (g - 1))
+            error = float(abs(ratio - reference) / reference)
+        assert error <= 1e-12
 
 
 class TestVerifyTheorem:

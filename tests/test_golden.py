@@ -1,0 +1,76 @@
+"""Golden outputs of the bound-only commands: what in-process ``cli.main``
+writes for ``lemma1``, ``lemma2 --format csv`` and ``ratio`` at N = 2 and 3,
+and for ``verify --no-grid-check`` (its JSON and its data CSV, written under
+relative paths in an empty working directory), compared byte for byte with
+the files under ``tests/golden/``.  Any change to them is a change to the
+printed numbers, to be stated with its reason.  No grid is solved, so the
+whole set runs in well under a second.
+
+To rewrite the files after an intended output change, run
+``python tests/test_golden.py`` with ``src`` on the path."""
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from spectralgap import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    f"{name}_dim{dim}{suffix}": [name, "--dim", str(dim), *extra]
+    for dim in (2, 3)
+    for name, suffix, extra in (("lemma1", ".json", []),
+                                ("lemma2", ".csv", ["--format", "csv"]),
+                                ("ratio", ".csv", []))
+}
+VERIFY = "verify_no_grid_check.json"
+VERIFY_DATA = "verify_no_grid_check_data.csv"
+
+
+def _run(argv):
+    """(exit code, stdout) of one in-process ``cli.main`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _outputs(workdir):
+    """Every golden file's name and its text, generated afresh; ``verify``
+    writes its data CSV into ``workdir``."""
+    texts = {}
+    for name, argv in COMMANDS.items():
+        code, texts[name] = _run(argv)
+        assert code == 0, argv
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code, texts[VERIFY] = _run(["verify", "--no-grid-check"])
+        texts[VERIFY_DATA] = Path("ratio_curve.csv").read_text()
+    finally:
+        os.chdir(previous)
+    assert code == 0
+    return texts
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return _outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", [*COMMANDS, VERIFY, VERIFY_DATA])
+def test_output_matches_golden_file(outputs, name):
+    assert outputs[name] == (GOLDEN_DIR / name).read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _outputs(tmp).items():
+            (GOLDEN_DIR / name).write_text(text)

@@ -317,17 +317,17 @@ class TestOddExtension:
 
 
 # (lemma1 quotient, lemma1 error_est, lemma2 quotient, lemma2 error_est) as
-# the bounds path computed them with U evaluated together with U'; the lemma1
-# estimates are the floor 2 * ZERO_RTOL * lambda_1(ball)
+# the bounds path computed them with U evaluated together with U'; every
+# estimate but lemma2's at (3, 0.08) is the floor 2 * ZERO_RTOL * lambda_1(ball)
 PINNED_BOUNDS = {
     (2, 0.001): (5.781231982520764, 1.1566371925893578e-13,
-                 5.78344492439945, 3.66379218991368e-12),
+                 5.78344492439945, 1.1566371925893578e-13),
     (2, 0.08): (5.539939026296202, 1.1566371925893578e-13,
-                5.9756112542774575, 4.91504211707954e-13),
+                5.9756112542774575, 1.1566371925893578e-13),
     (3, 0.001): (9.869525718869673, 1.9739208802178784e-13,
-                 9.869616753345252, 2.6021035381358006e-13),
+                 9.869616753345252, 1.9739208802178784e-13),
     (3, 0.08): (9.775369212537173, 1.9739208802178784e-13,
-                9.95427878517063, 8.570187968536485e-12),
+                9.95427878517063, 2.6716008856403507e-12),
 }
 
 
