@@ -52,8 +52,8 @@ class SweepConfig:
     dim: int = 2  # ambient dimension of the dumbbell family
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("solver tolerance must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"solver tolerance must be finite and > 0, got {self.tol}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

@@ -11,11 +11,12 @@ verify    full default pipeline and the three-check verdict (exit 0 = PASS), JSO
 plotdata  attainable-cloud CSV plus the region boundary curves
 
 The first format listed is the default.  Each command takes only the flags
-it reads: every command has --dim (2 or 3; the grid solver is planar, so
-eig, sweep, plotdata, ratio --with-grid and verify without --no-grid-check
-refuse 3) and --out; the grid commands (all but lemma1 and lemma2) have
---seed, --tol and --h, and those that sweep also --jobs; --format exists
-where there is a choice.
+it reads, and each setting has one flag: every command has --dim (2 or 3;
+the grid solver is planar, so eig, sweep, plotdata, and ratio and verify
+when an eps of --eps-grid is at or above --grid-eps-min, refuse 3) and
+--out; the grid commands (all but lemma1 and lemma2) have --seed, --tol and
+--h, and those that sweep also --jobs; --format exists where there is a
+choice.
 Values are checked once, at parse time or where they are used, and flags
 must be spelled in full.  Floats are printed with 12 significant digits,
 and outputs are byte-identical across runs for a fixed config and seed.
@@ -144,21 +145,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _grid_eps_min(value: float, flag: str) -> float:
-    """The smallest eps that is grid-solved; NaN would compare false and
-    grid-solve every eps."""
-    if math.isnan(value):
-        raise ConfigError(f"{flag} must be a number, got nan")
-    return value
-
-
-def _parse_eps_grid(spec: str, eps_max: float):
-    if not 0.0 < eps_max <= testfn.EPS_MAX:
-        raise ConfigError(
-            f"eps-max {eps_max} outside the validated regime (0, {testfn.EPS_MAX}]"
-        )
+def _parse_eps_grid(spec: str):
+    """A strictly increasing eps grid inside the bounds' regime
+    (0, testfn.EPS_MAX]; "default" is attainable.DEFAULT_EPS_GRID."""
     if spec == "default":
-        grid = [e for e in attainable.DEFAULT_EPS_GRID if e <= eps_max + 1e-15]
+        grid = list(attainable.DEFAULT_EPS_GRID)
     else:
         grid = []
         for token in filter(str.strip, spec.split(",")):
@@ -169,28 +160,17 @@ def _parse_eps_grid(spec: str, eps_max: float):
     if not grid:
         raise ConfigError("empty eps grid")
     for e in grid:
-        if not 0.0 < e <= eps_max + 1e-15:
-            raise ConfigError(f"eps {e} outside (0, {eps_max}]")
+        if not 0.0 < e <= testfn.EPS_MAX:
+            raise ConfigError(f"eps {e} outside the bounds' regime (0, {testfn.EPS_MAX}]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("eps grid must be strictly increasing")
     return tuple(grid)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.seed
-    env = os.environ.get("SPECTRALGAP_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        seed = int(env)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise ConfigError(f"SPECTRALGAP_SEED must be a non-negative integer, got {env!r}")
-    return seed
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _parse_domain(args):
@@ -226,7 +206,8 @@ def _require_planar(args, command: str):
         raise ConfigError(
             f"{command!r} uses the grid solver, which is planar only; "
             f"--dim {args.dim} supports the analytic and quadrature commands "
-            f"(lemma1, lemma2, ratio without --with-grid and verify --no-grid-check)"
+            f"(lemma1, lemma2, and ratio and verify with --grid-eps-min above "
+            f"every eps of --eps-grid)"
         )
 
 
@@ -238,7 +219,7 @@ def cmd_eig(args) -> int:
     _require_planar(args, "eig")
     domain = _parse_domain(args)
     h_list = _parse_h_list(args.h)
-    seed = _resolve_seed(args)
+    seed = _seed(args)
     solve = solve_domain(domain, h_list, tol=args.tol, seed=seed)
     doc = {
         "domain": domain_to_dict(domain),
@@ -277,16 +258,11 @@ def cmd_sweep(args) -> int:
 
 def _sweep_config(args, **overrides):
     return attainable.SweepConfig(h_list=_parse_h_list(args.h), tol=args.tol,
-                                  seed=_resolve_seed(args), jobs=args.jobs, **overrides)
+                                  seed=_seed(args), jobs=args.jobs, **overrides)
 
 
 def cmd_lemma(args, which: str) -> int:
-    if args.eps is not None:
-        if not 0.0 < args.eps <= testfn.EPS_MAX:
-            raise ConfigError(f"--eps must lie in (0, {testfn.EPS_MAX}], got {args.eps}")
-        eps_grid = (args.eps,)
-    else:
-        eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
+    eps_grid = _parse_eps_grid(args.eps_grid)
     rayleigh, key = ((testfn.lemma1_rayleigh, "deficit") if which == "lemma1"
                      else (testfn.lemma2_rayleigh, "excess"))
     bounds = [rayleigh(e, dim=args.dim) for e in eps_grid]
@@ -305,16 +281,21 @@ def _ratio_rows(bound, grid):
     return [(e, rb, grid_map.get(e)) for e, rb in bound]
 
 
+def _dumbbell_records(args, command: str):
+    """Sweep records of the dumbbells over --eps-grid: bounds for every eps,
+    and grid eigenvalues for those at or above --grid-eps-min (NaN would
+    compare false and grid-solve every eps), which need --dim 2."""
+    eps_grid = _parse_eps_grid(args.eps_grid)
+    if math.isnan(args.grid_eps_min):
+        raise ConfigError("--grid-eps-min must be a number, got nan")
+    if eps_grid[-1] >= args.grid_eps_min:
+        _require_planar(args, command)
+    config = _sweep_config(args, grid_eps_min=args.grid_eps_min, dim=args.dim)
+    return attainable.sweep("dumbbell", eps_grid, config)
+
+
 def cmd_ratio(args) -> int:
-    if args.with_grid:
-        _require_planar(args, "ratio --with-grid")
-    eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
-    if args.with_grid:
-        grid_eps_min = _grid_eps_min(args.grid_eps_min, "--grid-eps-min")
-        config = _sweep_config(args, grid_eps_min=grid_eps_min)
-    else:
-        config = attainable.SweepConfig(grid_eps_min=math.inf, jobs=args.jobs, dim=args.dim)
-    records = attainable.sweep("dumbbell", eps_grid, config)
+    records = _dumbbell_records(args, "ratio")
     curves = asymptotics.ratio_curve(records, dim=args.dim)
     rows = _ratio_rows(curves.bound, curves.grid)
     if args.format == "json":
@@ -325,30 +306,19 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.no_grid_check:
-        _require_planar(args, "verify")
-    eps_grid = _parse_eps_grid(args.eps_grid, args.eps_max)
-    grid_eps_min = (math.inf if args.no_grid_check
-                    else _grid_eps_min(args.grid_check_eps, "--grid-check-eps"))
-    config = _sweep_config(args, grid_eps_min=grid_eps_min, dim=args.dim)
-    records = attainable.sweep("dumbbell", eps_grid, config)
+    records = _dumbbell_records(args, "verify")
     verdict = asymptotics.verify_theorem(records, dim=args.dim)
 
-    crosscheck = []
-    if not args.no_grid_check:
-        for rec in records:
-            if rec.lambda1_norm is None or rec.bound1 is None:
-                continue
-            crosscheck.append({
-                "eps": rec.param,
-                "bound1": rec.bound1,
-                "lambda1_norm": rec.lambda1_norm,
-                "bound2": rec.bound2,
-                "lambda2_norm": rec.lambda2_norm,
-                "budget": rec.error_est,
-                "bound1_above_grid": rec.bound1 >= rec.lambda1_norm - rec.error_est,
-                "bound2_above_grid": rec.bound2 >= rec.lambda2_norm - rec.error_est,
-            })
+    crosscheck = [{
+        "eps": rec.param,
+        "bound1": rec.bound1,
+        "lambda1_norm": rec.lambda1_norm,
+        "bound2": rec.bound2,
+        "lambda2_norm": rec.lambda2_norm,
+        "budget": rec.error_est,
+        "bound1_above_grid": rec.bound1 >= rec.lambda1_norm - rec.error_est,
+        "bound2_above_grid": rec.bound2 >= rec.lambda2_norm - rec.error_est,
+    } for rec in records if rec.lambda1_norm is not None and rec.bound1 is not None]
 
     data_csv = args.data_out
     if data_csv is None and args.out:
@@ -412,6 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "grid solves, trial-field upper bounds, attainable-set data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    eps_grid_help = f"comma list in (0, {testfn.EPS_MAX}], or 'default'"
+    grid_eps_min_help = "grid-solve the dumbbells with eps >= this (inf: bounds only)"
 
     def command(name, func, help, fmt=None, grid=True, jobs=True):
         """A subcommand with the flags it reads: ``fmt`` is its default output
@@ -423,9 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if fmt is not None:
             p.add_argument("--format", choices=("json", "csv"), default=fmt)
         if grid:
-            p.add_argument("--seed", type=int, default=None,
-                           help=f"RNG seed (default {DEFAULT_SEED}; env SPECTRALGAP_SEED "
-                                f"applies when the flag is absent)")
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help=f"RNG seed (default {DEFAULT_SEED})")
             p.add_argument("--tol", type=_positive_float, default=1e-6,
                            help="eigenvalue tolerance")
             p.add_argument("--h", default="1/32,1/64,1/128",
@@ -449,24 +420,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("lemma1", "lemma2"):
         p = command(name, lambda a, w=name: cmd_lemma(a, w), f"{name} bound over an eps grid",
                     fmt="json", grid=False)
-        p.add_argument("--eps", type=float, default=None, help="single eps")
-        p.add_argument("--eps-grid", default="default", help="comma list or 'default'")
-        p.add_argument("--eps-max", type=float, default=0.2)
+        p.add_argument("--eps-grid", default="default", help=eps_grid_help)
 
     p = command("ratio", cmd_ratio, "horizontal-tangent ratio curve", fmt="csv")
-    p.add_argument("--eps-grid", default="default")
-    p.add_argument("--eps-max", type=float, default=0.2)
-    p.add_argument("--with-grid", action="store_true",
-                   help="add grid-path ratios for eps >= --grid-eps-min")
-    p.add_argument("--grid-eps-min", type=float, default=0.1)
+    p.add_argument("--eps-grid", default="default", help=eps_grid_help)
+    p.add_argument("--grid-eps-min", type=float, default=math.inf, help=grid_eps_min_help)
 
     p = command("verify", cmd_verify, "run the default pipeline and verdict (JSON)")
-    p.add_argument("--eps-grid", default="default")
-    p.add_argument("--eps-max", type=float, default=0.2)
-    p.add_argument("--no-grid-check", action="store_true",
-                   help="skip the grid cross-check of the bounds")
-    p.add_argument("--grid-check-eps", type=float, default=0.2,
-                   help="grid-solve dumbbells with eps >= this for the cross-check")
+    p.add_argument("--eps-grid", default="default", help=eps_grid_help)
+    p.add_argument("--grid-eps-min", type=float, default=0.2, help=grid_eps_min_help)
     p.add_argument("--data-out", default=None, help="ratio-curve CSV path")
 
     command("plotdata", cmd_plotdata, "attainable cloud and region boundary CSVs")

@@ -27,10 +27,11 @@ The preconditioner M is one symmetric geometric-multigrid V-cycle
 from the lattice indices of the operator's rows.  The coarse nodes of a
 level are its all-even nodes, halved; P interpolates multilinearly from
 them (``discretize.prolong``), the coarse operator is P^T A P, formed as
-R (A P), and damped Jacobi smooths before and after the coarse correction.  Every P is kept in CSC, and each level keeps R = P^T,
-taken once: a CSR view of P's arrays, not a copy.  So the V-cycle restricts
-with R and prolongs with P in plain compressed-matrix products that make
-no matrix object per call.  Levels stop at COARSEST unknowns, or at a level
+R (A P), and damped Jacobi smooths before and after the coarse correction.
+Every P is kept in CSC, and each level keeps R = P^T, taken once: a CSR
+view of P's arrays, not a copy.  So the V-cycle restricts with R and
+prolongs with P in plain compressed-matrix products that make no matrix
+object per call.  Levels stop at COARSEST unknowns, or at a level
 without an all-even node, which is inverted densely.  Grid continuation
 (``coarse=``) reuses the matrices P of the coarser grid's solve, so each
 is built once per domain.
@@ -225,8 +226,9 @@ def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
     Runs block LOBPCG on k vectors for at most MAX_OUTER iterations,
     applying the operator once to each new preconditioned residual and
     carrying its products with the other block vectors.
-    Convergence requires, for every pair, both a relative eigenvalue change
-    below ``tol`` and an eigenresidual ||A v - lambda v|| <= tol * lambda;
+    ``tol`` must be finite and > 0.  Convergence requires, for every pair,
+    both a relative eigenvalue change below ``tol`` and an eigenresidual
+    ||A v - lambda v|| <= tol * lambda;
     when the carried residuals meet it, or the budget runs out, a
     Rayleigh-Ritz on the block alone checks it afresh.  With
     ``values_only``, once a Rayleigh-Ritz on [X; P; W] has run, the
@@ -246,6 +248,8 @@ def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
     """
     if k not in (1, 2):
         raise ValueError(f"only the two smallest pairs are supported, got k={k}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     A, nodes = operator.matrix, operator.nodes
     n = A.shape[0]
     if k > n:

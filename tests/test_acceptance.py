@@ -241,7 +241,7 @@ def test_criterion_10_property_suites(disc_solve_fine):
     if not (np.array_equal(r1.values, r2.values) and r1.iterations == r2.iterations
             and np.array_equal(r1.vectors, r2.vectors)):
         failures.append("solver determinism")
-    cli = [sys.executable, "-m", "spectralgap.cli", "lemma1", "--eps", "0.08"]
+    cli = [sys.executable, "-m", "spectralgap.cli", "lemma1", "--eps-grid", "0.08"]
     out1 = subprocess.run(cli, capture_output=True, text=True, env=cli_env()).stdout
     out2 = subprocess.run(cli, capture_output=True, text=True, env=cli_env()).stdout
     if out1 != out2 or not out1:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from spectralgap import attainable as at
+from spectralgap import eigensolve
 
 CHEAP = at.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32), tol=1e-6)
 LAM1_DISC = 5.783185962946785
@@ -54,6 +55,18 @@ class TestSweep:
         assert [r.param for r in records] == [-1.0, 0.1, 0.2]
         assert records[0].failure is not None
         assert records[1].failure is None
+
+    def test_convergence_failure_recorded_inline(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "MAX_OUTER", 2)
+        config = at.SweepConfig(h_list=(1 / 8, 1 / 16), tol=1e-12)
+        rec = at.sweep("ball", [1.0], config)[0]
+        assert rec.failure.startswith("ConvergenceError: eigenpairs not converged after 2 ")
+        assert math.isnan(rec.error_est) and rec.lambda1_norm is None
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_outside_zero_to_inf_rejected(self, tol):
+        with pytest.raises(ValueError, match="solver tolerance must be finite and > 0"):
+            at.SweepConfig(tol=tol)
 
     def test_normalization_identity(self):
         rec = at.sweep("ellipses", [1.5], CHEAP)[0]

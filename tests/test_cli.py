@@ -11,11 +11,14 @@ import pytest
 from conftest import cli_env
 from spectralgap import asymptotics, attainable, cli
 from spectralgap.discretize import build_grid
+from spectralgap.eigensolve import DEFAULT_SEED
 from spectralgap.geometry import Ball
 
 CLI = [sys.executable, "-m", "spectralgap.cli"]
 CHEAP_H = "1/8,1/16,1/32"
 MALFORMED = "malformed domain document: "
+# the default eps grid up to 0.1, the bounds' rate-fit window
+WINDOW_GRID = ",".join(repr(e) for e in attainable.DEFAULT_EPS_GRID if e <= 0.1)
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -149,7 +152,7 @@ class TestErrorMapping:
 
 class TestLemmaCommands:
     def test_lemma1_single(self):
-        proc = run_cli("lemma1", "--eps", "0.1")
+        proc = run_cli("lemma1", "--eps-grid", "0.1")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc[0]["quotient"] == pytest.approx(5.46488935135, rel=1e-9)
@@ -164,7 +167,7 @@ class TestLemmaCommands:
         assert float(lines[2].split(",")[2]) > 0
 
     def test_lemma1_dim3(self):
-        proc = run_cli("lemma1", "--eps", "0.05", "--dim", "3")
+        proc = run_cli("lemma1", "--eps-grid", "0.05", "--dim", "3")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc[0]["quotient"] < 9.8696044
@@ -175,11 +178,16 @@ class TestLemmaCommands:
         assert a.stdout == b.stdout
 
     def test_eps_outside_regime(self):
-        proc = run_cli("lemma1", "--eps", "0.5")
+        proc = run_cli("lemma1", "--eps-grid", "0.5")
         assert proc.returncode != 0
 
+    def test_grid_spans_the_bounds_regime(self, capsys):
+        # the whole regime (0, testfn.EPS_MAX], past the default grid's 0.2
+        assert cli.main(["lemma1", "--eps-grid", "0.1,0.25,0.3"]) == 0
+        assert [row["eps"] for row in json.loads(capsys.readouterr().out)] == [0.1, 0.25, 0.3]
+
     def test_tiny_eps(self, capsys):
-        assert cli.main(["lemma2", "--eps", "1e-8"]) == 0
+        assert cli.main(["lemma2", "--eps-grid", "1e-8"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["eps"] == 1e-8 and doc[0]["excess"] > 0
 
@@ -204,20 +212,27 @@ class TestRatio:
         assert parallel.stdout == proc.stdout
 
 
-    def test_dim3_with_grid_rejected(self):
-        proc = run_cli("ratio", "--dim", "3", "--with-grid", "--eps-grid", "0.1,0.2")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        error = json.loads(proc.stderr)
+    def test_dim3_with_grid_rejected(self, capsys):
+        argv = ["ratio", "--dim", "3", "--eps-grid", "0.1,0.2", "--grid-eps-min", "0.1"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
         assert error["kind"] == "config"
-        assert error["error"].startswith("'ratio --with-grid' uses the grid solver, "
-                                         "which is planar only")
+        assert error["error"].startswith("'ratio' uses the grid solver, which is planar only")
+
+    def test_dim3_with_threshold_above_grid_is_bound_only(self, capsys):
+        argv = ["ratio", "--dim", "3", "--eps-grid", "0.1,0.2"]
+        assert cli.main(argv + ["--grid-eps-min", "0.25"]) == 0
+        bound_only = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert bound_only == capsys.readouterr().out
 
 
 class TestVerify:
     def test_default_window_passes(self, tmp_path):
         out = tmp_path / "report.json"
-        proc = run_cli("verify", "--eps-max", "0.1", "--no-grid-check",
+        proc = run_cli("verify", "--eps-grid", WINDOW_GRID, "--grid-eps-min", "inf",
                        "--out", str(out), "--data-out", str(tmp_path / "curve.csv"))
         assert proc.returncode == 0, proc.stderr + proc.stdout
         doc = json.loads(out.read_text())
@@ -227,13 +242,14 @@ class TestVerify:
         assert doc["data_csv_path"].endswith("curve.csv")
 
     def test_eps_max_out_of_regime_rejected(self):
-        proc = run_cli("verify", "--eps-max", "0.9")
+        proc = run_cli("verify", "--eps-grid", "0.1,0.9")
         assert proc.returncode == 2
         assert "regime" in proc.stderr
 
     def test_dim3_without_grid_check(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
-        assert cli.main(["verify", "--dim", "3", "--no-grid-check", "--data-out", str(curve)]) == 0
+        argv = ["verify", "--dim", "3", "--grid-eps-min", "inf", "--data-out", str(curve)]
+        assert cli.main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is True and doc["grid_crosscheck"] == [] and doc["ratio_grid"] == []
         # the verdict reads the N = 3 ratios that `ratio --dim 3` prints
@@ -242,39 +258,24 @@ class TestVerify:
 
     def test_csv_schema_matches_ratio_command(self, tmp_path):
         curve = tmp_path / "curve.csv"
-        proc = run_cli("verify", "--eps-max", "0.1", "--no-grid-check",
+        proc = run_cli("verify", "--eps-grid", WINDOW_GRID, "--grid-eps-min", "inf",
                        "--out", str(tmp_path / "r.json"), "--data-out", str(curve))
         assert proc.returncode == 0
         assert curve.read_text().splitlines()[0] == "eps,bound_ratio,grid_ratio"
 
 
 class TestSeed:
-    def test_env_override(self):
-        proc = run_cli("eig", "--domain", "ball", "--h", "1/8,1/16",
-                       env_extra={"SPECTRALGAP_SEED": "77"})
-        doc = json.loads(proc.stdout)
-        assert doc["seed"] == 77
+    def test_flag_and_default(self, capsys):
+        for argv, seed in ((["--seed", "5"], 5), ([], DEFAULT_SEED)):
+            assert cli.main(["eig", "--domain", "ball", "--h", "1/8,1/16", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == seed
 
-    def test_flag_beats_env(self):
-        proc = run_cli("eig", "--domain", "ball", "--h", "1/8,1/16",
-                       "--seed", "5", env_extra={"SPECTRALGAP_SEED": "77"})
-        assert json.loads(proc.stdout)["seed"] == 5
-
-    @pytest.mark.parametrize("argv, env, source", [
-        (["--seed", "-1"], None, "--seed"),
-        ([], "-3", "SPECTRALGAP_SEED"),
-        ([], "x", "SPECTRALGAP_SEED"),
-    ])
-    def test_negative_seed_is_config_error(self, argv, env, source, monkeypatch, capsys):
-        if env is None:
-            monkeypatch.delenv("SPECTRALGAP_SEED", raising=False)
-        else:
-            monkeypatch.setenv("SPECTRALGAP_SEED", env)
-        assert cli.main(["eig", "--domain", "ball", "--h", "1/8,1/16", *argv]) == 1
+    def test_negative_seed_is_config_error(self, capsys):
+        assert cli.main(["eig", "--domain", "ball", "--h", "1/8,1/16", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         error = json.loads(captured.err)
         assert captured.out == "" and error["kind"] == "config"
-        assert error["error"].startswith(f"{source} must be a non-negative integer")
+        assert error["error"] == "--seed must be a non-negative integer, got -1"
 
     def test_determinism_across_runs(self):
         a = run_cli("eig", "--domain", "dumbbell", "--eps", "0.2", "--h", "1/8,1/16")
@@ -380,12 +381,11 @@ SOLVER = {"--seed", "--tol", "--h"}
 FLAGS = {
     "eig": {"--dim", "--out", "--domain", "--eps"} | SOLVER,
     "sweep": {"--dim", "--out", "--format", "--jobs", "--families"} | SOLVER,
-    "lemma1": {"--dim", "--out", "--format", "--eps", "--eps-grid", "--eps-max"},
-    "lemma2": {"--dim", "--out", "--format", "--eps", "--eps-grid", "--eps-max"},
-    "ratio": {"--dim", "--out", "--format", "--jobs", "--eps-grid", "--eps-max",
-              "--with-grid", "--grid-eps-min"} | SOLVER,
-    "verify": {"--dim", "--out", "--jobs", "--eps-grid", "--eps-max", "--no-grid-check",
-               "--grid-check-eps", "--data-out"} | SOLVER,
+    "lemma1": {"--dim", "--out", "--format", "--eps-grid"},
+    "lemma2": {"--dim", "--out", "--format", "--eps-grid"},
+    "ratio": {"--dim", "--out", "--format", "--jobs", "--eps-grid", "--grid-eps-min"} | SOLVER,
+    "verify": {"--dim", "--out", "--jobs", "--eps-grid", "--grid-eps-min",
+               "--data-out"} | SOLVER,
     "plotdata": {"--dim", "--out", "--jobs"} | SOLVER,
 }
 REQUIRED = {"eig": ["--domain", "ball"]}
@@ -405,16 +405,22 @@ class TestFlags:
     def test_each_command_takes_the_flags_it_reads(self):
         commands = _subcommands()
         assert {name: _flags(p) for name, p in commands.items()} == FLAGS
-        assert sum(len(flags) for flags in FLAGS.values()) == 55
+        assert sum(len(flags) for flags in FLAGS.values()) == 47
 
     @pytest.mark.parametrize("command, flag, value", [
         ("eig", "--jobs", "2"), ("eig", "--format", "json"),
         ("lemma1", "--seed", "3"), ("lemma1", "--tol", "1e-12"), ("lemma1", "--jobs", "7"),
         ("lemma2", "--seed", "3"), ("lemma2", "--tol", "1e-12"), ("lemma2", "--jobs", "7"),
         ("verify", "--format", "csv"), ("plotdata", "--format", "csv"),
+        ("lemma1", "--eps", "0.1"), ("lemma2", "--eps", "0.1"),
+        ("lemma1", "--eps-max", "0.1"), ("lemma2", "--eps-max", "0.1"),
+        ("ratio", "--eps-max", "0.1"), ("verify", "--eps-max", "0.1"),
+        ("ratio", "--with-grid", None), ("verify", "--no-grid-check", None),
+        ("verify", "--grid-check-eps", "0.1"),
     ])
     def test_removed_flag_exits_2(self, command, flag, value, capsys):
-        assert _parse_exit([command, *REQUIRED.get(command, []), flag, value], capsys) == 2
+        argv = [command, *REQUIRED.get(command, []), flag, *([value] if value else [])]
+        assert _parse_exit(argv, capsys) == 2
 
     def test_abbreviations_rejected(self, capsys):
         assert _parse_exit(["lemma1", "--eps-grid", "0.1,0.2", "--format", "csv"], capsys) is None
@@ -426,7 +432,7 @@ class TestFlags:
         assert _parse_exit([command, *REQUIRED.get(command, []), "--tol", tol], capsys) == 2
 
     @pytest.mark.parametrize("argv", [["ratio", "--jobs", "0"],
-                                      ["verify", "--jobs", "0", "--no-grid-check"],
+                                      ["verify", "--jobs", "0", "--grid-eps-min", "inf"],
                                       ["sweep", "--jobs", "-1"]])
     def test_jobs_below_one_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -462,6 +468,8 @@ class TestSettingChecks:
         (["verify", "--h", "1/16,x"], 2),
         (["eig", "--domain", "ball", "--h", "0.1"], 1),
         (["verify", "--h", "1/16"], 2),
+        (["ratio", "--h", "1/8,1/24"], 1),
+        (["ratio", "--h", "a/b"], 1),
     ])
     def test_bad_h_is_config_error(self, argv, code, capsys):
         assert cli.main(argv) == code
@@ -483,8 +491,8 @@ class TestSettingChecks:
         assert error["error"].startswith(argv[-2] + ": ") and token in error["error"]
 
     @pytest.mark.parametrize("argv, code", [
-        (["verify", "--grid-check-eps", "nan"], 2),
-        (["ratio", "--with-grid", "--grid-eps-min", "nan"], 1),
+        (["verify", "--grid-eps-min", "nan"], 2),
+        (["ratio", "--grid-eps-min", "nan"], 1),
     ])
     def test_nan_grid_eps_is_config_error(self, argv, code, monkeypatch, capsys):
         # NaN compares false with every eps, so it would grid-solve them all
@@ -502,6 +510,17 @@ class TestSettingChecks:
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "config"
         assert error["error"].startswith("'verify' uses the grid solver, which is planar only")
+
+    def test_verify_dim3_below_threshold_runs(self, tmp_path, capsys):
+        # no eps reaches the default --grid-eps-min 0.2, so no grid is solved;
+        # the verdict fails on contraction alone (ratio(0.01) / ratio(0.08) > 0.5)
+        argv = ["verify", "--dim", "3", "--eps-grid", "0.01,0.02,0.04,0.08",
+                "--data-out", str(tmp_path / "curve.csv")]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert captured.err == "" and doc["grid_crosscheck"] == [] and doc["ratio_grid"] == []
+        assert [c["pass"] for c in doc["checks"]] == [True, False, True]
 
     def test_domain_names_beat_files_of_that_name(self, tmp_path):
         (tmp_path / "ball").write_text("not json")

@@ -110,6 +110,14 @@ class TestSmallestPairs:
         assert res.values == pytest.approx(np.einsum("ij,ij->j", V, AV), rel=1e-14)
         true = np.linalg.norm(AV - V * res.values, axis=0)
         assert res.residuals == pytest.approx(true, rel=1e-6, abs=0)
+        assert (res.residuals > 1e-12 * res.values).all()
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_tolerance_outside_zero_to_inf_rejected(self, disc_op, tol):
+        # inf would return the random start after 0 iterations; NaN, 0 and
+        # -1 would run the whole budget and raise ConvergenceError
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            es.smallest_pairs(disc_op, tol=tol)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_orthonormal_drops_a_zero_row(self):

@@ -1,6 +1,6 @@
 """Golden outputs of the bound-only commands: what in-process ``cli.main``
 writes for ``lemma1``, ``lemma2 --format csv`` and ``ratio`` at N = 2 and 3,
-and for ``verify --no-grid-check`` (its JSON and its data CSV, written under
+and for ``verify --grid-eps-min inf`` (its JSON and its data CSV, written under
 relative paths in an empty working directory), compared byte for byte with
 the files under ``tests/golden/``.  Any change to them is a change to the
 printed numbers, to be stated with its reason.  No grid is solved, so the
@@ -49,7 +49,7 @@ def _outputs(workdir):
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        code, texts[VERIFY] = _run(["verify", "--no-grid-check"])
+        code, texts[VERIFY] = _run(["verify", "--grid-eps-min", "inf"])
         texts[VERIFY_DATA] = Path("ratio_curve.csv").read_text()
     finally:
         os.chdir(previous)

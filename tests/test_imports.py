@@ -97,9 +97,10 @@ from spectralgap import cli
 from spectralgap.analytic import bessel_j
 
 for argv in (["eig", "--domain", "ball", "--h", "1/8,1/16,1/32"],
-             ["lemma1", "--eps", "0.05"],
-             ["lemma2", "--dim", "3", "--eps", "0.05"],
-             ["verify", "--no-grid-check", "--out", "report.json", "--data-out", "curve.csv"]):
+             ["lemma1", "--eps-grid", "0.05"],
+             ["lemma2", "--dim", "3", "--eps-grid", "0.05"],
+             ["verify", "--grid-eps-min", "inf", "--out", "report.json",
+              "--data-out", "curve.csv"]):
     assert cli.main(argv) == 0, argv
 assert "scipy.special" not in sys.modules
 bessel_j(0.0, 20.0)
@@ -118,10 +119,11 @@ LAZY_GRID = """
 import sys
 from spectralgap import cli
 
-for argv in (["lemma1", "--eps", "0.05"],
-             ["lemma2", "--dim", "3", "--eps", "0.05"],
+for argv in (["lemma1", "--eps-grid", "0.05"],
+             ["lemma2", "--dim", "3", "--eps-grid", "0.05"],
              ["ratio", "--eps-grid", "0.05,0.1"],
-             ["verify", "--no-grid-check", "--out", "report.json", "--data-out", "curve.csv"]):
+             ["verify", "--grid-eps-min", "inf", "--out", "report.json",
+              "--data-out", "curve.csv"]):
     assert cli.main(argv) == 0, argv
 loaded = [m for m in ("scipy.sparse", "concurrent.futures.process") if m in sys.modules]
 assert loaded == [], loaded
