@@ -9,7 +9,7 @@ from .analytic import (
     theta_spectrum, unit_ball_volume,
 )
 from .asymptotics import SlopeFit, fit_slope, ratio_curve, verify_theorem
-from .attainable import SweepConfig, SweepRecord, default_sweep, region_check, sweep
+from .attainable import SweepConfig, SweepRecord, region_check, sweep
 from .discretize import DiscreteOperator, Grid2D, assemble, build_grid, extrapolate
 from .eigensolve import EigenResult, smallest_pairs
 from .geometry import (

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import theta_spectrum
-from .attainable import RATE_FIT_WINDOW
 
 # thresholds of the horizontal-tangent verdict; the exponent is fitted on
 # RATE_FIT_WINDOW, the window the lemma rates are fitted on, beyond which
 # higher-order corrections visibly bend the bound-path curve
+RATE_FIT_WINDOW = (0.005, 0.1)
 MAX_INVERSIONS = 1
 ENDPOINT_FACTOR = 0.5
 MIN_EXPONENT = 0.3

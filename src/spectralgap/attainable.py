@@ -25,14 +25,12 @@ __all__ = [
     "DEFAULT_EPS_GRID",
     "DEFAULT_FAMILIES",
     "sweep",
-    "default_sweep",
     "region_check",
 ]
 
 # half-decade (factor sqrt(2)) grid from 5e-3 to 0.2; rates are fitted on
-# the sub-decade [5e-3, 0.1]
+# the sub-decade [5e-3, 0.1] (asymptotics.RATE_FIT_WINDOW)
 DEFAULT_EPS_GRID = tuple(0.005 * 2.0 ** (k / 2.0) for k in range(11)) + (0.2,)
-RATE_FIT_WINDOW = (0.005, 0.1)
 
 DEFAULT_FAMILIES = {
     "ball": (1.0,),
@@ -104,9 +102,7 @@ def _family_domain(family: str, param: float, dim: int):
         ))
     if family == "rectangles":
         return Rectangle(width=param, height=1.0)
-    if family == "ellipses":
-        return Ellipse(semi_x=param, semi_y=1.0)
-    raise ValueError(f"unknown sweep family {family!r}")
+    return Ellipse(semi_x=param, semi_y=1.0)  # "ellipses"
 
 
 def _solve_one(family: str, param: float, config: SweepConfig) -> SweepRecord:
@@ -148,38 +144,28 @@ def _solve_one_guarded(args):
                            failure=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(family: str, params, config: SweepConfig = SweepConfig()) -> list:
-    """Compute one SweepRecord per parameter; failures are recorded inline.
+def sweep(families: dict, config: SweepConfig = SweepConfig()) -> list:
+    """One SweepRecord per parameter of ``{family: params}``, in family
+    order and each family's sorted by parameter; failures are recorded inline.
 
-    Records are deterministic for a fixed config and are returned sorted by
-    parameter regardless of the number of worker processes.  At most one
-    process per parameter is started, and a single one runs in-process.
-    An unknown family is a configuration error and raises instead.
+    Records are deterministic for a fixed config whatever the number of
+    workers.  All tasks share one pool of at most one process per task, and
+    a single worker runs in-process.  An unknown family is a configuration
+    error and raises instead.
     """
-    if family not in DEFAULT_FAMILIES:
-        raise ValueError(f"unknown sweep family {family!r}; known: "
-                         f"{sorted(DEFAULT_FAMILIES)}")
-    tasks = [(family, float(p), config) for p in params]
+    for family in families:
+        if family not in DEFAULT_FAMILIES:
+            raise ValueError(f"unknown sweep family {family!r}; known: "
+                             f"{sorted(DEFAULT_FAMILIES)}")
+    tasks = [(family, p, config) for family, params in families.items()
+             for p in sorted(map(float, params))]
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_solve_one_guarded, tasks))
-    else:
-        records = [_solve_one_guarded(t) for t in tasks]
-    return sorted(records, key=lambda r: r.param)
-
-
-def default_sweep(config: SweepConfig = SweepConfig(), families=None) -> list:
-    """The full default suite over all families, concatenated."""
-    chosen = DEFAULT_FAMILIES if families is None else {
-        f: DEFAULT_FAMILIES[f] for f in families
-    }
-    records = []
-    for family, params in chosen.items():
-        records.extend(sweep(family, params, config))
-    return records
+            return list(pool.map(_solve_one_guarded, tasks))
+    return [_solve_one_guarded(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------

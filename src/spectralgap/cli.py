@@ -11,12 +11,12 @@ verify    full default pipeline and the three-check verdict (exit 0 = PASS), JSO
 plotdata  attainable-cloud CSV plus the region boundary curves
 
 The first format listed is the default.  Each command takes only the flags
-it reads, and each setting has one flag: every command has --dim (2 or 3;
-the grid solver is planar, so eig, sweep, plotdata, and ratio and verify
-when an eps of --eps-grid is at or above --grid-eps-min, refuse 3) and
---out; the grid commands (all but lemma1 and lemma2) have --seed, --tol and
---h, and those that sweep also --jobs; --format exists where there is a
-choice.
+it reads, and each setting has one flag: every command has --out; all but
+eig, sweep and plotdata, which only solve planar grids, have --dim (2 or 3;
+ratio and verify refuse 3 when they grid-solve); the grid commands (all but
+lemma1 and lemma2) have --seed, --tol and --h, and those that sweep also
+--jobs; --format exists where there is a choice.  An eig --domain name is
+a kind of geometry.KINDS or one of DOMAIN_ALIASES.
 Values are checked once, at parse time or where they are used, and flags
 must be spelled in full.  Floats are printed with 12 significant digits,
 and outputs are byte-identical across runs for a fixed config and seed.
@@ -34,9 +34,7 @@ import sys
 from . import asymptotics, attainable, testfn
 from .analytic import ball_spectrum, theta_spectrum
 from .eigensolve import DEFAULT_SEED
-from .geometry import (
-    Ball, Dumbbell, HalfDumbbell, Rectangle, domain_from_dict, domain_to_dict, two_balls,
-)
+from .geometry import KINDS, domain_from_dict, domain_to_dict
 from .pipeline import halving_levels, solve_domain
 
 __all__ = ["main", "cmd_eig", "cmd_sweep", "cmd_lemma", "cmd_ratio", "cmd_verify",
@@ -173,42 +171,32 @@ def _seed(args) -> int:
     return args.seed
 
 
+# eig --domain names besides the kinds of geometry.KINDS: name -> (kind, params)
+DOMAIN_ALIASES = {"disc": ("ball", {}), "theta": ("two_balls", {}),
+                  "square": ("rectangle", {"width": 1.0, "height": 1.0})}
+
+
 def _parse_domain(args):
-    """A domain name first, then inline JSON, then a JSON file."""
+    """A kind or alias name first, then inline JSON, then a JSON file.  A name
+    is the planar document of that kind, with --eps, when given, as its
+    epsilon; a document states its own."""
     name = args.domain
-    named = {
-        "ball": lambda: Ball(),
-        "disc": lambda: Ball(),
-        "theta": two_balls,
-        "two_balls": two_balls,
-        "square": lambda: Rectangle(width=1.0, height=1.0),
-        "dumbbell": lambda: Dumbbell(epsilon=_require_eps(args.eps)),
-        "half_dumbbell": lambda: HalfDumbbell(epsilon=_require_eps(args.eps)),
-    }
-    if name in named:
-        return named[name]()
+    if name in KINDS or name in DOMAIN_ALIASES:
+        kind, params = DOMAIN_ALIASES.get(name, (name, {}))
+        if args.eps is not None:
+            params = {**params, "epsilon": args.eps}
+        return domain_from_dict({"kind": kind, "N": 2, "params": params})
     if name.lstrip().startswith("{"):
-        return domain_from_dict(json.loads(name))
-    if name.endswith(".json") or os.path.exists(name):
+        doc = json.loads(name)
+    elif name.endswith(".json") or os.path.exists(name):
         with open(name) as fh:
-            return domain_from_dict(json.load(fh))
-    raise ConfigError(f"unknown domain {name!r} (use a name, a JSON file, or inline JSON)")
-
-
-def _require_eps(eps):
-    if eps is None:
-        raise ConfigError("this domain needs --eps")
-    return eps
-
-
-def _require_planar(args, command: str):
-    if args.dim != 2:
-        raise ConfigError(
-            f"{command!r} uses the grid solver, which is planar only; "
-            f"--dim {args.dim} supports the analytic and quadrature commands "
-            f"(lemma1, lemma2, and ratio and verify with --grid-eps-min above "
-            f"every eps of --eps-grid)"
-        )
+            doc = json.load(fh)
+    else:
+        raise ConfigError(f"unknown domain {name!r} (use a name, a JSON file, or inline JSON)")
+    if args.eps is not None:
+        raise ConfigError("--eps sets a named domain's epsilon; a JSON document "
+                          "gives its own in params")
+    return domain_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +204,6 @@ def _require_planar(args, command: str):
 # ---------------------------------------------------------------------------
 
 def cmd_eig(args) -> int:
-    _require_planar(args, "eig")
     domain = _parse_domain(args)
     h_list = _parse_h_list(args.h)
     seed = _seed(args)
@@ -242,13 +229,13 @@ def cmd_eig(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _require_planar(args, "sweep")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     unknown = [f for f in families if f not in attainable.DEFAULT_FAMILIES]
     if unknown:
         raise ConfigError(f"unknown families {unknown}; "
                           f"known: {sorted(attainable.DEFAULT_FAMILIES)}")
-    records = attainable.default_sweep(_sweep_config(args), families=families)
+    records = attainable.sweep({f: attainable.DEFAULT_FAMILIES[f] for f in families},
+                               _sweep_config(args))
     if args.format == "json":
         _emit(_dump_json([dataclasses.asdict(r) for r in records]), args.out)
     else:
@@ -288,10 +275,15 @@ def _dumbbell_records(args, command: str):
     eps_grid = _parse_eps_grid(args.eps_grid)
     if math.isnan(args.grid_eps_min):
         raise ConfigError("--grid-eps-min must be a number, got nan")
-    if eps_grid[-1] >= args.grid_eps_min:
-        _require_planar(args, command)
+    if eps_grid[-1] >= args.grid_eps_min and args.dim != 2:
+        raise ConfigError(
+            f"{command!r} uses the grid solver, which is planar only; "
+            f"--dim {args.dim} supports the analytic and quadrature commands "
+            f"(lemma1, lemma2, and ratio and verify with --grid-eps-min above "
+            f"every eps of --eps-grid)"
+        )
     config = _sweep_config(args, grid_eps_min=args.grid_eps_min, dim=args.dim)
-    return attainable.sweep("dumbbell", eps_grid, config)
+    return attainable.sweep({"dumbbell": eps_grid}, config)
 
 
 def cmd_ratio(args) -> int:
@@ -348,8 +340,7 @@ def _verdict_doc(verdict) -> dict:
 
 
 def cmd_plotdata(args) -> int:
-    _require_planar(args, "plotdata")
-    records = attainable.default_sweep(_sweep_config(args))
+    records = attainable.sweep(attainable.DEFAULT_FAMILIES, _sweep_config(args))
     prefix = args.out or "plotdata"
     cloud_path = f"{prefix}_cloud.csv"
     boundary_path = f"{prefix}_boundary.csv"
@@ -385,12 +376,13 @@ def _build_parser() -> argparse.ArgumentParser:
     eps_grid_help = f"comma list in (0, {testfn.EPS_MAX}], or 'default'"
     grid_eps_min_help = "grid-solve the dumbbells with eps >= this (inf: bounds only)"
 
-    def command(name, func, help, fmt=None, grid=True, jobs=True):
+    def command(name, func, help, fmt=None, grid=True, jobs=True, dim=True):
         """A subcommand with the flags it reads: ``fmt`` is its default output
         format (no --format without one); grid commands read the solver
-        settings, and those that sweep read --jobs."""
+        settings, those that sweep --jobs, and those not only planar --dim."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.add_argument("--dim", type=int, choices=(2, 3), default=2, help="ambient dimension")
+        if dim:
+            p.add_argument("--dim", type=int, choices=(2, 3), default=2, help="ambient dimension")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt is not None:
             p.add_argument("--format", choices=("json", "csv"), default=fmt)
@@ -407,13 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("eig", cmd_eig, "grid eigensolve of one domain (JSON)", jobs=False)
+    p = command("eig", cmd_eig, "grid eigensolve of one domain (JSON)", jobs=False, dim=False)
     p.add_argument("--domain", required=True,
-                   help="ball|theta|square|dumbbell|half_dumbbell, inline JSON, or a JSON file")
+                   help=f"{'|'.join([*KINDS, *DOMAIN_ALIASES])}, inline JSON, or a JSON file")
     p.add_argument("--eps", type=float, default=None,
-                   help="dumbbell junction parameter, 0 < eps < 1")
+                   help="epsilon of a named dumbbell or half_dumbbell, 0 < eps < 1")
 
-    p = command("sweep", cmd_sweep, "family sweeps, CSV by default", fmt="csv")
+    p = command("sweep", cmd_sweep, "family sweeps, CSV by default", fmt="csv", dim=False)
     p.add_argument("--families", default=",".join(attainable.DEFAULT_FAMILIES),
                    help="comma list of sweep families")
 
@@ -431,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-eps-min", type=float, default=0.2, help=grid_eps_min_help)
     p.add_argument("--data-out", default=None, help="ratio-curve CSV path")
 
-    command("plotdata", cmd_plotdata, "attainable cloud and region boundary CSVs")
+    command("plotdata", cmd_plotdata, "attainable cloud and region boundary CSVs", dim=False)
 
     return parser
 

@@ -5,12 +5,13 @@ overlapping balls, scaled copies, disjoint unions, rectangles and ellipses),
 not meshes.  Each shape is one frozen dataclass that owns its behaviour:
 ``inside(pts)`` tests an (m, N) batch of points, ``measure()`` is its
 Lebesgue measure, ``box()`` its axis-aligned bounding box,
-``bounding_ball()`` an enclosing ball, and ``KIND`` its JSON kind.  The
-two-ball point Theta has no type of its own: ``two_balls`` (JSON kind
-``"two_balls"``, CLI names ``theta`` and ``two_balls``) is an alias that
-builds the ``DisjointUnion`` of two equal balls.  Membership uses strict
-inequalities, so boundary points test False.  The dumbbell with junction
-parameter eps is the open set made of the two half-balls
+``bounding_ball()`` an enclosing ball, ``KIND`` its JSON kind, and its init
+fields its JSON params.  The two-ball point Theta has no type of its own:
+``two_balls`` (JSON kind ``"two_balls"``, CLI names ``theta`` and
+``two_balls``) is an alias that builds the ``DisjointUnion`` of two equal
+balls.  Membership uses strict inequalities, so boundary points test False.
+The dumbbell with junction parameter eps is the open set made of the two
+half-balls
 
     {x1 > 0, (x1 - 1 + eps)^2 + |x'|^2 < 1}  and its mirror in {x1 < 0}
 
@@ -18,6 +19,7 @@ and the open junction disk {x1 = 0, |x'| < sqrt(2 eps - eps^2)} where they
 meet, so it is connected; the half dumbbell excludes the plane {x1 = 0}.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field, fields
 
@@ -41,6 +43,7 @@ __all__ = [
     "junction_radius",
     "domain_to_dict",
     "domain_from_dict",
+    "KINDS",
 ]
 
 
@@ -294,6 +297,12 @@ def two_balls(separation: float = 4.0, radius: float = 1.0, dim: int = 2):
                                      for x1 in (0.5 * separation, -0.5 * separation)))
 
 
+# JSON kind -> what builds it: each shape class under its KIND, and the
+# two_balls alias; a document's params are the builder's keyword arguments
+KINDS = {cls.KIND: cls for cls in (Ball, Dumbbell, HalfDumbbell, Scaled, DisjointUnion,
+                                   Rectangle, Ellipse)} | {"two_balls": two_balls}
+
+
 def junction_radius(epsilon: float) -> float:
     """Half-width sqrt(2 eps - eps^2) of the dumbbell junction disk."""
     return math.sqrt(2.0 * epsilon - epsilon * epsilon)
@@ -363,33 +372,38 @@ def domain_to_dict(domain) -> dict:
                        for f in fields(domain) if f.init and f.name != "dim"}}
 
 
+def _decode(value):
+    """A param value: a nested document is a domain, a list a tuple of
+    decoded values, anything else a float."""
+    if isinstance(value, dict):
+        return domain_from_dict(value)
+    if isinstance(value, list):
+        return tuple(map(_decode, value))
+    return float(value)
+
+
 def domain_from_dict(doc: dict):
-    """Build a domain from its JSON document, filling defaults.  A document
-    of the wrong shape, whose N is not an integer, or whose N is not the
-    built domain's dimension, raises ValueError."""
+    """``KINDS[kind]`` called with the decoded params, and N as ``dim`` if
+    the kind takes one.  A document of the wrong shape, with a param the
+    kind does not take (``dim`` too: it is N), whose N is not an integer,
+    or whose N is not the built domain's dimension, raises ValueError."""
     try:
         kind, dim, params = doc["kind"], doc["N"], doc.get("params", {})
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise TypeError(f"N must be an integer, got {dim!r}")
-        build = {
-            "ball": lambda: Ball(center=tuple(params.get("center", (0.0,) * dim)),
-                                 radius=float(params.get("radius", 1.0)), dim=dim),
-            "two_balls": lambda: two_balls(separation=float(params.get("separation", 4.0)),
-                                           radius=float(params.get("radius", 1.0)), dim=dim),
-            "dumbbell": lambda: Dumbbell(epsilon=float(params["epsilon"]), dim=dim),
-            "half_dumbbell": lambda: HalfDumbbell(epsilon=float(params["epsilon"]), dim=dim),
-            "scaled": lambda: Scaled(factor=float(params["factor"]),
-                                     inner=domain_from_dict(params["inner"])),
-            "disjoint_union": lambda: DisjointUnion(
-                parts=tuple(domain_from_dict(p) for p in params["parts"])),
-            "rectangle": lambda: Rectangle(width=float(params["width"]),
-                                           height=float(params["height"]), dim=dim),
-            "ellipse": lambda: Ellipse(semi_x=float(params["semi_x"]),
-                                       semi_y=float(params["semi_y"]), dim=dim),
-        }
-        if kind not in build:
+        if kind not in KINDS:
             raise ValueError(f"unknown domain kind {kind!r}")
-        domain = build[kind]()
+        build = KINDS[kind]
+        takes = inspect.signature(build).parameters
+        for key in params.keys():
+            if key == "dim" or key not in takes:
+                names = ", ".join(n for n in takes if n != "dim")
+                raise TypeError(f"kind {kind!r} has no parameter {key!r} "
+                                f"(its params: {names}; the dimension is N)")
+        kwargs = {key: _decode(value) for key, value in params.items()}
+        if "dim" in takes:
+            kwargs["dim"] = dim
+        domain = build(**kwargs)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed domain document: {exc}") from exc
     if domain.dim != dim:

@@ -66,7 +66,7 @@ def lemma_bounds():
 def bound_only_records():
     """Dumbbell sweep records over the default eps grid with bounds only."""
     config = attainable.SweepConfig(grid_eps_min=float("inf"))
-    return attainable.sweep("dumbbell", attainable.DEFAULT_EPS_GRID, config)
+    return attainable.sweep({"dumbbell": attainable.DEFAULT_EPS_GRID}, config)
 
 
 @pytest.fixture(scope="session")
@@ -98,7 +98,7 @@ def dumbbell_solves():
 def default_sweep_records():
     def compute():
         config = attainable.SweepConfig(h_list=MID_H, tol=1e-6)
-        return attainable.default_sweep(config)
+        return attainable.sweep(attainable.DEFAULT_FAMILIES, config)
     return _timed(compute)
 
 

@@ -116,7 +116,7 @@ class TestRatioCurve:
         the cap fraction c = |cap| / omega_N give in 40-digit arithmetic:
         (lambda (g - 1) + x g) / (d g - lambda (g - 1)), g = (1 - c)^(2/N)."""
         eps = 1e-7
-        records = sweep("dumbbell", [eps], SweepConfig(grid_eps_min=math.inf, dim=dim))
+        records = sweep({"dumbbell": [eps]}, SweepConfig(grid_eps_min=math.inf, dim=dim))
         ((_, ratio),) = asy.ratio_curve(records, dim=dim).bound
         with mp.workdps(40):
             lam = mp.mpf(ball_spectrum(dim).lambda1)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -34,23 +35,23 @@ class _SerialPool:
 
 class TestSweep:
     def test_ball_record_hits_q(self):
-        rec = at.sweep("ball", [1.0], CHEAP)[0]
+        rec = at.sweep({"ball": [1.0]}, CHEAP)[0]
         assert rec.failure is None
         assert rec.lambda1_norm == pytest.approx(LAM1_DISC, rel=0.02)
         assert rec.lambda2_norm == pytest.approx(LAM2_DISC, rel=0.02)
 
     def test_equal_two_balls_hit_p(self):
-        rec = at.sweep("two_balls_ratio", [1.0], CHEAP)[0]
+        rec = at.sweep({"two_balls_ratio": [1.0]}, CHEAP)[0]
         assert rec.lambda1_norm == pytest.approx(LAM_P, rel=0.02)
         assert rec.lambda2_norm == pytest.approx(LAM_P, rel=0.02)
 
     def test_square_matches_closed_form(self):
-        rec = at.sweep("rectangles", [1.0], CHEAP)[0]
+        rec = at.sweep({"rectangles": [1.0]}, CHEAP)[0]
         assert rec.lambda1_norm == pytest.approx(2.0 * math.pi, rel=0.02)
         assert rec.lambda2_norm == pytest.approx(5.0 * math.pi, rel=0.02)
 
     def test_records_sorted_and_failures_inline(self):
-        records = at.sweep("dumbbell", [0.2, -1.0, 0.1],
+        records = at.sweep({"dumbbell": [0.2, -1.0, 0.1]},
                            at.SweepConfig(grid_eps_min=math.inf))
         assert [r.param for r in records] == [-1.0, 0.1, 0.2]
         assert records[0].failure is not None
@@ -59,7 +60,7 @@ class TestSweep:
     def test_convergence_failure_recorded_inline(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "MAX_OUTER", 2)
         config = at.SweepConfig(h_list=(1 / 8, 1 / 16), tol=1e-12)
-        rec = at.sweep("ball", [1.0], config)[0]
+        rec = at.sweep({"ball": [1.0]}, config)[0]
         assert rec.failure.startswith("ConvergenceError: eigenpairs not converged after 2 ")
         assert math.isnan(rec.error_est) and rec.lambda1_norm is None
 
@@ -69,35 +70,38 @@ class TestSweep:
             at.SweepConfig(tol=tol)
 
     def test_normalization_identity(self):
-        rec = at.sweep("ellipses", [1.5], CHEAP)[0]
+        rec = at.sweep({"ellipses": [1.5]}, CHEAP)[0]
         assert rec.lambda1_norm * rec.t_factor**2 == pytest.approx(rec.lambda1_x, rel=1e-12)
         assert rec.t_factor == pytest.approx(
             (math.pi / rec.measure) ** 0.5, rel=1e-12)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            at.sweep("pentagon", [1.0], CHEAP)
+            at.sweep({"pentagon": [1.0]}, CHEAP)
 
     def test_parallel_matches_serial(self, bound_only_records):
         config = at.SweepConfig(grid_eps_min=math.inf, jobs=2)
-        par = at.sweep("dumbbell", at.DEFAULT_EPS_GRID, config)
+        par = at.sweep({"dumbbell": at.DEFAULT_EPS_GRID}, config)
         for a, b in zip(bound_only_records, par):
             assert a == b
 
     def test_pool_capped_at_task_count(self, monkeypatch):
+        # one pool for the tasks of every family, in family then parameter order
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "started", [])
-        config = at.SweepConfig(grid_eps_min=math.inf, jobs=12)
-        records = at.sweep("dumbbell", [0.2, 0.1], config)
-        assert _SerialPool.started == [2]
-        serial = at.sweep("dumbbell", [0.2, 0.1], at.SweepConfig(grid_eps_min=math.inf))
-        assert records == serial
+        families = {"dumbbell": [0.2, 0.1], "ball": [1.0]}
+        config = at.SweepConfig(h_list=(1 / 8, 1 / 16), grid_eps_min=math.inf, jobs=12)
+        records = at.sweep(families, config)
+        assert _SerialPool.started == [3]
+        assert [(r.family, r.param) for r in records] == [
+            ("dumbbell", 0.1), ("dumbbell", 0.2), ("ball", 1.0)]
+        assert records == at.sweep(families, replace(config, jobs=1))
 
     def test_single_parameter_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "started", [])
         config = at.SweepConfig(grid_eps_min=math.inf, jobs=4)
-        records = at.sweep("dumbbell", [0.1], config)
+        records = at.sweep({"dumbbell": [0.1]}, config)
         assert _SerialPool.started == []
         assert records[0].failure is None and records[0].bound1 is not None
 
@@ -119,21 +123,21 @@ class TestSweep:
 
 class TestRegionCheck:
     def test_ball_margins_near_zero(self):
-        rec = at.sweep("ball", [1.0], CHEAP)[0]
+        rec = at.sweep({"ball": [1.0]}, CHEAP)[0]
         rep = at.region_check(rec)
         assert rep.passed
         assert abs(rep.faber_krahn_margin) <= rec.error_est
         assert rep.ratio == pytest.approx(LAM2_DISC / LAM1_DISC, rel=0.02)
 
     def test_theta_record(self):
-        rec = at.sweep("two_balls_ratio", [1.0], CHEAP)[0]
+        rec = at.sweep({"two_balls_ratio": [1.0]}, CHEAP)[0]
         rep = at.region_check(rec)
         assert rep.passed
         assert abs(rep.krahn_szego_margin) <= rec.error_est
         assert rep.ratio == pytest.approx(1.0, abs=0.01)
 
     def test_square_strict_interior(self):
-        rec = at.sweep("rectangles", [1.0], CHEAP)[0]
+        rec = at.sweep({"rectangles": [1.0]}, CHEAP)[0]
         rep = at.region_check(rec)
         assert rep.passed
         assert rep.faber_krahn_margin > rec.error_est

@@ -12,7 +12,10 @@ from conftest import cli_env
 from spectralgap import asymptotics, attainable, cli
 from spectralgap.discretize import build_grid
 from spectralgap.eigensolve import DEFAULT_SEED
-from spectralgap.geometry import Ball
+from spectralgap.geometry import (
+    KINDS, Ball, Dumbbell, HalfDumbbell, Rectangle, domain_from_dict, domain_to_dict,
+    two_balls,
+)
 
 CLI = [sys.executable, "-m", "spectralgap.cli"]
 CHEAP_H = "1/8,1/16,1/32"
@@ -90,9 +93,11 @@ class TestEig:
          "ellipse semi-axes must be positive"),
         ('{"kind": "scaled", "N": 2, "params": {"inner": {"kind": "ball", "N": 2}, "factor": NaN}}',
          "scale factor must be positive"),
+        ('{"kind": "ball", "N": 2, "params": {"raduis": 2}}',
+         MALFORMED + "kind 'ball' has no parameter 'raduis'"),
     ], ids=["params_list", "center_int", "parts_int", "radius_null", "n_mismatch", "n_float",
             "n_string", "radius_nan", "radius_inf", "center_nan", "separation_nan", "width_nan",
-            "semi_y_nan", "factor_nan"])
+            "semi_y_nan", "factor_nan", "radius_misspelled"])
     def test_malformed_document_is_json_error(self, spec, message):
         proc = run_cli("eig", "--domain", spec, "--h", "1/8,1/16")
         assert proc.returncode == 1
@@ -102,10 +107,58 @@ class TestEig:
         assert error["kind"] == "ValueError"
         assert error["error"].startswith(message)
 
-    def test_dumbbell_needs_eps(self):
-        proc = run_cli("eig", "--domain", "dumbbell", "--h", CHEAP_H)
-        assert proc.returncode != 0
-        assert proc.stdout == ""
+    def test_dumbbell_needs_eps(self, capsys):
+        assert cli.main(["eig", "--domain", "dumbbell", "--h", CHEAP_H]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)
+        assert captured.out == "" and error["kind"] == "ValueError"
+        assert error["error"].startswith(MALFORMED) and "'epsilon'" in error["error"]
+
+    def test_eps_refused_where_the_domain_has_no_epsilon(self, capsys):
+        assert cli.main(["eig", "--domain", "ball", "--eps", "7", "--h", "1/8,1/16"]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)
+        assert captured.out == "" and error["kind"] == "ValueError"
+        assert error["error"].startswith(MALFORMED + "kind 'ball' has no parameter 'epsilon'")
+
+    def test_eps_refused_with_a_document(self, capsys):
+        spec = '{"kind": "dumbbell", "N": 2, "params": {"epsilon": 0.2}}'
+        assert cli.main(["eig", "--domain", spec, "--eps", "0.3", "--h", "1/8,1/16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["kind"] == "config"
+
+    @pytest.mark.parametrize("name, eps, domain", [
+        ("ball", None, Ball()),
+        ("disc", None, Ball()),
+        ("theta", None, two_balls()),
+        ("two_balls", None, two_balls()),
+        ("square", None, Rectangle(width=1.0, height=1.0)),
+        ("dumbbell", 0.2, Dumbbell(epsilon=0.2)),
+        ("half_dumbbell", 0.2, HalfDumbbell(epsilon=0.2)),
+    ])
+    def test_names_build_the_same_domains(self, name, eps, domain):
+        built = cli._parse_domain(argparse.Namespace(domain=name, eps=eps))
+        assert domain_to_dict(built) == domain_to_dict(domain)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_kind_is_a_name(self, kind):
+        # a bare kind name is its planar document without params
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        named = outcome(lambda: cli._parse_domain(argparse.Namespace(domain=kind, eps=None)))
+        assert named == outcome(lambda: domain_from_dict({"kind": kind, "N": 2}))
+
+    def test_bare_rectangle_reports_missing_sides(self, capsys):
+        assert cli.main(["eig", "--domain", "rectangle", "--h", "1/8,1/16"]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)
+        assert captured.out == "" and error["kind"] == "ValueError"
+        assert error["error"].startswith(MALFORMED)
+        assert "'width'" in error["error"] and "'height'" in error["error"]
 
     def test_non_halving_grid_rejected(self):
         proc = run_cli("eig", "--domain", "ball", "--h", "1/8,1/24")
@@ -120,15 +173,16 @@ class TestEig:
         doc = json.loads(proc.stdout)
         assert doc["domain"]["params"]["epsilon"] == 0.2
 
-    def test_dim3_rejected_for_grid_commands(self):
-        proc = run_cli("eig", "--domain", "ball", "--dim", "3", "--h", CHEAP_H)
-        assert proc.returncode != 0
-        assert "planar" in proc.stderr
+    def test_dim3_rejected_for_grid_commands(self, capsys):
+        # the planar-only commands have no --dim
+        for command in ("eig", "sweep", "plotdata"):
+            argv = [command, *REQUIRED.get(command, []), "--dim", "3"]
+            assert _parse_exit(argv, capsys) == 2
 
 
 class TestErrorMapping:
     @pytest.mark.parametrize("domain, kind", [
-        ("dumbbell", "config"),
+        ("dumbbell", "ValueError"),
         ('{"kind":', "JSONDecodeError"),
         ('{"kind": "ball", "N": 2, "params": {"center": [0.53, 0.53], "radius": 0.01}}',
          "GridError"),
@@ -305,6 +359,18 @@ class TestPlotdata:
         assert slope == pytest.approx(2.5387, abs=2e-4)
 
 
+class TestSweepCommand:
+    def test_two_families_same_csv_at_any_jobs(self):
+        argv = ["sweep", "--families", "ball,rectangles", "--h", CHEAP_H]
+        serial = run_cli(*argv, "--jobs", "1")
+        parallel = run_cli(*argv, "--jobs", "3")
+        assert serial.returncode == parallel.returncode == 0, serial.stderr + parallel.stderr
+        assert parallel.stdout == serial.stdout
+        rows = [line.split(",")[:2] for line in serial.stdout.splitlines()[1:]]
+        assert rows == [["ball", "1"], ["rectangles", "1"], ["rectangles", "2"],
+                        ["rectangles", "3"]]
+
+
 class TestCsv:
     """The one CSV writer, on sweep records."""
 
@@ -379,14 +445,14 @@ def _flags(subparser):
 
 SOLVER = {"--seed", "--tol", "--h"}
 FLAGS = {
-    "eig": {"--dim", "--out", "--domain", "--eps"} | SOLVER,
-    "sweep": {"--dim", "--out", "--format", "--jobs", "--families"} | SOLVER,
+    "eig": {"--out", "--domain", "--eps"} | SOLVER,
+    "sweep": {"--out", "--format", "--jobs", "--families"} | SOLVER,
     "lemma1": {"--dim", "--out", "--format", "--eps-grid"},
     "lemma2": {"--dim", "--out", "--format", "--eps-grid"},
     "ratio": {"--dim", "--out", "--format", "--jobs", "--eps-grid", "--grid-eps-min"} | SOLVER,
     "verify": {"--dim", "--out", "--jobs", "--eps-grid", "--grid-eps-min",
                "--data-out"} | SOLVER,
-    "plotdata": {"--dim", "--out", "--jobs"} | SOLVER,
+    "plotdata": {"--out", "--jobs"} | SOLVER,
 }
 REQUIRED = {"eig": ["--domain", "ball"]}
 
@@ -405,7 +471,7 @@ class TestFlags:
     def test_each_command_takes_the_flags_it_reads(self):
         commands = _subcommands()
         assert {name: _flags(p) for name, p in commands.items()} == FLAGS
-        assert sum(len(flags) for flags in FLAGS.values()) == 47
+        assert sum(len(flags) for flags in FLAGS.values()) == 44
 
     @pytest.mark.parametrize("command, flag, value", [
         ("eig", "--jobs", "2"), ("eig", "--format", "json"),
@@ -442,7 +508,13 @@ class TestFlags:
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_dim_4_rejected(self, command, capsys):
-        assert _parse_exit([command, *REQUIRED.get(command, []), "--dim", "4"], capsys) == 2
+        # an invalid choice where --dim exists, an unknown flag where it does not
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args([command, *REQUIRED.get(command, []), "--dim", "4"])
+        assert exc.value.code == 2
+        expected = ("argument --dim: invalid choice: 4" if "--dim" in FLAGS[command]
+                    else "unrecognized arguments: --dim 4")
+        assert expected in capsys.readouterr().err
 
 
 class TestSettingChecks:

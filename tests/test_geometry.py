@@ -220,6 +220,33 @@ class TestSerialization:
     def test_roundtrip(self, domain):
         assert geo.domain_from_dict(geo.domain_to_dict(domain)) == domain
 
+    # one valid params document per kind
+    PARAMS = {
+        "ball": {"center": [1.0, 0.0], "radius": 2.0},
+        "two_balls": {"separation": 5.0, "radius": 1.0},
+        "dumbbell": {"epsilon": 0.1},
+        "half_dumbbell": {"epsilon": 0.1},
+        "scaled": {"factor": 2.0, "inner": {"kind": "ball", "N": 2}},
+        "disjoint_union": {"parts": [{"kind": "ball", "N": 2}]},
+        "rectangle": {"width": 1.0, "height": 2.0},
+        "ellipse": {"semi_x": 1.0, "semi_y": 2.0},
+    }
+
+    def test_every_kind_has_params(self):
+        assert set(self.PARAMS) == set(geo.KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_unknown_key_refused(self, kind):
+        params = self.PARAMS[kind]
+        geo.domain_from_dict({"kind": kind, "N": 2, "params": params})
+        first = next(iter(params))
+        misspelled = {(k[:-1] if k == first else k): v for k, v in params.items()}
+        for bad, key in ((misspelled, first[:-1]), ({**params, "extra": 1.0}, "extra"),
+                         ({**params, "dim": 2}, "dim")):
+            with pytest.raises(ValueError, match=f"^malformed domain document: kind "
+                                                 f"'{kind}' has no parameter '{key}'"):
+                geo.domain_from_dict({"kind": kind, "N": 2, "params": bad})
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             geo.domain_from_dict({"kind": "pentagon", "N": 2, "params": {}})
