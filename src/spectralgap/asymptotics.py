@@ -12,7 +12,9 @@ bound (~ eps^(N/2)), so the bound-path ratio decays like sqrt(eps).  The
 verdict checks monotone decay toward small eps, a factor-two endpoint
 contraction, and a positive fitted exponent, all on the quadrature (bound)
 path; grid eigenvalues only cross-check the large-eps end, where desk-scale
-resolution suffices.
+resolution suffices.  ``ratio_curve`` is the one place the ratio is formed:
+its table holds both paths' ratios, one row per dumbbell record with
+bounds, and the verdict and every ratio output read that table.
 """
 
 import math
@@ -32,7 +34,6 @@ MIN_EXPONENT = 0.3
 
 __all__ = [
     "SlopeFit",
-    "RatioCurve",
     "CheckResult",
     "TheoremVerdict",
     "fit_slope",
@@ -84,43 +85,29 @@ def fit_slope(pairs, window=None) -> SlopeFit:
     )
 
 
-@dataclass(frozen=True)
-class RatioCurve:
-    """Bound-path and grid-path ratio samples, plus flagged parameters whose
-    denominator was nonpositive (eps outside the asymptotic regime)."""
-
-    bound: tuple
-    grid: tuple
-    flagged: tuple
+def _ratio(lam1, lam2, lam_p):
+    """(lam2 - lam_p) / (lam_p - lam1), or None when a value is missing or
+    the denominator is <= 0 (eps outside the asymptotic regime)."""
+    if lam1 is None or lam2 is None or lam_p - lam1 <= 0:
+        return None
+    return (lam2 - lam_p) / (lam_p - lam1)
 
 
-def ratio_curve(records, dim: int = 2) -> RatioCurve:
-    """Per-eps horizontal-tangent ratios from dumbbell sweep records.
+def ratio_curve(records, dim: int = 2) -> tuple:
+    """The horizontal-tangent ratio table of dumbbell sweep records: one row
+    (eps, bound_ratio, grid_ratio) per dumbbell record with bounds, in
+    ascending eps.
 
     Bound path: numerator bounded above by the normalized cutoff quotient,
     denominator bounded below by the normalized cone quotient.  Grid path:
     the same ratio from extrapolated normalized eigenvalues, where present.
+    A missing ratio, or one whose denominator is <= 0, is None.
     """
     lam_p = theta_spectrum(dim)[0]
-    bound = []
-    grid = []
-    flagged = []
-    for rec in sorted((r for r in records if r.family == "dumbbell"), key=lambda r: r.param):
-        if rec.bound1 is not None and rec.bound2 is not None:
-            num = rec.bound2 - lam_p
-            den = lam_p - rec.bound1
-            if den <= 0:
-                flagged.append((rec.param, "bound-path denominator nonpositive"))
-            else:
-                bound.append((rec.param, num / den))
-        if rec.lambda1_norm is not None and rec.lambda2_norm is not None:
-            num = rec.lambda2_norm - lam_p
-            den = lam_p - rec.lambda1_norm
-            if den <= 0:
-                flagged.append((rec.param, "grid-path denominator nonpositive"))
-            else:
-                grid.append((rec.param, num / den))
-    return RatioCurve(bound=tuple(bound), grid=tuple(grid), flagged=tuple(flagged))
+    dumbbells = sorted((r for r in records if r.family == "dumbbell" and r.bound1 is not None),
+                       key=lambda r: r.param)
+    return tuple((rec.param, _ratio(rec.bound1, rec.bound2, lam_p),
+                  _ratio(rec.lambda1_norm, rec.lambda2_norm, lam_p)) for rec in dumbbells)
 
 
 @dataclass(frozen=True)
@@ -132,10 +119,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class TheoremVerdict:
+    """The three checks, the ``ratio_curve`` table they read, and the fit."""
+
     passed: bool
     checks: tuple
-    ratio_bound: tuple
-    ratio_grid: tuple
+    ratios: tuple
     fit: SlopeFit
 
 
@@ -144,8 +132,8 @@ def verify_theorem(records, dim: int = 2) -> TheoremVerdict:
     most MAX_INVERSIONS exceptions, (b) contracts by ENDPOINT_FACTOR from the
     largest to the smallest eps, and (c) fits a positive power law with
     exponent >= MIN_EXPONENT."""
-    curves = ratio_curve(records, dim=dim)
-    ratios = curves.bound
+    table = ratio_curve(records, dim=dim)
+    ratios = [(eps, bound) for eps, bound, _ in table if bound is not None]
     if len(ratios) < 4:
         raise ValueError(f"theorem verdict needs >= 4 bound-path ratios, got {len(ratios)}")
     values = [r for _, r in ratios]
@@ -175,7 +163,6 @@ def verify_theorem(records, dim: int = 2) -> TheoremVerdict:
     return TheoremVerdict(
         passed=all(c.passed for c in checks),
         checks=checks,
-        ratio_bound=curves.bound,
-        ratio_grid=curves.grid,
+        ratios=table,
         fit=fit,
     )

@@ -1,8 +1,9 @@
 """Domain-family sweeps onto the (lambda1, lambda2) plane.
 
-Each record normalizes a domain to unit measure omega_N and carries grid
-eigenvalues (raw per level, extrapolated, normalized) plus, for dumbbells,
-the normalized quadrature bounds from the two trial-field constructions.
+Each record normalizes a domain to unit measure omega_N, once, and carries
+grid eigenvalues (raw per level and extrapolated from ``solve_domain``, and
+normalized) plus, for dumbbells, the normalized quadrature bounds from the
+two trial-field constructions.  A failed record keeps the values before it.
 Region checks test the sharp inclusions satisfied by every unit-measure
 domain: lambda1 >= lambda1(ball) (ball minimizes lambda1), lambda2 >=
 lambda2(two half balls) (that pair minimizes lambda2), and
@@ -14,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import ball_spectrum, theta_spectrum
+from .eigensolve import DEFAULT_SEED
 from .geometry import Ball, DisjointUnion, Dumbbell, Ellipse, Rectangle, normalization
 from .pipeline import solve_domain
 from .testfn import lemma1_rayleigh, lemma2_rayleigh
@@ -44,7 +46,7 @@ DEFAULT_FAMILIES = {
 class SweepConfig:
     h_list: tuple = (1 / 32, 1 / 64, 1 / 128)
     tol: float = 1e-6
-    seed: int | None = None
+    seed: int = DEFAULT_SEED
     grid_eps_min: float = 0.1  # dumbbells below this carry bounds only
     jobs: int = 1
     dim: int = 2  # ambient dimension of the dumbbell family
@@ -105,23 +107,32 @@ def _family_domain(family: str, param: float, dim: int):
     return Ellipse(semi_x=param, semi_y=1.0)  # "ellipses"
 
 
-def _solve_one(family: str, param: float, config: SweepConfig) -> SweepRecord:
-    domain = _family_domain(family, param, config.dim)
-    vol, t, norm_factor = normalization(domain)
-    record = SweepRecord(family=family, param=param, measure=vol, t_factor=t)
+def _solve_one(task) -> SweepRecord:
+    """The record of one (family, param, config) task.  A failure is recorded
+    inline and keeps the values computed before it: the measure and t, and
+    for a dumbbell its bounds, whose budget is then the record's."""
+    family, param, config = task
+    record = SweepRecord(family=family, param=param)
+    try:
+        domain = _family_domain(family, param, config.dim)
+        vol, t, norm_factor = normalization(domain)
+        record = replace(record, measure=vol, t_factor=t)
 
-    if family == "dumbbell":
-        b1 = lemma1_rayleigh(param, dim=domain.dim)
-        b2 = lemma2_rayleigh(param, dim=domain.dim)
-        quad_err = (b1.error_est + b2.error_est) * norm_factor
-        record = replace(record,
-                         bound1=b1.quotient * norm_factor,
-                         bound2=b2.quotient * norm_factor,
-                         error_est=record.error_est + quad_err)
-        if param < config.grid_eps_min:
-            return record
+        if family == "dumbbell":
+            b1 = lemma1_rayleigh(param, dim=domain.dim)
+            b2 = lemma2_rayleigh(param, dim=domain.dim)
+            record = replace(record,
+                             bound1=b1.quotient * norm_factor,
+                             bound2=b2.quotient * norm_factor,
+                             error_est=(b1.error_est + b2.error_est) * norm_factor)
+            if param < config.grid_eps_min:
+                return record
 
-    solve = solve_domain(domain, config.h_list, tol=config.tol, seed=config.seed)
+        solve = solve_domain(domain, config.h_list, tol=config.tol, seed=config.seed)
+    except Exception as exc:  # record inline, sweep continues
+        budget = record.error_est if record.normalized_pair() else float("nan")
+        return replace(record, error_est=budget, failure=f"{type(exc).__name__}: {exc}")
+    lambda_norm = solve.lambda_x * norm_factor
     return replace(
         record,
         h_list=solve.h_list,
@@ -129,19 +140,10 @@ def _solve_one(family: str, param: float, config: SweepConfig) -> SweepRecord:
         lambda2_raw=tuple(solve.raw(1)),
         lambda1_x=float(solve.lambda_x[0]),
         lambda2_x=float(solve.lambda_x[1]),
-        lambda1_norm=float(solve.lambda_norm[0]),
-        lambda2_norm=float(solve.lambda_norm[1]),
-        error_est=record.error_est + float(np.max(solve.error_est)),
+        lambda1_norm=float(lambda_norm[0]),
+        lambda2_norm=float(lambda_norm[1]),
+        error_est=record.error_est + float(np.max(solve.error_est_raw * norm_factor)),
     )
-
-
-def _solve_one_guarded(args):
-    family, param, config = args
-    try:
-        return _solve_one(family, param, config)
-    except Exception as exc:  # record inline, sweep continues; no values, no budget
-        return SweepRecord(family=family, param=param, error_est=float("nan"),
-                           failure=f"{type(exc).__name__}: {exc}")
 
 
 def sweep(families: dict, config: SweepConfig = SweepConfig()) -> list:
@@ -164,8 +166,8 @@ def sweep(families: dict, config: SweepConfig = SweepConfig()) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_solve_one_guarded, tasks))
-    return [_solve_one_guarded(t) for t in tasks]
+            return list(pool.map(_solve_one, tasks))
+    return [_solve_one(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import sys
 from . import asymptotics, attainable, testfn
 from .analytic import ball_spectrum, theta_spectrum
 from .eigensolve import DEFAULT_SEED
-from .geometry import KINDS, domain_from_dict, domain_to_dict
+from .geometry import KINDS, domain_from_dict, domain_to_dict, normalization
 from .pipeline import halving_levels, solve_domain
 
 __all__ = ["main", "cmd_eig", "cmd_sweep", "cmd_lemma", "cmd_ratio", "cmd_verify",
@@ -208,16 +208,19 @@ def cmd_eig(args) -> int:
     h_list = _parse_h_list(args.h)
     seed = _seed(args)
     solve = solve_domain(domain, h_list, tol=args.tol, seed=seed)
+    measure, t, norm_factor = normalization(domain)
     doc = {
         "domain": domain_to_dict(domain),
         "h": list(solve.h_list),
         "tol": args.tol,
         "seed": seed,
-        "measure": solve.measure,
-        "t_factor": solve.t_factor,
+        "measure": measure,
+        "t_factor": t,
         **{f"lambda{i + 1}": {"raw": solve.raw(i), "extrapolated": solve.lambda_x[i],
-                              "order": solve.orders[i], "normalized": solve.lambda_norm[i],
-                              "error_est": solve.error_est[i]} for i in range(2)},
+                              "order": solve.orders[i],
+                              "normalized": solve.lambda_x[i] * norm_factor,
+                              "error_est": solve.error_est_raw[i] * norm_factor}
+           for i in range(2)},
         "residuals": [float(r) for r in solve.levels[-1].residuals],
         "iterations": list(solve.levels[-1].iterations),
         "levels": [{"h": lv.h, "n": lv.n, "iterations": list(lv.iterations),
@@ -262,12 +265,6 @@ def cmd_lemma(args, which: str) -> int:
     return EXIT_OK
 
 
-def _ratio_rows(bound, grid):
-    """(eps, bound ratio, grid ratio or None) for each bound-path sample."""
-    grid_map = dict(grid)
-    return [(e, rb, grid_map.get(e)) for e, rb in bound]
-
-
 def _dumbbell_records(args, command: str):
     """Sweep records of the dumbbells over --eps-grid: bounds for every eps,
     and grid eigenvalues for those at or above --grid-eps-min (NaN would
@@ -288,8 +285,7 @@ def _dumbbell_records(args, command: str):
 
 def cmd_ratio(args) -> int:
     records = _dumbbell_records(args, "ratio")
-    curves = asymptotics.ratio_curve(records, dim=args.dim)
-    rows = _ratio_rows(curves.bound, curves.grid)
+    rows = asymptotics.ratio_curve(records, dim=args.dim)
     if args.format == "json":
         _emit(_dump_json([dict(zip(RATIO_HEADER, row)) for row in rows]), args.out)
     else:
@@ -301,16 +297,8 @@ def cmd_verify(args) -> int:
     records = _dumbbell_records(args, "verify")
     verdict = asymptotics.verify_theorem(records, dim=args.dim)
 
-    crosscheck = [{
-        "eps": rec.param,
-        "bound1": rec.bound1,
-        "lambda1_norm": rec.lambda1_norm,
-        "bound2": rec.bound2,
-        "lambda2_norm": rec.lambda2_norm,
-        "budget": rec.error_est,
-        "bound1_above_grid": rec.bound1 >= rec.lambda1_norm - rec.error_est,
-        "bound2_above_grid": rec.bound2 >= rec.lambda2_norm - rec.error_est,
-    } for rec in records if rec.lambda1_norm is not None and rec.bound1 is not None]
+    crosscheck = [_crosscheck(rec) for rec in records
+                  if rec.failure is not None or rec.lambda1_norm is not None]
 
     data_csv = args.data_out
     if data_csv is None and args.out:
@@ -319,22 +307,37 @@ def cmd_verify(args) -> int:
     if data_csv is None:
         data_csv = "ratio_curve.csv"
     with open(data_csv, "w") as fh:
-        fh.write(_csv(RATIO_HEADER, _ratio_rows(verdict.ratio_bound, verdict.ratio_grid)))
+        fh.write(_csv(RATIO_HEADER, verdict.ratios))
 
     doc = {**_verdict_doc(verdict), "data_csv_path": data_csv, "grid_crosscheck": crosscheck}
     _emit(_dump_json(doc), args.out)
     return EXIT_OK if verdict.passed else EXIT_FAIL
 
 
+def _crosscheck(rec) -> dict:
+    """A grid-solved dumbbell's bounds against its grid eigenvalues within its
+    budget, or, where the record failed, its failure in their place."""
+    entry = {"eps": rec.param, "bound1": rec.bound1, "bound2": rec.bound2,
+             "budget": rec.error_est}
+    if rec.failure is not None:
+        return {**entry, "failure": rec.failure}
+    return {**entry,
+            "lambda1_norm": rec.lambda1_norm,
+            "lambda2_norm": rec.lambda2_norm,
+            "bound1_above_grid": rec.bound1 >= rec.lambda1_norm - rec.error_est,
+            "bound2_above_grid": rec.bound2 >= rec.lambda2_norm - rec.error_est}
+
+
 def _verdict_doc(verdict) -> dict:
-    """The verdict's part of the verify document: the checks, both ratio
-    curves and the fit."""
+    """The verdict's part of the verify document: the checks, both columns
+    of the ratio table as (eps, ratio) lists of its present cells, and the
+    fit."""
     return {
         "pass": verdict.passed,
         "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail}
                    for c in verdict.checks],
-        "ratio_bound": verdict.ratio_bound,
-        "ratio_grid": verdict.ratio_grid,
+        "ratio_bound": [(e, r) for e, r, _ in verdict.ratios if r is not None],
+        "ratio_grid": [(e, r) for e, _, r in verdict.ratios if r is not None],
         "fit": dataclasses.asdict(verdict.fit),
     }
 

@@ -219,7 +219,7 @@ def _gaps(theta, others):
 
 
 def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
-                   seed: int | None = None, coarse: EigenResult | None = None, *,
+                   seed: int = DEFAULT_SEED, coarse: EigenResult | None = None, *,
                    values_only: bool = False) -> EigenResult:
     """Compute the k (= 1 or 2) smallest eigenpairs of a DiscreteOperator's
     SPD matrix (CSR), whose lattice nodes the V-cycle coarsens.
@@ -270,7 +270,7 @@ def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
     S = np.empty((3 * k, n))
     X = S[:k]
     if start is None:
-        rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+        rng = np.random.default_rng(seed)
         start = rng.standard_normal((n, k))
     X[:] = start.T
     del start  # freed before the solve's own buffers grow

@@ -69,7 +69,7 @@ class Domain:
 @dataclass(frozen=True)
 class Ball(Domain):
     KIND = "ball"
-    center: tuple | None = None  # defaults to the origin of the ambient space
+    center: tuple[float, ...] | None = None  # defaults to the origin of the ambient space
     radius: float = 1.0
     dim: int = 2
 
@@ -193,7 +193,7 @@ class Scaled(Domain):
 @dataclass(frozen=True)
 class DisjointUnion(Domain):
     KIND = "disjoint_union"
-    parts: tuple
+    parts: tuple[Domain, ...]
     dim: int = field(init=False, default=2)
 
     def __post_init__(self):
@@ -372,14 +372,27 @@ def domain_to_dict(domain) -> dict:
                        for f in fields(domain) if f.init and f.name != "dim"}}
 
 
-def _decode(value):
-    """A param value: a nested document is a domain, a list a tuple of
-    decoded values, anything else a float."""
-    if isinstance(value, dict):
-        return domain_from_dict(value)
-    if isinstance(value, list):
-        return tuple(map(_decode, value))
-    return float(value)
+def _decode(value, hint, where: str):
+    """A param value decoded as its annotation ``hint`` asks: a domain from a
+    document, a tuple from a list of items of the tuple's item type, and a
+    float from a JSON number (not a boolean, string or null).  A value of
+    another shape raises TypeError naming ``where``, the param and kind."""
+    if type(None) in getattr(hint, "__args__", ()):  # optional: null is not a value
+        hint = hint.__args__[0]
+    if hint is Domain:
+        if isinstance(value, dict):
+            return domain_from_dict(value)
+        expected = "a domain document"
+    elif getattr(hint, "__origin__", None) is tuple:
+        if isinstance(value, list):
+            return tuple(_decode(item, hint.__args__[0], f"an item of {where}")
+                         for item in value)
+        expected = "a list"
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    else:
+        expected = "a number"
+    raise TypeError(f"{where} must be {expected}, got {value!r}")
 
 
 def domain_from_dict(doc: dict):
@@ -400,7 +413,8 @@ def domain_from_dict(doc: dict):
                 names = ", ".join(n for n in takes if n != "dim")
                 raise TypeError(f"kind {kind!r} has no parameter {key!r} "
                                 f"(its params: {names}; the dimension is N)")
-        kwargs = {key: _decode(value) for key, value in params.items()}
+        kwargs = {key: _decode(value, takes[key].annotation, f"kind {kind!r} param {key!r}")
+                  for key, value in params.items()}
         if "dim" in takes:
             kwargs["dim"] = dim
         domain = build(**kwargs)

@@ -1,5 +1,5 @@
-"""Grid eigensolve pipeline: solve a domain across halving grid levels,
-Richardson-extrapolate with a fitted order, and normalize to unit measure.
+"""Grid eigensolve pipeline: solve a domain across halving grid levels and
+Richardson-extrapolate with a fitted order.
 
 Spacings are made exact halves of the coarsest, and each level's eigensolve
 continues from the result of the one before (``smallest_pairs(coarse=)``).
@@ -8,7 +8,9 @@ its vectors as a start, so every level but the finest stops on Temple's
 eigenvalue-error estimate (``values_only=True``); the finest, whose vectors
 are returned, stops on its residual ||A v - lambda v|| <= tol * lambda.
 ``discretize.extrapolate`` turns each eigenvalue's levels into a value and
-its error budget.  Callers add their own quadrature budgets where relevant.
+its error budget.  The values are the domain's own: callers that want the
+unit-measure copy apply ``geometry.normalization`` themselves, and add their
+own quadrature budgets where relevant.
 """
 
 import math
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discretize, eigensolve
-from .geometry import normalization
 
 __all__ = ["LevelSolve", "DomainSolve", "halving_levels", "solve_domain"]
 
@@ -34,11 +35,10 @@ class LevelSolve:
 
 @dataclass(frozen=True)
 class DomainSolve:
-    """Raw, extrapolated, and measure-normalized eigenvalue estimates.
+    """Raw and extrapolated eigenvalue estimates of the domain itself.
 
     ``orders``, ``fitted`` and ``error_est_raw`` come from
-    ``discretize.extrapolate`` on the unnormalized values; ``error_est`` is
-    the same budget carried through the normalization.
+    ``discretize.extrapolate`` on the per-level values.
     """
 
     domain: object
@@ -47,11 +47,7 @@ class DomainSolve:
     lambda_x: np.ndarray
     orders: tuple
     fitted: tuple
-    measure: float
-    t_factor: float
-    lambda_norm: np.ndarray
     error_est_raw: np.ndarray
-    error_est: np.ndarray
     grid: object = field(repr=False)
     vectors: np.ndarray = field(repr=False)
 
@@ -80,7 +76,7 @@ def halving_levels(h_list) -> list:
     return [hs[0] / 2**i for i in range(len(hs))]
 
 
-def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
+def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAULT_SEED,
                  k: int = 2) -> DomainSolve:
     """Solve the Dirichlet eigenproblem on each grid level and extrapolate.
 
@@ -88,8 +84,8 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
     in any order; the levels are solved at exact halves of the largest
     spacing.  Every level but the finest stops on Temple's estimate, so
     only the finest level's residuals are at most ``tol`` times its values.
-    Returns the full level data plus normalized values for the
-    unit-measure copy of the domain.
+    Returns the full level data and the extrapolated values with their
+    error budgets.
     """
     hs = halving_levels(h_list)
     levels = []
@@ -107,22 +103,14 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int | None = None,
 
     fits = [discretize.extrapolate([float(lv.values[i]) for lv in levels], tol)
             for i in range(k)]
-    lambda_x = np.array([fit.value for fit in fits])
-    error_est_raw = np.array([fit.error_est for fit in fits])
-
-    vol, t, norm_factor = normalization(domain)
     return DomainSolve(
         domain=domain,
         h_list=tuple(hs),
         levels=tuple(levels),
-        lambda_x=lambda_x,
+        lambda_x=np.array([fit.value for fit in fits]),
         orders=tuple(fit.order for fit in fits),
         fitted=tuple(fit.fitted for fit in fits),
-        measure=vol,
-        t_factor=t,
-        lambda_norm=lambda_x * norm_factor,
-        error_est_raw=error_est_raw,
-        error_est=error_est_raw * norm_factor,
+        error_est_raw=np.array([fit.error_est for fit in fits]),
         grid=grid,
         vectors=result.vectors,
     )

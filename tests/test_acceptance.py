@@ -74,8 +74,9 @@ def test_criterion_2_grid_convergence(disc_solve_fine):
 def test_criterion_3_two_ball_endpoint(twoballs_solve):
     solve = twoballs_solve.value
     lam_p = analytic.theta_spectrum(2)[0]
-    rel1 = abs(solve.lambda_norm[0] - lam_p) / lam_p
-    rel2 = abs(solve.lambda_norm[1] - lam_p) / lam_p
+    lambda_norm = solve.lambda_x * geometry.normalization(solve.domain)[2]
+    rel1 = abs(lambda_norm[0] - lam_p) / lam_p
+    rel2 = abs(lambda_norm[1] - lam_p) / lam_p
     degeneracy = abs(solve.lambda_x[0] - solve.lambda_x[1]) / solve.lambda_x[0]
     ok = (rel1 <= 0.01 and rel2 <= 0.01 and degeneracy <= 1e-3
           and twoballs_solve.seconds < 120.0)
@@ -147,9 +148,8 @@ def test_criterion_8_theorem_verdict(default_sweep_records):
     records = [r for r in default_sweep_records.value if r.family == "dumbbell"]
     verdict = asymptotics.verify_theorem(records)
     elapsed = time.perf_counter() - t0
-    grid_ratios = dict(verdict.ratio_grid)
-    grid_ok = all(r >= 0 for r in grid_ratios.values())
-    bound_ok = all(r >= 0 for _, r in verdict.ratio_bound)
+    grid_ok = all(r >= 0 for _, _, r in verdict.ratios if r is not None)
+    bound_ok = all(r is not None and r >= 0 for _, r, _ in verdict.ratios)
     ok = verdict.passed and grid_ok and bound_ok and elapsed < 300.0
     assert criterion(
         8, "ratio curve certifies the horizontal tangent at the corner", ok,

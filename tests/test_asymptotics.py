@@ -80,31 +80,31 @@ class TestFitSlope:
 class TestRatioCurve:
     def test_synthetic_sqrt(self):
         records = synthetic_records(EPS, lambda e: math.sqrt(e))
-        curves = asy.ratio_curve(records)
-        assert len(curves.bound) == len(EPS)
-        for e, r in curves.bound:
+        rows = asy.ratio_curve(records[::-1])
+        assert [e for e, _, _ in rows] == EPS
+        for e, r, grid in rows:
             assert r == pytest.approx(math.sqrt(e), rel=1e-12)
-        assert curves.grid == ()
-        assert curves.flagged == ()
+            assert grid is None
 
-    def test_nonpositive_denominator_flagged(self):
+    def test_nonpositive_denominator_is_none(self):
         records = synthetic_records(EPS[:4], lambda e: math.sqrt(e))
         records.append(SweepRecord(family="dumbbell", param=0.25,
-                                   bound1=LAM_P + 1.0, bound2=LAM_P + 2.0))
-        curves = asy.ratio_curve(records)
-        assert len(curves.flagged) == 1
-        assert curves.flagged[0][0] == 0.25
+                                   bound1=LAM_P + 1.0, bound2=LAM_P + 2.0,
+                                   lambda1_norm=LAM_P, lambda2_norm=LAM_P + 1.0))
+        rows = asy.ratio_curve(records)
+        assert len(rows) == 5
+        assert rows[-1] == (0.25, None, None)
 
     def test_grid_path(self):
         rec = SweepRecord(family="dumbbell", param=0.2,
+                          bound1=LAM_P - 1.0, bound2=LAM_P + 0.25,
                           lambda1_norm=LAM_P - 1.0, lambda2_norm=LAM_P + 0.5)
-        curves = asy.ratio_curve([rec])
-        assert curves.grid == ((0.2, 0.5),)
+        assert asy.ratio_curve([rec]) == ((0.2, 0.25, 0.5),)
 
     def test_other_families_ignored(self):
-        rec = SweepRecord(family="ball", param=1.0,
+        rec = SweepRecord(family="ball", param=1.0, bound1=5.8, bound2=14.7,
                           lambda1_norm=5.8, lambda2_norm=14.7)
-        assert asy.ratio_curve([rec]).bound == ()
+        assert asy.ratio_curve([rec]) == ()
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 2: ratio_curve subtracts lambda(P) from the O(1) normalized "
@@ -117,7 +117,7 @@ class TestRatioCurve:
         (lambda (g - 1) + x g) / (d g - lambda (g - 1)), g = (1 - c)^(2/N)."""
         eps = 1e-7
         records = sweep({"dumbbell": [eps]}, SweepConfig(grid_eps_min=math.inf, dim=dim))
-        ((_, ratio),) = asy.ratio_curve(records, dim=dim).bound
+        ((_, ratio, _),) = asy.ratio_curve(records, dim=dim)
         with mp.workdps(40):
             lam = mp.mpf(ball_spectrum(dim).lambda1)
             d = mp.mpf(testfn.lemma1_rayleigh(eps, dim).deficit)

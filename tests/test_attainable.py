@@ -6,6 +6,8 @@ import pytest
 
 from spectralgap import attainable as at
 from spectralgap import eigensolve
+from spectralgap.geometry import Dumbbell, normalization
+from spectralgap.testfn import lemma1_rayleigh, lemma2_rayleigh
 
 CHEAP = at.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32), tol=1e-6)
 LAM1_DISC = 5.783185962946785
@@ -63,6 +65,18 @@ class TestSweep:
         rec = at.sweep({"ball": [1.0]}, config)[0]
         assert rec.failure.startswith("ConvergenceError: eigenpairs not converged after 2 ")
         assert math.isnan(rec.error_est) and rec.lambda1_norm is None
+
+    def test_failed_grid_solve_keeps_bounds(self):
+        # h = 2 leaves one node in Dumbbell(0.2): the grid solve fails after
+        # the measure, t and bounds are known, and the budget is theirs
+        rec = at.sweep({"dumbbell": [0.2]}, at.SweepConfig(h_list=(2.0, 1.0)))[0]
+        assert rec.failure.startswith("GridError: 1 active node(s) at spacing h = 2.0")
+        assert rec.h_list == () and rec.lambda1_x is None and rec.lambda1_norm is None
+        measure, t, factor = normalization(Dumbbell(0.2))
+        b1, b2 = lemma1_rayleigh(0.2), lemma2_rayleigh(0.2)
+        assert (rec.measure, rec.t_factor) == (measure, t)
+        assert (rec.bound1, rec.bound2) == (b1.quotient * factor, b2.quotient * factor)
+        assert rec.error_est == (b1.error_est + b2.error_est) * factor > 0
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerance_outside_zero_to_inf_rejected(self, tol):

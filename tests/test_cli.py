@@ -74,9 +74,16 @@ class TestEig:
 
     @pytest.mark.parametrize("spec, message", [
         ('{"kind": "ball", "N": 2, "params": []}', MALFORMED),
-        ('{"kind": "ball", "N": 2, "params": {"center": 5}}', MALFORMED),
-        ('{"kind": "disjoint_union", "N": 2, "params": {"parts": 5}}', MALFORMED),
-        ('{"kind": "ball", "N": 2, "params": {"radius": null}}', MALFORMED),
+        ('{"kind": "ball", "N": 2, "params": {"center": 5}}',
+         MALFORMED + "kind 'ball' param 'center' must be a list"),
+        ('{"kind": "disjoint_union", "N": 2, "params": {"parts": 5}}',
+         MALFORMED + "kind 'disjoint_union' param 'parts' must be a list"),
+        ('{"kind": "ball", "N": 2, "params": {"radius": null}}',
+         MALFORMED + "kind 'ball' param 'radius' must be a number"),
+        ('{"kind": "ball", "N": 2, "params": {"radius": true}}',
+         MALFORMED + "kind 'ball' param 'radius' must be a number"),
+        ('{"kind": "ball", "N": 2, "params": {"radius": "2"}}',
+         MALFORMED + "kind 'ball' param 'radius' must be a number"),
         ('{"kind": "scaled", "N": 3, "params": {"factor": 1, "inner": {"kind": "ball", "N": 2}}}',
          MALFORMED),
         ('{"kind": "ball", "N": 2.7}', MALFORMED),
@@ -95,9 +102,10 @@ class TestEig:
          "scale factor must be positive"),
         ('{"kind": "ball", "N": 2, "params": {"raduis": 2}}',
          MALFORMED + "kind 'ball' has no parameter 'raduis'"),
-    ], ids=["params_list", "center_int", "parts_int", "radius_null", "n_mismatch", "n_float",
-            "n_string", "radius_nan", "radius_inf", "center_nan", "separation_nan", "width_nan",
-            "semi_y_nan", "factor_nan", "radius_misspelled"])
+    ], ids=["params_list", "center_int", "parts_int", "radius_null", "radius_true",
+            "radius_string", "n_mismatch", "n_float", "n_string", "radius_nan", "radius_inf",
+            "center_nan", "separation_nan", "width_nan", "semi_y_nan", "factor_nan",
+            "radius_misspelled"])
     def test_malformed_document_is_json_error(self, spec, message):
         proc = run_cli("eig", "--domain", spec, "--h", "1/8,1/16")
         assert proc.returncode == 1
@@ -310,6 +318,20 @@ class TestVerify:
         assert cli.main(["ratio", "--dim", "3"]) == 0
         assert curve.read_text() == capsys.readouterr().out
 
+    def test_failed_grid_solve_keeps_its_bounds(self, tmp_path, capsys):
+        # h = 2 leaves one node in Dumbbell(0.2): its grid solve fails, and its
+        # bounds still enter the verdict and the data CSV
+        curve = tmp_path / "curve.csv"
+        assert cli.main(["verify", "--h", "2,1", "--data-out", str(curve)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["ratio_bound"]) == 12 and doc["ratio_bound"][-1][0] == 0.2
+        assert doc["ratio_grid"] == []
+        (entry,) = doc["grid_crosscheck"]
+        assert set(entry) == {"eps", "bound1", "bound2", "budget", "failure"}
+        assert entry["eps"] == 0.2 and entry["failure"].startswith("GridError: 1 active node")
+        assert doc["checks"][1]["detail"].startswith("ratio(0.005) / ratio(0.2) = ")
+        assert curve.read_text().splitlines()[-1].startswith("0.2,")
+
     def test_csv_schema_matches_ratio_command(self, tmp_path):
         curve = tmp_path / "curve.csv"
         proc = run_cli("verify", "--eps-grid", WINDOW_GRID, "--grid-eps-min", "inf",
@@ -410,11 +432,14 @@ class TestCsv:
         assert cli.main(argv) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[1][:2] == ["rectangles", "1"] and rows[1][-1].startswith("GridError: ")
-        assert rows[1][2:-1] == [""] * 12
+        # it keeps its measure and t, but holds no eigenvalue and so no budget
+        assert rows[1][2:7] == [""] * 5 and rows[1][7:9] == ["1", "1.77245385091"]
+        assert rows[1][9:-1] == [""] * 5
         assert all(float(row[-2]) > 0 for row in rows[2:])
         assert cli.main(argv + ["--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["failure"].startswith("GridError: ") and doc[0]["error_est"] is None
+        assert doc[0]["measure"] == 1.0 and doc[0]["t_factor"] == 1.77245385091
         assert all(rec["error_est"] > 0 for rec in doc[1:])
 
 

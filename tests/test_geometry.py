@@ -247,6 +247,27 @@ class TestSerialization:
                                                  f"'{kind}' has no parameter '{key}'"):
                 geo.domain_from_dict({"kind": kind, "N": 2, "params": bad})
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("ball", {"radius": True}, "param 'radius' must be a number, got True"),
+        ("ball", {"radius": "2"}, "param 'radius' must be a number, got '2'"),
+        ("ball", {"radius": None}, "param 'radius' must be a number, got None"),
+        ("ball", {"center": 5}, "param 'center' must be a list, got 5"),
+        ("ball", {"center": [0, "1"]}, "an item of kind 'ball' param 'center' must be a number"),
+        ("disjoint_union", {"parts": 5}, "param 'parts' must be a list, got 5"),
+        ("disjoint_union", {"parts": [5]},
+         "an item of kind 'disjoint_union' param 'parts' must be a domain document, got 5"),
+        ("scaled", {"factor": 2, "inner": 5}, "param 'inner' must be a domain document"),
+        ("scaled", {"factor": [2], "inner": {"kind": "ball", "N": 2}},
+         "param 'factor' must be a number, got [2]"),
+        ("two_balls", {"separation": False}, "param 'separation' must be a number"),
+    ])
+    def test_wrong_type_names_param_and_kind(self, kind, params, message):
+        with pytest.raises(ValueError) as info:
+            geo.domain_from_dict({"kind": kind, "N": 2, "params": params})
+        assert str(info.value).startswith("malformed domain document: ")
+        assert message in str(info.value)
+        assert f"kind {kind!r}" in str(info.value)
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             geo.domain_from_dict({"kind": "pentagon", "N": 2, "params": {}})

@@ -1,10 +1,10 @@
 """Golden outputs of the bound-only commands: what in-process ``cli.main``
-writes for ``lemma1``, ``lemma2 --format csv`` and ``ratio`` at N = 2 and 3,
-and for ``verify --grid-eps-min inf`` (its JSON and its data CSV, written under
-relative paths in an empty working directory), compared byte for byte with
-the files under ``tests/golden/``.  Any change to them is a change to the
-printed numbers, to be stated with its reason.  No grid is solved, so the
-whole set runs in well under a second.
+writes for ``lemma1``, ``lemma2 --format csv`` and ``ratio`` (CSV and JSON)
+at N = 2 and 3, and for ``verify --grid-eps-min inf`` (its JSON and its data
+CSV, written under relative paths in an empty working directory), compared
+byte for byte with the files under ``tests/golden/``.  Any change to them is
+a change to the printed numbers, to be stated with its reason.  No grid is
+solved, so the whole set runs in well under a second.
 
 To rewrite the files after an intended output change, run
 ``python tests/test_golden.py`` with ``src`` on the path."""
@@ -25,7 +25,8 @@ COMMANDS = {
     for dim in (2, 3)
     for name, suffix, extra in (("lemma1", ".json", []),
                                 ("lemma2", ".csv", ["--format", "csv"]),
-                                ("ratio", ".csv", []))
+                                ("ratio", ".csv", []),
+                                ("ratio", ".json", ["--format", "json"]))
 }
 VERIFY = "verify_no_grid_check.json"
 VERIFY_DATA = "verify_no_grid_check_data.csv"
