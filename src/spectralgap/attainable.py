@@ -4,6 +4,10 @@ Each record normalizes a domain to unit measure omega_N, once, and carries
 grid eigenvalues (raw per level and extrapolated from ``solve_domain``, and
 normalized) plus, for dumbbells, the normalized quadrature bounds from the
 two trial-field constructions.  A failed record keeps the values before it.
+A record holds no vectors or residuals, so its grid solve stops every level,
+the finest included, on Temple's estimate (``solve_domain(values_only=True)``):
+the values lie within tol * lambda of a residual-stopped solve's, in fewer
+block iterations on the finest level.
 Region checks test the sharp inclusions satisfied by every unit-measure
 domain: lambda1 >= lambda1(ball) (ball minimizes lambda1), lambda2 >=
 lambda2(two half balls) (that pair minimizes lambda2), and
@@ -128,7 +132,8 @@ def _solve_one(task) -> SweepRecord:
             if param < config.grid_eps_min:
                 return record
 
-        solve = solve_domain(domain, config.h_list, tol=config.tol, seed=config.seed)
+        solve = solve_domain(domain, config.h_list, tol=config.tol, seed=config.seed,
+                             values_only=True)
     except Exception as exc:  # record inline, sweep continues
         budget = record.error_est if record.normalized_pair() else float("nan")
         return replace(record, error_est=budget, failure=f"{type(exc).__name__}: {exc}")

@@ -284,13 +284,19 @@ def _dumbbell_records(args, command: str):
 
 
 def cmd_ratio(args) -> int:
+    """The ratio table; a failed record keeps its row, with no grid ratio,
+    and its failure goes to stderr, one JSON line per record, with exit 1."""
     records = _dumbbell_records(args, "ratio")
     rows = asymptotics.ratio_curve(records, dim=args.dim)
     if args.format == "json":
         _emit(_dump_json([dict(zip(RATIO_HEADER, row)) for row in rows]), args.out)
     else:
         _emit(_csv(RATIO_HEADER, rows), args.out)
-    return EXIT_OK
+    failed = [rec for rec in records if rec.failure is not None]
+    for rec in failed:
+        line = {"eps": rec.param, "failure": rec.failure}
+        sys.stderr.write(json.dumps(_jsonable(line), sort_keys=True) + "\n")
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -6,7 +6,10 @@ continues from the result of the one before (``smallest_pairs(coarse=)``).
 The fit needs only the eigenvalues of a coarser level, and the next level
 its vectors as a start, so every level but the finest stops on Temple's
 eigenvalue-error estimate (``values_only=True``); the finest, whose vectors
-are returned, stops on its residual ||A v - lambda v|| <= tol * lambda.
+are returned, stops on its residual ||A v - lambda v|| <= tol * lambda,
+unless the caller reads only the values and budgets and asks for the same
+Temple stop there (``solve_domain(values_only=True)``, which every sweep
+record uses); the vectors of such a solve are then Temple-stopped.
 ``discretize.extrapolate`` turns each eigenvalue's levels into a value and
 its error budget.  The values are the domain's own: callers that want the
 unit-measure copy apply ``geometry.normalization`` themselves, and add their
@@ -38,7 +41,10 @@ class DomainSolve:
     """Raw and extrapolated eigenvalue estimates of the domain itself.
 
     ``orders``, ``fitted`` and ``error_est_raw`` come from
-    ``discretize.extrapolate`` on the per-level values.
+    ``discretize.extrapolate`` on the per-level values.  ``vectors`` are the
+    finest level's; a ``solve_domain(values_only=True)`` solve stops them on
+    Temple's estimate, so they and that level's residuals meet no residual
+    bound.
     """
 
     domain: object
@@ -77,13 +83,16 @@ def halving_levels(h_list) -> list:
 
 
 def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAULT_SEED,
-                 k: int = 2) -> DomainSolve:
+                 k: int = 2, *, values_only: bool = False) -> DomainSolve:
     """Solve the Dirichlet eigenproblem on each grid level and extrapolate.
 
     ``h_list`` must halve from level to level to within 1e-12 relative,
     in any order; the levels are solved at exact halves of the largest
     spacing.  Every level but the finest stops on Temple's estimate, so
     only the finest level's residuals are at most ``tol`` times its values.
+    With ``values_only`` the finest level stops on Temple's estimate too:
+    for callers that read only the values and their budgets, as the
+    returned vectors and finest residuals then carry no residual bound.
     Returns the full level data and the extrapolated values with their
     error budgets.
     """
@@ -96,7 +105,8 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
             raise discretize.GridError(f"{grid.n} active node(s) at spacing h = {h} in "
                                        f"{domain!r}, fewer than the {k} pairs requested")
         result = eigensolve.smallest_pairs(discretize.assemble(grid), k=k, tol=tol, seed=seed,
-                                           coarse=result, values_only=h > hs[-1])
+                                           coarse=result,
+                                           values_only=values_only or h > hs[-1])
         levels.append(LevelSolve(h=h, n=grid.n, values=result.values,
                                  residuals=result.residuals, iterations=result.iterations,
                                  inner_iterations=result.inner_iterations))

@@ -6,7 +6,8 @@ import pytest
 
 from spectralgap import attainable as at
 from spectralgap import eigensolve
-from spectralgap.geometry import Dumbbell, normalization
+from spectralgap.geometry import Ball, Dumbbell, normalization
+from spectralgap.pipeline import solve_domain
 from spectralgap.testfn import lemma1_rayleigh, lemma2_rayleigh
 
 CHEAP = at.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32), tol=1e-6)
@@ -77,6 +78,21 @@ class TestSweep:
         assert (rec.measure, rec.t_factor) == (measure, t)
         assert (rec.bound1, rec.bound2) == (b1.quotient * factor, b2.quotient * factor)
         assert rec.error_est == (b1.error_est + b2.error_est) * factor > 0
+
+    @pytest.mark.parametrize("family, param, domain", [
+        ("ball", 1.0, Ball()), ("dumbbell", 0.2, Dumbbell(0.2)),
+    ])
+    def test_values_within_tol_of_residual_stopped_solve(self, family, param, domain):
+        # a record's finest level stops on Temple's estimate; every value it
+        # carries stays within tol * lambda of the residual-stopped solve's
+        config = at.SweepConfig()
+        rec = at.sweep({family: [param]}, config)[0]
+        solve = solve_domain(domain, config.h_list, tol=config.tol, seed=config.seed)
+        got = [*rec.lambda1_raw, *rec.lambda2_raw, rec.lambda1_x, rec.lambda2_x]
+        want = [*solve.raw(0), *solve.raw(1), *solve.lambda_x]
+        assert rec.h_list == solve.h_list
+        for lam, reference in zip(got, want, strict=True):
+            assert abs(lam - reference) <= config.tol * reference
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerance_outside_zero_to_inf_rejected(self, tol):

@@ -290,6 +290,23 @@ class TestRatio:
         assert cli.main(argv) == 0
         assert bound_only == capsys.readouterr().out
 
+    def test_failed_grid_solve_named_on_stderr(self, capsys):
+        # h = 2 leaves one node in every dumbbell from 0.1 up: their rows print
+        # as with no grid solve, and each failure is one JSON line on stderr
+        assert cli.main(["ratio", "--h", "2,1", "--grid-eps-min", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert cli.main(["ratio"]) == 0
+        assert captured.out == capsys.readouterr().out
+        failures = [json.loads(line) for line in captured.err.splitlines()]
+        assert [round(f["eps"], 3) for f in failures] == [0.113, 0.16, 0.2]
+        for f in failures:
+            assert set(f) == {"eps", "failure"}
+            assert f["failure"].startswith("GridError: 1 active node(s) at spacing h = 2.0")
+        argv = ["ratio", "--eps-grid", "0.2", "--grid-eps-min", "0.2", "--h", "1/8,1/16"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.splitlines()[1].split(",")[2] != ""
+
 
 class TestVerify:
     def test_default_window_passes(self, tmp_path):

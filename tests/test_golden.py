@@ -1,10 +1,13 @@
-"""Golden outputs of the bound-only commands: what in-process ``cli.main``
-writes for ``lemma1``, ``lemma2 --format csv`` and ``ratio`` (CSV and JSON)
-at N = 2 and 3, and for ``verify --grid-eps-min inf`` (its JSON and its data
-CSV, written under relative paths in an empty working directory), compared
-byte for byte with the files under ``tests/golden/``.  Any change to them is
-a change to the printed numbers, to be stated with its reason.  No grid is
-solved, so the whole set runs in well under a second.
+"""Golden outputs: what in-process ``cli.main`` writes for ``lemma1``,
+``lemma2 --format csv`` and ``ratio`` (CSV and JSON) at N = 2 and 3, for
+``verify --grid-eps-min inf`` (its JSON and its data CSV, written under
+relative paths in an empty working directory), and for one coarse ``eig`` of
+``Dumbbell(0.2)``, compared byte for byte with the files under
+``tests/golden/``.  Any change to them is a change to the printed numbers,
+to be stated with its reason.  The ``eig`` file pins the per-level
+iterations and residuals, so it shows that ``eig`` keeps the residual stop
+on its finest level.  Only that one small grid is solved, so the whole set
+runs in about a second.
 
 To rewrite the files after an intended output change, run
 ``python tests/test_golden.py`` with ``src`` on the path."""
@@ -28,6 +31,8 @@ COMMANDS = {
                                 ("ratio", ".csv", []),
                                 ("ratio", ".json", ["--format", "json"]))
 }
+COMMANDS["eig_dumbbell.json"] = ["eig", "--domain", "dumbbell", "--eps", "0.2",
+                                  "--h", "1/8,1/16,1/32", "--seed", "1"]
 VERIFY = "verify_no_grid_check.json"
 VERIFY_DATA = "verify_no_grid_check_data.csv"
 

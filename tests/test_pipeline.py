@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import tracemalloc
 
@@ -6,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from spectralgap import analytic
+from spectralgap import analytic, attainable, cli
 from spectralgap import discretize as d
 from spectralgap import eigensolve as es
 from spectralgap import geometry as geo
@@ -241,7 +243,8 @@ def test_coarser_levels_stop_within_the_true_temple_bound(domain, h_list, k, mon
     from the Ritz values; with the true gap from shift-invert Lanczos, to the
     nearest eigenvalue above the pair's cluster, the Temple bound
     ||r||^2 / gap on theta - lambda is within tol * theta there too.  The
-    finest level stops on ||r|| <= tol * theta."""
+    finest level stops on ||r|| <= tol * theta, or with ``values_only`` on
+    the same Temple estimate, and then meets the same bound."""
     stops = []
     solve = es.smallest_pairs
 
@@ -250,13 +253,43 @@ def test_coarser_levels_stop_within_the_true_temple_bound(domain, h_list, k, mon
         return stops[-1][-1]
 
     monkeypatch.setattr(es, "smallest_pairs", record)
-    pipeline.solve_domain(domain, h_list, tol=TOL, seed=1, k=k)
-    assert [values_only for _, values_only, _ in stops] == [True] * (len(h_list) - 1) + [False]
-    *coarser, (_, _, finest) = stops
-    assert (finest.residuals <= TOL * finest.values).all()
-    for op, _, res in coarser:
-        exact = np.sort(spla.eigsh(op.matrix, k=k + 3, sigma=0.0, return_eigenvectors=False))
-        for theta, residual, lam in zip(res.values, res.residuals, exact):
-            gap = exact[exact > theta * (1.0 + es.CLUSTER)][0] - theta
-            assert residual**2 / gap <= TOL * theta
-            assert abs(theta - lam) <= TOL * theta
+    exact = {}  # each level's operator is the same in both solves
+    for values_only in (False, True):
+        stops.clear()
+        pipeline.solve_domain(domain, h_list, tol=TOL, seed=1, k=k, values_only=values_only)
+        flags = [True] * (len(h_list) - 1) + [values_only]
+        assert [flag for _, flag, _ in stops] == flags
+        temple_stopped = stops
+        if not values_only:
+            *temple_stopped, (_, _, finest) = stops
+            assert (finest.residuals <= TOL * finest.values).all()
+        for op, _, res in temple_stopped:
+            if op.n not in exact:
+                exact[op.n] = np.sort(spla.eigsh(op.matrix, k=k + 3, sigma=0.0,
+                                                 return_eigenvectors=False))
+            lams = exact[op.n]
+            for theta, residual, lam in zip(res.values, res.residuals, lams):
+                gap = lams[lams > theta * (1.0 + es.CLUSTER)][0] - theta
+                assert residual**2 / gap <= TOL * theta
+                assert abs(theta - lam) <= TOL * theta
+
+
+def test_only_value_readers_stop_the_finest_level_on_temple(monkeypatch):
+    """A sweep record reads only values and budgets, so its finest level
+    stops on Temple's estimate; ``eig`` prints the finest residuals and keeps
+    the residual stop."""
+    flags = []
+    solve = es.smallest_pairs
+
+    def record(op, **kwargs):
+        flags.append(kwargs["values_only"])
+        return solve(op, **kwargs)
+
+    monkeypatch.setattr(es, "smallest_pairs", record)
+    config = attainable.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32))
+    assert attainable._solve_one(("ball", 1.0, config)).failure is None
+    assert flags == [True, True, True]
+    flags.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["eig", "--domain", "disc", "--h", "1/8,1/16,1/32"]) == 0
+    assert flags == [True, True, False]
