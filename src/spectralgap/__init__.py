@@ -9,7 +9,7 @@ from .analytic import (
     theta_spectrum, unit_ball_volume,
 )
 from .asymptotics import SlopeFit, fit_slope, ratio_curve, verify_theorem
-from .attainable import SweepConfig, SweepRecord, region_check, sweep
+from .attainable import SweepConfig, SweepRecord, sweep
 from .discretize import DiscreteOperator, Grid2D, assemble, build_grid, extrapolate
 from .eigensolve import EigenResult, smallest_pairs
 from .geometry import (
@@ -17,9 +17,6 @@ from .geometry import (
     contains, domain_from_dict, domain_to_dict, normalization, two_balls,
 )
 from .pipeline import DomainSolve, solve_domain
-from .testfn import (
-    Lemma1Function, Lemma2Function, lemma1_rayleigh, lemma2_rayleigh,
-    odd_extension_check,
-)
+from .testfn import lemma1_rayleigh, lemma2_rayleigh
 
 __version__ = "0.1.0"

@@ -8,31 +8,18 @@ A record holds no vectors or residuals, so its grid solve stops every level,
 the finest included, on Temple's estimate (``solve_domain(values_only=True)``):
 the values lie within tol * lambda of a residual-stopped solve's, in fewer
 block iterations on the finest level.
-Region checks test the sharp inclusions satisfied by every unit-measure
-domain: lambda1 >= lambda1(ball) (ball minimizes lambda1), lambda2 >=
-lambda2(two half balls) (that pair minimizes lambda2), and
-1 <= lambda2/lambda1 <= lambda2(ball)/lambda1(ball).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import ball_spectrum, theta_spectrum
 from .eigensolve import DEFAULT_SEED
 from .geometry import Ball, DisjointUnion, Dumbbell, Ellipse, Rectangle, normalization
 from .pipeline import solve_domain
 from .testfn import lemma1_rayleigh, lemma2_rayleigh
 
-__all__ = [
-    "SweepConfig",
-    "SweepRecord",
-    "RegionReport",
-    "DEFAULT_EPS_GRID",
-    "DEFAULT_FAMILIES",
-    "sweep",
-    "region_check",
-]
+__all__ = ["SweepConfig", "SweepRecord", "DEFAULT_EPS_GRID", "DEFAULT_FAMILIES", "sweep"]
 
 # half-decade (factor sqrt(2)) grid from 5e-3 to 0.2; rates are fitted on
 # the sub-decade [5e-3, 0.1] (asymptotics.RATE_FIT_WINDOW)
@@ -82,15 +69,6 @@ class SweepRecord:
     error_est: float = 0.0
     failure: str | None = None
 
-    def normalized_pair(self):
-        """(lambda1, lambda2) of the unit-measure copy: the grid pair when
-        available, otherwise the quadrature bound pair."""
-        if self.lambda1_norm is not None and self.lambda2_norm is not None:
-            return self.lambda1_norm, self.lambda2_norm
-        if self.bound1 is not None and self.bound2 is not None:
-            return self.bound1, self.bound2
-        return None
-
 
 def _family_domain(family: str, param: float, dim: int):
     if family == "ball":
@@ -135,7 +113,7 @@ def _solve_one(task) -> SweepRecord:
         solve = solve_domain(domain, config.h_list, tol=config.tol, seed=config.seed,
                              values_only=True)
     except Exception as exc:  # record inline, sweep continues
-        budget = record.error_est if record.normalized_pair() else float("nan")
+        budget = record.error_est if record.bound1 is not None else float("nan")
         return replace(record, error_est=budget, failure=f"{type(exc).__name__}: {exc}")
     lambda_norm = solve.lambda_x * norm_factor
     return replace(
@@ -173,57 +151,3 @@ def sweep(families: dict, config: SweepConfig = SweepConfig()) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_solve_one, tasks))
     return [_solve_one(t) for t in tasks]
-
-
-# ---------------------------------------------------------------------------
-# region inclusion checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegionReport:
-    """Margins of the three sharp inclusions, each with its pass flag.
-
-    Margins are signed distances into the admissible region; the tolerance
-    is the record's own error budget.
-    """
-
-    faber_krahn_margin: float
-    faber_krahn_ok: bool
-    krahn_szego_margin: float
-    krahn_szego_ok: bool
-    ratio: float
-    ratio_low_margin: float
-    ratio_high_margin: float
-    ashbaugh_benguria_ok: bool
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.faber_krahn_ok and self.krahn_szego_ok and self.ashbaugh_benguria_ok
-
-
-def region_check(record: SweepRecord, dim: int = 2) -> RegionReport:
-    """Check a normalized record against the universal inclusions."""
-    pair = record.normalized_pair()
-    if pair is None:
-        raise ValueError(f"record for {record.family}({record.param}) has no usable values: "
-                         f"{record.failure}")
-    lam1, lam2 = pair
-    spec = ball_spectrum(dim)
-    lam_theta = theta_spectrum(dim)[0]
-    ab_limit = spec.lambda2 / spec.lambda1
-    tol = record.error_est
-    ratio = lam2 / lam1
-    ratio_tol = 2.0 * tol / lam1
-    return RegionReport(
-        faber_krahn_margin=lam1 - spec.lambda1,
-        faber_krahn_ok=lam1 >= spec.lambda1 - tol,
-        krahn_szego_margin=lam2 - lam_theta,
-        krahn_szego_ok=lam2 >= lam_theta - tol,
-        ratio=ratio,
-        ratio_low_margin=ratio - 1.0,
-        ratio_high_margin=ab_limit - ratio,
-        ashbaugh_benguria_ok=(1.0 - ratio_tol <= ratio <= ab_limit + ratio_tol),
-        tolerance=tol,
-    )
-

@@ -233,6 +233,8 @@ def cmd_eig(args) -> int:
 
 def cmd_sweep(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise ConfigError("empty family list")
     unknown = [f for f in families if f not in attainable.DEFAULT_FAMILIES]
     if unknown:
         raise ConfigError(f"unknown families {unknown}; "

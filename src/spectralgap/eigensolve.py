@@ -78,16 +78,15 @@ class ConvergenceError(RuntimeError):
 class EigenResult:
     """Two smallest eigenpairs: values ascending, orthonormal vectors as
     columns, per-pair residual norms ||A v - lambda v||, the block iterations
-    run, the tolerance the solve was run at, the V-cycles applied to each
-    pair's residual, and the interpolation matrices (CSC) down from its
-    lattice, finest first; a continued solve takes them as its lower levels
-    and restricts through their transposes, CSR views of the same arrays."""
+    run, the V-cycles applied to each pair's residual, and the interpolation
+    matrices (CSC) down from its lattice, finest first; a continued solve
+    takes them as its lower levels and restricts through their transposes,
+    CSR views of the same arrays."""
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     iterations: tuple
-    tol: float
     inner_iterations: tuple = ()
     transfers: tuple = ()
 
@@ -308,7 +307,7 @@ def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
         if stop:
             del AS, AX, R  # released before the copy of X raises the memory peak
             result = EigenResult(values=theta, vectors=X.copy().T, residuals=residuals,
-                                 iterations=(iteration,) * k, tol=tol,
+                                 iterations=(iteration,) * k,
                                  inner_iterations=tuple(int(i) for i in inner),
                                  transfers=tuple(transfers))
             if done.all():

@@ -1,8 +1,10 @@
-"""Explicit trial fields on the dumbbell and their Rayleigh quotients.
+"""Rayleigh quotients of two explicit trial fields on the dumbbell.
 
 Two constructions turn the unit-ball ground state u (shifted to the right
 ball of the dumbbell, center (1-eps, 0)) into variational upper bounds, each
-with an estimated quadrature error:
+with an estimated quadrature error.  The fields are never evaluated point
+by point here: each quotient comes from the chart integrals below
+(``tests/oracle.py`` holds the fields themselves, for cross-checks):
 
 * ``lemma1_*``: inside the junction cone T = {x1 > 0, a - x1 - |x'| > 0},
   a = sqrt(2 eps - eps^2), add the corrector (kappa/2)(a - x1 - |x'|) and
@@ -31,20 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ZERO_RTOL, ball_spectrum, radial_profile
-from .geometry import Dumbbell, HalfDumbbell, junction_radius
+from .geometry import junction_radius
 from .quadrature import kronrod, kronrod_2d
 
-__all__ = [
-    "Lemma1Function",
-    "Lemma2Function",
-    "Lemma1Bound",
-    "Lemma2Bound",
-    "OddExtensionReport",
-    "lemma1_rayleigh",
-    "lemma2_rayleigh",
-    "odd_extension_check",
-    "EPS_MAX",
-]
+__all__ = ["Lemma1Bound", "Lemma2Bound", "lemma1_rayleigh", "lemma2_rayleigh", "EPS_MAX"]
 
 EPS_MAX = 0.3
 
@@ -59,99 +51,6 @@ def _budget(quad_err, lam):
 def _check_epsilon(epsilon):
     if not 0 < epsilon <= EPS_MAX:
         raise ValueError(f"junction parameter must satisfy 0 < eps <= {EPS_MAX}, got {epsilon}")
-
-
-# ---------------------------------------------------------------------------
-# trial fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Lemma1Function:
-    """Cone-corrected, evenly extended ground state on the dumbbell."""
-
-    epsilon: float
-    dim: int = 2
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
-
-    def field(self, pts):
-        """Vectorized (values, gradients) on the dumbbell.
-
-        On the cone axis |x'| = 0 the transverse corrector direction is
-        taken as the first x' coordinate axis; the squared gradient is
-        direction independent there, so quadrature is unaffected.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        eps, kappa = self.epsilon, ball_spectrum(self.dim).kappa
-        a = junction_radius(eps)
-        value_fn, fac_fn = radial_profile(self.dim)
-        sign = np.where(pts[:, 0] < 0, -1.0, 1.0)
-        x1 = np.abs(pts[:, 0])
-        xp = pts[:, 1:]
-        s = np.sqrt(np.sum(xp * xp, axis=1))
-        dx = x1 - (1.0 - eps)
-        r = np.sqrt(dx * dx + s * s)
-        if np.any(r > 1.0 + 1e-12):
-            raise ValueError("point outside the dumbbell")
-        r = np.minimum(r, 1.0)
-        vals = value_fn(r)
-        fac = fac_fn(r)
-        grads = np.empty_like(pts)
-        grads[:, 0] = fac * dx
-        grads[:, 1:] = fac[:, None] * xp
-        in_cone = (x1 > 0) & (a - x1 - s > 0)
-        vals = np.where(in_cone, vals + 0.5 * kappa * (a - x1 - s), vals)
-        grads[in_cone, 0] -= 0.5 * kappa
-        unit = np.zeros_like(xp)
-        pos = s > 0
-        unit[pos] = xp[pos] / s[pos, None]
-        unit[~pos, 0] = 1.0  # fixed direction on the axis
-        grads[in_cone, 1:] -= 0.5 * kappa * unit[in_cone]
-        grads[:, 0] *= sign  # even extension flips the axial component
-        return vals, grads
-
-
-@dataclass(frozen=True)
-class Lemma2Function:
-    """Ground state times the junction cutoff xi = clamp(x1/eps, 0, 1)."""
-
-    epsilon: float
-    dim: int = 2
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
-
-    def cutoff(self, x1):
-        return np.clip(np.asarray(x1, dtype=float) / self.epsilon, 0.0, 1.0)
-
-    def cutoff_gradient(self, x1):
-        x1 = np.asarray(x1, dtype=float)
-        return np.where((x1 > 0) & (x1 < self.epsilon), 1.0 / self.epsilon, 0.0)
-
-    def field(self, pts):
-        """Vectorized (values, gradients) on the half dumbbell (x1 >= 0)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        eps = self.epsilon
-        value_fn, fac_fn = radial_profile(self.dim)
-        x1 = pts[:, 0]
-        if np.any(x1 < -1e-12):
-            raise ValueError("point outside the half dumbbell")
-        xp = pts[:, 1:]
-        s2 = np.sum(xp * xp, axis=1)
-        dx = x1 - (1.0 - eps)
-        r = np.sqrt(dx * dx + s2)
-        if np.any(r > 1.0 + 1e-12):
-            raise ValueError("point outside the half dumbbell")
-        r = np.minimum(r, 1.0)
-        u = value_fn(r)
-        fac = fac_fn(r)
-        xi = self.cutoff(x1)
-        dxi = self.cutoff_gradient(x1)
-        grads = np.empty_like(pts)
-        grads[:, 0] = xi * fac * dx + u * dxi
-        grads[:, 1:] = xi[:, None] * fac[:, None] * xp
-        return u * xi, grads
 
 
 # ---------------------------------------------------------------------------
@@ -315,61 +214,3 @@ def lemma2_rayleigh(epsilon: float, dim: int = 2) -> Lemma2Bound:
            + lam * (cap_err[0] + slab_err[3])) / den * 2.0
     return Lemma2Bound(epsilon=epsilon, dim=dim, quotient=float(quotient),
                        excess=float(excess), error_est=_budget(err, lam))
-
-
-# ---------------------------------------------------------------------------
-# grid cross-check of the odd-reflection inequality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OddExtensionReport:
-    """lambda_2(dumbbell) vs lambda_1(half dumbbell) on matched grids, plus
-    the odd-symmetry correlation of the second eigenvector."""
-
-    epsilon: float
-    lambda2_dumbbell: float
-    lambda1_half: float
-    gap: float
-    tolerance: float
-    upper_bound_ok: bool
-    symmetry_correlation: float
-    symmetry_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.upper_bound_ok and self.symmetry_ok
-
-
-def odd_extension_check(dumbbell, half) -> OddExtensionReport:
-    """Verify on grids that lambda_2(dumbbell) <= lambda_1(half dumbbell)
-    within twice the combined tolerance, and that the dumbbell's second
-    eigenvector is odd across the junction plane.
-
-    ``dumbbell`` and ``half`` are ``pipeline.solve_domain`` results for
-    ``Dumbbell(eps)`` and ``HalfDumbbell(eps)`` on the same grid levels;
-    any other pair raises ValueError.
-    """
-    if not isinstance(dumbbell.domain, Dumbbell):
-        raise ValueError(f"first solve is of {dumbbell.domain!r}, not of a dumbbell")
-    epsilon = dumbbell.domain.epsilon
-    if half.domain != HalfDumbbell(epsilon) or half.h_list != dumbbell.h_list:
-        raise ValueError(f"second solve, of {half.domain!r} at h = {half.h_list}, is not "
-                         f"of the half of {dumbbell.domain!r} at h = {dumbbell.h_list}")
-    lam2 = float(dumbbell.lambda_x[1])
-    lam1_half = float(half.lambda_x[0])
-    budget = float(dumbbell.error_est_raw[1] + half.error_est_raw[0])
-    grid = dumbbell.grid
-    v2 = dumbbell.vectors[:, 1]
-    mirror_idx = grid.index_map[-grid.active[:, 0] - grid.i0, grid.active[:, 1] - grid.j0]
-    ok = mirror_idx >= 0
-    corr = -float(v2[ok] @ v2[mirror_idx[ok]]) / float(v2[ok] @ v2[ok])
-    return OddExtensionReport(
-        epsilon=epsilon,
-        lambda2_dumbbell=lam2,
-        lambda1_half=lam1_half,
-        gap=lam1_half - lam2,
-        tolerance=budget,
-        upper_bound_ok=lam2 <= lam1_half + 2.0 * budget,
-        symmetry_correlation=corr,
-        symmetry_ok=corr >= 0.99,
-    )

@@ -1,6 +1,9 @@
 """Shared fixtures; the expensive grid solves are session-scoped and timed so
 the acceptance suite can verify its runtime budgets while module tests reuse
-the same results."""
+the same results.  Two assertion helpers check what every result must
+satisfy: ``assert_in_region`` the sharp inclusions of a sweep record,
+``assert_odd_reflection`` the odd-reflection inequality of a dumbbell and its
+half."""
 
 import os
 import time
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from spectralgap import attainable, geometry, pipeline, testfn
-from spectralgap.analytic import ball_spectrum
+from spectralgap.analytic import ball_spectrum, theta_spectrum
 
 # fine grids pinned by the acceptance criteria
 FINE_H = (1 / 64, 1 / 128, 1 / 256)
@@ -120,3 +123,48 @@ def ball_ground_state_field(dim=2, center=(0.0, 0.0), scale=1.0):
         return vals, grads
 
     return field
+
+
+def assert_in_region(record):
+    """Assert the sharp inclusions of every planar unit-measure domain on a
+    sweep record's normalized pair (the grid pair, else the bound pair), each
+    within the record's error budget err: Faber-Krahn lambda1 >= lambda1(ball),
+    Krahn-Szego lambda2 >= lambda2(two equal balls), and 1 <= lambda2/lambda1
+    <= lambda2(ball)/lambda1(ball) (Ashbaugh-Benguria), the ratio within
+    2 * err / lambda1 at both ends."""
+    if record.lambda1_norm is not None:
+        lam1, lam2 = record.lambda1_norm, record.lambda2_norm
+    else:
+        lam1, lam2 = record.bound1, record.bound2
+    name = f"{record.family}({record.param})"
+    assert lam1 is not None and lam2 is not None, f"{name} has no values: {record.failure}"
+    spec, lam_theta, err = ball_spectrum(2), theta_spectrum(2)[0], record.error_est
+    ratio, ratio_err = lam2 / lam1, 2.0 * err / lam1
+    assert lam1 >= spec.lambda1 - err, f"{name}: Faber-Krahn, lambda1 {lam1} (err {err})"
+    assert lam2 >= lam_theta - err, f"{name}: Krahn-Szego, lambda2 {lam2} (err {err})"
+    assert ratio >= 1.0 - ratio_err, f"{name}: ratio below 1, {ratio} (err {ratio_err})"
+    assert ratio <= spec.lambda2 / spec.lambda1 + ratio_err, (
+        f"{name}: Ashbaugh-Benguria, ratio {ratio} (err {ratio_err})")
+
+
+def mirror_correlation(solve):
+    """-<v, Mv> / <v, v> for the second grid eigenvector v of a solve and M
+    its mirror image across {x1 = 0}, over the nodes whose mirror is a node:
+    1 for an odd mode, -1 for an even one."""
+    grid, v = solve.grid, solve.vectors[:, 1]
+    mirror = grid.index_map[-grid.active[:, 0] - grid.i0, grid.active[:, 1] - grid.j0]
+    ok = mirror >= 0
+    return -float(v[ok] @ v[mirror[ok]]) / float(v[ok] @ v[ok])
+
+
+def assert_odd_reflection(dumbbell, half):
+    """Assert, for solves of Dumbbell(eps) and HalfDumbbell(eps) on the same
+    levels, lambda2(dumbbell) <= lambda1(half) within twice the summed grid
+    budgets (the half's ground state, reflected oddly, is a trial field for
+    lambda2), and an odd second eigenvector: mirror correlation >= 0.99."""
+    lam2, lam1_half = float(dumbbell.lambda_x[1]), float(half.lambda_x[0])
+    budget = float(dumbbell.error_est_raw[1] + half.error_est_raw[0])
+    assert lam2 <= lam1_half + 2.0 * budget, (
+        f"odd reflection: lambda2(dumbbell) {lam2} > lambda1(half) {lam1_half} + 2 * {budget}")
+    corr = mirror_correlation(dumbbell)
+    assert corr >= 0.99, f"symmetry: mirror correlation {corr} < 0.99"

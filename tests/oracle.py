@@ -6,20 +6,26 @@ tolerance in every component.  ``nested`` runs one such inner integral per
 outer node.  ``rayleigh_quotient`` integrates a value+gradient field over a
 planar ball, dumbbell or half dumbbell in exact polar charts, where the
 trial fields' kinks (the cone corrector's edge, the cutoff at x1 = eps) are
-left to the bisection.  ``bound_components`` computes the trial-field
-bounds' cap, cone and slab integrals with mpmath at 30 digits.
+left to the bisection.  ``Lemma1Function`` and ``Lemma2Function`` are the
+two trial fields of ``testfn``'s bounds as value+gradient point functions,
+the input ``rayleigh_quotient`` and finite-difference checks take; the bounds
+never evaluate them.  ``bound_components`` computes the bounds' cap, cone and
+slab integrals with mpmath at 30 digits.
 """
 
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from mpmath.calculus.quadrature import GaussLegendre
 
-from spectralgap.geometry import Ball, Dumbbell, HalfDumbbell
+from spectralgap.analytic import ball_spectrum, radial_profile
+from spectralgap.geometry import Ball, Dumbbell, HalfDumbbell, junction_radius
 from spectralgap.quadrature import kronrod
+from spectralgap.testfn import _check_epsilon
 
 
 def quad(f, a, b, rel_tol, max_panels=4000):
@@ -144,6 +150,95 @@ def rayleigh_quotient(domain, field, rel_tol=1e-8, max_panels=4000):
         raise ValueError(f"field has vanishing L2 norm on the domain ({den})")
     rel_err = num_err / abs(num) + den_err / den if num != 0 else den_err / den
     return num / den, float(rel_err)
+
+
+@dataclass(frozen=True)
+class Lemma1Function:
+    """Cone-corrected, evenly extended ground state on the dumbbell."""
+
+    epsilon: float
+    dim: int = 2
+
+    def __post_init__(self):
+        _check_epsilon(self.epsilon)
+
+    def field(self, pts):
+        """Vectorized (values, gradients) on the dumbbell.
+
+        On the cone axis |x'| = 0 the transverse corrector direction is
+        taken as the first x' coordinate axis; the squared gradient is
+        direction independent there, so quadrature is unaffected.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        eps, kappa = self.epsilon, ball_spectrum(self.dim).kappa
+        a = junction_radius(eps)
+        value_fn, fac_fn = radial_profile(self.dim)
+        sign = np.where(pts[:, 0] < 0, -1.0, 1.0)
+        x1 = np.abs(pts[:, 0])
+        xp = pts[:, 1:]
+        s = np.sqrt(np.sum(xp * xp, axis=1))
+        dx = x1 - (1.0 - eps)
+        r = np.sqrt(dx * dx + s * s)
+        if np.any(r > 1.0 + 1e-12):
+            raise ValueError("point outside the dumbbell")
+        r = np.minimum(r, 1.0)
+        vals = value_fn(r)
+        fac = fac_fn(r)
+        grads = np.empty_like(pts)
+        grads[:, 0] = fac * dx
+        grads[:, 1:] = fac[:, None] * xp
+        in_cone = (x1 > 0) & (a - x1 - s > 0)
+        vals = np.where(in_cone, vals + 0.5 * kappa * (a - x1 - s), vals)
+        grads[in_cone, 0] -= 0.5 * kappa
+        unit = np.zeros_like(xp)
+        pos = s > 0
+        unit[pos] = xp[pos] / s[pos, None]
+        unit[~pos, 0] = 1.0  # fixed direction on the axis
+        grads[in_cone, 1:] -= 0.5 * kappa * unit[in_cone]
+        grads[:, 0] *= sign  # even extension flips the axial component
+        return vals, grads
+
+
+@dataclass(frozen=True)
+class Lemma2Function:
+    """Ground state times the junction cutoff xi = clamp(x1/eps, 0, 1)."""
+
+    epsilon: float
+    dim: int = 2
+
+    def __post_init__(self):
+        _check_epsilon(self.epsilon)
+
+    def cutoff(self, x1):
+        return np.clip(np.asarray(x1, dtype=float) / self.epsilon, 0.0, 1.0)
+
+    def cutoff_gradient(self, x1):
+        x1 = np.asarray(x1, dtype=float)
+        return np.where((x1 > 0) & (x1 < self.epsilon), 1.0 / self.epsilon, 0.0)
+
+    def field(self, pts):
+        """Vectorized (values, gradients) on the half dumbbell (x1 >= 0)."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        eps = self.epsilon
+        value_fn, fac_fn = radial_profile(self.dim)
+        x1 = pts[:, 0]
+        if np.any(x1 < -1e-12):
+            raise ValueError("point outside the half dumbbell")
+        xp = pts[:, 1:]
+        s2 = np.sum(xp * xp, axis=1)
+        dx = x1 - (1.0 - eps)
+        r = np.sqrt(dx * dx + s2)
+        if np.any(r > 1.0 + 1e-12):
+            raise ValueError("point outside the half dumbbell")
+        r = np.minimum(r, 1.0)
+        u = value_fn(r)
+        fac = fac_fn(r)
+        xi = self.cutoff(x1)
+        dxi = self.cutoff_gradient(x1)
+        grads = np.empty_like(pts)
+        grads[:, 0] = xi * fac * dx + u * dxi
+        grads[:, 1:] = xi[:, None] * fac[:, None] * xp
+        return u * xi, grads
 
 
 def _ground_state(dim):

@@ -10,8 +10,9 @@ import time
 import numpy as np
 from scipy import optimize, special
 
-from conftest import cli_env
-from spectralgap import analytic, asymptotics, attainable, geometry, testfn
+from conftest import assert_in_region, assert_odd_reflection, cli_env, mirror_correlation
+from oracle import Lemma1Function, Lemma2Function
+from spectralgap import analytic, asymptotics, geometry, testfn
 from spectralgap.eigensolve import smallest_pairs
 from spectralgap import discretize
 
@@ -131,16 +132,18 @@ def test_criterion_6_variational_consistency(dumbbell_solves, lemma_bounds):
 
 
 def test_criterion_7_odd_reflection_inequality(dumbbell_solves):
-    solves = dumbbell_solves.value
-    ok = True
+    failures = []
     details = []
-    for eps, pair in sorted(solves.items()):
-        report = testfn.odd_extension_check(*pair)
-        ok = ok and report.upper_bound_ok and report.symmetry_ok
-        details.append(f"eps {eps}: gap {report.gap:.1e}, corr {report.symmetry_correlation:.4f}")
+    for eps, (dumb, half) in sorted(dumbbell_solves.value.items()):
+        try:
+            assert_odd_reflection(dumb, half)
+        except AssertionError as exc:
+            failures.append(f"eps {eps}: {exc}")
+        gap = float(half.lambda_x[0] - dumb.lambda_x[1])
+        details.append(f"eps {eps}: gap {gap:.1e}, corr {mirror_correlation(dumb):.4f}")
     assert criterion(
-        7, "lambda2(dumbbell) <= lambda1(half) with an odd second mode", ok,
-        "; ".join(details))
+        7, "lambda2(dumbbell) <= lambda1(half) with an odd second mode", not failures,
+        "; ".join(details + failures))
 
 
 def test_criterion_8_theorem_verdict(default_sweep_records):
@@ -158,17 +161,16 @@ def test_criterion_8_theorem_verdict(default_sweep_records):
 
 def test_criterion_9_region_inclusion(default_sweep_records):
     records = default_sweep_records.value
-    ok = True
     failures = []
     for rec in records:
-        report = attainable.region_check(rec)
-        if not report.passed:
-            ok = False
-            failures.append(f"{rec.family}({rec.param})")
+        try:
+            assert_in_region(rec)
+        except AssertionError as exc:
+            failures.append(str(exc))
     square = next(r for r in records if r.family == "rectangles" and r.param == 1.0)
     sq_ok = (abs(square.lambda1_norm - 2.0 * math.pi) <= 0.01 * 2.0 * math.pi
              and abs(square.lambda2_norm - 5.0 * math.pi) <= 0.01 * 5.0 * math.pi)
-    ok = ok and sq_ok
+    ok = not failures and sq_ok
     assert criterion(
         9, "every sweep record satisfies the sharp region inclusions", ok,
         f"{len(records)} records, square at ({square.lambda1_norm:.4f}, "
@@ -181,8 +183,8 @@ def test_criterion_10_property_suites(disc_solve_fine):
 
     # gradient vs central finite differences, 1000 samples over both fields
     eps = 0.12
-    f1 = testfn.Lemma1Function(eps)
-    f2 = testfn.Lemma2Function(eps)
+    f1 = Lemma1Function(eps)
+    f2 = Lemma2Function(eps)
     a = geometry.junction_radius(eps)
     pts = []
     while len(pts) < 1000:

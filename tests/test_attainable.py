@@ -10,6 +10,8 @@ from spectralgap.geometry import Ball, Dumbbell, normalization
 from spectralgap.pipeline import solve_domain
 from spectralgap.testfn import lemma1_rayleigh, lemma2_rayleigh
 
+from conftest import assert_in_region
+
 CHEAP = at.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32), tol=1e-6)
 LAM1_DISC = 5.783185962946785
 LAM2_DISC = 14.681970642123895
@@ -145,7 +147,7 @@ class TestSweep:
         # decreases through the smallest five parameters
         dists = []
         for rec in sorted(bound_only_records, key=lambda r: r.param)[:5]:
-            l1, l2 = rec.normalized_pair()
+            l1, l2 = rec.bound1, rec.bound2
             dists.append(math.hypot(l1 - LAM_P, l2 - LAM_P))
         assert all(a < b for a, b in zip(dists[:-1], dists[1:]))
         assert dists[0] <= 0.05
@@ -154,28 +156,46 @@ class TestSweep:
 class TestRegionCheck:
     def test_ball_margins_near_zero(self):
         rec = at.sweep({"ball": [1.0]}, CHEAP)[0]
-        rep = at.region_check(rec)
-        assert rep.passed
-        assert abs(rep.faber_krahn_margin) <= rec.error_est
-        assert rep.ratio == pytest.approx(LAM2_DISC / LAM1_DISC, rel=0.02)
+        assert_in_region(rec)
+        assert abs(rec.lambda1_norm - LAM1_DISC) <= rec.error_est
+        assert rec.lambda2_norm / rec.lambda1_norm == pytest.approx(LAM2_DISC / LAM1_DISC,
+                                                                    rel=0.02)
 
     def test_theta_record(self):
         rec = at.sweep({"two_balls_ratio": [1.0]}, CHEAP)[0]
-        rep = at.region_check(rec)
-        assert rep.passed
-        assert abs(rep.krahn_szego_margin) <= rec.error_est
-        assert rep.ratio == pytest.approx(1.0, abs=0.01)
+        assert_in_region(rec)
+        assert abs(rec.lambda2_norm - LAM_P) <= rec.error_est
+        assert rec.lambda2_norm / rec.lambda1_norm == pytest.approx(1.0, abs=0.01)
 
     def test_square_strict_interior(self):
         rec = at.sweep({"rectangles": [1.0]}, CHEAP)[0]
-        rep = at.region_check(rec)
-        assert rep.passed
-        assert rep.faber_krahn_margin > rec.error_est
-        assert rep.krahn_szego_margin > rec.error_est
-        assert rep.ratio_low_margin > 0 and rep.ratio_high_margin > 0
+        assert_in_region(rec)
+        assert rec.lambda1_norm - LAM1_DISC > rec.error_est
+        assert rec.lambda2_norm - LAM_P > rec.error_est
+        assert 1.0 < rec.lambda2_norm / rec.lambda1_norm < LAM2_DISC / LAM1_DISC
 
     def test_failed_record_rejected(self):
         rec = at.SweepRecord(family="dumbbell", param=-1.0, failure="boom")
-        with pytest.raises(ValueError):
-            at.region_check(rec)
+        with pytest.raises(AssertionError, match="has no values: boom"):
+            assert_in_region(rec)
 
+    # (lambda1, lambda2) d tolerances past the edge of each inclusion and
+    # inside the other three, at err = 0.5: the ratio's tolerance
+    # 2 * err / lambda1 is a shift of 2 * err = 1 in lambda1 or lambda2
+    EDGES = {
+        "Faber-Krahn": lambda d: (LAM1_DISC - 0.5 * d, LAM_P),
+        "Krahn-Szego": lambda d: (LAM1_DISC, LAM_P - 0.5 * d),
+        "ratio below 1": lambda d: (LAM_P + 1.0 * d, LAM_P),
+        "Ashbaugh-Benguria": lambda d: (LAM1_DISC, LAM2_DISC + 1.0 * d),
+    }
+
+    @pytest.mark.parametrize("fields", [("lambda1_norm", "lambda2_norm"), ("bound1", "bound2")])
+    @pytest.mark.parametrize("inclusion", sorted(EDGES))
+    def test_each_inclusion_holds_to_its_budget(self, inclusion, fields):
+        def record(d):
+            values = dict(zip(fields, self.EDGES[inclusion](d)))
+            return at.SweepRecord(family="synthetic", param=1.0, error_est=0.5, **values)
+
+        assert_in_region(record(0.9))
+        with pytest.raises(AssertionError, match=inclusion):
+            assert_in_region(record(1.1))

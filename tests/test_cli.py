@@ -591,6 +591,18 @@ class TestSettingChecks:
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "config"
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["lemma1", "--eps-grid", ","], 1, "empty eps grid"),
+        (["verify", "--eps-grid", " , "], 2, "empty eps grid"),
+        (["sweep", "--families", ","], 1, "empty family list"),
+        (["sweep", "--families", " , "], 1, "empty family list"),
+    ])
+    def test_empty_list_is_config_error(self, argv, code, message, capsys):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": message, "kind": "config"}
+
     @pytest.mark.parametrize("argv, code, token", [
         (["eig", "--domain", "ball", "--h", "1/2/3"], 1, "'1/2/3'"),
         (["lemma1", "--eps-grid", "0.1,a"], 1, "'a'"),

@@ -32,7 +32,7 @@ def _scripted(monkeypatch, levels):
 
     def fake(op, k, tol, seed, coarse, values_only):
         return es.EigenResult(values=np.array(next(script)), vectors=np.ones((op.n, k)),
-                              residuals=np.zeros(k), iterations=(1,) * k, tol=tol)
+                              residuals=np.zeros(k), iterations=(1,) * k)
 
     monkeypatch.setattr(pipeline.eigensolve, "smallest_pairs", fake)
 

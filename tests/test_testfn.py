@@ -1,4 +1,6 @@
 import math
+from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from spectralgap.analytic import ball_spectrum
 from spectralgap.geometry import junction_radius
 from spectralgap.pipeline import solve_domain
 
-from conftest import ball_ground_state_field
-from oracle import bound_components, rayleigh_quotient
+from conftest import assert_odd_reflection, ball_ground_state_field, mirror_correlation
+from oracle import Lemma1Function, Lemma2Function, bound_components, rayleigh_quotient
 
 LAM1_DISC = 5.783185962946785
 
@@ -32,7 +34,7 @@ def sample_dumbbell_points(eps, n, rng, half=False):
 class TestLemma1Function:
     def test_continuity_across_cone_surface(self):
         eps = 0.1
-        f = tf.Lemma1Function(eps)
+        f = Lemma1Function(eps)
         a = junction_radius(eps)
         rng = np.random.default_rng(5)
         x1 = rng.uniform(1e-6, a - 1e-6, size=200)
@@ -46,7 +48,7 @@ class TestLemma1Function:
 
     def test_dominates_ball_state(self):
         eps = 0.1
-        f = tf.Lemma1Function(eps)
+        f = Lemma1Function(eps)
         rng = np.random.default_rng(6)
         pts = sample_dumbbell_points(eps, 1000, rng, half=True)
         vals, _ = f.field(pts)
@@ -57,7 +59,7 @@ class TestLemma1Function:
 
     def test_even_symmetry(self):
         eps = 0.15
-        f = tf.Lemma1Function(eps)
+        f = Lemma1Function(eps)
         rng = np.random.default_rng(7)
         pts = sample_dumbbell_points(eps, 500, rng, half=True)
         vals_p, grads_p = f.field(pts)
@@ -69,7 +71,7 @@ class TestLemma1Function:
 
     def test_center_is_flat_maximum(self):
         eps = 0.1
-        vals, grads = tf.Lemma1Function(eps).field(np.array([1.0 - eps, 0.0])[None])
+        vals, grads = Lemma1Function(eps).field(np.array([1.0 - eps, 0.0])[None])
         assert vals[0] == pytest.approx(ball_spectrum(2).norm_const, rel=1e-12)
         assert np.abs(grads[0]).max() == 0.0
 
@@ -78,26 +80,26 @@ class TestLemma1Function:
         # (kappa/2, -kappa/2 sign(x')), up to O(sqrt(eps))
         eps = 0.05
         kappa = ball_spectrum(2).kappa
-        _, grads = tf.Lemma1Function(eps).field(np.array([1e-3, 1e-3])[None])
+        _, grads = Lemma1Function(eps).field(np.array([1e-3, 1e-3])[None])
         target = np.array([0.5 * kappa, -0.5 * kappa])
         assert np.linalg.norm(grads[0] - target) <= kappa * math.sqrt(eps)
 
     def test_axis_gradient_direction_independent(self):
         # on the cone axis the corrector direction is a convention; the
         # squared gradient must match its limit from either side
-        f = tf.Lemma1Function(0.1)
+        f = Lemma1Function(0.1)
         _, grads = f.field(np.array([[0.1, 0.0], [0.1, 1e-9], [0.1, -1e-9]]))
         sq = np.sum(grads * grads, axis=1)
         assert sq[1:] == pytest.approx(np.full(2, sq[0]), rel=1e-8)
 
     def test_outside_domain_rejected(self):
-        f = tf.Lemma1Function(0.1)
+        f = Lemma1Function(0.1)
         with pytest.raises(ValueError):
             f.field(np.array([2.5, 0.0])[None])
 
     def test_gradient_matches_finite_differences(self):
         eps = 0.1
-        f = tf.Lemma1Function(eps)
+        f = Lemma1Function(eps)
         a = junction_radius(eps)
         rng = np.random.default_rng(8)
         pts = sample_dumbbell_points(eps, 3000, rng)
@@ -125,7 +127,7 @@ class TestLemma1Function:
 class TestLemma2Function:
     def test_cutoff_properties(self):
         eps = 0.1
-        f = tf.Lemma2Function(eps)
+        f = Lemma2Function(eps)
         rng = np.random.default_rng(9)
         x1 = rng.uniform(-0.1, 2.0, size=2000)
         xi = f.cutoff(x1)
@@ -136,7 +138,7 @@ class TestLemma2Function:
 
     def test_vanishes_on_junction_disk(self):
         eps = 0.1
-        f = tf.Lemma2Function(eps)
+        f = Lemma2Function(eps)
         a = junction_radius(eps)
         pts = np.column_stack([np.zeros(50), np.linspace(-0.9 * a, 0.9 * a, 50)])
         vals, _ = f.field(pts)
@@ -144,7 +146,7 @@ class TestLemma2Function:
 
     def test_gradient_matches_finite_differences(self):
         eps = 0.1
-        f = tf.Lemma2Function(eps)
+        f = Lemma2Function(eps)
         rng = np.random.default_rng(10)
         pts = sample_dumbbell_points(eps, 3000, rng, half=True)
         x1, x2 = pts[:, 0], pts[:, 1]
@@ -172,7 +174,7 @@ class TestLemma1Rayleigh:
     def test_matches_generic_chart_quadrature(self):
         eps = 0.1
         bound = tf.lemma1_rayleigh(eps)
-        field = tf.Lemma1Function(eps).field
+        field = Lemma1Function(eps).field
         quotient, rel_err = rayleigh_quotient(geo.Dumbbell(eps), field, rel_tol=1e-7)
         assert quotient == pytest.approx(bound.quotient, rel=1e-6)
         assert rel_err < 1e-5
@@ -218,7 +220,7 @@ class TestLemma2Rayleigh:
     def test_matches_generic_chart_quadrature(self):
         eps = 0.1
         bound = tf.lemma2_rayleigh(eps)
-        field = tf.Lemma2Function(eps).field
+        field = Lemma2Function(eps).field
         quotient, rel_err = rayleigh_quotient(geo.HalfDumbbell(eps), field, rel_tol=1e-7)
         assert quotient == pytest.approx(bound.quotient, rel=1e-6)
 
@@ -288,32 +290,46 @@ class TestRayleighQuotient:
 class TestOddExtension:
     H = (1 / 8, 1 / 16, 1 / 32)
 
-    def test_cheap_dumbbell(self):
-        rep = tf.odd_extension_check(
-            solve_domain(geo.Dumbbell(0.2), self.H, tol=1e-6),
-            solve_domain(geo.HalfDumbbell(0.2), self.H, tol=1e-6, k=1))
-        assert rep.epsilon == 0.2
-        assert rep.upper_bound_ok
-        assert rep.symmetry_ok
-        assert rep.symmetry_correlation >= 0.99
-        assert abs(rep.gap) <= rep.tolerance
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return (solve_domain(geo.Dumbbell(0.2), self.H, tol=1e-6),
+                solve_domain(geo.HalfDumbbell(0.2), self.H, tol=1e-6, k=1))
 
-    def test_refuses_a_mismatched_half(self):
-        dumbbell = solve_domain(geo.Dumbbell(0.3), self.H, tol=1e-6)
-        disc = solve_domain(geo.Ball(), self.H, tol=1e-6, k=1)
-        for half in (solve_domain(geo.HalfDumbbell(0.1), self.H, tol=1e-6, k=1),
-                     solve_domain(geo.HalfDumbbell(0.3), self.H[:2], tol=1e-6, k=1), disc):
-            with pytest.raises(ValueError, match="is not of the half of Dumbbell"):
-                tf.odd_extension_check(dumbbell, half)
-        with pytest.raises(ValueError, match="not of a dumbbell"):
-            tf.odd_extension_check(disc, disc)
+    def test_cheap_dumbbell(self, pair):
+        dumbbell, half = pair
+        assert_odd_reflection(dumbbell, half)
+        budget = dumbbell.error_est_raw[1] + half.error_est_raw[0]
+        assert abs(half.lambda_x[0] - dumbbell.lambda_x[1]) <= budget
+
+    @pytest.mark.parametrize("budgets, holds", [(1.9, True), (2.1, False)])
+    def test_lambda2_within_twice_the_summed_budgets(self, pair, budgets, holds):
+        dumbbell, half = pair
+        budget = dumbbell.error_est_raw[1] + half.error_est_raw[0]
+        lam = dumbbell.lambda_x.copy()
+        lam[1] = half.lambda_x[0] + budgets * budget
+        with nullcontext() if holds else pytest.raises(AssertionError, match="odd reflection"):
+            assert_odd_reflection(replace(dumbbell, lambda_x=lam), half)
+
+    @pytest.mark.parametrize("target, holds", [(0.995, True), (0.985, False), (-1.0, False)])
+    def test_second_mode_must_be_odd(self, pair, target, holds):
+        # cos(phi) v2 + sin(phi) v1 mixes the odd mode with the even ground
+        # state; its mirror correlation is about cos(2 phi)
+        dumbbell, half = pair
+        phi = 0.5 * math.acos(target)
+        vectors = dumbbell.vectors.copy()
+        vectors[:, 1] = math.cos(phi) * vectors[:, 1] + math.sin(phi) * vectors[:, 0]
+        mixed = replace(dumbbell, vectors=vectors)
+        assert mirror_correlation(mixed) == pytest.approx(target, abs=2e-3)
+        with nullcontext() if holds else pytest.raises(AssertionError, match="symmetry"):
+            assert_odd_reflection(mixed, half)
 
     def test_two_balls_limit(self):
         # fully separated components: the two smallest values coincide
         from spectralgap import discretize as d, eigensolve as es
         op = d.assemble(d.build_grid(geo.two_balls(), 1 / 16))
-        res = es.smallest_pairs(op, tol=1e-8)
-        assert abs(res.values[1] - res.values[0]) <= 5 * res.tol * res.values[0]
+        tol = 1e-8
+        res = es.smallest_pairs(op, tol=tol)
+        assert abs(res.values[1] - res.values[0]) <= 5 * tol * res.values[0]
 
 
 # (lemma1 quotient, lemma1 error_est, lemma2 quotient, lemma2 error_est) as
