@@ -4,9 +4,10 @@ The first Dirichlet eigenfunction of the unit ball in R^N is radial,
 u(r) = c r^(-nu) J_nu(j1 r) with nu = N/2 - 1 and j1 the first positive zero
 of J_nu; its eigenvalue is j1^2.  The second eigenvalue is the square of the
 first zero of J_(nu+1).  Everything the ball spectra need is computed here,
-not tabulated: J_nu by its ascending series up to x = 8, where all those zeros
-lie (scipy's ``jv`` takes larger arguments); zeros by a sign-change scan and
-Newton's method kept inside the bracket.
+not tabulated: J_nu by its ascending series on [0, 8], which holds the zeros
+of every N <= 8 (j_(nu,1) and j_(nu+1,1) lie between 2.40 and 4.49 for
+N = 2 and 3, and j_(2.5,1) = 5.76 for N = 5), and refused above it; zeros by
+a sign-change scan on [0, 8] and Newton's method kept inside the bracket.
 """
 
 import math
@@ -16,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "BracketError",
     "BallSpectrum",
     "unit_ball_volume",
     "bessel_j",
@@ -27,17 +27,12 @@ __all__ = [
     "rescale_eigenvalue",
 ]
 
-_SERIES_CUTOFF = 8.0
+_SERIES_CUTOFF = 8.0  # bessel_j's largest argument, and the zero scan's upper end
 _SERIES_TERMS = 32
 _SCAN_STEP = 0.1  # largest grid step of the zero scan
-MAX_ARG = 200.0  # the zero scan's upper end
 _NEWTON_STEPS = 50
 # bessel_zero stops once a Newton step is at most this fraction of the root
 ZERO_RTOL = 1e-14
-
-
-class BracketError(RuntimeError):
-    """A zero of J_nu could not be bracketed in the scanned range."""
 
 
 def unit_ball_volume(n: int) -> float:
@@ -71,54 +66,37 @@ def _series_profile(nu: float, z):
 
 
 def bessel_j(nu: float, x):
-    """Bessel function J_nu(x) for nu >= 0, x >= 0 (vectorized in x).
-
-    Ascending series up to x = 8, which covers every zero the ball spectra
-    need; above that, ``scipy.special.jv``, imported only when reached.
-    Absolute error stays below 1e-12 on [0, 50].
-    """
+    """Bessel function J_nu(x) for nu >= 0 and 0 <= x <= 8 (vectorized in x)
+    by its ascending series, whose absolute error stays below 1e-12 there;
+    an argument outside [0, 8] raises ValueError."""
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    if np.any(x_arr < 0):
-        raise ValueError("argument must be >= 0")
-    out = np.empty_like(x_arr)
-    small = x_arr <= _SERIES_CUTOFF
-    if np.any(small):
-        xs = x_arr[small]
-        out[small] = xs**nu * _series_profile(nu, xs)
-    if np.any(~small):
-        from scipy.special import jv
-
-        out[~small] = jv(nu, x_arr[~small])
-    return float(out[0]) if scalar else out
+    if not np.all((x_arr >= 0) & (x_arr <= _SERIES_CUTOFF)):
+        raise ValueError(f"argument must lie in [0, {_SERIES_CUTOFF:g}]")
+    xs = np.atleast_1d(x_arr)
+    out = xs**nu * _series_profile(nu, xs)
+    return float(out[0]) if x_arr.ndim == 0 else out
 
 
 def bessel_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu by a sign-change scan and Newton's method.
 
     J_nu is evaluated at once on a grid of step at most 0.1 from
-    max(0.05, nu) up to the series cutoff, and up to ``MAX_ARG`` only when
-    the k-th sign change is not found there (``bessel_j`` then imports
-    scipy).  Newton steps with J_nu' = (nu/x) J_nu - J_(nu+1) start from the
-    midpoint of the bracket around that sign change and stay inside it,
-    shrinking it as they go, until a step falls below ``ZERO_RTOL``
-    relative.  A zero beyond ``MAX_ARG`` raises BracketError.
+    max(0.05, nu) up to x = 8, the end of ``bessel_j``'s range; a zero
+    beyond it raises ValueError.  Newton steps with
+    J_nu' = (nu/x) J_nu - J_(nu+1) start from the midpoint of the bracket
+    around the k-th sign change and stay inside it, shrinking it as they go,
+    until a step falls below ``ZERO_RTOL`` relative.
     """
     if k < 1:
         raise ValueError(f"zero index must be >= 1, got {k}")
-    lo = max(0.05, nu)  # j_(nu,1) > nu
-    tops = [_SERIES_CUTOFF] if lo < _SERIES_CUTOFF else []
-    for top in tops + [MAX_ARG]:
-        x = np.linspace(lo, top, max(2, math.ceil((top - lo) / _SCAN_STEP) + 1))
-        f = bessel_j(nu, x)
-        changes = np.flatnonzero((f[:-1] * f[1:] < 0) | (f[1:] == 0.0))
-        if len(changes) >= k:
-            break
-    else:
-        raise BracketError(f"could not bracket zero {k} of J_{nu} below x = {MAX_ARG}")
+    lo = min(max(0.05, nu), _SERIES_CUTOFF)  # j_(nu,1) > nu
+    x = np.linspace(lo, _SERIES_CUTOFF, max(2, math.ceil((_SERIES_CUTOFF - lo) / _SCAN_STEP) + 1))
+    f = bessel_j(nu, x)
+    changes = np.flatnonzero((f[:-1] * f[1:] < 0) | (f[1:] == 0.0))
+    if len(changes) < k:
+        raise ValueError(f"zero {k} of J_{nu} lies beyond x = {_SERIES_CUTOFF:g}")
     i = changes[k - 1]
     a, b = x[i], x[i + 1]
     negative = f[i] < 0  # the sign of J_nu at a
@@ -173,10 +151,10 @@ def ball_spectrum(dim: int) -> BallSpectrum:
     nu = dim / 2.0 - 1.0
     j1 = bessel_zero(nu, 1)
     j2 = bessel_zero(nu + 1.0, 1)
-    # |J_(nu+1)(j1)| from the profile series; c normalizes the L2 norm to 1
-    jnu1_at_j1 = abs(j1 ** (nu + 1.0) * _series_profile(nu + 1.0, np.array([j1]))[0])
-    norm_const = math.sqrt(2.0 / (dim * unit_ball_volume(dim))) / jnu1_at_j1
-    slope_over_r = _ground_state(nu, j1, norm_const)[1]
+    # |p_(nu+1)(j1)| = |J_(nu+1)(j1)| / j1^(nu+1) from the profile series;
+    # c normalizes the L2 norm to 1, and kappa = |U'(1)| = c j1^(nu+2) |p_(nu+1)(j1)|
+    p_at_j1 = abs(float(_series_profile(nu + 1.0, j1)))
+    norm_const = math.sqrt(2.0 / (dim * unit_ball_volume(dim))) / (j1 ** (nu + 1.0) * p_at_j1)
     return BallSpectrum(
         dim=dim,
         nu=nu,
@@ -185,7 +163,7 @@ def ball_spectrum(dim: int) -> BallSpectrum:
         lambda1=j1 * j1,
         lambda2=j2 * j2,
         norm_const=norm_const,
-        kappa=float(abs(slope_over_r(1.0))),
+        kappa=norm_const * j1 ** (nu + 2.0) * p_at_j1,
     )
 
 
@@ -204,10 +182,14 @@ def rescale_eigenvalue(lam: float, t: float) -> float:
     return lam / (t * t)
 
 
-def _ground_state(nu, j1, c):
-    """Vectorized (U, U'/r) for u = c r^(-nu) J_nu(j1 r), through the even
-    profile series p_nu(z) = z^(-nu) J_nu(z): U = c j1^nu p_nu(j1 r) and
-    U'/r = -c j1^(nu+2) p_(nu+1)(j1 r), both smooth at r = 0."""
+def radial_profile(dim: int):
+    """Vectorized (U, U'/r) callables for the unit-ball ground state
+    u = c r^(-nu) J_nu(j1 r), through the even profile series
+    p_nu(z) = z^(-nu) J_nu(z): U = c j1^nu p_nu(j1 r) and
+    U'/r = -c j1^(nu+2) p_(nu+1)(j1 r), both smooth at r = 0, and
+    |U'/r| = ``kappa`` at r = 1."""
+    spec = ball_spectrum(dim)
+    nu, j1, c = spec.nu, spec.j1, spec.norm_const
 
     def value(r):
         return c * j1**nu * _series_profile(nu, j1 * np.asarray(r, dtype=float))
@@ -216,10 +198,3 @@ def _ground_state(nu, j1, c):
         return -c * j1 ** (nu + 2.0) * _series_profile(nu + 1.0, j1 * np.asarray(r, dtype=float))
 
     return value, slope_over_r
-
-
-def radial_profile(dim: int):
-    """Vectorized (U, U'/r) callables for the unit-ball ground state; U'/r is
-    finite at r = 0, and |U'/r| = ``kappa`` at r = 1."""
-    spec = ball_spectrum(dim)
-    return _ground_state(spec.nu, spec.j1, spec.norm_const)

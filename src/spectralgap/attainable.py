@@ -40,7 +40,7 @@ class SweepConfig:
     seed: int = DEFAULT_SEED
     grid_eps_min: float = 0.1  # dumbbells below this carry bounds only
     jobs: int = 1
-    dim: int = 2  # ambient dimension of the dumbbell family
+    dim: int = 2  # ambient dimension of every family's domains
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
@@ -71,8 +71,10 @@ class SweepRecord:
 
 
 def _family_domain(family: str, param: float, dim: int):
+    """The family's domain at ``param`` in R^dim; the planar shapes refuse
+    dim != 2 themselves."""
     if family == "ball":
-        return Ball(radius=param)
+        return Ball(radius=param, dim=dim)
     if family == "dumbbell":
         return Dumbbell(epsilon=param, dim=dim)
     if family == "two_balls_ratio":
@@ -80,13 +82,14 @@ def _family_domain(family: str, param: float, dim: int):
             raise ValueError(f"radius ratio must be in (0, 1], got {param}")
         gap = 2.0
         half = 0.5 * (1.0 + param + gap)
+        rest = (0.0,) * (dim - 1)
         return DisjointUnion(parts=(
-            Ball(center=(-half, 0.0), radius=1.0),
-            Ball(center=(half, 0.0), radius=param),
+            Ball(center=(-half, *rest), radius=1.0, dim=dim),
+            Ball(center=(half, *rest), radius=param, dim=dim),
         ))
     if family == "rectangles":
-        return Rectangle(width=param, height=1.0)
-    return Ellipse(semi_x=param, semi_y=1.0)  # "ellipses"
+        return Rectangle(width=param, height=1.0, dim=dim)
+    return Ellipse(semi_x=param, semi_y=1.0, dim=dim)  # "ellipses"
 
 
 def _solve_one(task) -> SweepRecord:

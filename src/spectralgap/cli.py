@@ -145,7 +145,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_eps_grid(spec: str):
     """A strictly increasing eps grid inside the bounds' regime
-    (0, testfn.EPS_MAX]; "default" is attainable.DEFAULT_EPS_GRID."""
+    [testfn.EPS_MIN, testfn.EPS_MAX]; "default" is attainable.DEFAULT_EPS_GRID."""
     if spec == "default":
         grid = list(attainable.DEFAULT_EPS_GRID)
     else:
@@ -158,8 +158,9 @@ def _parse_eps_grid(spec: str):
     if not grid:
         raise ConfigError("empty eps grid")
     for e in grid:
-        if not 0.0 < e <= testfn.EPS_MAX:
-            raise ConfigError(f"eps {e} outside the bounds' regime (0, {testfn.EPS_MAX}]")
+        if not testfn.EPS_MIN <= e <= testfn.EPS_MAX:
+            raise ConfigError(f"eps {e} outside the bounds' regime "
+                              f"[{testfn.EPS_MIN}, {testfn.EPS_MAX}]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("eps grid must be strictly increasing")
     return tuple(grid)
@@ -235,6 +236,9 @@ def cmd_sweep(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
         raise ConfigError("empty family list")
+    repeated = sorted({f for f in families if families.count(f) > 1})
+    if repeated:
+        raise ConfigError(f"repeated families {repeated}")
     unknown = [f for f in families if f not in attainable.DEFAULT_FAMILIES]
     if unknown:
         raise ConfigError(f"unknown families {unknown}; "
@@ -384,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "grid solves, trial-field upper bounds, attainable-set data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    eps_grid_help = f"comma list in (0, {testfn.EPS_MAX}], or 'default'"
+    eps_grid_help = f"comma list in [{testfn.EPS_MIN}, {testfn.EPS_MAX}], or 'default'"
     grid_eps_min_help = "grid-solve the dumbbells with eps >= this (inf: bounds only)"
 
     def command(name, func, help, fmt=None, grid=True, jobs=True, dim=True):

@@ -23,7 +23,8 @@ in closed form, and only the small cap, cone, and cutoff-slab corrections
 are integrated numerically, each in coordinates where the integrand is
 smooth enough for one fixed 15-point Gauss-Kronrod panel (``quadrature``),
 whose |K15 - G7| gives the error estimate.  No panel is refined, so every
-0 < eps <= EPS_MAX gives a bound.  Against 30-digit references, the deficit
+EPS_MIN <= eps <= EPS_MAX gives a bound; below EPS_MIN, 1/eps^2 in the
+cutoff's slab terms would overflow.  Against 30-digit references, the deficit
 and the excess lie within their estimates at eps = 1e-8, 0.005 and 0.3.
 """
 
@@ -36,8 +37,10 @@ from .analytic import ZERO_RTOL, ball_spectrum, radial_profile
 from .geometry import junction_radius
 from .quadrature import kronrod, kronrod_2d
 
-__all__ = ["Lemma1Bound", "Lemma2Bound", "lemma1_rayleigh", "lemma2_rayleigh", "EPS_MAX"]
+__all__ = ["Lemma1Bound", "Lemma2Bound", "lemma1_rayleigh", "lemma2_rayleigh", "EPS_MIN",
+           "EPS_MAX"]
 
+EPS_MIN = 1e-150  # 1/eps^2 <= 1e300 stays finite; it overflows below about 1.5e-154
 EPS_MAX = 0.3
 
 
@@ -49,8 +52,9 @@ def _budget(quad_err, lam):
 
 
 def _check_epsilon(epsilon):
-    if not 0 < epsilon <= EPS_MAX:
-        raise ValueError(f"junction parameter must satisfy 0 < eps <= {EPS_MAX}, got {epsilon}")
+    if not EPS_MIN <= epsilon <= EPS_MAX:
+        raise ValueError(f"junction parameter must satisfy {EPS_MIN} <= eps <= {EPS_MAX}, "
+                         f"got {epsilon}")
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,21 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 0.5, 1.5, 2.5])
     def test_against_scipy_on_0_50(self, nu):
+        # within 1e-12 of scipy on the series' range [0, 8]; refused above it
         x = np.linspace(0.0, 50.0, 2501)
-        ref = special.jv(nu, x)
+        series = x <= 8.0
+        assert np.count_nonzero(series) == 401
+        ref = special.jv(nu, x[series])
         ref[np.isnan(ref)] = 0.0  # scipy jv(nu>0, 0) quirks
-        assert np.max(np.abs(an.bessel_j(nu, x) - ref)) <= 1e-12
+        assert np.max(np.abs(an.bessel_j(nu, x[series]) - ref)) <= 1e-12
+        with pytest.raises(ValueError, match=r"\[0, 8\]"):
+            an.bessel_j(nu, x)
 
-    @pytest.mark.parametrize("nu, x", [(0.3, 12.0), (3.5, 20.0)])
-    def test_scipy_above_series_cutoff(self, nu, x):
-        assert an.bessel_j(nu, x) == special.jv(nu, x)
+    @pytest.mark.parametrize("nu, x", [(0.3, 12.0), (3.5, 20.0), (0.0, [1.0, 8.5])])
+    def test_refuses_argument_above_series_cutoff(self, nu, x):
+        assert an.bessel_j(nu, 8.0) == pytest.approx(special.jv(nu, 8.0), abs=1e-12)
+        with pytest.raises(ValueError, match=r"\[0, 8\]"):
+            an.bessel_j(nu, x)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -89,13 +96,16 @@ class TestBesselZero:
         # j_(9/2),1 = 8.18...: its square is lambda2 of the unit ball in R^9
         ref = brentq_zero(4.5, 1)
         assert abs(ref - 8.182561452571242) <= 1e-12 * ref
-        assert abs(an.bessel_zero(4.5, 1) - ref) <= 1e-12 * ref
+        with pytest.raises(ValueError, match="zero 1 of J_4.5 lies beyond x = 8"):
+            an.bessel_zero(4.5, 1)
 
     def test_bracket_failure_reported(self):
-        # j_(0,70) is near 219, beyond the scan's end at MAX_ARG = 200
-        assert an.MAX_ARG < special.jn_zeros(0, 70)[-1]
-        with pytest.raises(an.BracketError):
-            an.bessel_zero(0.0, 70)
+        # j_(0,2) = 5.52 is the last zero of J_0 below 8, where the scan
+        # ends; j_(0,3) = 8.65 and j_(0,70) = 219 are not bracketed
+        assert special.jn_zeros(0, 2)[-1] < 8.0 < special.jn_zeros(0, 3)[-1]
+        for k in (3, 70):
+            with pytest.raises(ValueError, match=f"zero {k} of J_0.0 lies beyond x = 8"):
+                an.bessel_zero(0.0, k)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):

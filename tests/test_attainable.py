@@ -6,7 +6,7 @@ import pytest
 
 from spectralgap import attainable as at
 from spectralgap import eigensolve
-from spectralgap.geometry import Ball, Dumbbell, normalization
+from spectralgap.geometry import Ball, DisjointUnion, Dumbbell, normalization
 from spectralgap.pipeline import solve_domain
 from spectralgap.testfn import lemma1_rayleigh, lemma2_rayleigh
 
@@ -16,6 +16,7 @@ CHEAP = at.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32), tol=1e-6)
 LAM1_DISC = 5.783185962946785
 LAM2_DISC = 14.681970642123895
 LAM_P = 11.566371925893570
+PLANAR_GRID = "ValueError: grids are planar only, domain has dim 3"
 
 
 class _SerialPool:
@@ -95,6 +96,27 @@ class TestSweep:
         assert rec.h_list == solve.h_list
         for lam, reference in zip(got, want, strict=True):
             assert abs(lam - reference) <= config.tol * reference
+
+    @pytest.mark.parametrize("family, param, domain, failure", [
+        ("ball", 1.0, Ball(dim=3), PLANAR_GRID),
+        ("two_balls_ratio", 0.8, DisjointUnion(parts=(
+            Ball(center=(-1.9, 0.0, 0.0), dim=3),
+            Ball(center=(1.9, 0.0, 0.0), radius=0.8, dim=3))), PLANAR_GRID),
+        ("dumbbell", 0.2, Dumbbell(0.2, dim=3), PLANAR_GRID),
+        ("rectangles", 2.0, None, "ValueError: rectangles are planar (dim = 2)"),
+        ("ellipses", 2.0, None, "ValueError: ellipses are planar (dim = 2)"),
+    ])
+    def test_every_family_built_in_config_dim(self, family, param, domain, failure):
+        # a family built in R^3 carries that domain's measure and t and the
+        # planar grid's refusal; a planar shape refuses R^3 itself
+        rec = at.sweep({family: [param]}, replace(CHEAP, dim=3))[0]
+        assert rec.failure == failure
+        assert rec.h_list == () and rec.lambda1_norm is None
+        assert (rec.bound1 is not None) == (family == "dumbbell")
+        if domain is None:
+            assert math.isnan(rec.measure) and math.isnan(rec.t_factor)
+        else:
+            assert (rec.measure, rec.t_factor) == normalization(domain)[:2]
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerance_outside_zero_to_inf_rejected(self, tol):

@@ -596,6 +596,17 @@ class TestSettingChecks:
         (["verify", "--eps-grid", " , "], 2, "empty eps grid"),
         (["sweep", "--families", ","], 1, "empty family list"),
         (["sweep", "--families", " , "], 1, "empty family list"),
+        (["sweep", "--families", "ball,ball", "--h", "1/4,1/8"], 1, "repeated families ['ball']"),
+        (["sweep", "--families", "dumbbell,ball, dumbbell,ball"], 1,
+         "repeated families ['ball', 'dumbbell']"),
+        (["lemma1", "--eps-grid", "1e-155"], 1,
+         "eps 1e-155 outside the bounds' regime [1e-150, 0.3]"),
+        (["lemma2", "--eps-grid", "1e-200"], 1,
+         "eps 1e-200 outside the bounds' regime [1e-150, 0.3]"),
+        (["ratio", "--eps-grid", "1e-300,1e-200"], 1,
+         "eps 1e-300 outside the bounds' regime [1e-150, 0.3]"),
+        (["verify", "--eps-grid", "1e-160,0.1"], 2,
+         "eps 1e-160 outside the bounds' regime [1e-150, 0.3]"),
     ])
     def test_empty_list_is_config_error(self, argv, code, message, capsys):
         assert cli.main(argv) == code

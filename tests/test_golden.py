@@ -1,13 +1,15 @@
 """Golden outputs: what in-process ``cli.main`` writes for ``lemma1``,
 ``lemma2 --format csv`` and ``ratio`` (CSV and JSON) at N = 2 and 3, for
 ``verify --grid-eps-min inf`` (its JSON and its data CSV, written under
-relative paths in an empty working directory), and for one coarse ``eig`` of
-``Dumbbell(0.2)``, compared byte for byte with the files under
+relative paths in an empty working directory), for one coarse ``eig`` of
+``Dumbbell(0.2)``, and for the default families' sweep records on the
+coarse levels 1/8, 1/16, 1/32 (``sweep``'s CSV, and ``plotdata``'s cloud and
+boundary CSVs), compared byte for byte with the files under
 ``tests/golden/``.  Any change to them is a change to the printed numbers,
 to be stated with its reason.  The ``eig`` file pins the per-level
 iterations and residuals, so it shows that ``eig`` keeps the residual stop
-on its finest level.  Only that one small grid is solved, so the whole set
-runs in about a second.
+on its finest level.  Only coarse grids are solved, so the whole set runs
+in a few seconds.
 
 To rewrite the files after an intended output change, run
 ``python tests/test_golden.py`` with ``src`` on the path."""
@@ -31,10 +33,15 @@ COMMANDS = {
                                 ("ratio", ".csv", []),
                                 ("ratio", ".json", ["--format", "json"]))
 }
+COARSE = ["--h", "1/8,1/16,1/32"]
 COMMANDS["eig_dumbbell.json"] = ["eig", "--domain", "dumbbell", "--eps", "0.2",
-                                  "--h", "1/8,1/16,1/32", "--seed", "1"]
+                                  *COARSE, "--seed", "1"]
+COMMANDS["sweep_coarse.csv"] = ["sweep", *COARSE]
 VERIFY = "verify_no_grid_check.json"
 VERIFY_DATA = "verify_no_grid_check_data.csv"
+# plotdata writes its two CSVs under the default prefix "plotdata"
+PLOTDATA = ("plotdata_cloud.csv", "plotdata_boundary.csv")
+WRITTEN = (VERIFY, VERIFY_DATA, *PLOTDATA)
 
 
 def _run(argv):
@@ -47,7 +54,7 @@ def _run(argv):
 
 def _outputs(workdir):
     """Every golden file's name and its text, generated afresh; ``verify``
-    writes its data CSV into ``workdir``."""
+    and ``plotdata`` write their CSVs into ``workdir``."""
     texts = {}
     for name, argv in COMMANDS.items():
         code, texts[name] = _run(argv)
@@ -57,9 +64,12 @@ def _outputs(workdir):
     try:
         code, texts[VERIFY] = _run(["verify", "--grid-eps-min", "inf"])
         texts[VERIFY_DATA] = Path("ratio_curve.csv").read_text()
+        assert code == 0
+        code, paths = _run(["plotdata", *COARSE])
+        assert (code, paths) == (0, "".join(f"{name}\n" for name in PLOTDATA))
+        texts.update((name, Path(name).read_text()) for name in PLOTDATA)
     finally:
         os.chdir(previous)
-    assert code == 0
     return texts
 
 
@@ -68,7 +78,7 @@ def outputs(tmp_path_factory):
     return _outputs(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", [*COMMANDS, VERIFY, VERIFY_DATA])
+@pytest.mark.parametrize("name", [*COMMANDS, *WRITTEN])
 def test_output_matches_golden_file(outputs, name):
     assert outputs[name] == (GOLDEN_DIR / name).read_text()
 

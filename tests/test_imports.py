@@ -4,11 +4,13 @@ its ``__all__``, and every name in its ``__all__`` is bound at its top
 level.  The package ``__init__`` exists to re-export, so it is checked the
 other way: every name it imports is in its source module's ``__all__``.
 The unused-import guard also runs over the test modules.  The last guards
-keep modules out of the commands that do not need them: ``scipy.special``
-costs about 0.06 s to import, so ``bessel_j`` loads it only for arguments
-above its series cutoff; ``scipy.sparse`` costs about 0.3 s, so only the
-functions that build matrices load it, and the commands without grids never
-do; nor do they load the process pool, which only a parallel sweep starts."""
+keep modules out of the commands that do not need them.  The package's
+only scipy module is ``scipy.sparse``: ``analytic`` evaluates the Bessel
+functions by its own series, so no command loads ``scipy.special`` (about
+0.06 s to import), which the tests use as an independent reference.
+``scipy.sparse`` costs about 0.3 s, so only the functions that build
+matrices load it, and the commands without grids never do; nor do they
+load the process pool, which only a parallel sweep starts."""
 
 import ast
 import subprocess
@@ -19,7 +21,8 @@ import pytest
 
 from conftest import SRC_DIR, cli_env
 
-MODULES = sorted(p for p in (SRC_DIR / "spectralgap").glob("*.py") if p.name != "__init__.py")
+PACKAGE_FILES = sorted((SRC_DIR / "spectralgap").glob("*.py"))
+MODULES = [p for p in PACKAGE_FILES if p.name != "__init__.py"]
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
@@ -91,28 +94,62 @@ def test_package_imports_only_exported_names():
     assert stray == []
 
 
-LAZY_SCIPY_SPECIAL = """
+def _scipy_modules(tree):
+    """The scipy modules a module imports, by dotted name: the module of a
+    ``from`` import, or ``scipy.<name>`` for ``from scipy import <name>``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "scipy":
+                found += [f"scipy.{a.name}" for a in node.names]
+            elif node.module.split(".")[0] == "scipy":
+                found.append(node.module)
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_package_imports_only_scipy_sparse(path: Path):
+    stray = [m for m in _scipy_modules(ast.parse(path.read_text())) if m != "scipy.sparse"]
+    assert stray == []
+
+
+def test_guard_flags_a_scipy_module_besides_sparse():
+    tree = ast.parse("import scipy.sparse as sp\nfrom scipy.sparse import csr_matrix\n"
+                     "def f():\n    from scipy.special import jv\n"
+                     "import scipy\nfrom scipy import sparse, integrate\n")
+    assert _scipy_modules(tree) == ["scipy.sparse", "scipy.sparse", "scipy", "scipy.sparse",
+                                    "scipy.integrate", "scipy.special"]
+
+
+NO_SCIPY_SPECIAL = """
 import sys
 from spectralgap import cli
-from spectralgap.analytic import bessel_j
+from spectralgap.analytic import ball_spectrum, radial_profile
 
-for argv in (["eig", "--domain", "ball", "--h", "1/8,1/16,1/32"],
+COARSE = ["--h", "1/8,1/16,1/32"]
+for argv in (["eig", "--domain", "ball", *COARSE],
              ["lemma1", "--eps-grid", "0.05"],
              ["lemma2", "--dim", "3", "--eps-grid", "0.05"],
+             ["ratio", "--eps-grid", "0.05,0.1"],
              ["verify", "--grid-eps-min", "inf", "--out", "report.json",
-              "--data-out", "curve.csv"]):
+              "--data-out", "curve.csv"],
+             ["sweep", *COARSE, "--out", "sweep.csv"],
+             ["plotdata", *COARSE]):
     assert cli.main(argv) == 0, argv
+ball_spectrum(3)
+radial_profile(3)[1](0.5)
 assert "scipy.special" not in sys.modules
-bessel_j(0.0, 20.0)
-assert "scipy.special" in sys.modules
 """
 
 
 def test_commands_leave_scipy_special_unimported(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SPECIAL], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SPECIAL], capture_output=True,
                           text=True, env=cli_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "report.json").exists() and (tmp_path / "curve.csv").exists()
+    written = ("report.json", "curve.csv", "sweep.csv", "plotdata_cloud.csv")
+    assert all((tmp_path / name).exists() for name in written)
 
 
 LAZY_GRID = """

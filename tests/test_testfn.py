@@ -1,4 +1,5 @@
 import math
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -375,6 +376,24 @@ def test_tiny_eps_bounds_are_finite_and_signed(dim, eps):
     b2 = tf.lemma2_rayleigh(eps, dim=dim)
     assert all(math.isfinite(x) for x in (b1.quotient, b1.error_est, b2.quotient, b2.error_est))
     assert b1.deficit > 0 and b2.excess > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eps_regime_ends_where_one_over_eps_squared_is_finite(dim):
+    """Below EPS_MIN both bounds refuse eps, since 1/eps^2 in the cutoff's
+    slab terms overflows near 1.5e-154; at EPS_MIN both come out finite,
+    without a floating-point warning, and the deficit and the excess lie
+    within their budgets."""
+    for rayleigh in (tf.lemma1_rayleigh, tf.lemma2_rayleigh):
+        with pytest.raises(ValueError, match="1e-150 <= eps <= 0.3, got 1e-155"):
+            rayleigh(1e-155, dim=dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b1 = tf.lemma1_rayleigh(tf.EPS_MIN, dim=dim)
+        b2 = tf.lemma2_rayleigh(tf.EPS_MIN, dim=dim)
+    assert all(math.isfinite(x) for x in (b1.quotient, b1.error_est, b2.quotient, b2.error_est))
+    assert 0 < b1.deficit <= b1.error_est
+    assert 0 <= b2.excess <= b2.error_est
 
 
 @pytest.mark.parametrize("eps", [1e-8, 0.005, 0.3])
