@@ -17,7 +17,7 @@ import numpy as np
 from .eigensolve import DEFAULT_SEED
 from .geometry import Ball, DisjointUnion, Dumbbell, Ellipse, Rectangle, normalization
 from .pipeline import solve_domain
-from .testfn import lemma1_rayleigh, lemma2_rayleigh
+from .testfn import check_epsilon, lemma1_rayleigh, lemma2_rayleigh
 
 __all__ = ["SweepConfig", "SweepRecord", "DEFAULT_EPS_GRID", "DEFAULT_FAMILIES", "sweep"]
 
@@ -93,10 +93,12 @@ def _family_domain(family: str, param: float, dim: int):
 
 
 def _solve_one(task) -> SweepRecord:
-    """The record of one (family, param, config) task.  A failure is recorded
+    """The record of one (family, param, bounds, config) task; ``bounds`` is
+    a dumbbell's (Lemma1Bound, Lemma2Bound) pair, or the exception that
+    refused it, and None for other families.  A failure is recorded
     inline and keeps the values computed before it: the measure and t, and
     for a dumbbell its bounds, whose budget is then the record's."""
-    family, param, config = task
+    family, param, bounds, config = task
     record = SweepRecord(family=family, param=param)
     try:
         domain = _family_domain(family, param, config.dim)
@@ -104,8 +106,9 @@ def _solve_one(task) -> SweepRecord:
         record = replace(record, measure=vol, t_factor=t)
 
         if family == "dumbbell":
-            b1 = lemma1_rayleigh(param, dim=domain.dim)
-            b2 = lemma2_rayleigh(param, dim=domain.dim)
+            if isinstance(bounds, Exception):
+                raise bounds
+            b1, b2 = bounds
             record = replace(record,
                              bound1=b1.quotient * norm_factor,
                              bound2=b2.quotient * norm_factor,
@@ -132,21 +135,42 @@ def _solve_one(task) -> SweepRecord:
     )
 
 
+def _dumbbell_bounds(params, dim) -> dict:
+    """{eps: (Lemma1Bound, Lemma2Bound)} from one call of each lemma over
+    every accepted eps of ``params``, and {eps: exception} for each eps the
+    bounds refuse, so that one refused eps fails only its own record."""
+    refused = {}
+    for eps in params:
+        try:
+            check_epsilon(eps)
+        except ValueError as exc:
+            refused[eps] = exc
+    accepted = [eps for eps in params if eps not in refused]
+    try:
+        pairs = list(zip(lemma1_rayleigh(accepted, dim=dim), lemma2_rayleigh(accepted, dim=dim)))
+    except Exception as exc:  # a batch that fails as a whole, e.g. on dim, fails each record
+        pairs = [exc] * len(accepted)
+    return {**dict(zip(accepted, pairs)), **refused}
+
+
 def sweep(families: dict, config: SweepConfig = SweepConfig()) -> list:
     """One SweepRecord per parameter of ``{family: params}``, in family
     order and each family's sorted by parameter; failures are recorded inline.
 
     Records are deterministic for a fixed config whatever the number of
-    workers.  All tasks share one pool of at most one process per task, and
-    a single worker runs in-process.  An unknown family is a configuration
-    error and raises instead.
+    workers.  The dumbbells' bounds are computed first, in this process,
+    one batch per lemma; then all tasks share one pool of at most one
+    process per task, and a single worker runs in-process.  An unknown
+    family is a configuration error and raises instead.
     """
     for family in families:
         if family not in DEFAULT_FAMILIES:
             raise ValueError(f"unknown sweep family {family!r}; known: "
                              f"{sorted(DEFAULT_FAMILIES)}")
-    tasks = [(family, p, config) for family, params in families.items()
-             for p in sorted(map(float, params))]
+    params = {family: sorted(map(float, values)) for family, values in families.items()}
+    bounds = _dumbbell_bounds(params["dumbbell"], config.dim) if "dumbbell" in params else {}
+    tasks = [(family, p, bounds.get(p) if family == "dumbbell" else None, config)
+             for family, values in params.items() for p in values]
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -261,7 +261,7 @@ def cmd_lemma(args, which: str) -> int:
     eps_grid = _parse_eps_grid(args.eps_grid)
     rayleigh, key = ((testfn.lemma1_rayleigh, "deficit") if which == "lemma1"
                      else (testfn.lemma2_rayleigh, "excess"))
-    bounds = [rayleigh(e, dim=args.dim) for e in eps_grid]
+    bounds = rayleigh(eps_grid, dim=args.dim)
     rows = [(b.epsilon, b.quotient, getattr(b, key), b.error_est) for b in bounds]
     if args.format == "csv":
         _emit(_csv(("eps", "quotient", key, "err"), rows), args.out)
@@ -448,8 +448,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        # ValueError covers ConfigError and json.JSONDecodeError
+    except (ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
+        # ValueError covers ConfigError and json.JSONDecodeError;
+        # ArithmeticError covers ZeroDivisionError and OverflowError
         kind = "config" if isinstance(exc, ConfigError) else type(exc).__name__
         sys.stderr.write(_dump_json({"error": str(exc), "kind": kind}) + "\n")
         return EXIT_CONFIG if args.command == "verify" else EXIT_FAIL

@@ -303,9 +303,10 @@ KINDS = {cls.KIND: cls for cls in (Ball, Dumbbell, HalfDumbbell, Scaled, Disjoin
                                    Rectangle, Ellipse)} | {"two_balls": two_balls}
 
 
-def junction_radius(epsilon: float) -> float:
-    """Half-width sqrt(2 eps - eps^2) of the dumbbell junction disk."""
-    return math.sqrt(2.0 * epsilon - epsilon * epsilon)
+def junction_radius(epsilon):
+    """Half-width sqrt(2 eps - eps^2) of the dumbbell junction disk, for one
+    eps or elementwise for an array."""
+    return np.sqrt(2.0 * epsilon - epsilon * epsilon)
 
 
 def contains(domain, x):

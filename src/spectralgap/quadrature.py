@@ -6,6 +6,13 @@ valued (an array of components integrated in one pass).  The 2-d rule
 integrates over a < x < b, 0 < s < hi(x): one call of the integrand takes
 the 15 inner nodes of every one of the 15 outer nodes.
 
+Both rules also take arrays of m intervals and integrate them in one call
+of the integrand, one weight product over the stacked nodes of every
+interval; a single interval is the batch of one.  The integrand gets the
+nodes interval after interval, as m blocks of equal length, so it can tell
+from a node's block which interval, and which of its own parameters, the
+node belongs to.  Each interval's sums do not depend on the batch.
+
 No panel is ever bisected, so the rule is meant for integrands that are
 smooth over the whole interval in the coordinates they are written in, as
 the trial-field corrections of ``testfn`` and the cap of ``geometry`` are.
@@ -74,14 +81,9 @@ def kronrod(f, a, b):
     if raw.ndim not in (1, 2) or raw.shape[0] != 15 * m:
         raise ValueError(f"integrand returned shape {raw.shape} for {15 * m} nodes, "
                          f"expected ({15 * m},) or ({15 * m}, k)")
-    vals = raw.reshape(m, 15, -1)
-    k15 = np.empty((m, vals.shape[2]))
-    g7 = np.empty_like(k15)
-    for i in range(m):
-        k15[i] = _WK @ vals[i]
-        g7[i] = _WG @ vals[i]
-    k15 *= hw
-    g7 *= hw
+    vals = raw.reshape(m, 15, 1 if raw.ndim == 1 else raw.shape[1])
+    k15 = np.matmul(_WK, vals) * hw
+    g7 = np.matmul(_WG, vals) * hw
     shape = lo.shape + raw.shape[1:]
     value, error = k15.reshape(shape), np.abs(k15 - g7).reshape(shape)
     if value.ndim == 0:
@@ -97,14 +99,22 @@ def kronrod_2d(f, a, b, hi):
     elementwise; ``hi`` maps the array of outer nodes to an array of upper
     inner limits, and must keep hi >= 0.  The error of each component adds
     its outer estimate and its largest inner one times (b - a).
+
+    ``a`` and ``b`` may be arrays of m outer intervals, as for ``kronrod``:
+    ``hi`` then gets the 15 outer nodes of each interval and ``f`` its 225
+    node pairs, interval after interval, and each interval's error takes
+    the largest inner estimate of its own nodes.
     """
-    inner_err = 0.0
+    lo = np.asarray(a, dtype=float)
+    up = np.asarray(b, dtype=float)
+    inner_err = None
 
     def outer_integrand(xs):
         nonlocal inner_err
         value, error = kronrod(lambda s: f(np.repeat(xs, 15), s), np.zeros_like(xs), hi(xs))
-        inner_err = np.max(error, axis=0)
+        inner_err = error.reshape(lo.size, 15, *error.shape[1:]).max(axis=1)
         return value
 
-    value, error = kronrod(outer_integrand, a, b)
-    return value, error + (b - a) * inner_err
+    value, error = kronrod(outer_integrand, lo, up)
+    width = (up - lo).reshape(lo.shape + (1,) * (np.ndim(value) - lo.ndim))
+    return value, error + width * inner_err.reshape(np.shape(value))

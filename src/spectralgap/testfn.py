@@ -26,6 +26,11 @@ whose |K15 - G7| gives the error estimate.  No panel is refined, so every
 EPS_MIN <= eps <= EPS_MAX gives a bound; below EPS_MIN, 1/eps^2 in the
 cutoff's slab terms would overflow.  Against 30-digit references, the deficit
 and the excess lie within their estimates at eps = 1e-8, 0.005 and 0.3.
+
+Both bounds take one eps or a sequence of them.  A sequence is one batch:
+each chart is one quadrature call whose m intervals are the m eps, and each
+bound of the batch is, bit for bit, the bound of its eps alone; a float is
+the batch of one.
 """
 
 import math
@@ -37,8 +42,8 @@ from .analytic import ZERO_RTOL, ball_spectrum, radial_profile
 from .geometry import junction_radius
 from .quadrature import kronrod, kronrod_2d
 
-__all__ = ["Lemma1Bound", "Lemma2Bound", "lemma1_rayleigh", "lemma2_rayleigh", "EPS_MIN",
-           "EPS_MAX"]
+__all__ = ["Lemma1Bound", "Lemma2Bound", "lemma1_rayleigh", "lemma2_rayleigh", "check_epsilon",
+           "EPS_MIN", "EPS_MAX"]
 
 EPS_MIN = 1e-150  # 1/eps^2 <= 1e300 stays finite; it overflows below about 1.5e-154
 EPS_MAX = 0.3
@@ -51,14 +56,17 @@ def _budget(quad_err, lam):
     return float(max(quad_err, 2.0 * ZERO_RTOL * lam))
 
 
-def _check_epsilon(epsilon):
+def check_epsilon(epsilon):
+    """Refuse, with ValueError, an eps outside [EPS_MIN, EPS_MAX]."""
     if not EPS_MIN <= epsilon <= EPS_MAX:
         raise ValueError(f"junction parameter must satisfy {EPS_MIN} <= eps <= {EPS_MAX}, "
                          f"got {epsilon}")
 
 
 # ---------------------------------------------------------------------------
-# correction integrals (all small, all in smooth charts)
+# correction integrals (all small, all in smooth charts), each for an array
+# of m eps in one quadrature call: (value, error), each of shape
+# (components, m), one row per component
 # ---------------------------------------------------------------------------
 
 def _sigma(dim):
@@ -67,17 +75,23 @@ def _sigma(dim):
     return 2.0 if dim == 2 else 2.0 * math.pi
 
 
-def _cap_integrals(epsilon, dim):
-    """(int u^2, int |grad u|^2) over the ball part beyond {x1 = 0}.
+def _per_node(values, nodes):
+    """One value per interval spread over ``nodes``, which hold each
+    interval's nodes as one block, interval after interval (``quadrature``)."""
+    return np.repeat(values, len(nodes) // len(values))
+
+
+def _cap_integrals(eps, dim):
+    """[int u^2, int |grad u|^2] over the ball part beyond {x1 = 0}.
 
     Polar coordinates about the ball center reduce the cap to a radial
     integral; the substitution r = (1 - eps) + tau^2 smooths the square-root
     opening angle at the inner radius.
     """
-    c1 = 1.0 - epsilon
     value_fn, fac_fn = radial_profile(dim)
 
     def integrand(tau):
+        c1 = 1.0 - _per_node(eps, tau)
         r = c1 + tau * tau
         if dim == 2:
             w = 2.0 * np.arccos(np.minimum(c1 / r, 1.0)) * r
@@ -87,28 +101,26 @@ def _cap_integrals(epsilon, dim):
         du = fac_fn(r) * r
         return np.column_stack([u * u, du * du]) * (w * 2.0 * tau)[:, None]
 
-    value, err = kronrod(integrand, 0.0, math.sqrt(epsilon))
-    return value[0], value[1], err
+    value, error = kronrod(integrand, np.zeros_like(eps), np.sqrt(eps))
+    return value.T, error.T
 
 
-def _cone_integrals(epsilon, dim):
-    """Corrections from the cone term: (mixed+square gradient, value) parts.
+def _cone_integrals(eps, dim):
+    """Corrections from the cone term: [mixed+square gradient, value] parts.
 
     Components: 2 <grad u, g> + kappa^2/2 and 2 u w + w^2 with
     g = -(kappa/2)(1, x'/|x'|) and w = (kappa/2)(a - x1 - s).
     """
-    spec = ball_spectrum(dim)
-    kappa = spec.kappa
-    a = junction_radius(epsilon)
-    c1 = 1.0 - epsilon
+    kappa = ball_spectrum(dim).kappa
+    a = junction_radius(eps)
     value_fn, fac_fn = radial_profile(dim)
     sig = _sigma(dim)
 
     def f(x1, s):
-        dx = x1 - c1
+        dx = x1 - (1.0 - _per_node(eps, x1))
         r = np.sqrt(dx * dx + s * s)
         dot = fac_fn(r) * (-0.5 * kappa) * (dx + s)
-        w = 0.5 * kappa * (a - x1 - s)
+        w = 0.5 * kappa * (_per_node(a, x1) - x1 - s)
         comps = np.column_stack([
             2.0 * dot + 0.5 * kappa * kappa,
             2.0 * value_fn(r) * w + w * w,
@@ -116,27 +128,27 @@ def _cone_integrals(epsilon, dim):
         weight = sig * s ** (dim - 2)
         return comps * weight[:, None]
 
-    value, err = kronrod_2d(f, 0.0, a, lambda x1: a - x1)
-    return value[0], value[1], err
+    value, error = kronrod_2d(f, np.zeros_like(eps), a, lambda x1: _per_node(a, x1) - x1)
+    return value.T, error.T
 
 
-def _slab_integrals(epsilon, dim):
+def _slab_integrals(eps, dim):
     """Cutoff-layer integrals over {0 < x1 < eps} of the half dumbbell:
 
     [ |grad u|^2 (1 - xi^2),  u^2,  x1 u du/dx1,  u^2 (1 - xi^2) ].
     """
-    c1 = 1.0 - epsilon
     value_fn, fac_fn = radial_profile(dim)
     sig = _sigma(dim)
 
     def f(x1, s):
-        dx = x1 - c1
+        e = _per_node(eps, x1)
+        dx = x1 - (1.0 - e)
         r = np.sqrt(dx * dx + s * s)
         u = value_fn(r)
         fac = fac_fn(r)
         du2 = (fac * r) ** 2
         d1u = fac * dx
-        xi = x1 / epsilon
+        xi = x1 / e
         one_m_xi2 = 1.0 - xi * xi
         comps = np.column_stack([
             du2 * one_m_xi2,
@@ -148,10 +160,11 @@ def _slab_integrals(epsilon, dim):
         return comps * weight[:, None]
 
     def rho(x1):
-        dx = x1 - c1
+        dx = x1 - (1.0 - _per_node(eps, x1))
         return np.sqrt(np.maximum(1.0 - dx * dx, 0.0))
 
-    return kronrod_2d(f, 0.0, epsilon, rho)
+    value, error = kronrod_2d(f, np.zeros_like(eps), eps, rho)
+    return value.T, error.T
 
 
 # ---------------------------------------------------------------------------
@@ -181,40 +194,63 @@ class Lemma2Bound:
     error_est: float
 
 
-def lemma1_rayleigh(epsilon: float, dim: int = 2) -> Lemma1Bound:
+def _epsilons(epsilon):
+    """The eps of a bound call as a list, each checked; a float is the list
+    of one."""
+    epsilons = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
+    for e in epsilons:
+        check_epsilon(e)
+    return epsilons
+
+
+def lemma1_rayleigh(epsilon, dim: int = 2):
     """Rayleigh quotient of the cone-corrected even extension.
 
     The quotient upper-bounds lambda_1 of the dumbbell; ``deficit`` is
     lambda_1(ball) - quotient, computed by a cancellation-free path so it
-    stays accurate when small.
+    stays accurate when small.  ``epsilon`` is a float, which gives one
+    Lemma1Bound, or a sequence of floats, which gives a tuple of them from
+    one cap and one cone quadrature for all of them.
     """
-    _check_epsilon(epsilon)
+    epsilons = _epsilons(epsilon)
+    if not epsilons:
+        return ()
     lam = ball_spectrum(dim).lambda1
-    cap_v, cap_g, cap_err = _cap_integrals(epsilon, dim)
-    cone_m, cone_v, cone_err = _cone_integrals(epsilon, dim)
+    eps = np.array(epsilons, dtype=float)
+    (cap_v, cap_g), cap_err = _cap_integrals(eps, dim)
+    (cone_m, cone_v), cone_err = _cone_integrals(eps, dim)
     den = 1.0 - cap_v + cone_v
     deficit = (cap_g - cone_m - lam * (cap_v - cone_v)) / den
     quotient = lam - deficit
     err = (cap_err[1] + cone_err[0] + lam * (cap_err[0] + cone_err[1])) / den * 2.0
-    return Lemma1Bound(epsilon=epsilon, dim=dim, quotient=float(quotient),
-                       deficit=float(deficit), error_est=_budget(err, lam))
+    bounds = tuple(Lemma1Bound(epsilon=e, dim=dim, quotient=float(q), deficit=float(d),
+                               error_est=_budget(x, lam))
+                   for e, q, d, x in zip(epsilons, quotient, deficit, err))
+    return bounds[0] if np.ndim(epsilon) == 0 else bounds
 
 
-def lemma2_rayleigh(epsilon: float, dim: int = 2) -> Lemma2Bound:
+def lemma2_rayleigh(epsilon, dim: int = 2):
     """Rayleigh quotient of the cutoff product on the half dumbbell.
 
     The quotient upper-bounds lambda_1 of the half dumbbell; ``excess`` is
-    quotient - lambda_1(ball), computed cancellation-free.
+    quotient - lambda_1(ball), computed cancellation-free.  ``epsilon`` is a
+    float, which gives one Lemma2Bound, or a sequence of floats, which gives
+    a tuple of them from one cap and one slab quadrature for all of them.
     """
-    _check_epsilon(epsilon)
+    epsilons = _epsilons(epsilon)
+    if not epsilons:
+        return ()
     lam = ball_spectrum(dim).lambda1
-    cap_v, cap_g, cap_err = _cap_integrals(epsilon, dim)
-    (a1, a2, a3, a4), slab_err = _slab_integrals(epsilon, dim)
-    inv2 = 1.0 / (epsilon * epsilon)
+    eps = np.array(epsilons, dtype=float)
+    (cap_v, cap_g), cap_err = _cap_integrals(eps, dim)
+    (a1, a2, a3, a4), slab_err = _slab_integrals(eps, dim)
+    inv2 = 1.0 / (eps * eps)
     den = 1.0 - cap_v - a4
     excess = (-cap_g - a1 + a2 * inv2 + 2.0 * a3 * inv2 + lam * (cap_v + a4)) / den
     quotient = lam + excess
     err = (cap_err[1] + slab_err[0] + (slab_err[1] + 2.0 * slab_err[2]) * inv2
            + lam * (cap_err[0] + slab_err[3])) / den * 2.0
-    return Lemma2Bound(epsilon=epsilon, dim=dim, quotient=float(quotient),
-                       excess=float(excess), error_est=_budget(err, lam))
+    bounds = tuple(Lemma2Bound(epsilon=e, dim=dim, quotient=float(q), excess=float(x),
+                               error_est=_budget(r, lam))
+                   for e, q, x, r in zip(epsilons, quotient, excess, err))
+    return bounds[0] if np.ndim(epsilon) == 0 else bounds

@@ -25,7 +25,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 from spectralgap.analytic import ball_spectrum, radial_profile
 from spectralgap.geometry import Ball, Dumbbell, HalfDumbbell, junction_radius
 from spectralgap.quadrature import kronrod
-from spectralgap.testfn import _check_epsilon
+from spectralgap.testfn import check_epsilon
 
 
 def quad(f, a, b, rel_tol, max_panels=4000):
@@ -160,7 +160,7 @@ class Lemma1Function:
     dim: int = 2
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        check_epsilon(self.epsilon)
 
     def field(self, pts):
         """Vectorized (values, gradients) on the dumbbell.
@@ -207,7 +207,7 @@ class Lemma2Function:
     dim: int = 2
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        check_epsilon(self.epsilon)
 
     def cutoff(self, x1):
         return np.clip(np.asarray(x1, dtype=float) / self.epsilon, 0.0, 1.0)

@@ -82,6 +82,53 @@ class TestSweep:
         assert (rec.bound1, rec.bound2) == (b1.quotient * factor, b2.quotient * factor)
         assert rec.error_est == (b1.error_est + b2.error_est) * factor > 0
 
+    def test_each_refused_eps_fails_only_its_own_record(self):
+        # -1.0 is refused by Dumbbell; 0.5 is a dumbbell, so its record keeps
+        # its measure and t, but the bounds stop at 0.3
+        families = {"dumbbell": [0.2, 0.5, -1.0]}
+        config = at.SweepConfig(grid_eps_min=math.inf)
+        records = at.sweep(families, config)
+        # repr, since NaN fields compare unequal
+        assert repr(at.sweep(families, replace(config, jobs=2))) == repr(records)
+        assert [r.param for r in records] == [-1.0, 0.2, 0.5]
+        low, good, high = records
+        assert low.failure == "ValueError: dumbbell parameter must satisfy 0 < eps < 1, got -1.0"
+        assert math.isnan(low.measure) and math.isnan(low.error_est) and low.bound1 is None
+        assert high.failure == ("ValueError: junction parameter must satisfy "
+                                "1e-150 <= eps <= 0.3, got 0.5")
+        assert (high.measure, high.t_factor) == normalization(Dumbbell(0.5))[:2]
+        assert math.isnan(high.error_est) and high.bound1 is None and high.bound2 is None
+        factor = normalization(Dumbbell(0.2))[2]
+        b1, b2 = lemma1_rayleigh(0.2), lemma2_rayleigh(0.2)
+        assert good.failure is None
+        assert (good.bound1, good.bound2) == (b1.quotient * factor, b2.quotient * factor)
+        assert good.error_est == (b1.error_est + b2.error_est) * factor
+
+    def test_each_lemma_called_once_per_sweep(self, monkeypatch):
+        # in the parent process, before the tasks are dispatched to the pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+        calls = []
+        for name in ("lemma1_rayleigh", "lemma2_rayleigh"):
+            def counted(eps, dim, name=name, fn=getattr(at, name)):
+                calls.append((name, tuple(eps)))
+                return fn(eps, dim=dim)
+            monkeypatch.setattr(at, name, counted)
+        config = at.SweepConfig(grid_eps_min=math.inf, jobs=2)
+        records = at.sweep({"dumbbell": [0.2, 0.5, -1.0, 0.1], "rectangles": [1.0]},
+                           replace(config, dim=3))
+        assert calls == [("lemma1_rayleigh", (0.1, 0.2)), ("lemma2_rayleigh", (0.1, 0.2))]
+        assert [r.bound1 is not None for r in records] == [False, True, True, False, False]
+        calls.clear()
+        at.sweep({"rectangles": [1.0]}, replace(config, dim=3))
+        assert calls == []
+
+    def test_bound_batch_that_fails_as_a_whole_fails_each_dumbbell(self):
+        records = at.sweep({"dumbbell": [0.1, 0.2]},
+                           at.SweepConfig(grid_eps_min=math.inf, dim=4))
+        assert [r.failure for r in records] == [
+            "ValueError: ball spectrum supports N in {2, 3}, got 4"] * 2
+        assert all(r.measure > 0 and r.bound1 is None for r in records)
+
     @pytest.mark.parametrize("family, param, domain", [
         ("ball", 1.0, Ball()), ("dumbbell", 0.2, Dumbbell(0.2)),
     ])

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import cli_env
-from spectralgap import asymptotics, attainable, cli
+from spectralgap import asymptotics, attainable, cli, testfn
 from spectralgap.discretize import build_grid
 from spectralgap.eigensolve import DEFAULT_SEED
 from spectralgap.geometry import (
@@ -201,6 +201,21 @@ class TestErrorMapping:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["kind"] == kind
 
+    @pytest.mark.parametrize("command, argv, exc, code", [
+        ("cmd_lemma", ["lemma2"], ZeroDivisionError("float division by zero"), 1),
+        ("cmd_ratio", ["ratio"], OverflowError("math range error"), 1),
+        ("cmd_verify", ["verify"], OverflowError("math range error"), 2),
+    ])
+    def test_arithmetic_error_is_json_error(self, command, argv, exc, code, monkeypatch,
+                                            capsys):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, command, fail)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": str(exc), "kind": type(exc).__name__}
 
     def test_fewer_nodes_than_pairs_is_grid_error(self):
         domain = '{"kind": "ball", "N": 2, "params": {"center": [0.5, 0.5], "radius": 0.01}}'
@@ -247,6 +262,16 @@ class TestLemmaCommands:
         # the whole regime (0, testfn.EPS_MAX], past the default grid's 0.2
         assert cli.main(["lemma1", "--eps-grid", "0.1,0.25,0.3"]) == 0
         assert [row["eps"] for row in json.loads(capsys.readouterr().out)] == [0.1, 0.25, 0.3]
+
+    @pytest.mark.parametrize("which", ["lemma1", "lemma2"])
+    def test_one_bound_call_for_the_whole_grid(self, which, monkeypatch, capsys):
+        calls = []
+        rayleigh = getattr(testfn, f"{which}_rayleigh")
+        monkeypatch.setattr(testfn, f"{which}_rayleigh",
+                            lambda eps, dim: calls.append(eps) or rayleigh(eps, dim=dim))
+        assert cli.main([which]) == 0
+        assert calls == [attainable.DEFAULT_EPS_GRID]
+        assert len(json.loads(capsys.readouterr().out)) == len(attainable.DEFAULT_EPS_GRID)
 
     def test_tiny_eps(self, capsys):
         assert cli.main(["lemma2", "--eps-grid", "1e-8"]) == 0

@@ -287,7 +287,7 @@ def test_only_value_readers_stop_the_finest_level_on_temple(monkeypatch):
 
     monkeypatch.setattr(es, "smallest_pairs", record)
     config = attainable.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32))
-    assert attainable._solve_one(("ball", 1.0, config)).failure is None
+    assert attainable.sweep({"ball": [1.0]}, config)[0].failure is None
     assert flags == [True, True, True]
     flags.clear()
     with contextlib.redirect_stdout(io.StringIO()):

@@ -51,6 +51,45 @@ def test_empty_interval():
         kronrod(np.sin, 1.0, 0.0)
 
 
+def test_empty_batch():
+    value, error = kronrod(np.sin, [], [])
+    assert value.shape == error.shape == (0,)
+    value, error = kronrod(lambda x: np.column_stack([x, x * x]), np.zeros(0), np.zeros(0))
+    assert value.shape == error.shape == (0, 2)
+
+
+@pytest.mark.parametrize("m", [1, 15, 180])
+def test_batch_gives_each_interval_its_own_sums(m):
+    """m intervals in one call give, bit for bit, the value and the estimate
+    of each interval integrated alone."""
+    rng = np.random.default_rng(m)
+    a = rng.uniform(-2.0, 1.0, m)
+    b = a + rng.uniform(0.0, 3.0, m)
+
+    def f(x):
+        return np.column_stack([np.sin(3.0 * x), np.exp(x), x**3])
+
+    value, error = kronrod(f, a, b)
+    assert value.shape == error.shape == (m, 3)
+    for i in range(m):
+        alone = kronrod(f, a[i], b[i])
+        assert np.array_equal(value[i], alone[0]) and np.array_equal(error[i], alone[1])
+
+
+@pytest.mark.parametrize("f", [lambda x, s: np.cos(x * s),
+                               lambda x, s: np.column_stack([np.cos(x * s), np.sin(x * s)])])
+def test_nested_batch_takes_each_intervals_own_inner_error(f):
+    """The inner integrand oscillates with x: slowly on [0, 1], fast on
+    [20, 21], so the two outer intervals' inner errors differ by orders of
+    magnitude.  Each interval of the batch keeps its own estimate; one
+    largest inner error over the batch would give both the larger one."""
+    value, error = kronrod_2d(f, [0.0, 20.0], [1.0, 21.0], np.ones_like)
+    for i, (lo, up) in enumerate([(0.0, 1.0), (20.0, 21.0)]):
+        alone = kronrod_2d(f, lo, up, np.ones_like)
+        assert np.array_equal(value[i], alone[0]) and np.array_equal(error[i], alone[1])
+    assert np.all(error[0] < 1e-6 * error[1])
+
+
 @pytest.mark.parametrize("f, shape", [(lambda x, s: x * s, ()),
                                       (lambda x, s: np.column_stack([x, x * s, s]), (3,))])
 def test_nested_empty_outer_interval_keeps_the_integrand_shape(f, shape):
@@ -104,9 +143,18 @@ def test_batched_bounds_equal_per_node_loop(dim, monkeypatch):
     inner panels equal one panel per outer node."""
     eps_grid = sorted(set(DEFAULT_EPS_GRID) | {0.001, 0.3})
     fixed = [(tf.lemma1_rayleigh(eps, dim), tf.lemma2_rayleigh(eps, dim)) for eps in eps_grid]
-    monkeypatch.setattr(tf, "kronrod", lambda f, a, b: oracle.quad(f, a, b, rel_tol=1e-8))
-    monkeypatch.setattr(tf, "kronrod_2d", lambda f, a, b, hi: oracle.nested(
-        f, a, b, lambda x: 0.0, hi, rel_tol=1e-8))
+    # a scalar bound integrates each chart as the batch of one interval
+    def one_interval(f, a, b, *hi):
+        ((lo,), (up,)) = a, b
+        if hi:
+            value, error = oracle.nested(f, lo, up, lambda x: 0.0,
+                                         lambda x: hi[0](np.array([x]))[0], rel_tol=1e-8)
+        else:
+            value, error = oracle.quad(f, lo, up, rel_tol=1e-8)
+        return value[None], error[None]
+
+    monkeypatch.setattr(tf, "kronrod", one_interval)
+    monkeypatch.setattr(tf, "kronrod_2d", one_interval)
     adaptive = [(tf.lemma1_rayleigh(eps, dim), tf.lemma2_rayleigh(eps, dim)) for eps in eps_grid]
     assert fixed == adaptive
 

@@ -10,6 +10,7 @@ from scipy import special
 from spectralgap import geometry as geo
 from spectralgap import testfn as tf
 from spectralgap.analytic import ball_spectrum
+from spectralgap.attainable import DEFAULT_EPS_GRID
 from spectralgap.geometry import junction_radius
 from spectralgap.pipeline import solve_domain
 
@@ -411,8 +412,30 @@ def test_bounds_within_their_estimates_of_mpmath_references(dim, eps, monkeypatc
     for fine, coarse in zip(cone + slab, sum(bound_components(eps, dim, degree=3)[1:], [])):
         assert abs(fine - coarse) <= 1e-20 * abs(fine)
     cap, cone, slab = ([float(x) for x in part] for part in (cap, cone, slab))
-    monkeypatch.setattr(tf, "_cap_integrals", lambda e, d: (*cap, np.zeros(2)))
-    monkeypatch.setattr(tf, "_cone_integrals", lambda e, d: (*cone, np.zeros(2)))
-    monkeypatch.setattr(tf, "_slab_integrals", lambda e, d: (np.array(slab), np.zeros(4)))
+    # each chart's (value, error), one row per component, for the batch of one eps
+    for chart, part in (("_cap_integrals", cap), ("_cone_integrals", cone),
+                        ("_slab_integrals", slab)):
+        monkeypatch.setattr(tf, chart, lambda e, d, part=part: (
+            np.array(part)[:, None], np.zeros((len(part), 1))))
     assert abs(b1.deficit - tf.lemma1_rayleigh(eps, dim=dim).deficit) <= b1.error_est
     assert abs(b2.excess - tf.lemma2_rayleigh(eps, dim=dim).excess) <= b2.error_est
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sequence_equals_scalar_calls(dim):
+    """A sequence of eps gives a tuple of the bounds that one call per eps
+    gives, field for field; an empty sequence gives an empty tuple."""
+    grid = sorted({*DEFAULT_EPS_GRID, tf.EPS_MIN, 1e-8, tf.EPS_MAX})
+    for rayleigh in (tf.lemma1_rayleigh, tf.lemma2_rayleigh):
+        assert rayleigh(grid, dim=dim) == tuple(rayleigh(eps, dim=dim) for eps in grid)
+        assert rayleigh([], dim=dim) == ()
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e-155, -0.1, math.nan])
+def test_sequence_with_an_eps_outside_the_regime_is_refused(bad):
+    for rayleigh in (tf.lemma1_rayleigh, tf.lemma2_rayleigh):
+        with pytest.raises(ValueError) as scalar:
+            rayleigh(bad)
+        with pytest.raises(ValueError) as batch:
+            rayleigh([0.1, bad, 0.2])
+        assert str(batch.value) == str(scalar.value)
