@@ -10,7 +10,7 @@ from .analytic import (
 )
 from .asymptotics import SlopeFit, fit_slope, ratio_curve, verify_theorem
 from .attainable import SweepConfig, SweepRecord, sweep
-from .discretize import DiscreteOperator, Grid2D, assemble, build_grid, extrapolate
+from .discretize import Grid2D, assemble, build_grid, extrapolate
 from .eigensolve import EigenResult, smallest_pairs
 from .geometry import (
     Ball, DisjointUnion, Dumbbell, Ellipse, HalfDumbbell, Rectangle, Scaled,

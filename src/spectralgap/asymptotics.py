@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import theta_spectrum
+from .analytic import ball_spectrum, theta_spectrum, unit_ball_volume
+from .geometry import cap_volume
 
 # thresholds of the horizontal-tangent verdict; the exponent is fitted on
 # RATE_FIT_WINDOW, the window the lemma rates are fitted on, beyond which
@@ -86,11 +87,31 @@ def fit_slope(pairs, window=None) -> SlopeFit:
 
 
 def _ratio(lam1, lam2, lam_p):
-    """(lam2 - lam_p) / (lam_p - lam1), or None when a value is missing or
-    the denominator is <= 0 (eps outside the asymptotic regime)."""
+    """The grid-path ratio (lam2 - lam_p) / (lam_p - lam1), or None when a
+    value is missing or the denominator is <= 0 (eps outside the asymptotic
+    regime)."""
     if lam1 is None or lam2 is None or lam_p - lam1 <= 0:
         return None
     return (lam2 - lam_p) / (lam_p - lam1)
+
+
+def _bound_ratio(rec, lam, dim):
+    """The bound-path ratio of a dumbbell record without cancellation, or
+    None when its denominator is <= 0.
+
+    With the normalization factor 2^(2/N) g, g = (1 - c)^(2/N) and c the
+    cap's share |cap| / omega_N of the unit ball, the quotients are
+    2^(2/N) g (lam - d) and 2^(2/N) g (lam + x) and lambda(P) = 2^(2/N) lam,
+    so the ratio is (lam (g - 1) + x g) / (d g - lam (g - 1)): no O(1)
+    numbers are subtracted, as g - 1 = expm1((2/N) log1p(-c)) is formed
+    directly.
+    """
+    c = cap_volume(rec.param, dim) / unit_ball_volume(dim)
+    g1 = math.expm1(2.0 / dim * math.log1p(-c))
+    den = rec.deficit * (1.0 + g1) - lam * g1
+    if den <= 0:
+        return None
+    return (lam * g1 + rec.excess * (1.0 + g1)) / den
 
 
 def ratio_curve(records, dim: int = 2) -> tuple:
@@ -98,15 +119,16 @@ def ratio_curve(records, dim: int = 2) -> tuple:
     (eps, bound_ratio, grid_ratio) per dumbbell record with bounds, in
     ascending eps.
 
-    Bound path: numerator bounded above by the normalized cutoff quotient,
-    denominator bounded below by the normalized cone quotient.  Grid path:
-    the same ratio from extrapolated normalized eigenvalues, where present.
-    A missing ratio, or one whose denominator is <= 0, is None.
+    Bound path: numerator bounded above by the cutoff quotient, denominator
+    bounded below by the cone quotient, formed from the record's deficit
+    and excess (``_bound_ratio``).  Grid path: the ratio of the
+    extrapolated normalized eigenvalues, where present.  A missing ratio,
+    or one whose denominator is <= 0, is None.
     """
-    lam_p = theta_spectrum(dim)[0]
+    lam, lam_p = ball_spectrum(dim).lambda1, theta_spectrum(dim)[0]
     dumbbells = sorted((r for r in records if r.family == "dumbbell" and r.bound1 is not None),
                        key=lambda r: r.param)
-    return tuple((rec.param, _ratio(rec.bound1, rec.bound2, lam_p),
+    return tuple((rec.param, _bound_ratio(rec, lam, dim),
                   _ratio(rec.lambda1_norm, rec.lambda2_norm, lam_p)) for rec in dumbbells)
 
 

@@ -3,7 +3,8 @@
 Each record normalizes a domain to unit measure omega_N, once, and carries
 grid eigenvalues (raw per level and extrapolated from ``solve_domain``, and
 normalized) plus, for dumbbells, the normalized quadrature bounds from the
-two trial-field constructions.  A failed record keeps the values before it.
+two trial-field constructions and the unnormalized deficit and excess they
+carry, from which ``asymptotics.ratio_curve`` forms the bound-path ratio.  A failed record keeps the values before it.
 A record holds no vectors or residuals, so its grid solve stops every level,
 the finest included, on Temple's estimate (``solve_domain(values_only=True)``):
 the values lie within tol * lambda of a residual-stopped solve's, in fewer
@@ -66,6 +67,8 @@ class SweepRecord:
     lambda2_norm: float | None = None
     bound1: float | None = None
     bound2: float | None = None
+    deficit: float | None = None
+    excess: float | None = None
     error_est: float = 0.0
     failure: str | None = None
 
@@ -112,6 +115,7 @@ def _solve_one(task) -> SweepRecord:
             record = replace(record,
                              bound1=b1.quotient * norm_factor,
                              bound2=b2.quotient * norm_factor,
+                             deficit=b1.deficit, excess=b2.excess,
                              error_est=(b1.error_est + b2.error_est) * norm_factor)
             if param < config.grid_eps_min:
                 return record

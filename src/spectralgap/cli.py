@@ -52,7 +52,7 @@ class ConfigError(ValueError):
 # columns of a sweep record, in the field order of attainable.SweepRecord
 SWEEP_HEADER = ("family", "param", "h_list", "lambda1_raw", "lambda2_raw", "lambda1_x",
                 "lambda2_x", "measure", "t", "lambda1_norm", "lambda2_norm", "bound1",
-                "bound2", "err", "failure")
+                "bound2", "deficit", "excess", "err", "failure")
 RATIO_HEADER = ("eps", "bound_ratio", "grid_ratio")
 
 

@@ -24,25 +24,20 @@ on one platform.
 
 The preconditioner M is one symmetric geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), built once per call
-from the lattice indices of the operator's rows.  The coarse nodes of a
-level are its all-even nodes, halved; P interpolates multilinearly from
-them (``discretize.prolong``), the coarse operator is P^T A P, formed as
-R (A P), and damped Jacobi smooths before and after the coarse correction.
-Every P is kept in CSC, and each level keeps R = P^T, taken once: a CSR
-view of P's arrays, not a copy.  So the V-cycle restricts with R and
-prolongs with P in plain compressed-matrix products that make no matrix
-object per call.  Levels stop at COARSEST unknowns, or at a level
-without an all-even node, which is inverted densely.  Grid continuation
-(``coarse=``) reuses the matrices P of the coarser grid's solve, so each
-is built once per domain.
+from the chain of interpolation matrices P (CSC) passed with A, finest
+first: the coarse operator is P^T A P, formed as R (A P), and damped Jacobi
+smooths before and after the coarse correction.  Each level keeps
+R = P^T, taken once as a CSR view of P's arrays, so the V-cycle restricts
+with R and prolongs with P in plain compressed-matrix products that make
+no matrix object per call.  Levels stop at COARSEST unknowns or at the
+end of the chain, whose last level is inverted densely.  Grid continuation
+(``coarse=``) starts from vectors on the chain's first coarser level.
 kappa(MA) stays near 1.8 as h shrinks, and so do the block iterations.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .discretize import DiscreteOperator, prolong
 
 __all__ = [
     "ConvergenceError",
@@ -78,29 +73,13 @@ class ConvergenceError(RuntimeError):
 class EigenResult:
     """Two smallest eigenpairs: values ascending, orthonormal vectors as
     columns, per-pair residual norms ||A v - lambda v||, the block iterations
-    run, the V-cycles applied to each pair's residual, and the interpolation
-    matrices (CSC) down from its lattice, finest first; a continued solve
-    takes them as its lower levels and restricts through their transposes,
-    CSR views of the same arrays."""
+    run, and the V-cycles applied to each pair's residual."""
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     iterations: tuple
     inner_iterations: tuple = ()
-    transfers: tuple = ()
-
-
-def _transfers(nodes):
-    """Interpolation matrices of the V-cycle for lattice indices ``nodes``,
-    finest first, down to COARSEST nodes or a level without an all-even node."""
-    transfers = []
-    while len(nodes) > COARSEST:
-        nodes, P = prolong(nodes)
-        if len(nodes) == 0:
-            break
-        transfers.append(P)
-    return transfers
 
 
 def _hierarchy(A, transfers):
@@ -217,11 +196,12 @@ def _gaps(theta, others):
     return np.minimum(distance.min(axis=1), theta)
 
 
-def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
-                   seed: int = DEFAULT_SEED, coarse: EigenResult | None = None, *,
+def smallest_pairs(A, transfers, k: int = 2, tol: float = 1e-8, seed: int = DEFAULT_SEED,
+                   coarse: np.ndarray | None = None, *,
                    values_only: bool = False) -> EigenResult:
-    """Compute the k (= 1 or 2) smallest eigenpairs of a DiscreteOperator's
-    SPD matrix (CSR), whose lattice nodes the V-cycle coarsens.
+    """Compute the k (= 1 or 2) smallest eigenpairs of a sparse SPD matrix A
+    (CSR), preconditioned by the V-cycle on the interpolation matrices
+    ``transfers`` (CSC), finest first.
     Runs block LOBPCG on k vectors for at most MAX_OUTER iterations,
     applying the operator once to each new preconditioned residual and
     carrying its products with the other block vectors.
@@ -238,31 +218,19 @@ def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
     not an enclosure, as the Ritz values above the block lie above the
     eigenvalues they approximate.
     The start is pseudo-random with the given seed, unless grid
-    continuation passes ``coarse``, the result of the same domain on the
-    grid of twice the spacing: the start is then its vectors interpolated
-    onto the rows, and the V-cycle reuses its transfers below the one new
-    level.  Returned values
-    are the Rayleigh quotients of the returned orthonormal vectors, and the
-    residuals their true residuals.
+    continuation passes ``coarse``, k vectors (as columns) on the first
+    coarser level of the chain: the start is then ``transfers[0] @ coarse``.
+    Returned values are the Rayleigh quotients of the returned orthonormal
+    vectors, and the residuals their true residuals.
     """
     if k not in (1, 2):
         raise ValueError(f"only the two smallest pairs are supported, got k={k}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    A, nodes = operator.matrix, operator.nodes
     n = A.shape[0]
     if k > n:
         raise ValueError(f"requested {k} pairs from an operator of size {n}")
-    start = None
-    if coarse is None:
-        transfers = _transfers(nodes)
-    else:
-        P = prolong(nodes)[1]
-        if P.shape[1] != len(coarse.vectors):
-            raise ValueError(f"the coarse result has {len(coarse.vectors)} rows, but the "
-                             f"operator's lattice coarsens to {P.shape[1]} nodes")
-        transfers = [P, *coarse.transfers]
-        start = P @ coarse.vectors
+    start = None if coarse is None else transfers[0] @ coarse
     hierarchy = _hierarchy(A, transfers)
     # block vectors as rows: X = S[:k], then p update directions P, then the
     # preconditioned residuals W
@@ -308,8 +276,7 @@ def smallest_pairs(operator: DiscreteOperator, k: int = 2, tol: float = 1e-8,
             del AS, AX, R  # released before the copy of X raises the memory peak
             result = EigenResult(values=theta, vectors=X.copy().T, residuals=residuals,
                                  iterations=(iteration,) * k,
-                                 inner_iterations=tuple(int(i) for i in inner),
-                                 transfers=tuple(transfers))
+                                 inner_iterations=tuple(int(i) for i in inner))
             if done.all():
                 return result
             raise ConvergenceError(

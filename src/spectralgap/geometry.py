@@ -22,6 +22,7 @@ meet, so it is connected; the half dumbbell excludes the plane {x1 = 0}.
 import inspect
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -320,12 +321,15 @@ def contains(domain, x):
     return bool(inside[0]) if scalar else inside
 
 
+@lru_cache(maxsize=256)
 def cap_volume(epsilon: float, dim: int) -> float:
     """Volume of the spherical cap of height eps cut from a unit ball.
 
     V = int_0^eps omega_(N-1) (2t - t^2)^((N-1)/2) dt; the substitution
     t = s^2 removes the t^(1/2)-type behavior at t = 0 and leaves an
-    integrand smooth enough for one fixed Gauss-Kronrod panel.
+    integrand smooth enough for one fixed Gauss-Kronrod panel.  Cached, so
+    that a dumbbell record's measure and its bound-path ratio
+    (``asymptotics.ratio_curve``) integrate its cap once.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"cap height must satisfy 0 <= eps < 1, got {epsilon}")

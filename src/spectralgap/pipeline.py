@@ -1,10 +1,14 @@
 """Grid eigensolve pipeline: solve a domain across halving grid levels and
 Richardson-extrapolate with a fitted order.
 
-Spacings are made exact halves of the coarsest, and each level's eigensolve
-continues from the result of the one before (``smallest_pairs(coarse=)``).
-The fit needs only the eigenvalues of a coarser level, and the next level
-its vectors as a start, so every level but the finest stops on Temple's
+Spacings are made exact halves of the coarsest, so only the finest grid is
+built from the domain: ``chain`` halves its all-even nodes into the coarser
+levels' node sets and one chain of interpolations (``discretize.prolong``).
+Each level is assembled from its node set, solved with its tail of the
+chain, and continues from the vectors of the level before
+(``smallest_pairs(coarse=)``).  The fit needs only the eigenvalues of a
+coarser level, and the next level its vectors as a start, so every level
+but the finest stops on Temple's
 eigenvalue-error estimate (``values_only=True``); the finest, whose vectors
 are returned, stops on its residual ||A v - lambda v|| <= tol * lambda,
 unless the caller reads only the values and budgets and asks for the same
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import discretize, eigensolve
 
-__all__ = ["LevelSolve", "DomainSolve", "halving_levels", "solve_domain"]
+__all__ = ["LevelSolve", "DomainSolve", "halving_levels", "chain", "solve_domain"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,26 @@ def halving_levels(h_list) -> list:
     return [hs[0] / 2**i for i in range(len(hs))]
 
 
+def chain(nodes, levels: int = 1):
+    """The node sets of ``levels`` halving levels down from lattice nodes
+    ``nodes``, finest first, each the all-even nodes of the one before,
+    halved; and the interpolation matrices (CSC) onto each level from the
+    next, finest first, which ``eigensolve.smallest_pairs`` takes with the
+    matrix on ``nodes``.  Coarsening goes on below the levels while a level
+    has more than ``eigensolve.COARSEST`` nodes, and ends at one without an
+    all-even node, so fewer sets come back when a level is empty.
+    """
+    node_sets, transfers = [nodes], []
+    while len(node_sets) < levels or len(nodes) > eigensolve.COARSEST:
+        nodes, P = discretize.prolong(nodes)
+        if len(nodes) == 0:
+            break
+        transfers.append(P)
+        if len(node_sets) < levels:
+            node_sets.append(nodes)
+    return node_sets, transfers
+
+
 def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAULT_SEED,
                  k: int = 2, *, values_only: bool = False) -> DomainSolve:
     """Solve the Dirichlet eigenproblem on each grid level and extrapolate.
@@ -97,17 +121,23 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
     error budgets.
     """
     hs = halving_levels(h_list)
-    levels = []
-    result = None
-    for h in hs:
-        grid = discretize.build_grid(domain, h)
-        if grid.n < k:
-            raise discretize.GridError(f"{grid.n} active node(s) at spacing h = {h} in "
-                                       f"{domain!r}, fewer than the {k} pairs requested")
-        result = eigensolve.smallest_pairs(discretize.assemble(grid), k=k, tol=tol, seed=seed,
-                                           coarse=result,
-                                           values_only=values_only or h > hs[-1])
-        levels.append(LevelSolve(h=h, n=grid.n, values=result.values,
+    grid = discretize.build_grid(domain, hs[-1])
+    node_sets, transfers = chain(grid.active, len(hs))
+    # a coarse level's nodes are a subset of each finer level's, so the
+    # coarsest is the first to fall short
+    n = len(node_sets[-1]) if len(node_sets) == len(hs) else 0
+    if n < k:
+        raise discretize.GridError(f"{n} active node(s) at spacing h = {hs[0]} in "
+                                   f"{domain!r}, fewer than the {k} pairs requested")
+    levels, vectors = [], None
+    for depth, h in zip(reversed(range(len(hs))), hs):
+        # a coarse level's node set and index map are freed once it is assembled
+        A = discretize.assemble(discretize.lattice_grid(h, node_sets.pop()) if depth else grid)
+        result = eigensolve.smallest_pairs(A, transfers[depth:], k=k, tol=tol, seed=seed,
+                                           coarse=vectors,
+                                           values_only=values_only or depth > 0)
+        vectors = result.vectors
+        levels.append(LevelSolve(h=h, n=A.shape[0], values=result.values,
                                  residuals=result.residuals, iterations=result.iterations,
                                  inner_iterations=result.inner_iterations))
 
@@ -122,5 +152,5 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
         fitted=tuple(fit.fitted for fit in fits),
         error_est_raw=np.array([fit.error_est for fit in fits]),
         grid=grid,
-        vectors=result.vectors,
+        vectors=vectors,
     )

@@ -27,10 +27,10 @@ EPS_MIN <= eps <= EPS_MAX gives a bound; below EPS_MIN, 1/eps^2 in the
 cutoff's slab terms would overflow.  Against 30-digit references, the deficit
 and the excess lie within their estimates at eps = 1e-8, 0.005 and 0.3.
 
-Both bounds take one eps or a sequence of them.  A sequence is one batch:
-each chart is one quadrature call whose m intervals are the m eps, and each
-bound of the batch is, bit for bit, the bound of its eps alone; a float is
-the batch of one.
+Both bounds take one eps or a sequence of them.  A sequence runs in
+batches of at most CHUNK eps: each chart is one quadrature call whose m
+intervals are the m eps of a batch, and each bound of a batch is, bit for
+bit, the bound of its eps alone; a float is the batch of one.
 """
 
 import math
@@ -47,6 +47,9 @@ __all__ = ["Lemma1Bound", "Lemma2Bound", "lemma1_rayleigh", "lemma2_rayleigh", "
 
 EPS_MIN = 1e-150  # 1/eps^2 <= 1e300 stays finite; it overflows below about 1.5e-154
 EPS_MAX = 0.3
+# eps per quadrature batch: a batch holds every node's temporaries at once,
+# about 37 kB per eps, so a long sequence runs in chunks of this many
+CHUNK = 200
 
 
 def _budget(quad_err, lam):
@@ -194,13 +197,16 @@ class Lemma2Bound:
     error_est: float
 
 
-def _epsilons(epsilon):
-    """The eps of a bound call as a list, each checked; a float is the list
-    of one."""
+def _batched(bounds, epsilon, dim):
+    """``bounds(epsilons, dim)`` over the eps of a bound call, each checked,
+    CHUNK at a time: one bound for a float, a tuple of them for a
+    sequence."""
     epsilons = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
     for e in epsilons:
         check_epsilon(e)
-    return epsilons
+    out = tuple(b for i in range(0, len(epsilons), CHUNK)
+                for b in bounds(epsilons[i: i + CHUNK], dim))
+    return out[0] if np.ndim(epsilon) == 0 else out
 
 
 def lemma1_rayleigh(epsilon, dim: int = 2):
@@ -210,11 +216,12 @@ def lemma1_rayleigh(epsilon, dim: int = 2):
     lambda_1(ball) - quotient, computed by a cancellation-free path so it
     stays accurate when small.  ``epsilon`` is a float, which gives one
     Lemma1Bound, or a sequence of floats, which gives a tuple of them from
-    one cap and one cone quadrature for all of them.
+    one cap and one cone quadrature per CHUNK of them.
     """
-    epsilons = _epsilons(epsilon)
-    if not epsilons:
-        return ()
+    return _batched(_lemma1, epsilon, dim)
+
+
+def _lemma1(epsilons, dim):
     lam = ball_spectrum(dim).lambda1
     eps = np.array(epsilons, dtype=float)
     (cap_v, cap_g), cap_err = _cap_integrals(eps, dim)
@@ -223,10 +230,9 @@ def lemma1_rayleigh(epsilon, dim: int = 2):
     deficit = (cap_g - cone_m - lam * (cap_v - cone_v)) / den
     quotient = lam - deficit
     err = (cap_err[1] + cone_err[0] + lam * (cap_err[0] + cone_err[1])) / den * 2.0
-    bounds = tuple(Lemma1Bound(epsilon=e, dim=dim, quotient=float(q), deficit=float(d),
-                               error_est=_budget(x, lam))
-                   for e, q, d, x in zip(epsilons, quotient, deficit, err))
-    return bounds[0] if np.ndim(epsilon) == 0 else bounds
+    return [Lemma1Bound(epsilon=e, dim=dim, quotient=float(q), deficit=float(d),
+                        error_est=_budget(x, lam))
+            for e, q, d, x in zip(epsilons, quotient, deficit, err)]
 
 
 def lemma2_rayleigh(epsilon, dim: int = 2):
@@ -235,11 +241,12 @@ def lemma2_rayleigh(epsilon, dim: int = 2):
     The quotient upper-bounds lambda_1 of the half dumbbell; ``excess`` is
     quotient - lambda_1(ball), computed cancellation-free.  ``epsilon`` is a
     float, which gives one Lemma2Bound, or a sequence of floats, which gives
-    a tuple of them from one cap and one slab quadrature for all of them.
+    a tuple of them from one cap and one slab quadrature per CHUNK of them.
     """
-    epsilons = _epsilons(epsilon)
-    if not epsilons:
-        return ()
+    return _batched(_lemma2, epsilon, dim)
+
+
+def _lemma2(epsilons, dim):
     lam = ball_spectrum(dim).lambda1
     eps = np.array(epsilons, dtype=float)
     (cap_v, cap_g), cap_err = _cap_integrals(eps, dim)
@@ -250,7 +257,6 @@ def lemma2_rayleigh(epsilon, dim: int = 2):
     quotient = lam + excess
     err = (cap_err[1] + slab_err[0] + (slab_err[1] + 2.0 * slab_err[2]) * inv2
            + lam * (cap_err[0] + slab_err[3])) / den * 2.0
-    bounds = tuple(Lemma2Bound(epsilon=e, dim=dim, quotient=float(q), excess=float(x),
-                               error_est=_budget(r, lam))
-                   for e, q, x, r in zip(epsilons, quotient, excess, err))
-    return bounds[0] if np.ndim(epsilon) == 0 else bounds
+    return [Lemma2Bound(epsilon=e, dim=dim, quotient=float(q), excess=float(x),
+                        error_est=_budget(r, lam))
+            for e, q, x, r in zip(epsilons, quotient, excess, err)]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralgap import attainable, geometry, pipeline, testfn
+from spectralgap import attainable, discretize, geometry, pipeline, testfn
 from spectralgap.analytic import ball_spectrum, theta_spectrum
 
 # fine grids pinned by the acceptance criteria
@@ -103,6 +103,15 @@ def default_sweep_records():
         config = attainable.SweepConfig(h_list=MID_H, tol=1e-6)
         return attainable.sweep(attainable.DEFAULT_FAMILIES, config)
     return _timed(compute)
+
+
+def grid_problem(grid):
+    """The five-point matrix of a grid and its chain of interpolations, the
+    two arguments of ``eigensolve.smallest_pairs``.  Every test that solves
+    a grid directly takes them from here: a solve handed a short chain
+    inverts its coarsest level densely, the whole operator if the chain is
+    empty."""
+    return discretize.assemble(grid), pipeline.chain(grid.active)[1]
 
 
 def ball_ground_state_field(dim=2, center=(0.0, 0.0), scale=1.0):

@@ -10,7 +10,9 @@ import time
 import numpy as np
 from scipy import optimize, special
 
-from conftest import assert_in_region, assert_odd_reflection, cli_env, mirror_correlation
+from conftest import (
+    assert_in_region, assert_odd_reflection, cli_env, grid_problem, mirror_correlation,
+)
 from oracle import Lemma1Function, Lemma2Function
 from spectralgap import analytic, asymptotics, geometry, testfn
 from spectralgap.eigensolve import smallest_pairs
@@ -237,9 +239,9 @@ def test_criterion_10_property_suites(disc_solve_fine):
         failures.append("quotient value")
 
     # determinism: eigensolver and CLI
-    op = discretize.assemble(discretize.build_grid(geometry.Ball(), 1 / 16))
-    r1 = smallest_pairs(op, tol=1e-8, seed=42)
-    r2 = smallest_pairs(op, tol=1e-8, seed=42)
+    problem = grid_problem(discretize.build_grid(geometry.Ball(), 1 / 16))
+    r1 = smallest_pairs(*problem, tol=1e-8, seed=42)
+    r2 = smallest_pairs(*problem, tol=1e-8, seed=42)
     if not (np.array_equal(r1.values, r2.values) and r1.iterations == r2.iterations
             and np.array_equal(r1.vectors, r2.vectors)):
         failures.append("solver determinism")

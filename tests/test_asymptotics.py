@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -13,18 +14,22 @@ from spectralgap.geometry import cap_volume
 # the synthetic records check exact algebraic identities against the value
 # the package itself computes
 LAM_P = theta_spectrum(2)[0]
+LAM = ball_spectrum(2).lambda1
 
 
 def synthetic_records(eps_grid, ratio_fn):
-    """Dumbbell records whose bound-path ratio equals ratio_fn(eps)."""
+    """Dumbbell records whose bound-path ratio equals ratio_fn(eps).  With
+    the cap share c and g = 1 - c (N = 2), the deficit d and the excess x
+    make the ratio's denominator d g - lam (g - 1) equal to eps and its
+    numerator lam (g - 1) + x g equal to ratio_fn(eps) * eps; the
+    normalized bounds are 2 g (lam - d) and 2 g (lam + x)."""
     records = []
     for e in eps_grid:
-        den = e  # lambda1 bound one eps below the corner
-        num = ratio_fn(e) * den
-        records.append(SweepRecord(
-            family="dumbbell", param=e,
-            bound1=LAM_P - den, bound2=LAM_P + num,
-        ))
+        c = cap_volume(e, 2) / math.pi
+        g = 1.0 - c
+        d, x = (e - LAM * c) / g, (ratio_fn(e) * e + LAM * c) / g
+        records.append(SweepRecord(family="dumbbell", param=e, bound1=2.0 * g * (LAM - d),
+                                   bound2=2.0 * g * (LAM + x), deficit=d, excess=x))
     return records
 
 
@@ -90,25 +95,23 @@ class TestRatioCurve:
         records = synthetic_records(EPS[:4], lambda e: math.sqrt(e))
         records.append(SweepRecord(family="dumbbell", param=0.25,
                                    bound1=LAM_P + 1.0, bound2=LAM_P + 2.0,
+                                   deficit=-1.0, excess=1.0,
                                    lambda1_norm=LAM_P, lambda2_norm=LAM_P + 1.0))
         rows = asy.ratio_curve(records)
         assert len(rows) == 5
         assert rows[-1] == (0.25, None, None)
 
     def test_grid_path(self):
-        rec = SweepRecord(family="dumbbell", param=0.2,
-                          bound1=LAM_P - 1.0, bound2=LAM_P + 0.25,
-                          lambda1_norm=LAM_P - 1.0, lambda2_norm=LAM_P + 0.5)
-        assert asy.ratio_curve([rec]) == ((0.2, 0.25, 0.5),)
+        rec, = synthetic_records([0.2], lambda e: 0.25)
+        rec = replace(rec, lambda1_norm=LAM_P - 1.0, lambda2_norm=LAM_P + 0.5)
+        ((eps, bound, grid),) = asy.ratio_curve([rec])
+        assert (eps, grid) == (0.2, 0.5) and bound == pytest.approx(0.25, rel=1e-12)
 
     def test_other_families_ignored(self):
         rec = SweepRecord(family="ball", param=1.0, bound1=5.8, bound2=14.7,
                           lambda1_norm=5.8, lambda2_norm=14.7)
         assert asy.ratio_curve([rec]) == ()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: ratio_curve subtracts lambda(P) from the O(1) normalized "
-        "quotients, whose difference is about eps^((N+1)/2)"))
     @pytest.mark.parametrize("dim", [2, 3])
     def test_bound_ratio_free_of_cancellation(self, dim):
         """At eps = 1e-7 the bound-path ratio is, within 1e-12 relative, the

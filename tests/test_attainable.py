@@ -80,6 +80,7 @@ class TestSweep:
         b1, b2 = lemma1_rayleigh(0.2), lemma2_rayleigh(0.2)
         assert (rec.measure, rec.t_factor) == (measure, t)
         assert (rec.bound1, rec.bound2) == (b1.quotient * factor, b2.quotient * factor)
+        assert (rec.deficit, rec.excess) == (b1.deficit, b2.excess)
         assert rec.error_est == (b1.error_est + b2.error_est) * factor > 0
 
     def test_each_refused_eps_fails_only_its_own_record(self):
@@ -98,6 +99,7 @@ class TestSweep:
                                 "1e-150 <= eps <= 0.3, got 0.5")
         assert (high.measure, high.t_factor) == normalization(Dumbbell(0.5))[:2]
         assert math.isnan(high.error_est) and high.bound1 is None and high.bound2 is None
+        assert high.deficit is None and high.excess is None
         factor = normalization(Dumbbell(0.2))[2]
         b1, b2 = lemma1_rayleigh(0.2), lemma2_rayleigh(0.2)
         assert good.failure is None

@@ -441,7 +441,8 @@ class TestCsv:
     def test_header_schema(self):
         assert cli._sweep_csv([]) == ("family,param,h_list,lambda1_raw,lambda2_raw,"
                                       "lambda1_x,lambda2_x,measure,t,lambda1_norm,"
-                                      "lambda2_norm,bound1,bound2,err,failure\n")
+                                      "lambda2_norm,bound1,bound2,deficit,excess,err,"
+                                      "failure\n")
         assert len(cli.SWEEP_HEADER) == len(dataclasses.fields(attainable.SweepRecord))
 
     def test_roundtrip_and_determinism(self, bound_only_records):
@@ -463,7 +464,7 @@ class TestCsv:
                                           failure='GridError: no nodes at h=0.5, "coarse"'),
                    attainable.SweepRecord(family="ball", param=1.0)]
         rows = list(csv.reader(io.StringIO(cli._sweep_csv(records))))
-        assert len(rows[0]) == len(rows[1]) == len(rows[2]) == 15
+        assert len(rows[0]) == len(rows[1]) == len(rows[2]) == 17
         assert rows[1][0] == "ellipses"
         assert rows[1][-1] == 'GridError: no nodes at h=0.5, "coarse"'
         assert rows[2][-1] == ""
@@ -476,7 +477,7 @@ class TestCsv:
         assert rows[1][:2] == ["rectangles", "1"] and rows[1][-1].startswith("GridError: ")
         # it keeps its measure and t, but holds no eigenvalue and so no budget
         assert rows[1][2:7] == [""] * 5 and rows[1][7:9] == ["1", "1.77245385091"]
-        assert rows[1][9:-1] == [""] * 5
+        assert rows[1][9:-1] == [""] * 7
         assert all(float(row[-2]) > 0 for row in rows[2:])
         assert cli.main(argv + ["--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

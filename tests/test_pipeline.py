@@ -30,8 +30,8 @@ def _scripted(monkeypatch, levels):
     """Make solve_domain see the given per-level eigenvalue pairs."""
     script = iter(levels)
 
-    def fake(op, k, tol, seed, coarse, values_only):
-        return es.EigenResult(values=np.array(next(script)), vectors=np.ones((op.n, k)),
+    def fake(A, transfers, k, tol, seed, coarse, values_only):
+        return es.EigenResult(values=np.array(next(script)), vectors=np.ones((A.shape[0], k)),
                               residuals=np.zeros(k), iterations=(1,) * k)
 
     monkeypatch.setattr(pipeline.eigensolve, "smallest_pairs", fake)
@@ -137,25 +137,86 @@ def test_disc_solve_peak_memory():
     (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), 4),
 ])
 def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
-    """Each level continues from the result of the one before and builds
-    one interpolation; the coarsest level builds its own chain."""
+    """The chain of interpolations is built once per domain, down from the
+    finest grid; each level takes its tail, and continues from the vectors
+    of the level before."""
     built, passed, results = [], [], []
-    prolong, solve = es.prolong, es.smallest_pairs
+    prolong, solve = d.prolong, es.smallest_pairs
 
     def count(nodes):
         built.append(len(nodes))
         return prolong(nodes)
 
-    def record(op, coarse, **kwargs):
-        passed.append(coarse)
-        results.append(solve(op, coarse=coarse, **kwargs))
+    def record(A, transfers, coarse, **kwargs):
+        passed.append((transfers, coarse))
+        results.append(solve(A, transfers, coarse=coarse, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(es, "prolong", count)
+    monkeypatch.setattr(d, "prolong", count)
     monkeypatch.setattr(es, "smallest_pairs", record)
     pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
     assert len(built) == len(set(built)) == builds
-    assert passed[0] is None and all(a is b for a, b in zip(passed[1:], results))
+    chain = passed[-1][0]
+    assert len(chain) == builds
+    for depth, (transfers, coarse) in zip(range(len(h_list) - 1, -1, -1), passed):
+        assert len(transfers) == len(chain) - depth
+        assert all(P is own for P, own in zip(transfers, chain[depth:]))
+    assert passed[0][1] is None
+    assert all(coarse is res.vectors for (_, coarse), res in zip(passed[1:], results))
+
+
+def test_solve_domain_builds_one_grid(monkeypatch):
+    """Only the finest grid is built from the domain, in one membership
+    pass; the coarser levels come from its nodes."""
+    builds, passes = [], []
+    build_grid, contains = d.build_grid, d.contains
+
+    def count_builds(domain, h):
+        builds.append(h)
+        return build_grid(domain, h)
+
+    def count_passes(domain, x):
+        passes.append(len(x))
+        return contains(domain, x)
+
+    monkeypatch.setattr(d, "build_grid", count_builds)
+    monkeypatch.setattr(d, "contains", count_passes)
+    solve = pipeline.solve_domain(geo.Dumbbell(0.2), (1 / 8, 1 / 16, 1 / 32), tol=TOL, seed=1)
+    assert builds == [1 / 32] and len(passes) == 1
+    assert [lv.n for lv in solve.levels] == [build_grid(geo.Dumbbell(0.2), h).n
+                                             for h in (1 / 8, 1 / 16, 1 / 32)]
+
+
+def _chain_domains():
+    """One domain of every kind in geometry.KINDS."""
+    kinds = {"ball": geo.Ball(), "dumbbell": geo.Dumbbell(0.2),
+             "half_dumbbell": geo.HalfDumbbell(0.1),
+             "scaled": geo.Scaled(1.3, geo.Dumbbell(0.1)),
+             "disjoint_union": geo.DisjointUnion((geo.Ball(center=(-1.8, 0.1), radius=0.7),
+                                                  geo.Rectangle(1.0, 0.7))),
+             "rectangle": geo.Rectangle(3.0, 1.0), "ellipse": geo.Ellipse(2.0, 1.0),
+             "two_balls": geo.two_balls()}
+    assert kinds.keys() == geo.KINDS.keys()
+    return list(kinds.values())
+
+
+@pytest.mark.parametrize("domain", _chain_domains(), ids=repr)
+def test_chain_levels_are_the_grids_of_their_spacing(domain):
+    """Every level of the chain down from the grid at 1/32 has the node set
+    of ``build_grid`` at its spacing, and assembles to the same CSR arrays,
+    bit for bit."""
+    hs = (1 / 32, 1 / 16, 1 / 8)
+    node_sets, transfers = pipeline.chain(d.build_grid(domain, hs[0]).active, len(hs))
+    assert len(node_sets) == len(hs)
+    assert [P.shape for P in transfers[:len(hs) - 1]] == [
+        (len(fine), len(coarse)) for fine, coarse in zip(node_sets, node_sets[1:])]
+    for h, nodes in zip(hs, node_sets):
+        grid = d.build_grid(domain, h)
+        assert nodes.dtype == grid.active.dtype and np.array_equal(nodes, grid.active)
+        own, derived = d.assemble(grid), d.assemble(d.lattice_grid(h, nodes))
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(derived, attr), getattr(own, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), attr
 
 
 def test_disc_solve_converts_no_csr_matrix_to_csc(monkeypatch):
@@ -175,27 +236,27 @@ def test_disc_solve_converts_no_csr_matrix_to_csc(monkeypatch):
 
 
 def test_transfers_passed_finest_first(monkeypatch):
-    """Each level's result carries the interpolation onto its grid first and
-    then the very matrices of the level before, so a transfer built at one
-    level is passed on, finest first, to every finer one."""
-    results = []
+    """Each level gets the interpolation onto its grid first and then the
+    very matrices of the level before, so a transfer built once is passed
+    on, finest first, to every finer level."""
+    passed = []
     solve = es.smallest_pairs
 
-    def record(op, **kwargs):
-        results.append(solve(op, **kwargs))
-        return results[-1]
+    def record(A, transfers, **kwargs):
+        passed.append((A.shape[0], transfers))
+        return solve(A, transfers, **kwargs)
 
     monkeypatch.setattr(es, "smallest_pairs", record)
     h_list = (1 / 8, 1 / 16, 1 / 32)
     pipeline.solve_domain(geo.Dumbbell(0.2), h_list, tol=TOL, seed=1)
     sizes = [d.build_grid(geo.Dumbbell(0.2), h).n for h in h_list]
-    assert [len(res.vectors) for res in results] == sizes
-    for fine, coarse, (n, coarse_n) in zip(results[1:], results, zip(sizes[1:], sizes)):
-        assert fine.transfers[0].shape == (n, coarse_n)
-        assert len(fine.transfers) == len(coarse.transfers) + 1
-        assert all(P is own for P, own in zip(fine.transfers[1:], coarse.transfers))
-    for res in results:
-        assert all(P.shape[1] == Q.shape[0] for P, Q in zip(res.transfers, res.transfers[1:]))
+    assert [n for n, _ in passed] == sizes
+    for (n, fine), (coarse_n, coarse) in zip(passed[1:], passed):
+        assert fine[0].shape == (n, coarse_n)
+        assert len(fine) == len(coarse) + 1
+        assert all(P is own for P, own in zip(fine[1:], coarse))
+    for _, transfers in passed:
+        assert all(P.shape[1] == Q.shape[0] for P, Q in zip(transfers, transfers[1:]))
 
 
 def test_h_list_halves_exactly():
@@ -248,8 +309,8 @@ def test_coarser_levels_stop_within_the_true_temple_bound(domain, h_list, k, mon
     stops = []
     solve = es.smallest_pairs
 
-    def record(op, **kwargs):
-        stops.append((op, kwargs["values_only"], solve(op, **kwargs)))
+    def record(A, transfers, **kwargs):
+        stops.append((A, kwargs["values_only"], solve(A, transfers, **kwargs)))
         return stops[-1][-1]
 
     monkeypatch.setattr(es, "smallest_pairs", record)
@@ -263,11 +324,11 @@ def test_coarser_levels_stop_within_the_true_temple_bound(domain, h_list, k, mon
         if not values_only:
             *temple_stopped, (_, _, finest) = stops
             assert (finest.residuals <= TOL * finest.values).all()
-        for op, _, res in temple_stopped:
-            if op.n not in exact:
-                exact[op.n] = np.sort(spla.eigsh(op.matrix, k=k + 3, sigma=0.0,
-                                                 return_eigenvectors=False))
-            lams = exact[op.n]
+        for A, _, res in temple_stopped:
+            if A.shape[0] not in exact:
+                exact[A.shape[0]] = np.sort(spla.eigsh(A, k=k + 3, sigma=0.0,
+                                                       return_eigenvectors=False))
+            lams = exact[A.shape[0]]
             for theta, residual, lam in zip(res.values, res.residuals, lams):
                 gap = lams[lams > theta * (1.0 + es.CLUSTER)][0] - theta
                 assert residual**2 / gap <= TOL * theta
@@ -281,9 +342,9 @@ def test_only_value_readers_stop_the_finest_level_on_temple(monkeypatch):
     flags = []
     solve = es.smallest_pairs
 
-    def record(op, **kwargs):
+    def record(*args, **kwargs):
         flags.append(kwargs["values_only"])
-        return solve(op, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(es, "smallest_pairs", record)
     config = attainable.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32))
