@@ -46,6 +46,10 @@ class SweepConfig:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError(f"solver tolerance must be finite and > 0, got {self.tol}")
+        if np.isnan(self.grid_eps_min):  # compares false: every dumbbell would be grid-solved
+            raise ValueError(f"grid_eps_min must be a number, got {self.grid_eps_min}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

@@ -7,9 +7,10 @@ neighbors outside the domain contribute nothing, which imposes u = 0 there.
 A dumbbell contains its open junction disk, so its grid keeps the
 junction nodes, also inside scaled copies and unions, and stays connected.
 ``build_grid`` finds a domain's active nodes in one ``contains`` pass, and
-``lattice_grid`` indexes any node set: the all-even nodes of a grid, halved
-(``prolong``), are the grid of twice the spacing, so coarser levels need no
-second pass.
+``lattice_grid``, the one builder of an index map, makes a ``Grid2D`` of any
+node set.  ``prolong`` takes a grid to the grid of twice the spacing, its
+all-even nodes halved, and the interpolation between the two, both read
+from the fine grid's index map, so coarser levels need no second pass.
 
 Masked boundaries degrade the formal O(h^2) convergence of the stencil, so
 ``extrapolate`` Richardson-extrapolates eigenvalues with an order fitted
@@ -17,7 +18,6 @@ from three grid levels instead of an assumed exponent, accepted only inside
 ORDER_BAND, and gives each value its error budget.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +59,6 @@ class Grid2D:
     def n(self) -> int:
         return len(self.active)
 
-    def coords(self) -> np.ndarray:
-        """Cartesian coordinates of the active nodes, shape (n, 2)."""
-        return self.active * self.h
-
 
 def build_grid(domain, h: float) -> Grid2D:
     """Enumerate active lattice nodes of a planar domain at spacing h.
@@ -96,7 +92,8 @@ def build_grid(domain, h: float) -> Grid2D:
 
 def lattice_grid(h: float, active: np.ndarray) -> Grid2D:
     """The grid of spacing h whose active nodes are the lattice indices
-    ``active`` (n >= 1, lexicographic): its index map spans their bounding
+    ``active`` (n >= 1 distinct nodes, lexicographic in every grid that
+    ``build_grid`` and ``prolong`` make): its index map spans their bounding
     box and a frame of one inactive node on every side."""
     i, j = active.T  # reduced one column at a time: 30x faster than along axis 0
     i0, j0 = int(i.min()) - 1, int(j.min()) - 1
@@ -133,55 +130,51 @@ def assemble(grid: Grid2D):
     return sp.csr_matrix((data, stencil[ok], indptr), shape=(n, n))
 
 
-def prolong(nodes: np.ndarray):
-    """Coarsen distinct lattice nodes (n, d) to the lattice of twice the
-    spacing.
+def prolong(grid: Grid2D):
+    """Coarsen a grid to the lattice of twice the spacing.
 
-    Returns the all-even nodes, halved, and the multilinear interpolation P
-    (CSC, int32 indices) onto ``nodes`` from them.  A node with m odd
-    indices takes 2^-m from each of its 2^m parents; a parent that is not a
-    coarse node counts as a Dirichlet zero.  With exactly halved spacings
-    the coarse nodes of a grid are the active nodes of the grid before it.
-    CSC makes P.T a CSR view of P's arrays, so the restriction P^T r runs
-    as a row-wise product with no copy of P.
+    Returns the grid of spacing 2h whose active nodes are the all-even
+    nodes of ``grid``, halved (None when there is no even node), and the
+    bilinear interpolation P (CSC, int32 indices) onto ``grid``'s nodes
+    from them.  A node with m odd indices takes 2^-m from each of its 2^m
+    parents; a parent that is not a coarse node counts as a Dirichlet zero.
+    The coarse grid of a domain's grid is the domain's grid at exactly
+    twice the spacing, bit for bit.  CSC makes P.T a CSR view of P's
+    arrays, so the restriction P^T r runs as a row-wise product with no
+    copy of P.
 
-    P is built column by column, with no CSR intermediate: the fine rows
-    sit in a dense map over the nodes' bounding box, and column C holds the
-    fine nodes 2C + o, o in {-1, 0, 1}^d, with weight 2^-|o|_1, all read
-    in one gather at flat offsets.  Lexicographic nodes (every grid and
-    every coarse level) give ascending rows; other orders are sorted.
+    P is built column by column, with no CSR intermediate: column C holds
+    the fine nodes 2C + (a, b), a, b in {-1, 0, 1}, with weight
+    2^-(|a| + |b|), all read in one gather from the flattened
+    ``grid.index_map`` at flat offsets.  Lexicographic nodes (every grid)
+    give ascending rows; other orders are sorted.
     """
     import scipy.sparse as sp
 
-    n, dim = nodes.shape
-    lattice = np.ascontiguousarray(nodes.T)
-    even = ~(lattice & 1).any(axis=0)
-    coarse = np.compress(even, nodes, axis=0) >> 1
+    n = grid.n
+    i, j = grid.active.T
+    even = ((i | j) & 1) == 0
+    coarse = np.compress(even, grid.active, axis=0) >> 1
     if len(coarse) == 0:
-        return coarse, sp.csc_matrix((n, 0))
-    # fine rows by flat lattice index, with a frame of -1 that catches every
-    # neighbor outside the nodes' bounding box
-    low = lattice.min(axis=1) - 1
-    rows = np.full(lattice.max(axis=1) - low + 2, -1, dtype=np.int32)
-    flat = np.ravel_multi_index(lattice - low[:, None], rows.shape)
-    strides = np.array(rows.strides) // rows.itemsize
-    rows = rows.ravel()
-    rows[flat] = np.arange(n, dtype=np.int32)
-    # offsets in lexicographic order, so the rows of a column stay ascending
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
-    # indexed through the transpose of a (3^d, m) array, so that each
+        return None, sp.csc_matrix((n, 0))
+    width = grid.index_map.shape[1]
+    flat = (i - grid.i0) * width + (j - grid.j0)
+    # offsets (a, b) in lexicographic order, so the rows of a column ascend
+    offsets = (np.array([-width, 0, width])[:, None] + np.array([-1, 0, 1])).ravel()
+    weights = np.outer([0.5, 1.0, 0.5], [0.5, 1.0, 0.5]).ravel()
+    # indexed through the transpose of a (9, m) array, so that each
     # offset's column is contiguous
-    hits = rows[((offsets @ strides)[:, None] + np.compress(even, flat)).T]
+    hits = grid.index_map.ravel()[(offsets[:, None] + np.compress(even, flat)).T]
     keep = hits >= 0
     indptr = np.zeros(len(coarse) + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    data = np.broadcast_to(np.ldexp(1.0, -np.abs(offsets).sum(axis=1)), hits.shape)[keep]
+    data = np.broadcast_to(weights, hits.shape)[keep]
     P = sp.csc_matrix((data, hits[keep], indptr), shape=(n, len(coarse)))
     if (np.diff(flat) > 0).all():  # lexicographic nodes: every column ascends
         P.has_sorted_indices = True
     else:
         P.sort_indices()
-    return coarse, P
+    return lattice_grid(2 * grid.h, coarse), P
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 Richardson-extrapolate with a fitted order.
 
 Spacings are made exact halves of the coarsest, so only the finest grid is
-built from the domain: ``chain`` halves its all-even nodes into the coarser
-levels' node sets and one chain of interpolations (``discretize.prolong``).
-Each level is assembled from its node set, solved with its tail of the
-chain, and continues from the vectors of the level before
+built from the domain: ``chain`` coarsens it (``discretize.prolong``) into
+the coarser levels' grids and one chain of interpolations.  Each level's
+grid is assembled as it comes, solved with its tail of the chain, and
+continues from the vectors of the level before
 (``smallest_pairs(coarse=)``).  The fit needs only the eigenvalues of a
 coarser level, and the next level its vectors as a start, so every level
 but the finest stops on Temple's
@@ -86,24 +86,24 @@ def halving_levels(h_list) -> list:
     return [hs[0] / 2**i for i in range(len(hs))]
 
 
-def chain(nodes, levels: int = 1):
-    """The node sets of ``levels`` halving levels down from lattice nodes
-    ``nodes``, finest first, each the all-even nodes of the one before,
-    halved; and the interpolation matrices (CSC) onto each level from the
-    next, finest first, which ``eigensolve.smallest_pairs`` takes with the
-    matrix on ``nodes``.  Coarsening goes on below the levels while a level
-    has more than ``eigensolve.COARSEST`` nodes, and ends at one without an
-    all-even node, so fewer sets come back when a level is empty.
+def chain(grid, levels: int = 1):
+    """The grids of ``levels`` halving levels down from ``grid``, finest
+    first, each ``discretize.prolong`` of the one before; and the
+    interpolation matrices (CSC) onto each level from the next, finest
+    first, which ``eigensolve.smallest_pairs`` takes with the matrix of
+    ``grid``.  Coarsening goes on below the levels while a level has more
+    than ``eigensolve.COARSEST`` nodes, and ends at one without an all-even
+    node, so fewer grids come back when a level is empty.
     """
-    node_sets, transfers = [nodes], []
-    while len(node_sets) < levels or len(nodes) > eigensolve.COARSEST:
-        nodes, P = discretize.prolong(nodes)
-        if len(nodes) == 0:
+    grids, transfers = [grid], []
+    while len(grids) < levels or grid.n > eigensolve.COARSEST:
+        grid, P = discretize.prolong(grid)
+        if grid is None:
             break
         transfers.append(P)
-        if len(node_sets) < levels:
-            node_sets.append(nodes)
-    return node_sets, transfers
+        if len(grids) < levels:
+            grids.append(grid)
+    return grids, transfers
 
 
 def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAULT_SEED,
@@ -121,18 +121,18 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
     error budgets.
     """
     hs = halving_levels(h_list)
-    grid = discretize.build_grid(domain, hs[-1])
-    node_sets, transfers = chain(grid.active, len(hs))
+    grids, transfers = chain(discretize.build_grid(domain, hs[-1]), len(hs))
+    grid = grids[0]
     # a coarse level's nodes are a subset of each finer level's, so the
     # coarsest is the first to fall short
-    n = len(node_sets[-1]) if len(node_sets) == len(hs) else 0
+    n = grids[-1].n if len(grids) == len(hs) else 0
     if n < k:
         raise discretize.GridError(f"{n} active node(s) at spacing h = {hs[0]} in "
                                    f"{domain!r}, fewer than the {k} pairs requested")
     levels, vectors = [], None
     for depth, h in zip(reversed(range(len(hs))), hs):
-        # a coarse level's node set and index map are freed once it is assembled
-        A = discretize.assemble(discretize.lattice_grid(h, node_sets.pop()) if depth else grid)
+        # a coarse level's grid is freed once it is assembled
+        A = discretize.assemble(grids.pop())
         result = eigensolve.smallest_pairs(A, transfers[depth:], k=k, tol=tol, seed=seed,
                                            coarse=vectors,
                                            values_only=values_only or depth > 0)

@@ -3,7 +3,7 @@ the acceptance suite can verify its runtime budgets while module tests reuse
 the same results.  Two assertion helpers check what every result must
 satisfy: ``assert_in_region`` the sharp inclusions of a sweep record,
 ``assert_odd_reflection`` the odd-reflection inequality of a dumbbell and its
-half."""
+half; ``assert_same_grid`` compares two grids field for field."""
 
 import os
 import time
@@ -111,7 +111,23 @@ def grid_problem(grid):
     a grid directly takes them from here: a solve handed a short chain
     inverts its coarsest level densely, the whole operator if the chain is
     empty."""
-    return discretize.assemble(grid), pipeline.chain(grid.active)[1]
+    return discretize.assemble(grid), pipeline.chain(grid)[1]
+
+
+def row_lattice(i):
+    """The grid of spacing 1 whose active nodes are the lattice nodes
+    (i, 0), in the order given: a bare matrix's lattice when i is
+    0 .. n - 1."""
+    i = np.asarray(i)
+    return discretize.lattice_grid(1.0, np.column_stack([i, np.zeros_like(i)]))
+
+
+def assert_same_grid(got, want):
+    """Two grids are equal field for field, dtypes included."""
+    assert (got.h, got.i0, got.j0) == (want.h, want.i0, want.j0)
+    for name in ("index_map", "active"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def ball_ground_state_field(dim=2, center=(0.0, 0.0), scale=1.0):

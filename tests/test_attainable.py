@@ -172,6 +172,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="solver tolerance must be finite and > 0"):
             at.SweepConfig(tol=tol)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("grid_eps_min", math.nan, "grid_eps_min must be a number, got nan"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("jobs", 0, "jobs must be >= 1"),
+    ])
+    def test_invalid_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            at.SweepConfig(**{field: value})
+
     def test_normalization_identity(self):
         rec = at.sweep({"ellipses": [1.5]}, CHEAP)[0]
         assert rec.lambda1_norm * rec.t_factor**2 == pytest.approx(rec.lambda1_x, rel=1e-12)

@@ -9,7 +9,7 @@ from spectralgap import discretize as d
 from spectralgap import eigensolve as es
 from spectralgap import geometry as geo
 
-from conftest import grid_problem
+from conftest import assert_same_grid, grid_problem, row_lattice
 
 
 def square_mode_values(m):
@@ -37,7 +37,7 @@ class TestBuildGrid:
     def test_nodes_inside_domain(self):
         domain = geo.Dumbbell(0.2)
         grid = d.build_grid(domain, 1 / 16)
-        inside = geo.contains(domain, grid.coords())
+        inside = geo.contains(domain, grid.active * grid.h)
         assert inside.all()
 
     def test_lexicographic_order(self):
@@ -137,7 +137,7 @@ class TestAssemble:
     def test_two_balls_block_diagonal(self):
         grid = d.build_grid(geo.two_balls(), 1 / 16)
         A = d.assemble(grid)
-        left = grid.coords()[:, 0] < 0
+        left = grid.active[:, 0] * grid.h < 0
         n_left = int(left.sum())
         # lexicographic ordering puts the left ball first
         assert left[:n_left].all() and not left[n_left:].any()
@@ -175,13 +175,16 @@ def _csr_prolong(nodes):
     return coarse, P.tocsc()
 
 
-def _assert_prolong_matches_csr_build(nodes):
-    """prolong(nodes) equals the reference array for array, dtypes included;
-    returns the coarse nodes."""
-    coarse, P = d.prolong(nodes)
-    want_coarse, want = _csr_prolong(nodes)
-    assert coarse.dtype == want_coarse.dtype and coarse.shape == want_coarse.shape
-    assert np.array_equal(coarse, want_coarse)
+def _assert_prolong_matches_csr_build(grid):
+    """prolong(grid) equals the reference on the grid's nodes array for
+    array, dtypes included, its coarse grid being the one ``lattice_grid``
+    makes of the reference's coarse nodes; returns the coarse grid."""
+    coarse, P = d.prolong(grid)
+    want_coarse, want = _csr_prolong(grid.active)
+    if len(want_coarse) == 0:
+        assert coarse is None
+    else:
+        assert_same_grid(coarse, d.lattice_grid(2 * grid.h, want_coarse))
     assert P.format == "csc" and P.shape == want.shape
     for name in ("indptr", "indices", "data"):
         got, ref = getattr(P, name), getattr(want, name)
@@ -200,10 +203,10 @@ class TestProlong:
         (geo.Ellipse(1.5, 0.7), 0.02), (geo.Ball(), 0.03),
     ])
     def test_equals_csr_build_on_every_level(self, domain, h):
-        nodes = d.build_grid(domain, h).active
+        grid = d.build_grid(domain, h)
         levels = 0
-        while len(nodes) > 1:
-            nodes = _assert_prolong_matches_csr_build(nodes)
+        while grid is not None and grid.n > 1:
+            grid = _assert_prolong_matches_csr_build(grid)
             levels += 1
         assert levels >= 4
 
@@ -211,21 +214,16 @@ class TestProlong:
     def test_equals_csr_build_on_shuffled_nodes(self, domain, h):
         nodes = d.build_grid(domain, h).active
         shuffled = nodes[np.random.default_rng(3).permutation(len(nodes))]
-        _assert_prolong_matches_csr_build(shuffled)
-        _assert_prolong_matches_csr_build(shuffled[:, ::-1])
+        _assert_prolong_matches_csr_build(d.lattice_grid(h, shuffled))
+        _assert_prolong_matches_csr_build(d.lattice_grid(h, shuffled[:, ::-1]))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
     def test_equals_csr_build_on_a_1d_lattice(self, n):
-        nodes = np.arange(n)[:, None]  # the lattice of a bare matrix
-        while len(nodes) > 1:
-            nodes = _assert_prolong_matches_csr_build(nodes)
-        _assert_prolong_matches_csr_build(nodes)  # the one node 0 is its own parent
-        _assert_prolong_matches_csr_build(np.arange(-n, 2 * n, 3)[:, None])
-
-    def test_equals_csr_build_on_a_3d_lattice(self):
-        cube = np.array(list(itertools.product(range(-3, 6), repeat=3)))
-        nodes = cube[np.random.default_rng(5).random(len(cube)) < 0.7]
-        _assert_prolong_matches_csr_build(nodes)
+        grid = row_lattice(np.arange(n))  # the 1-d lattice of a bare matrix, as row (i, 0)
+        while grid.n > 1:
+            grid = _assert_prolong_matches_csr_build(grid)
+        _assert_prolong_matches_csr_build(grid)  # the one node 0 is its own parent
+        _assert_prolong_matches_csr_build(row_lattice(np.arange(-n, 2 * n, 3)))
 
     @staticmethod
     def _bilinear(xy):
@@ -235,10 +233,11 @@ class TestProlong:
     def test_exact_for_bilinear_fields(self):
         coarse = d.build_grid(geo.Ellipse(1.5, 1.0), 1 / 8)
         fine = d.build_grid(geo.Ellipse(1.5, 1.0), 1 / 16)
-        nodes, P = d.prolong(fine.active)
-        assert np.array_equal(nodes, coarse.active)
+        grid, P = d.prolong(fine)
+        assert_same_grid(grid, coarse)
         f = self._bilinear
-        values = P @ np.column_stack([f(coarse.coords()), -f(coarse.coords())])
+        xy = coarse.active * coarse.h
+        values = P @ np.column_stack([f(xy), -f(xy)])
         assert values.shape == (fine.n, 2)
         # parents: the coarse nodes at floor and ceil of half the lattice index
         half = fine.active / 2.0
@@ -247,7 +246,7 @@ class TestProlong:
         active = np.all([coarse.index_map[c[:, 0] - coarse.i0, c[:, 1] - coarse.j0] >= 0
                          for c in corners], axis=0)
         assert active.sum() > fine.n // 2
-        exact = f(fine.coords()[active])
+        exact = f(fine.active[active] * fine.h)
         assert values[active, 0] == pytest.approx(exact, rel=1e-14, abs=1e-14)
         assert np.array_equal(values[:, 1], -values[:, 0])
         # a missing parent counts as zero: boundary values fall short of the field
@@ -257,8 +256,8 @@ class TestProlong:
     def test_even_nodes_copy_their_coarse_node(self):
         coarse = d.build_grid(geo.Dumbbell(0.2), 1 / 8)
         fine = d.build_grid(geo.Dumbbell(0.2), 1 / 16)
-        nodes, P = d.prolong(fine.active)
-        vec = np.arange(1.0, len(nodes) + 1.0)
+        grid, P = d.prolong(fine)
+        vec = np.arange(1.0, grid.n + 1.0)
         values = P @ vec
         even = ~(fine.active % 2).any(axis=1)
         rows = coarse.index_map[fine.active[even, 0] // 2 - coarse.i0,
@@ -270,24 +269,24 @@ class TestProlong:
                                         geo.Scaled(1.0, geo.Dumbbell(0.2))])
     def test_coarse_nodes_are_the_grid_of_twice_the_spacing(self, domain):
         for h in (1 / 8, 1 / 16, 1 / 32):
-            nodes, P = d.prolong(d.build_grid(domain, h).active)
-            assert np.array_equal(nodes, d.build_grid(domain, 2 * h).active)
+            grid, P = d.prolong(d.build_grid(domain, h))
+            assert_same_grid(grid, d.build_grid(domain, 2 * h))
             assert P.indices.dtype == P.indptr.dtype == np.int32
 
     def test_needs_half_the_spacing(self):
         fine = d.build_grid(geo.Ball(), 1 / 32)
-        nodes, P = d.prolong(fine.active)
+        grid, P = d.prolong(fine)
         assert P.shape == (fine.n, d.build_grid(geo.Ball(), 1 / 16).n)
-        assert np.array_equal(d.prolong(nodes)[0], d.build_grid(geo.Ball(), 1 / 8).active)
+        assert_same_grid(d.prolong(grid)[0], d.build_grid(geo.Ball(), 1 / 8))
         # a continuation must start from the grid of twice the spacing, not four times
         far = es.smallest_pairs(*grid_problem(d.build_grid(geo.Ball(), 1 / 8)), tol=1e-3, seed=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             es.smallest_pairs(*grid_problem(fine), coarse=far.vectors)
 
     def test_no_even_node_gives_no_coarse_node(self):
-        odd = np.array([[1, 1], [1, 3], [3, 2]])
-        nodes, P = d.prolong(odd)
-        assert nodes.shape == (0, 2) and P.shape == (3, 0)
+        odd = d.lattice_grid(1.0, np.array([[1, 1], [1, 3], [3, 2]]))
+        grid, P = d.prolong(odd)
+        assert grid is None and P.shape == (3, 0)
         _assert_prolong_matches_csr_build(odd)
 
 

@@ -12,16 +12,16 @@ from spectralgap import eigensolve as es
 from spectralgap import geometry as geo
 from spectralgap import pipeline
 
-from conftest import cli_env, grid_problem
+from conftest import cli_env, grid_problem, row_lattice
 from test_discretize import square_mode_values
 
 TOL = 1e-8  # the tolerance of every solve whose checks scale with it
 
 
 def _path_operator(M):
-    """The dense or sparse matrix M and its chain of interpolations on a 1-d
-    lattice: row i at lattice index i."""
-    return sp.csr_matrix(M), pipeline.chain(np.arange(M.shape[0])[:, None])[1]
+    """The dense or sparse matrix M and its chain of interpolations on a
+    row lattice: row i at lattice node (i, 0)."""
+    return sp.csr_matrix(M), pipeline.chain(row_lattice(np.arange(M.shape[0])))[1]
 
 
 def _grid_problem(domain, h):
@@ -406,9 +406,10 @@ class TestInterpolation:
         # a path of 150 nodes at odd lattice indices: no coarse node exists,
         # so the whole operator is the dense level
         n = 3 * es.COARSEST // 2
-        nodes = np.column_stack([2 * np.arange(n) + 1, np.ones(n, dtype=int)])
+        grid = d.lattice_grid(1.0, np.column_stack([2 * np.arange(n) + 1, np.ones(n, dtype=int)]))
         A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
-        assert pipeline.chain(nodes) == ([nodes], [])
+        grids, transfers = pipeline.chain(grid)
+        assert len(grids) == 1 and grids[0] is grid and transfers == []
         levels, coarse = es._hierarchy(A, [])
         assert levels == [] and coarse.shape == (n, n)
         res = es.smallest_pairs(A, [], tol=1e-10)

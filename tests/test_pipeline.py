@@ -14,6 +14,8 @@ from spectralgap import eigensolve as es
 from spectralgap import geometry as geo
 from spectralgap import pipeline
 
+from conftest import assert_same_grid
+
 TOL = 1e-6
 
 
@@ -120,9 +122,10 @@ def test_fewer_active_nodes_than_pairs():
 
 
 def test_disc_solve_peak_memory():
-    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (13.93 MiB
-    with A times the block vectors carried through LOBPCG) stays within 10%
-    of the 12.9 MiB of the aggregation-multigrid solver it replaced."""
+    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (13.91 MiB
+    both before and after the levels' grids came from ``prolong``, with A
+    times the block vectors carried through LOBPCG) stays within 10% of the
+    12.9 MiB of the aggregation-multigrid solver it replaced."""
     tracemalloc.start()
     try:
         pipeline.solve_domain(geo.Ball(), (1 / 32, 1 / 64, 1 / 128))
@@ -139,13 +142,25 @@ def test_disc_solve_peak_memory():
 def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
     """The chain of interpolations is built once per domain, down from the
     finest grid; each level takes its tail, and continues from the vectors
-    of the level before."""
-    built, passed, results = [], [], []
-    prolong, solve = d.prolong, es.smallest_pairs
+    of the level before.  One index map is built per lattice level: every
+    grid that ``prolong`` and ``assemble`` read is one ``lattice_grid``
+    made, for the finest grid and once per ``prolong``."""
+    built, passed, results, maps, read = [], [], [], [], []
+    prolong, solve, lattice_grid, assemble = (d.prolong, es.smallest_pairs, d.lattice_grid,
+                                              d.assemble)
 
-    def count(nodes):
-        built.append(len(nodes))
-        return prolong(nodes)
+    def count(grid):
+        built.append(grid.n)
+        read.append(grid)
+        return prolong(grid)
+
+    def count_maps(h, active):
+        maps.append(lattice_grid(h, active))
+        return maps[-1]
+
+    def count_assembled(grid):
+        read.append(grid)
+        return assemble(grid)
 
     def record(A, transfers, coarse, **kwargs):
         passed.append((transfers, coarse))
@@ -153,9 +168,13 @@ def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(d, "prolong", count)
+    monkeypatch.setattr(d, "lattice_grid", count_maps)
+    monkeypatch.setattr(d, "assemble", count_assembled)
     monkeypatch.setattr(es, "smallest_pairs", record)
     pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
     assert len(built) == len(set(built)) == builds
+    assert len(maps) == builds + 1
+    assert all(any(grid is own for own in maps) for grid in read)
     chain = passed[-1][0]
     assert len(chain) == builds
     for depth, (transfers, coarse) in zip(range(len(h_list) - 1, -1, -1), passed):
@@ -202,21 +221,16 @@ def _chain_domains():
 
 @pytest.mark.parametrize("domain", _chain_domains(), ids=repr)
 def test_chain_levels_are_the_grids_of_their_spacing(domain):
-    """Every level of the chain down from the grid at 1/32 has the node set
-    of ``build_grid`` at its spacing, and assembles to the same CSR arrays,
-    bit for bit."""
+    """Every level of the chain down from the grid at 1/32 is the grid of
+    ``build_grid`` at its spacing, field for field, so it assembles to the
+    same matrix, bit for bit."""
     hs = (1 / 32, 1 / 16, 1 / 8)
-    node_sets, transfers = pipeline.chain(d.build_grid(domain, hs[0]).active, len(hs))
-    assert len(node_sets) == len(hs)
+    grids, transfers = pipeline.chain(d.build_grid(domain, hs[0]), len(hs))
+    assert len(grids) == len(hs)
     assert [P.shape for P in transfers[:len(hs) - 1]] == [
-        (len(fine), len(coarse)) for fine, coarse in zip(node_sets, node_sets[1:])]
-    for h, nodes in zip(hs, node_sets):
-        grid = d.build_grid(domain, h)
-        assert nodes.dtype == grid.active.dtype and np.array_equal(nodes, grid.active)
-        own, derived = d.assemble(grid), d.assemble(d.lattice_grid(h, nodes))
-        for attr in ("data", "indices", "indptr"):
-            got, want = getattr(derived, attr), getattr(own, attr)
-            assert got.dtype == want.dtype and np.array_equal(got, want), attr
+        (fine.n, coarse.n) for fine, coarse in zip(grids, grids[1:])]
+    for h, grid in zip(hs, grids):
+        assert_same_grid(grid, d.build_grid(domain, h))
 
 
 def test_disc_solve_converts_no_csr_matrix_to_csc(monkeypatch):
