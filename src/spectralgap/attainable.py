@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigensolve import DEFAULT_SEED
 from .geometry import Ball, DisjointUnion, Dumbbell, Ellipse, Rectangle, normalization
-from .pipeline import solve_domain
+from .pipeline import halving_levels, solve_domain
 from .testfn import check_epsilon, lemma1_rayleigh, lemma2_rayleigh
 
 __all__ = ["SweepConfig", "SweepRecord", "DEFAULT_EPS_GRID", "DEFAULT_FAMILIES", "sweep"]
@@ -44,6 +44,8 @@ class SweepConfig:
     dim: int = 2  # ambient dimension of every family's domains
 
     def __post_init__(self):
+        # the spacings solve_domain will use: a list it would refuse is refused here
+        object.__setattr__(self, "h_list", tuple(halving_levels(self.h_list)))
         if not 0 < self.tol < np.inf:
             raise ValueError(f"solver tolerance must be finite and > 0, got {self.tol}")
         if np.isnan(self.grid_eps_min):  # compares false: every dumbbell would be grid-solved

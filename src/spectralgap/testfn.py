@@ -30,7 +30,9 @@ and the excess lie within their estimates at eps = 1e-8, 0.005 and 0.3.
 Both bounds take one eps or a sequence of them.  A sequence runs in
 batches of at most CHUNK eps: each chart is one quadrature call whose m
 intervals are the m eps of a batch, and each bound of a batch is, bit for
-bit, the bound of its eps alone; a float is the batch of one.
+bit, the bound of its eps alone; a float is the batch of one.  The batch is
+the nodes' leading axis: an integrand reads its eps as eps[:, None] on the
+1-d nodes (m, 15) and as eps[:, None, None] on the 2-d ones (m, 15, 15).
 """
 
 import math
@@ -78,12 +80,6 @@ def _sigma(dim):
     return 2.0 if dim == 2 else 2.0 * math.pi
 
 
-def _per_node(values, nodes):
-    """One value per interval spread over ``nodes``, which hold each
-    interval's nodes as one block, interval after interval (``quadrature``)."""
-    return np.repeat(values, len(nodes) // len(values))
-
-
 def _cap_integrals(eps, dim):
     """[int u^2, int |grad u|^2] over the ball part beyond {x1 = 0}.
 
@@ -94,7 +90,7 @@ def _cap_integrals(eps, dim):
     value_fn, fac_fn = radial_profile(dim)
 
     def integrand(tau):
-        c1 = 1.0 - _per_node(eps, tau)
+        c1 = 1.0 - eps[:, None]
         r = c1 + tau * tau
         if dim == 2:
             w = 2.0 * np.arccos(np.minimum(c1 / r, 1.0)) * r
@@ -102,7 +98,7 @@ def _cap_integrals(eps, dim):
             w = 2.0 * math.pi * (1.0 - c1 / r) * r * r
         u = value_fn(r)
         du = fac_fn(r) * r
-        return np.column_stack([u * u, du * du]) * (w * 2.0 * tau)[:, None]
+        return np.stack([u * u, du * du], axis=-1) * (w * 2.0 * tau)[..., None]
 
     value, error = kronrod(integrand, np.zeros_like(eps), np.sqrt(eps))
     return value.T, error.T
@@ -120,18 +116,18 @@ def _cone_integrals(eps, dim):
     sig = _sigma(dim)
 
     def f(x1, s):
-        dx = x1 - (1.0 - _per_node(eps, x1))
+        dx = x1 - (1.0 - eps[:, None, None])
         r = np.sqrt(dx * dx + s * s)
         dot = fac_fn(r) * (-0.5 * kappa) * (dx + s)
-        w = 0.5 * kappa * (_per_node(a, x1) - x1 - s)
-        comps = np.column_stack([
+        w = 0.5 * kappa * (a[:, None, None] - x1 - s)
+        comps = np.stack([
             2.0 * dot + 0.5 * kappa * kappa,
             2.0 * value_fn(r) * w + w * w,
-        ])
+        ], axis=-1)
         weight = sig * s ** (dim - 2)
-        return comps * weight[:, None]
+        return comps * weight[..., None]
 
-    value, error = kronrod_2d(f, np.zeros_like(eps), a, lambda x1: _per_node(a, x1) - x1)
+    value, error = kronrod_2d(f, np.zeros_like(eps), a, lambda x1: a[:, None] - x1)
     return value.T, error.T
 
 
@@ -144,7 +140,7 @@ def _slab_integrals(eps, dim):
     sig = _sigma(dim)
 
     def f(x1, s):
-        e = _per_node(eps, x1)
+        e = eps[:, None, None]
         dx = x1 - (1.0 - e)
         r = np.sqrt(dx * dx + s * s)
         u = value_fn(r)
@@ -153,17 +149,17 @@ def _slab_integrals(eps, dim):
         d1u = fac * dx
         xi = x1 / e
         one_m_xi2 = 1.0 - xi * xi
-        comps = np.column_stack([
+        comps = np.stack([
             du2 * one_m_xi2,
             u * u,
             x1 * u * d1u,
             u * u * one_m_xi2,
-        ])
+        ], axis=-1)
         weight = sig * s ** (dim - 2)
-        return comps * weight[:, None]
+        return comps * weight[..., None]
 
     def rho(x1):
-        dx = x1 - (1.0 - _per_node(eps, x1))
+        dx = x1 - (1.0 - eps[:, None])
         return np.sqrt(np.maximum(1.0 - dx * dx, 0.0))
 
     value, error = kronrod_2d(f, np.zeros_like(eps), eps, rho)

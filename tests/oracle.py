@@ -32,8 +32,10 @@ def quad(f, a, b, rel_tol, max_panels=4000):
     """(value, error) of the integral of ``f`` over [a, b], bisecting panels
     until the error is at most ``rel_tol`` times |value| in every component.
 
-    The first panel is ``kronrod(f, a, b)``, so an integral that needs no
-    bisection equals the fixed rule bit for bit.  Raises ValueError unless
+    ``f`` is an integrand as ``kronrod`` calls it, on nodes of shape (15,)
+    or, for the two halves of a bisected panel, (2, 15).  The first panel
+    is ``kronrod(f, a, b)``, so an integral that needs no bisection equals
+    the fixed rule bit for bit.  Raises ValueError unless
     ``rel_tol > 0`` and RuntimeError once ``max_panels`` panels miss it.
     """
     if not rel_tol > 0:
@@ -61,21 +63,22 @@ def nested(f, a, b, lo, hi, rel_tol=1e-8, max_panels=4000):
     lo(x) < s < hi(x): ``quad`` over x of one ``quad`` over s per outer node
     at a tenth of the tolerance.
 
-    ``f`` maps paired arrays to shape (n,) or (n, k); ``lo`` and ``hi`` map
-    one outer node to a limit.  The error of each component adds its outer
-    estimate and its largest inner one times (b - a).
+    ``f`` maps paired arrays of one shape (x, s) to values of that shape,
+    or with a last axis of components; ``lo`` and ``hi`` map one outer node
+    to a limit.  The error of each component adds its outer estimate and
+    its largest inner one times (b - a).
     """
     inner_err = 0.0
 
     def outer(xs):
         nonlocal inner_err
         rows = []
-        for x in xs:
+        for x in xs.flat:
             value, error = quad(lambda s: f(np.full_like(s, x), s), lo(x), hi(x),
                                 rel_tol=0.1 * rel_tol, max_panels=max_panels)
             inner_err = np.maximum(inner_err, error)
             rows.append(value)
-        return np.array(rows)
+        return np.reshape(rows, xs.shape + np.shape(rows[0]))
 
     value, error = quad(outer, a, b, rel_tol=rel_tol, max_panels=max_panels)
     return value, error + (b - a) * inner_err
@@ -120,8 +123,8 @@ def _integrate_components(domain, comps_fn, rel_tol, max_panels):
     total_err = 0.0
     for th_lo, th_hi, radius_fn in segments:
         def f(th, rs):
-            pts = center + rs[:, None] * np.column_stack([np.cos(th), np.sin(th)])
-            return comps_fn(pts) * rs[:, None]
+            pts = center + rs[..., None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+            return comps_fn(pts.reshape(-1, 2)).reshape(rs.shape + (-1,)) * rs[..., None]
 
         value, error = nested(f, th_lo, th_hi, lambda th: 0.0, radius_fn,
                               rel_tol=rel_tol, max_panels=max_panels)

@@ -176,6 +176,8 @@ class TestSweep:
         ("grid_eps_min", math.nan, "grid_eps_min must be a number, got nan"),
         ("seed", -1, "seed must be a non-negative integer, got -1"),
         ("jobs", 0, "jobs must be >= 1"),
+        ("h_list", (1 / 8,), "need at least two grid spacings"),
+        ("h_list", (1 / 8, 1 / 24), "grid levels must halve"),
     ])
     def test_invalid_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -13,7 +13,7 @@ def test_bisection_reaches_the_tolerance():
     value, error = quad(np.sqrt, 0.0, 1.0, rel_tol=1e-9)
     assert abs(value - 2.0 / 3.0) < 1e-8
     assert error <= 1e-9 * value
-    value, error = quad(lambda x: np.column_stack([np.sin(x), np.sqrt(x)]), 0.0, np.pi,
+    value, error = quad(lambda x: np.stack([np.sin(x), np.sqrt(x)], axis=-1), 0.0, np.pi,
                         rel_tol=1e-12)
     assert np.allclose(value, [2.0, 2.0 / 3.0 * np.pi**1.5], rtol=1e-11)
 

@@ -54,8 +54,26 @@ def test_empty_interval():
 def test_empty_batch():
     value, error = kronrod(np.sin, [], [])
     assert value.shape == error.shape == (0,)
-    value, error = kronrod(lambda x: np.column_stack([x, x * x]), np.zeros(0), np.zeros(0))
+    value, error = kronrod(lambda x: np.stack([x, x * x], axis=-1), np.zeros(0), np.zeros(0))
     assert value.shape == error.shape == (0, 2)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x.ravel(),                               # m blocks of 15 nodes, flat
+    lambda x: x[..., :14],                             # one node short per interval
+    lambda x: x[..., None, None] * np.ones((2, 2)),    # two component axes
+])
+def test_integrand_shape_refused(f):
+    """Values must keep the nodes' shape S + (15,), with at most one
+    component axis after it."""
+    with pytest.raises(ValueError, match=r"returned shape .* for nodes of shape \(3, 15\)"):
+        kronrod(f, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def test_nested_integrand_must_broadcast_over_the_inner_nodes():
+    # x alone has shape S + (15, 1): one value per outer node, not per pair
+    with pytest.raises(ValueError, match="integrand returned shape"):
+        kronrod_2d(lambda x, s: x, 0.0, 1.0, np.ones_like)
 
 
 @pytest.mark.parametrize("m", [1, 15, 180])
@@ -67,7 +85,7 @@ def test_batch_gives_each_interval_its_own_sums(m):
     b = a + rng.uniform(0.0, 3.0, m)
 
     def f(x):
-        return np.column_stack([np.sin(3.0 * x), np.exp(x), x**3])
+        return np.stack([np.sin(3.0 * x), np.exp(x), x**3], axis=-1)
 
     value, error = kronrod(f, a, b)
     assert value.shape == error.shape == (m, 3)
@@ -77,7 +95,7 @@ def test_batch_gives_each_interval_its_own_sums(m):
 
 
 @pytest.mark.parametrize("f", [lambda x, s: np.cos(x * s),
-                               lambda x, s: np.column_stack([np.cos(x * s), np.sin(x * s)])])
+                               lambda x, s: np.stack([np.cos(x * s), np.sin(x * s)], axis=-1)])
 def test_nested_batch_takes_each_intervals_own_inner_error(f):
     """The inner integrand oscillates with x: slowly on [0, 1], fast on
     [20, 21], so the two outer intervals' inner errors differ by orders of
@@ -91,7 +109,8 @@ def test_nested_batch_takes_each_intervals_own_inner_error(f):
 
 
 @pytest.mark.parametrize("f, shape", [(lambda x, s: x * s, ()),
-                                      (lambda x, s: np.column_stack([x, x * s, s]), (3,))])
+                                      (lambda x, s: np.stack(np.broadcast_arrays(x, x * s, s),
+                                                             axis=-1), (3,))])
 def test_nested_empty_outer_interval_keeps_the_integrand_shape(f, shape):
     value, error = kronrod_2d(f, 0.5, 0.5, np.ones_like)
     assert np.shape(value) == np.shape(error) == shape
@@ -109,7 +128,7 @@ def test_nested_triangle_area():
 def test_nested_vector_gaussian_moments():
     # int over unit square of [1, x*y]
     def f(x, ys):
-        return np.column_stack([np.ones_like(ys), x * ys])
+        return np.stack([np.ones_like(ys), x * ys], axis=-1)
 
     value, _ = kronrod_2d(f, 0.0, 1.0, np.ones_like)
     assert np.allclose(value, [1.0, 0.25], rtol=1e-14)
@@ -121,7 +140,9 @@ def test_degenerate_inner_intervals_never_reach_integrand(vector):
 
     def f(x, s):
         calls.append(len(s))
-        return np.column_stack([np.ones_like(s), x]) if vector else np.ones_like(s)
+        if vector:
+            return np.stack(np.broadcast_arrays(np.ones_like(s), x), axis=-1)
+        return np.ones_like(s)
 
     # zero-width inner intervals weigh nothing
     value, error = kronrod_2d(f, 0.0, 1.0, np.zeros_like)
@@ -143,14 +164,18 @@ def test_batched_bounds_equal_per_node_loop(dim, monkeypatch):
     inner panels equal one panel per outer node."""
     eps_grid = sorted(set(DEFAULT_EPS_GRID) | {0.001, 0.3})
     fixed = [(tf.lemma1_rayleigh(eps, dim), tf.lemma2_rayleigh(eps, dim)) for eps in eps_grid]
-    # a scalar bound integrates each chart as the batch of one interval
+    # a scalar bound integrates each chart as the batch of one interval; its
+    # integrands broadcast eps over the batch axis and, in 2-d, the outer
+    # node axis, which the oracle's nodes lack: one_interval adds and drops them
     def one_interval(f, a, b, *hi):
         ((lo,), (up,)) = a, b
+        lead = tuple(range(1 + len(hi)))
+        g = lambda *nodes: f(*(np.expand_dims(x, lead) for x in nodes))[(0,) * len(lead)]
         if hi:
-            value, error = oracle.nested(f, lo, up, lambda x: 0.0,
-                                         lambda x: hi[0](np.array([x]))[0], rel_tol=1e-8)
+            value, error = oracle.nested(g, lo, up, lambda x: 0.0,
+                                         lambda x: hi[0](np.full((1, 1), x))[0, 0], rel_tol=1e-8)
         else:
-            value, error = oracle.quad(f, lo, up, rel_tol=1e-8)
+            value, error = oracle.quad(g, lo, up, rel_tol=1e-8)
         return value[None], error[None]
 
     monkeypatch.setattr(tf, "kronrod", one_interval)
