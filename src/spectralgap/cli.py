@@ -49,10 +49,10 @@ class ConfigError(ValueError):
     pass
 
 
-# columns of a sweep record, in the field order of attainable.SweepRecord
-SWEEP_HEADER = ("family", "param", "h_list", "lambda1_raw", "lambda2_raw", "lambda1_x",
-                "lambda2_x", "measure", "t", "lambda1_norm", "lambda2_norm", "bound1",
-                "bound2", "deficit", "excess", "err", "failure")
+# columns of a sweep record: the fields of attainable.SweepRecord in order,
+# two of them under shorter names
+SWEEP_HEADER = tuple({"t_factor": "t", "error_est": "err"}.get(f.name, f.name)
+                     for f in dataclasses.fields(attainable.SweepRecord))
 RATIO_HEADER = ("eps", "bound_ratio", "grid_ratio")
 
 
@@ -224,9 +224,10 @@ def cmd_eig(args) -> int:
            for i in range(2)},
         "residuals": [float(r) for r in solve.levels[-1].residuals],
         "iterations": list(solve.levels[-1].iterations),
-        "levels": [{"h": lv.h, "n": lv.n, "iterations": list(lv.iterations),
+        "levels": [{"h": h, "n": len(lv.vectors), "iterations": list(lv.iterations),
                     "inner_iterations": list(lv.inner_iterations),
-                    "residuals": [float(r) for r in lv.residuals]} for lv in solve.levels],
+                    "residuals": [float(r) for r in lv.residuals]}
+                   for h, lv in zip(solve.h_list, solve.levels)],
     }
     _emit(_dump_json(doc), args.out)
     return EXIT_OK
@@ -312,14 +313,11 @@ def cmd_verify(args) -> int:
     crosscheck = [_crosscheck(rec) for rec in records
                   if rec.failure is not None or rec.lambda1_norm is not None]
 
+    # an empty --data-out, like an empty --out, asks for the default
     data_csv = args.data_out
-    if data_csv is None and args.out:
-        root, _ = os.path.splitext(args.out)
-        data_csv = root + "_data.csv"
-    if data_csv is None:
-        data_csv = "ratio_curve.csv"
-    with open(data_csv, "w") as fh:
-        fh.write(_csv(RATIO_HEADER, verdict.ratios))
+    if not data_csv:
+        data_csv = os.path.splitext(args.out)[0] + "_data.csv" if args.out else "ratio_curve.csv"
+    _emit(_csv(RATIO_HEADER, verdict.ratios), data_csv)
 
     doc = {**_verdict_doc(verdict), "data_csv_path": data_csv, "grid_crosscheck": crosscheck}
     _emit(_dump_json(doc), args.out)
@@ -359,8 +357,7 @@ def cmd_plotdata(args) -> int:
     prefix = args.out or "plotdata"
     cloud_path = f"{prefix}_cloud.csv"
     boundary_path = f"{prefix}_boundary.csv"
-    with open(cloud_path, "w") as fh:
-        fh.write(_sweep_csv(records))
+    _emit(_sweep_csv(records), cloud_path)
 
     spec = ball_spectrum(2)
     lam_p = theta_spectrum(2)[0]
@@ -371,8 +368,7 @@ def cmd_plotdata(args) -> int:
     ab_line = [spec.lambda1 + (t_max - spec.lambda1) * i / samples for i in range(samples + 1)]
     rows = [("P", lam_p, lam_p), ("Q", spec.lambda1, spec.lambda2)]
     rows += [("diag", t, t) for t in diag] + [("ab_line", t, slope * t) for t in ab_line]
-    with open(boundary_path, "w") as fh:
-        fh.write(_csv(("kind", "x", "y"), rows))
+    _emit(_csv(("kind", "x", "y"), rows), boundary_path)
     sys.stdout.write(f"{cloud_path}\n{boundary_path}\n")
     return EXIT_OK
 
@@ -448,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
         # ValueError covers ConfigError and json.JSONDecodeError;
         # ArithmeticError covers ZeroDivisionError and OverflowError
         kind = "config" if isinstance(exc, ConfigError) else type(exc).__name__

@@ -37,7 +37,7 @@ __all__ = [
 
 
 class GridError(RuntimeError):
-    """Raised when a grid has no active nodes for the given spacing."""
+    """Raised when a grid has no active nodes, or more lattice points than int32 indexes."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ def build_grid(domain, h: float) -> Grid2D:
 
     The lattice nodes of the domain's box, padded by 2h, go through one
     ``contains`` pass, and every node it accepts is active.  Raises
-    GridError when nothing is active.
+    GridError when nothing is active, or, before allocating, when the box
+    has more points than its int32 node indices and flat offsets reach.
     """
     if domain.dim != 2:
         raise ValueError(f"grids are planar only, domain has dim {domain.dim}")
@@ -76,6 +77,10 @@ def build_grid(domain, h: float) -> Grid2D:
     i_hi = int(np.ceil(hi[0] / h)) + 2
     j_lo = int(np.floor(lo[1] / h)) - 2
     j_hi = int(np.ceil(hi[1] / h)) + 2
+    points = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
+    if points > np.iinfo(np.int32).max:
+        raise GridError(f"{points} lattice points of spacing {h} in the box {lo} .. {hi}, "
+                        f"more than int32 indices reach")
     ii = np.arange(i_lo, i_hi + 1)
     jj = np.arange(j_lo, j_hi + 1)
     gi, gj = np.meshgrid(ii, jj, indexing="ij")

@@ -205,7 +205,10 @@ def smallest_pairs(A, transfers, k: int = 2, tol: float = 1e-8, seed: int = DEFA
     Runs block LOBPCG on k vectors for at most MAX_OUTER iterations,
     applying the operator once to each new preconditioned residual and
     carrying its products with the other block vectors.
-    ``tol`` must be finite and > 0.  Convergence requires, for every pair,
+    ``tol`` must be finite and > 0, and ``tol * lambda1`` no less than the
+    rounding floor eps * ||A|| (||A|| <= the largest |a_ij| times the most
+    entries in a row), which a ValueError names once a Ritz value is under
+    it.  Convergence requires, for every pair,
     both a relative eigenvalue change below ``tol`` and an eigenresidual
     ||A v - lambda v|| <= tol * lambda;
     when the carried residuals meet it, or the budget runs out, a
@@ -232,6 +235,9 @@ def smallest_pairs(A, transfers, k: int = 2, tol: float = 1e-8, seed: int = DEFA
         raise ValueError(f"requested {k} pairs from an operator of size {n}")
     start = None if coarse is None else transfers[0] @ coarse
     hierarchy = _hierarchy(A, transfers)
+    # no residual falls below eps * ||A||, bounded as in the docstring; the
+    # largest |a_ij| without a temporary |A.data|, which raised the peak RSS
+    floor = np.finfo(float).eps * max(A.data.max(), -A.data.min()) * np.diff(A.indptr).max()
     # block vectors as rows: X = S[:k], then p update directions P, then the
     # preconditioned residuals W
     S = np.empty((3 * k, n))
@@ -256,6 +262,10 @@ def smallest_pairs(A, transfers, k: int = 2, tol: float = 1e-8, seed: int = DEFA
         while True:
             if theta[0] <= 0.0:
                 raise IndefiniteOperatorError(f"nonpositive Ritz value {theta[0]:.3e}")
+            if tol * theta[0] < floor:
+                raise ValueError(f"tolerance {tol:.3g} is below the rounding floor: tol * "
+                                 f"lambda1 <= {tol * theta[0]:.3e} < {floor:.3e}, the bound "
+                                 f"on eps * ||A||")
             # residuals A x - theta x of the rows of X, in the W slots of AS
             R = AS[k + p: 2 * k + p]
             np.multiply(theta[:, None], X, out=R)

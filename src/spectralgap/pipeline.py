@@ -6,14 +6,14 @@ built from the domain: ``chain`` coarsens it (``discretize.prolong``) into
 the coarser levels' grids and one chain of interpolations.  Each level's
 grid is assembled as it comes, solved with its tail of the chain, and
 continues from the vectors of the level before
-(``smallest_pairs(coarse=)``).  The fit needs only the eigenvalues of a
-coarser level, and the next level its vectors as a start, so every level
-but the finest stops on Temple's
-eigenvalue-error estimate (``values_only=True``); the finest, whose vectors
-are returned, stops on its residual ||A v - lambda v|| <= tol * lambda,
-unless the caller reads only the values and budgets and asks for the same
-Temple stop there (``solve_domain(values_only=True)``, which every sweep
-record uses); the vectors of such a solve are then Temple-stopped.
+(``smallest_pairs(coarse=)``); its ``EigenResult`` is the level's one
+record.  The fit needs only the eigenvalues of a coarser level, and the
+next level its vectors as a start, so every level but the finest stops on
+Temple's eigenvalue-error estimate (``values_only=True``); the finest stops
+on its residual ||A v - lambda v|| <= tol * lambda, unless the caller reads
+only the values and budgets and asks for the same Temple stop there
+(``solve_domain(values_only=True)``, which every sweep record uses); the
+finest vectors of such a solve are then Temple-stopped.
 ``discretize.extrapolate`` turns each eigenvalue's levels into a value and
 its error budget.  The values are the domain's own: callers that want the
 unit-measure copy apply ``geometry.normalization`` themselves, and add their
@@ -27,28 +27,19 @@ import numpy as np
 
 from . import discretize, eigensolve
 
-__all__ = ["LevelSolve", "DomainSolve", "halving_levels", "chain", "solve_domain"]
-
-
-@dataclass(frozen=True)
-class LevelSolve:
-    h: float
-    n: int
-    values: np.ndarray
-    residuals: np.ndarray
-    iterations: tuple
-    inner_iterations: tuple
+__all__ = ["DomainSolve", "halving_levels", "chain", "solve_domain"]
 
 
 @dataclass(frozen=True)
 class DomainSolve:
     """Raw and extrapolated eigenvalue estimates of the domain itself.
 
-    ``orders``, ``fitted`` and ``error_est_raw`` come from
-    ``discretize.extrapolate`` on the per-level values.  ``vectors`` are the
-    finest level's; a ``solve_domain(values_only=True)`` solve stops them on
-    Temple's estimate, so they and that level's residuals meet no residual
-    bound.
+    ``levels`` are the ``eigensolve.EigenResult`` of each level, coarse to
+    fine, as ``smallest_pairs`` returned them: level i has spacing
+    ``h_list[i]`` and ``len(levels[i].vectors)`` nodes.  ``orders``,
+    ``fitted`` and ``error_est_raw`` come from ``discretize.extrapolate`` on
+    the per-level values.  Under ``solve_domain(values_only=True)`` the
+    finest vectors and residuals meet no residual bound.
     """
 
     domain: object
@@ -59,7 +50,6 @@ class DomainSolve:
     fitted: tuple
     error_est_raw: np.ndarray
     grid: object = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
 
     def raw(self, i: int) -> list:
         """Per-level raw values of eigenvalue i (coarse to fine)."""
@@ -116,9 +106,9 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
     only the finest level's residuals are at most ``tol`` times its values.
     With ``values_only`` the finest level stops on Temple's estimate too:
     for callers that read only the values and their budgets, as the
-    returned vectors and finest residuals then carry no residual bound.
-    Returns the full level data and the extrapolated values with their
-    error budgets.
+    finest vectors and residuals then carry no residual bound.
+    Returns every level's ``EigenResult`` and the extrapolated values with
+    their error budgets.
     """
     hs = halving_levels(h_list)
     grids, transfers = chain(discretize.build_grid(domain, hs[-1]), len(hs))
@@ -129,17 +119,13 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
     if n < k:
         raise discretize.GridError(f"{n} active node(s) at spacing h = {hs[0]} in "
                                    f"{domain!r}, fewer than the {k} pairs requested")
-    levels, vectors = [], None
-    for depth, h in zip(reversed(range(len(hs))), hs):
+    levels = []
+    for depth in reversed(range(len(hs))):
         # a coarse level's grid is freed once it is assembled
         A = discretize.assemble(grids.pop())
-        result = eigensolve.smallest_pairs(A, transfers[depth:], k=k, tol=tol, seed=seed,
-                                           coarse=vectors,
-                                           values_only=values_only or depth > 0)
-        vectors = result.vectors
-        levels.append(LevelSolve(h=h, n=A.shape[0], values=result.values,
-                                 residuals=result.residuals, iterations=result.iterations,
-                                 inner_iterations=result.inner_iterations))
+        levels.append(eigensolve.smallest_pairs(A, transfers[depth:], k=k, tol=tol, seed=seed,
+                                                coarse=levels[-1].vectors if levels else None,
+                                                values_only=values_only or depth > 0))
 
     fits = [discretize.extrapolate([float(lv.values[i]) for lv in levels], tol)
             for i in range(k)]
@@ -152,5 +138,4 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
         fitted=tuple(fit.fitted for fit in fits),
         error_est_raw=np.array([fit.error_est for fit in fits]),
         grid=grid,
-        vectors=vectors,
     )

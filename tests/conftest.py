@@ -176,7 +176,7 @@ def mirror_correlation(solve):
     """-<v, Mv> / <v, v> for the second grid eigenvector v of a solve and M
     its mirror image across {x1 = 0}, over the nodes whose mirror is a node:
     1 for an odd mode, -1 for an even one."""
-    grid, v = solve.grid, solve.vectors[:, 1]
+    grid, v = solve.grid, solve.levels[-1].vectors[:, 1]
     mirror = grid.index_map[-grid.active[:, 0] - grid.i0, grid.active[:, 1] - grid.j0]
     ok = mirror >= 0
     return -float(v[ok] @ v[mirror[ok]]) / float(v[ok] @ v[ok])

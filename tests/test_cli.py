@@ -194,6 +194,8 @@ class TestErrorMapping:
         ('{"kind":', "JSONDecodeError"),
         ('{"kind": "ball", "N": 2, "params": {"center": [0.53, 0.53], "radius": 0.01}}',
          "GridError"),
+        ('{"kind": "rectangle", "N": 2, "params": {"width": 1e-9, "height": 1e9}}',
+         "GridError"),
     ])
     def test_eig_kind_and_exit_code(self, domain, kind):
         proc = run_cli("eig", "--domain", domain, "--h", "1/8,1/16")
@@ -205,9 +207,13 @@ class TestErrorMapping:
         ("cmd_lemma", ["lemma2"], ZeroDivisionError("float division by zero"), 1),
         ("cmd_ratio", ["ratio"], OverflowError("math range error"), 1),
         ("cmd_verify", ["verify"], OverflowError("math range error"), 2),
+        ("cmd_eig", ["eig", "--domain", "ball"], MemoryError("Unable to allocate 119. GiB"), 1),
+        ("cmd_verify", ["verify"], MemoryError("Unable to allocate 119. GiB"), 2),
     ])
     def test_arithmetic_error_is_json_error(self, command, argv, exc, code, monkeypatch,
                                             capsys):
+        """An arithmetic error, or an allocation that fails, ends in the JSON
+        error document, not a traceback."""
         def fail(*args):
             raise exc
 
@@ -344,6 +350,16 @@ class TestVerify:
         assert len(doc["checks"]) == 3
         assert (tmp_path / "curve.csv").exists()
         assert doc["data_csv_path"].endswith("curve.csv")
+
+    @pytest.mark.parametrize("out, data_csv", [(None, "ratio_curve.csv"),
+                                               ("report.json", "report_data.csv")])
+    def test_empty_data_out_takes_the_default_path(self, out, data_csv, monkeypatch, capsys,
+                                                   tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--grid-eps-min", "inf", "--data-out", ""]
+        assert cli.main(argv + (["--out", out] if out else [])) == 0
+        doc = json.loads((tmp_path / out).read_text() if out else capsys.readouterr().out)
+        assert doc["data_csv_path"] == data_csv and (tmp_path / data_csv).exists()
 
     def test_eps_max_out_of_regime_rejected(self):
         proc = run_cli("verify", "--eps-grid", "0.1,0.9")

@@ -51,6 +51,24 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             d.build_grid(geo.Ball(), -0.1)
 
+    @pytest.mark.parametrize("height, points", [(1e9, 112000000035), (1.95e7, 2184000035),
+                                                (1.9e7, None)])
+    def test_box_beyond_int32_refused_before_allocating(self, height, points, monkeypatch):
+        """A box of more lattice points than int32 node indices reach is
+        refused, with its point count and spacing, before any lattice array
+        is made; one under the limit goes on to make them."""
+        def allocate(*args, **kwargs):
+            raise MemoryError("lattice allocated")
+
+        monkeypatch.setattr(np, "arange", allocate)
+        if points is None:
+            context = pytest.raises(MemoryError, match="lattice allocated")
+        else:
+            context = pytest.raises(d.GridError, match=f"^{points} lattice points of spacing "
+                                                       f"0.0625 in the box ")
+        with context:
+            d.build_grid(geo.Rectangle(1e-9, height), 1 / 16)
+
     def test_dumbbell_grid_connected(self):
         # junction-disk nodes must couple the two halves
         grid = d.build_grid(geo.Dumbbell(0.1), 1 / 16)

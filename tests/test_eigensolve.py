@@ -103,6 +103,17 @@ class TestSmallestPairs:
             es.smallest_pairs(*_path_operator(
                 np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])))
 
+    @pytest.mark.parametrize("values_only", [False, True])
+    def test_tolerance_below_the_rounding_floor_refused(self, disc_op, values_only):
+        """On the disc at h = 1/16, tol = 1e-15 puts tol * lambda1 (5.8e-15)
+        under eps * ||A|| (||A|| <= 5 * 4 / h^2, so 2.8e-13), where the
+        iteration breaks down: the residual and the Temple stop refuse it by
+        name, and tol = 1e-12 still converges."""
+        with pytest.raises(ValueError, match="below the rounding floor"):
+            es.smallest_pairs(*disc_op, tol=1e-15, values_only=values_only)
+        res = es.smallest_pairs(*disc_op, tol=1e-12, values_only=values_only)
+        assert values_only or (res.residuals <= 1e-12 * res.values).all()
+
     def test_nonconvergence_reports_best_iterate(self, disc_op, monkeypatch):
         """The attached result has the Rayleigh quotients and true residuals
         of its vectors, not the values carried through the iteration."""

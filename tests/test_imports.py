@@ -3,7 +3,9 @@ every name a module imports is used in that module or re-exported through
 its ``__all__``, and every name in its ``__all__`` is bound at its top
 level.  The package ``__init__`` exists to re-export, so it is checked the
 other way: every name it imports is in its source module's ``__all__``.
-The unused-import guard also runs over the test modules.  The last guards
+The unused-import guard also runs over the test modules.  Each module
+imports from inside the package, at its top or in a function, exactly the
+modules that ``LAYERS`` lists, the layering of README's Layout.  The last guards
 keep modules out of the commands that do not need them.  The package's
 only scipy module is ``scipy.sparse``: ``analytic`` evaluates the Bessel
 functions by its own series, so no command loads ``scipy.special`` (about
@@ -92,6 +94,50 @@ def test_package_imports_only_exported_names():
             stray += [f"{node.module}.{a.name}" for a in node.names
                       if a.name not in _exports(source)]
     assert stray == []
+
+
+# the package modules each module imports: the layering of README's Layout
+LAYERS = {
+    "analytic": set(),
+    "quadrature": set(),
+    "eigensolve": set(),
+    "geometry": {"analytic", "quadrature"},
+    "discretize": {"geometry"},
+    "pipeline": {"discretize", "eigensolve"},
+    "testfn": {"analytic", "geometry", "quadrature"},
+    "asymptotics": {"analytic", "geometry"},
+    "attainable": {"eigensolve", "geometry", "pipeline", "testfn"},
+    "cli": {"analytic", "asymptotics", "attainable", "eigensolve", "geometry", "pipeline",
+            "testfn"},
+}
+
+
+def _package_imports(tree):
+    """The package modules a module imports, anywhere in it, relatively
+    (``from .m import x``, ``from . import m``) or by ``spectralgap``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = f"spectralgap.{node.module or ''}".rstrip(".") if node.level else node.module
+            names += [f"{module}.{a.name}" for a in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("spectralgap.")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_follow_the_layers(path: Path):
+    assert _package_imports(ast.parse(path.read_text())) == LAYERS[path.stem]
+
+
+def test_guard_flags_every_package_import():
+    tree = ast.parse("from . import discretize, eigensolve\nfrom .geometry import contains\n"
+                     "def f():\n    from .analytic import kappa\n"
+                     "import spectralgap.testfn\nfrom spectralgap import cli\n"
+                     "from spectralgap.quadrature.x import y\nimport numpy, spectralgap\n"
+                     "from numpy import pi\n")
+    assert _package_imports(tree) == {"discretize", "eigensolve", "geometry", "analytic",
+                                      "testfn", "cli", "quadrature"}
 
 
 def _scipy_modules(tree):

@@ -122,10 +122,11 @@ def test_fewer_active_nodes_than_pairs():
 
 
 def test_disc_solve_peak_memory():
-    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (13.91 MiB
-    both before and after the levels' grids came from ``prolong``, with A
-    times the block vectors carried through LOBPCG) stays within 10% of the
-    12.9 MiB of the aggregation-multigrid solver it replaced."""
+    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (13.95 MiB
+    since each level keeps its own vectors, the coarsest level's 51 KB
+    among them; 13.89 MiB before, when only the latest level's were kept)
+    stays within 10% of the 12.9 MiB of the aggregation-multigrid solver it
+    replaced."""
     tracemalloc.start()
     try:
         pipeline.solve_domain(geo.Ball(), (1 / 32, 1 / 64, 1 / 128))
@@ -142,9 +143,10 @@ def test_disc_solve_peak_memory():
 def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
     """The chain of interpolations is built once per domain, down from the
     finest grid; each level takes its tail, and continues from the vectors
-    of the level before.  One index map is built per lattice level: every
-    grid that ``prolong`` and ``assemble`` read is one ``lattice_grid``
-    made, for the finest grid and once per ``prolong``."""
+    of the level before, whose record is the very ``EigenResult`` that
+    ``smallest_pairs`` returned.  One index map is built per lattice level:
+    every grid that ``prolong`` and ``assemble`` read is one
+    ``lattice_grid`` made, for the finest grid and once per ``prolong``."""
     built, passed, results, maps, read = [], [], [], [], []
     prolong, solve, lattice_grid, assemble = (d.prolong, es.smallest_pairs, d.lattice_grid,
                                               d.assemble)
@@ -171,7 +173,9 @@ def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
     monkeypatch.setattr(d, "lattice_grid", count_maps)
     monkeypatch.setattr(d, "assemble", count_assembled)
     monkeypatch.setattr(es, "smallest_pairs", record)
-    pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
+    solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
+    assert len(solve.levels) == len(results) == len(h_list)
+    assert all(level is res for level, res in zip(solve.levels, results))
     assert len(built) == len(set(built)) == builds
     assert len(maps) == builds + 1
     assert all(any(grid is own for own in maps) for grid in read)
@@ -202,8 +206,8 @@ def test_solve_domain_builds_one_grid(monkeypatch):
     monkeypatch.setattr(d, "contains", count_passes)
     solve = pipeline.solve_domain(geo.Dumbbell(0.2), (1 / 8, 1 / 16, 1 / 32), tol=TOL, seed=1)
     assert builds == [1 / 32] and len(passes) == 1
-    assert [lv.n for lv in solve.levels] == [build_grid(geo.Dumbbell(0.2), h).n
-                                             for h in (1 / 8, 1 / 16, 1 / 32)]
+    assert [len(lv.vectors) for lv in solve.levels] == [build_grid(geo.Dumbbell(0.2), h).n
+                                                        for h in (1 / 8, 1 / 16, 1 / 32)]
 
 
 def _chain_domains():

@@ -321,9 +321,10 @@ class TestOddExtension:
         # state; its mirror correlation is about cos(2 phi)
         dumbbell, half = pair
         phi = 0.5 * math.acos(target)
-        vectors = dumbbell.vectors.copy()
+        finest = dumbbell.levels[-1]
+        vectors = finest.vectors.copy()
         vectors[:, 1] = math.cos(phi) * vectors[:, 1] + math.sin(phi) * vectors[:, 0]
-        mixed = replace(dumbbell, vectors=vectors)
+        mixed = replace(dumbbell, levels=(*dumbbell.levels[:-1], replace(finest, vectors=vectors)))
         assert mirror_correlation(mixed) == pytest.approx(target, abs=2e-3)
         with nullcontext() if holds else pytest.raises(AssertionError, match="symmetry"):
             assert_odd_reflection(mixed, half)
