@@ -11,6 +11,12 @@ junction nodes, also inside scaled copies and unions, and stays connected.
 node set.  ``prolong`` takes a grid to the grid of twice the spacing, its
 all-even nodes halved, and the interpolation between the two, both read
 from the fine grid's index map, so coarser levels need no second pass.
+A grid that is its own mirror image under i -> -i splits into two sectors
+(``mirror_halves``): the odd one is the five-point operator on the nodes
+with i >= 1, and the even one, on the nodes with i >= 0, is the even
+extension folded onto them and symmetrized by the half mass of the line
+i = 0 (``fold_operator``), its interpolations scaled to match
+(``fold_transfer``).
 
 Masked boundaries degrade the formal O(h^2) convergence of the stencil, so
 ``extrapolate`` Richardson-extrapolates eigenvalues with an order fitted
@@ -18,6 +24,7 @@ from three grid levels instead of an assumed exponent, accepted only inside
 ORDER_BAND, and gives each value its error budget.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,9 @@ __all__ = [
     "lattice_grid",
     "assemble",
     "prolong",
+    "mirror_halves",
+    "fold_operator",
+    "fold_transfer",
     "extrapolate",
 ]
 
@@ -180,6 +190,60 @@ def prolong(grid: Grid2D):
     else:
         P.sort_indices()
     return lattice_grid(2 * grid.h, coarse), P
+
+
+def mirror_halves(grid: Grid2D):
+    """The mirror sectors of a grid that is its own mirror image under
+    (i, j) -> (-i, j): the grids of its nodes with i >= 0 (even sector) and
+    with i >= 1 (odd sector), both tails of its lexicographic nodes, so each
+    is the coarse grid's sector under ``prolong``.  None for any other grid,
+    or one with no node off the line i = 0.
+
+    A mirror-even u on the whole grid is its values w on the even sector;
+    the five-point operator acts on w as E, whose rows on the line take
+    u(-1, j) = u(1, j), and is self-adjoint in the mass M that weighs a line
+    node 1/2, since |u|^2 = 2 w^T M w.  ``fold_operator`` makes it the
+    symmetric B = M^(1/2) E M^(-1/2); a unit eigenvector v of B is the unit
+    vector M^(-1/2) v extended evenly, over sqrt 2.  A mirror-odd u is zero
+    on the line and solves the plain five-point problem on the odd sector;
+    its unit vector is v extended oddly, over sqrt 2.
+    """
+    i, j = grid.active.T
+    line, odd = np.searchsorted(i, [0, 1])
+    if odd == grid.n or i[0] != -i[-1]:
+        return None
+    if (grid.index_map[-i - grid.i0, j - grid.j0] < 0).any():
+        return None
+    return lattice_grid(grid.h, grid.active[line:]), lattice_grid(grid.h, grid.active[odd:])
+
+
+SQRT2 = math.sqrt(2.0)
+
+
+def fold_operator(A, line: int):
+    """Make the five-point matrix (CSR, ascending columns) of an even sector
+    with ``line`` nodes on the line i = 0, its first rows, the folded even
+    operator B of ``mirror_halves``, in place: each coupling between a line
+    node (0, j) and its neighbour (1, j) times sqrt 2.  In the row of (1, j)
+    the node (0, j) is the first column."""
+    end = A.indptr[line]
+    cross = np.flatnonzero(A.indices[:end] >= line)
+    A.data[cross] *= SQRT2
+    A.data[A.indptr[A.indices[cross]]] *= SQRT2
+
+
+def fold_transfer(P, line: int) -> int:
+    """Scale in place an interpolation P (CSC, ascending rows) between even
+    sectors, whose fine grid has ``line`` nodes on the line, to
+    M^(1/2) P M_c^(-1/2), the interpolation between their folded operators;
+    returns the coarse grid's nodes on the line, its first columns.  Fine
+    line rows take only coarse line columns, where the two scales cancel,
+    so only the weights from a coarse line node onto a fine node off it
+    grow by sqrt 2."""
+    coarse_line = int(np.count_nonzero(P.indices[P.indptr[:-1]] < line))
+    end = P.indptr[coarse_line]
+    P.data[:end][P.indices[:end] >= line] *= SQRT2
+    return coarse_line
 
 
 # ---------------------------------------------------------------------------

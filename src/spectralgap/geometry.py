@@ -54,7 +54,14 @@ class Domain:
 
     A shape defines ``inside(pts)`` for a validated (m, N) batch, ``measure()``,
     ``box()`` as (lo, hi) arrays, and the class attribute ``KIND``.
+    ``mirror_odd`` declares that the shape is its own mirror image under
+    x1 -> -x1 and that its lambda2 is expected in the odd sector, so that a
+    grid solve may take each mirror sector on its own
+    (``pipeline.solve_domain`` checks both facts on the grid); no shape
+    declares it unless it says so.
     """
+
+    mirror_odd = False
 
     def __post_init__(self):
         if self.dim < 2:
@@ -114,9 +121,16 @@ def _half_ball(x1, s2, epsilon):
 @dataclass(frozen=True)
 class Dumbbell(Domain):
     """Two unit balls pushed distance eps past tangency, each cut by {x1 = 0},
-    joined through their open junction disk."""
+    joined through their open junction disk.
+
+    It is its own mirror image under x1 -> -x1 (``mirror_odd``): lambda1 is
+    the even ground state, and lambda2 the odd mode whose nodal line is
+    {x1 = 0}, i.e. the ground state of ``HalfDumbbell`` reflected oddly, as
+    long as the second even eigenvalue lies above it (lambda2(even) /
+    lambda1(odd) is 1.77 or more for eps <= 0.3, 1.1 at eps = 0.9)."""
 
     KIND = "dumbbell"
+    mirror_odd = True
     epsilon: float
     dim: int = 2
 
@@ -175,6 +189,11 @@ class Scaled(Domain):
         super().__post_init__()
         if not 0 < self.factor < math.inf:
             raise ValueError(f"scale factor must be positive and finite, got {self.factor}")
+
+    @property
+    def mirror_odd(self):
+        # scaling about the origin keeps the mirror and the order of the sectors
+        return self.inner.mirror_odd
 
     def inside(self, pts):
         return self.inner.inside(pts / self.factor)

@@ -14,6 +14,15 @@ on its residual ||A v - lambda v|| <= tol * lambda, unless the caller reads
 only the values and budgets and asks for the same Temple stop there
 (``solve_domain(values_only=True)``, which every sweep record uses); the
 finest vectors of such a solve are then Temple-stopped.
+A domain that declares ``mirror_odd`` (the dumbbell) is solved by mirror
+sector when its finest grid is its own mirror image under x1 -> -x1
+(``discretize.mirror_halves``): every level solves the even sector for
+lambda1 and the odd sector for lambda2, each with k = 1 on its own chain,
+in place of one k = 2 solve of the whole grid.  The coarsest even solve
+takes k = 2 instead, and the split goes on only if its second value lies
+at least MARGIN times above the odd sector's first; otherwise the domain is
+solved whole.  Either way a level's record is one ``EigenResult`` of the
+whole grid, the split's vectors rebuilt from the sectors' by the mirror.
 ``discretize.extrapolate`` turns each eigenvalue's levels into a value and
 its error budget.  The values are the domain's own: callers that want the
 unit-measure copy apply ``geometry.normalization`` themselves, and add their
@@ -27,7 +36,13 @@ import numpy as np
 
 from . import discretize, eigensolve
 
-__all__ = ["DomainSolve", "halving_levels", "chain", "solve_domain"]
+__all__ = ["DomainSolve", "MARGIN", "halving_levels", "chain", "solve_domain"]
+
+# least lambda2(even) / lambda1(odd) on the coarsest level for a solve by
+# mirror sector; the ratio is 1.77 or more on dumbbells with eps <= 0.3,
+# 1.31-1.34 at eps = 0.7 and 1.09-1.12 at eps = 0.9, and drifts by at most
+# 3% between h = 1/8 and 1/32
+MARGIN = 1.25
 
 
 @dataclass(frozen=True)
@@ -35,8 +50,11 @@ class DomainSolve:
     """Raw and extrapolated eigenvalue estimates of the domain itself.
 
     ``levels`` are the ``eigensolve.EigenResult`` of each level, coarse to
-    fine, as ``smallest_pairs`` returned them: level i has spacing
-    ``h_list[i]`` and ``len(levels[i].vectors)`` nodes.  ``orders``,
+    fine, as ``smallest_pairs`` returned them, or, for a domain solved by
+    mirror sector, made of its sectors' results: each pair's value,
+    residual and iterations from its own sector, and the vectors rebuilt
+    on the whole grid.  Level i has spacing ``h_list[i]`` and
+    ``len(levels[i].vectors)`` nodes.  ``orders``,
     ``fitted`` and ``error_est_raw`` come from ``discretize.extrapolate`` on
     the per-level values.  Under ``solve_domain(values_only=True)`` the
     finest vectors and residuals meet no residual bound.
@@ -107,25 +125,19 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
     With ``values_only`` the finest level stops on Temple's estimate too:
     for callers that read only the values and their budgets, as the
     finest vectors and residuals then carry no residual bound.
+    A domain that declares ``mirror_odd`` is solved by mirror sector when
+    its finest grid is its own mirror image and the coarsest level shows
+    lambda2(even) >= MARGIN * lambda1(odd) (``_solve_sectors``); any other
+    is solved whole.
     Returns every level's ``EigenResult`` and the extrapolated values with
     their error budgets.
     """
     hs = halving_levels(h_list)
-    grids, transfers = chain(discretize.build_grid(domain, hs[-1]), len(hs))
-    grid = grids[0]
-    # a coarse level's nodes are a subset of each finer level's, so the
-    # coarsest is the first to fall short
-    n = grids[-1].n if len(grids) == len(hs) else 0
-    if n < k:
-        raise discretize.GridError(f"{n} active node(s) at spacing h = {hs[0]} in "
-                                   f"{domain!r}, fewer than the {k} pairs requested")
-    levels = []
-    for depth in reversed(range(len(hs))):
-        # a coarse level's grid is freed once it is assembled
-        A = discretize.assemble(grids.pop())
-        levels.append(eigensolve.smallest_pairs(A, transfers[depth:], k=k, tol=tol, seed=seed,
-                                                coarse=levels[-1].vectors if levels else None,
-                                                values_only=values_only or depth > 0))
+    grid = discretize.build_grid(domain, hs[-1])
+    solve = dict(k=k, tol=tol, seed=seed, values_only=values_only)
+    levels = _solve_sectors(grid, len(hs), **solve) if domain.mirror_odd else None
+    if levels is None:
+        levels = _solve_whole(domain, grid, hs, **solve)
 
     fits = [discretize.extrapolate([float(lv.values[i]) for lv in levels], tol)
             for i in range(k)]
@@ -139,3 +151,89 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
         error_est_raw=np.array([fit.error_est for fit in fits]),
         grid=grid,
     )
+
+
+def _solve_whole(domain, grid, hs, k, tol, seed, values_only):
+    """Each level's ``EigenResult``, coarse to fine, of the k pairs of the
+    whole grid."""
+    grids, transfers = chain(grid, len(hs))
+    # a coarse level's nodes are a subset of each finer level's, so the
+    # coarsest is the first to fall short
+    n = grids[-1].n if len(grids) == len(hs) else 0
+    if n < k:
+        raise discretize.GridError(f"{n} active node(s) at spacing h = {hs[0]} in "
+                                   f"{domain!r}, fewer than the {k} pairs requested")
+    levels = []
+    for depth in reversed(range(len(hs))):
+        # a coarse level's grid is freed once it is assembled
+        A = discretize.assemble(grids.pop())
+        levels.append(eigensolve.smallest_pairs(A, transfers[depth:], k=k, tol=tol, seed=seed,
+                                                coarse=levels[-1].vectors if levels else None,
+                                                values_only=values_only or depth > 0))
+    return levels
+
+
+def _solve_sectors(grid, count, k, tol, seed, values_only):
+    """Each level's ``EigenResult``, coarse to fine, of the k pairs of a
+    grid solved by mirror sector (``discretize.mirror_halves``): lambda1
+    from the even sector and lambda2 from the odd one, each a k = 1 solve
+    on its own chain, except the coarsest even solve, which takes k = 2 to
+    show that the second even eigenvalue lies at least MARGIN times above
+    the first odd one.  None, before any level finer than the coarsest is
+    solved, when the grid is not its own mirror image, a sector has too few
+    nodes on the coarsest level, or the margin fails.
+
+    The values, residuals and iterations of each pair are its sector's: a
+    sector residual is the whole grid's.  The vectors are the sector
+    vectors extended to the whole grid by its mirror, orthonormal.  A
+    sector solve that fails raises as it is, so the ``result`` of a
+    ``ConvergenceError`` holds the sector's vectors.
+    """
+    halves = discretize.mirror_halves(grid)
+    if halves is None:
+        return None
+    sectors = [chain(half, count) for half in halves[:k]]
+    if any(len(grids) < count for grids, _ in sectors) or sectors[0][0][-1].n < k:
+        return None
+    lines = [halves[0].n - halves[1].n]  # even-sector nodes on the line, finest first
+    for P in sectors[0][1]:
+        lines.append(discretize.fold_transfer(P, lines[-1]))
+    levels, previous = [], [None] * k
+    for depth in reversed(range(count)):
+        results = []
+        for sector, ((grids, transfers), coarse) in enumerate(zip(sectors, previous)):
+            half = grids.pop()
+            A = discretize.assemble(half)
+            if sector == 0:
+                discretize.fold_operator(A, lines[depth])
+                # the odd nodes in the order of their mirror images
+                mirror = np.argsort(-half.active[lines[depth]:, 0], kind="stable")
+            results.append(eigensolve.smallest_pairs(
+                A, transfers[depth:], k=k if sector == 0 and not levels else 1, tol=tol,
+                seed=seed, coarse=coarse, values_only=values_only or depth > 0))
+        if k == 2 and not levels and results[0].values[1] < MARGIN * results[1].values[0]:
+            return None
+        previous = [res.vectors[:, :1] for res in results]
+        levels.append(eigensolve.EigenResult(
+            values=np.array([res.values[0] for res in results]),
+            vectors=_unfold([v[:, 0] for v in previous], lines[depth], mirror),
+            residuals=np.array([res.residuals[0] for res in results]),
+            iterations=tuple(res.iterations[0] for res in results),
+            inner_iterations=tuple(res.inner_iterations[0] for res in results)))
+    return levels
+
+
+def _unfold(vectors, line, mirror):
+    """Whole-grid orthonormal vectors, as columns, of a unit even-sector
+    vector with ``line`` nodes on the line and, if given, a unit odd-sector
+    vector: the even one is u = ext(M^(-1/2) v) / sqrt 2 and the odd one
+    ext_odd(v) / sqrt 2 (``discretize.mirror_halves``).  The whole grid's
+    lexicographic nodes are the mirror images of the odd sector's nodes in
+    the order ``mirror``, then the line, then the odd sector's nodes."""
+    rest = len(mirror)
+    u = np.zeros((2 * rest + line, len(vectors)))
+    u[rest: rest + line, 0] = vectors[0][:line]
+    for column, (v, sign) in enumerate(zip([vectors[0][line:], *vectors[1:]], (1.0, -1.0))):
+        u[rest + line:, column] = v / discretize.SQRT2
+        u[:rest, column] = sign * u[rest + line:, column][mirror]
+    return u

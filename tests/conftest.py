@@ -186,7 +186,14 @@ def assert_odd_reflection(dumbbell, half):
     """Assert, for solves of Dumbbell(eps) and HalfDumbbell(eps) on the same
     levels, lambda2(dumbbell) <= lambda1(half) within twice the summed grid
     budgets (the half's ground state, reflected oddly, is a trial field for
-    lambda2), and an odd second eigenvector: mirror correlation >= 0.99."""
+    lambda2), and an odd second eigenvector: mirror correlation >= 0.99.
+
+    A dumbbell solved by mirror sector meets both by construction: its
+    lambda2 is the odd sector's, the half dumbbell's lambda1 on the same
+    nodes (bit for bit at the same seed), and its second vector is that
+    mode extended oddly.  The check still guards a dumbbell solved whole;
+    ``test_mirror_sectors_match_the_whole_grid_solve`` checks the split
+    against the whole grid's solve, parity included."""
     lam2, lam1_half = float(dumbbell.lambda_x[1]), float(half.lambda_x[0])
     budget = float(dumbbell.error_est_raw[1] + half.error_est_raw[0])
     assert lam2 <= lam1_half + 2.0 * budget, (

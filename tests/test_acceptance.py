@@ -134,6 +134,8 @@ def test_criterion_6_variational_consistency(dumbbell_solves, lemma_bounds):
 
 
 def test_criterion_7_odd_reflection_inequality(dumbbell_solves):
+    """Near-trivial for dumbbells solved by mirror sector, whose lambda2 is
+    the half dumbbell's lambda1 on the same nodes (``assert_odd_reflection``)."""
     failures = []
     details = []
     for eps, (dumb, half) in sorted(dumbbell_solves.value.items()):

@@ -308,6 +308,64 @@ class TestProlong:
         _assert_prolong_matches_csr_build(odd)
 
 
+class TestMirrorSectors:
+    @pytest.fixture(scope="class")
+    def dumbbell(self):
+        """The grid of Dumbbell(0.2) at h = 1/8, its sectors, and its nodes
+        on the line i = 0."""
+        grid = d.build_grid(geo.Dumbbell(0.2), 1 / 8)
+        even, odd = d.mirror_halves(grid)
+        return grid, even, odd, even.n - odd.n
+
+    def test_sectors_are_tails_of_the_grid(self, dumbbell):
+        grid, even, odd, line = dumbbell
+        i = grid.active[:, 0]
+        assert np.array_equal(even.active, grid.active[i >= 0])
+        assert line == np.count_nonzero(i == 0) > 0
+        assert_same_grid(odd, d.build_grid(geo.HalfDumbbell(0.2), 1 / 8))
+
+    @pytest.mark.parametrize("grid", [
+        d.lattice_grid(1.0, np.array([[-1, 0], [0, 0], [1, 1]])),
+        d.lattice_grid(1.0, np.array([[0, 0], [0, 1]])),
+        d.lattice_grid(1.0, np.array([[-2, 0], [1, 0], [2, 0]])),
+        d.build_grid(geo.Ball(center=(0.3, 0.0)), 1 / 8),
+    ], ids=["mirror_of_a_node_missing", "nothing_off_the_line", "symmetric_range_only",
+            "off_centre_disc"])
+    def test_no_sectors_unless_the_grid_is_its_own_mirror_image(self, grid):
+        assert d.mirror_halves(grid) is None
+
+    @staticmethod
+    def _half_mass(n, line):
+        return np.where(np.arange(n) < line, 0.5, 1.0)
+
+    def test_folded_operator_is_the_symmetrized_even_extension(self, dumbbell):
+        """B = M^(1/2) E M^(-1/2), E the whole five-point matrix applied to
+        evenly extended vectors and read on the even sector, M the half
+        mass of the line."""
+        grid, even, odd, line = dumbbell
+        i, j = grid.active.T
+        offset = grid.n - even.n
+        own = grid.index_map[np.abs(i) - grid.i0, j - grid.j0] - offset
+        extend = np.zeros((grid.n, even.n))
+        extend[np.arange(grid.n), own] = 1.0
+        E = d.assemble(grid).toarray()[offset:] @ extend
+        root = np.sqrt(self._half_mass(even.n, line))
+        A = d.assemble(even)
+        d.fold_operator(A, line)
+        B = A.toarray()
+        np.testing.assert_allclose(B, root[:, None] * E / root, rtol=1e-15, atol=0)
+        assert np.array_equal(B, B.T)
+
+    def test_folded_transfer_is_scaled_by_the_half_masses(self, dumbbell):
+        _, even, _, line = dumbbell
+        coarse, P = d.prolong(even)
+        coarse_line = np.count_nonzero(coarse.active[:, 0] == 0)
+        expected = (np.sqrt(self._half_mass(even.n, line))[:, None] * P.toarray()
+                    / np.sqrt(self._half_mass(coarse.n, coarse_line)))
+        assert d.fold_transfer(P, line) == coarse_line
+        np.testing.assert_allclose(P.toarray(), expected, rtol=1e-15, atol=0)
+
+
 POWER_2 = [5.0 + 2.3 * h**2 for h in (0.1, 0.05, 0.025)]
 POWER_13 = [1.0 + 0.5 * h**1.3 for h in (0.2, 0.1, 0.05)]
 

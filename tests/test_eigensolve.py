@@ -106,13 +106,30 @@ class TestSmallestPairs:
     @pytest.mark.parametrize("values_only", [False, True])
     def test_tolerance_below_the_rounding_floor_refused(self, disc_op, values_only):
         """On the disc at h = 1/16, tol = 1e-15 puts tol * lambda1 (5.8e-15)
-        under eps * ||A|| (||A|| <= 5 * 4 / h^2, so 2.8e-13), where the
-        iteration breaks down: the residual and the Temple stop refuse it by
-        name, and tol = 1e-12 still converges."""
+        under eps * ||A||_inf (8 / h^2, so 4.5e-13), where the iteration
+        breaks down: the residual and the Temple stop refuse it by name, and
+        tol = 1e-12 still converges.  So does the disc solve at 1/32 ...
+        1/128 with tol = 1e-11: its finest floor is 2.9e-11, under
+        tol * lambda1 = 5.8e-11, which the looser bound 20 / h^2 on ||A||
+        (the largest |a_ij| times the most entries in a row, 7.3e-11) would
+        refuse."""
         with pytest.raises(ValueError, match="below the rounding floor"):
             es.smallest_pairs(*disc_op, tol=1e-15, values_only=values_only)
         res = es.smallest_pairs(*disc_op, tol=1e-12, values_only=values_only)
         assert values_only or (res.residuals <= 1e-12 * res.values).all()
+        finest = pipeline.solve_domain(geo.Ball(), (1 / 32, 1 / 64, 1 / 128), tol=1e-11,
+                                       values_only=values_only).levels[-1]
+        assert values_only or (finest.residuals <= 1e-11 * finest.values).all()
+
+    def test_norm_is_the_largest_absolute_row_sum(self, disc_op):
+        """The rounding floor's ||A||_inf: 8 / h^2 on the five-point
+        operator, and the largest row sum of |a_ij| on a matrix with
+        positive off-diagonal entries, over more rows than one block."""
+        assert es._norm(disc_op[0]) == 8.0 * 16**2
+        n = es.BLOCK + 100
+        M = sp.random(n, n, density=5.0 / n, format="csr", random_state=1)
+        M = (M + M.T + 10.0 * sp.eye(n)).tocsr()
+        assert es._norm(M) == pytest.approx(abs(M).sum(axis=1).max(), rel=1e-14)
 
     def test_nonconvergence_reports_best_iterate(self, disc_op, monkeypatch):
         """The attached result has the Rayleigh quotients and true residuals

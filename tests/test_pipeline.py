@@ -136,17 +136,130 @@ def test_disc_solve_peak_memory():
     assert peak <= 14.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_dumbbell_solve_peak_memory():
+    """The tracemalloc peak of one dumbbell solve at 1/32 ... 1/128 (14.92
+    MiB by mirror sector, 26.46 MiB when the whole grid was solved with
+    k = 2) stays within 2% of the split's."""
+    tracemalloc.start()
+    try:
+        pipeline.solve_domain(geo.Dumbbell(0.2), (1 / 32, 1 / 64, 1 / 128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _whole_solve(domain, h_list, tol=TOL, seed=1, values_only=False):
+    """Each level's ``EigenResult`` and grid, coarse to fine, of the k = 2
+    solve of the whole grid: the finest grid, its chain, and one
+    ``smallest_pairs`` per level continued from the one before."""
+    grids, transfers = pipeline.chain(d.build_grid(domain, min(h_list)), len(h_list))
+    levels = []
+    for depth in reversed(range(len(h_list))):
+        levels.append(es.smallest_pairs(d.assemble(grids[depth]), transfers[depth:], k=2,
+                                        tol=tol, seed=seed,
+                                        coarse=levels[-1].vectors if levels else None,
+                                        values_only=values_only or depth > 0))
+    return levels, grids[::-1]
+
+
+def _mirror(grid):
+    """The row of each node's mirror image across {x1 = 0}."""
+    return grid.index_map[-grid.active[:, 0] - grid.i0, grid.active[:, 1] - grid.j0]
+
+
+@pytest.fixture
+def requested_k(monkeypatch):
+    """The k of every ``smallest_pairs`` call, in order."""
+    calls = []
+    solve = es.smallest_pairs
+
+    def record(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(es, "smallest_pairs", record)
+    return calls
+
+
+@pytest.mark.parametrize("values_only", [False, True])
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_mirror_sectors_match_the_whole_grid_solve(eps, values_only, requested_k):
+    """A dumbbell is solved by mirror sector, two solves per level, and
+    every level's values lie within 2 tol lambda of the whole grid's k = 2
+    solve.  The vectors rebuilt on the whole grid are orthonormal, the
+    first even and the second odd; their values are their Rayleigh
+    quotients, and their residuals their true residuals, at most
+    tol * lambda on the finest level unless only values are read."""
+    h_list = (1 / 16, 1 / 32, 1 / 64)
+    split = pipeline.solve_domain(geo.Dumbbell(eps), h_list, tol=TOL, seed=1,
+                                  values_only=values_only)
+    assert requested_k == [2, 1, 1, 1, 1, 1]
+    whole, grids = _whole_solve(geo.Dumbbell(eps), h_list, values_only=values_only)
+    for level, ref, grid in zip(split.levels, whole, grids):
+        assert (np.abs(level.values - ref.values) <= 2 * TOL * ref.values).all()
+        V = level.vectors
+        assert np.abs(V.T @ V - np.eye(2)).max() <= 1e-12
+        mirrored = V[_mirror(grid)]
+        assert np.abs(np.einsum("ij,ij->j", V, mirrored) - [1.0, -1.0]).max() <= 1e-8
+        AV = d.assemble(grid) @ V
+        assert level.values == pytest.approx(np.einsum("ij,ij->j", V, AV), rel=1e-12)
+        assert level.residuals == pytest.approx(np.linalg.norm(AV - V * level.values, axis=0),
+                                                rel=1e-4)
+    finest = split.levels[-1]
+    assert values_only or (finest.residuals <= TOL * finest.values).all()
+
+
+def test_one_pair_solves_the_even_sector_alone(requested_k):
+    """A dumbbell's k = 1 solve is the even sector's alone, one k = 1 solve
+    per level, within 2 tol lambda of the whole grid's lambda1, its vector
+    a unit even one."""
+    h_list = (1 / 16, 1 / 32, 1 / 64)
+    split = pipeline.solve_domain(geo.Dumbbell(0.2), h_list, tol=TOL, seed=1, k=1)
+    assert requested_k == [1, 1, 1]
+    for level, ref, grid in zip(split.levels, *_whole_solve(geo.Dumbbell(0.2), h_list)):
+        assert abs(level.values[0] - ref.values[0]) <= 2 * TOL * ref.values[0]
+        v = level.vectors[:, 0]
+        assert abs(v @ v - 1.0) <= 1e-12
+        assert abs(v @ v[_mirror(grid)] - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("domain, h_list", [
+    # lambda2(even) / lambda1(odd) is 1.09-1.12, below MARGIN
+    (geo.Dumbbell(0.9), (1 / 8, 1 / 16, 1 / 32)),
+    # no mirror declared
+    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128)),
+])
+def test_whole_grid_solve_where_no_split_is_taken(domain, h_list, requested_k, monkeypatch):
+    """A dumbbell whose second even eigenvalue lies within MARGIN of the
+    first odd one, and a domain that declares no mirror, are solved whole,
+    bit for bit as the whole grid's k = 2 solve.  The margin is what keeps
+    the dumbbell whole: under a smaller one it is split."""
+    solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
+    for level, ref in zip(solve.levels, _whole_solve(domain, h_list)[0]):
+        for name in ("values", "vectors", "residuals", "iterations", "inner_iterations"):
+            assert np.array_equal(getattr(level, name), getattr(ref, name)), name
+    if domain.mirror_odd:
+        requested_k.clear()
+        monkeypatch.setattr(pipeline, "MARGIN", 1.05)
+        pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
+        assert requested_k == [2, 1, 1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("domain, h_list, builds", [
     (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), 5),
+    # per mirror sector, even and odd
     (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), 4),
 ])
 def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
-    """The chain of interpolations is built once per domain, down from the
-    finest grid; each level takes its tail, and continues from the vectors
-    of the level before, whose record is the very ``EigenResult`` that
-    ``smallest_pairs`` returned.  One index map is built per lattice level:
+    """The chain of interpolations is built once per domain, or per mirror
+    sector, down from the finest grid; each level takes its tail, and
+    continues from the vectors of the level before, whose record is the
+    very ``EigenResult`` that ``smallest_pairs`` returned, or the pair of
+    its sectors' first values.  One index map is built per lattice level:
     every grid that ``prolong`` and ``assemble`` read is one
-    ``lattice_grid`` made, for the finest grid and once per ``prolong``."""
+    ``lattice_grid`` made, for the finest grid, for each sector's finest
+    grid and once per ``prolong``."""
     built, passed, results, maps, read = [], [], [], [], []
     prolong, solve, lattice_grid, assemble = (d.prolong, es.smallest_pairs, d.lattice_grid,
                                               d.assemble)
@@ -174,18 +287,30 @@ def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
     monkeypatch.setattr(d, "assemble", count_assembled)
     monkeypatch.setattr(es, "smallest_pairs", record)
     solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
-    assert len(solve.levels) == len(results) == len(h_list)
-    assert all(level is res for level, res in zip(solve.levels, results))
-    assert len(built) == len(set(built)) == builds
-    assert len(maps) == builds + 1
+    sectors = 2 if domain.mirror_odd else 1
+    assert len(solve.levels) == len(h_list) and len(results) == sectors * len(h_list)
+    if sectors == 1:
+        assert all(level is res for level, res in zip(solve.levels, results))
+    else:
+        assert all(level.values.tolist() == [res.values[0] for res in results[i: i + sectors]]
+                   for level, i in zip(solve.levels, range(0, len(results), sectors)))
+    assert len(built) == len(set(built)) == sectors * builds
+    assert len(maps) == sectors * builds + 1 + (sectors if sectors > 1 else 0)
     assert all(any(grid is own for own in maps) for grid in read)
-    chain = passed[-1][0]
-    assert len(chain) == builds
-    for depth, (transfers, coarse) in zip(range(len(h_list) - 1, -1, -1), passed):
-        assert len(transfers) == len(chain) - depth
-        assert all(P is own for P, own in zip(transfers, chain[depth:]))
-    assert passed[0][1] is None
-    assert all(coarse is res.vectors for (_, coarse), res in zip(passed[1:], results))
+    for sector in range(sectors):
+        own_passed, own_results = passed[sector::sectors], results[sector::sectors]
+        chain = own_passed[-1][0]
+        assert len(chain) == builds
+        for depth, (transfers, coarse) in zip(range(len(h_list) - 1, -1, -1), own_passed):
+            assert len(transfers) == len(chain) - depth
+            assert all(P is own for P, own in zip(transfers, chain[depth:]))
+        assert own_passed[0][1] is None
+        for (_, coarse), res in zip(own_passed[1:], own_results):
+            if sectors == 1:
+                assert coarse is res.vectors
+            else:  # a sector continues from its first vector, a view of its result
+                assert np.shares_memory(coarse, res.vectors)
+                assert np.array_equal(coarse, res.vectors[:, :1])
 
 
 def test_solve_domain_builds_one_grid(monkeypatch):
@@ -254,9 +379,11 @@ def test_disc_solve_converts_no_csr_matrix_to_csc(monkeypatch):
 
 
 def test_transfers_passed_finest_first(monkeypatch):
-    """Each level gets the interpolation onto its grid first and then the
-    very matrices of the level before, so a transfer built once is passed
-    on, finest first, to every finer level."""
+    """Each level of each mirror sector gets the interpolation onto its
+    grid first and then the very matrices of the level before, so a
+    transfer built once is passed on, finest first, to every finer level.
+    The odd sector is the half dumbbell's grid, and the even sector adds
+    the line x1 = 0 to it."""
     passed = []
     solve = es.smallest_pairs
 
@@ -267,12 +394,14 @@ def test_transfers_passed_finest_first(monkeypatch):
     monkeypatch.setattr(es, "smallest_pairs", record)
     h_list = (1 / 8, 1 / 16, 1 / 32)
     pipeline.solve_domain(geo.Dumbbell(0.2), h_list, tol=TOL, seed=1)
-    sizes = [d.build_grid(geo.Dumbbell(0.2), h).n for h in h_list]
-    assert [n for n, _ in passed] == sizes
-    for (n, fine), (coarse_n, coarse) in zip(passed[1:], passed):
-        assert fine[0].shape == (n, coarse_n)
-        assert len(fine) == len(coarse) + 1
-        assert all(P is own for P, own in zip(fine[1:], coarse))
+    odd = [d.build_grid(geo.HalfDumbbell(0.2), h).n for h in h_list]
+    even = [d.build_grid(geo.Dumbbell(0.2), h).n - n for h, n in zip(h_list, odd)]
+    for own, sizes in ((passed[0::2], even), (passed[1::2], odd)):
+        assert [n for n, _ in own] == sizes
+        for (n, fine), (coarse_n, coarse) in zip(own[1:], own):
+            assert fine[0].shape == (n, coarse_n)
+            assert len(fine) == len(coarse) + 1
+            assert all(P is own for P, own in zip(fine[1:], coarse))
     for _, transfers in passed:
         assert all(P.shape[1] == Q.shape[0] for P, Q in zip(transfers, transfers[1:]))
 
@@ -300,11 +429,14 @@ def test_h_list_rejects_nonpositive_and_nonfinite(h_list):
 
 @pytest.mark.parametrize("domain, h_list, iterations", [
     (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), (7, 4, 8)),
-    (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), (8, 5, 8)),
+    # by mirror sector, (even, odd) per level; the coarsest even solve
+    # takes k = 2
+    (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), ((11, 7), (4, 4), (8, 8))),
 ])
 def test_block_iterations_per_level(domain, h_list, iterations):
     solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
-    assert tuple(lv.iterations for lv in solve.levels) == tuple((i, i) for i in iterations)
+    assert tuple(lv.iterations for lv in solve.levels) == tuple(
+        i if isinstance(i, tuple) else (i, i) for i in iterations)
     for lv in solve.levels:
         assert all(0 < inner <= outer for inner, outer in zip(lv.inner_iterations, lv.iterations))
 
@@ -336,12 +468,16 @@ def test_coarser_levels_stop_within_the_true_temple_bound(domain, h_list, k, mon
     for values_only in (False, True):
         stops.clear()
         pipeline.solve_domain(domain, h_list, tol=TOL, seed=1, k=k, values_only=values_only)
-        flags = [True] * (len(h_list) - 1) + [values_only]
+        # one solve per level, or one per mirror sector
+        per_level = len(stops) // len(h_list)
+        assert len(stops) == per_level * len(h_list)
+        flags = [True] * (len(stops) - per_level) + [values_only] * per_level
         assert [flag for _, flag, _ in stops] == flags
         temple_stopped = stops
         if not values_only:
-            *temple_stopped, (_, _, finest) = stops
-            assert (finest.residuals <= TOL * finest.values).all()
+            temple_stopped = stops[:-per_level]
+            for _, _, finest in stops[-per_level:]:
+                assert (finest.residuals <= TOL * finest.values).all()
         for A, _, res in temple_stopped:
             if A.shape[0] not in exact:
                 exact[A.shape[0]] = np.sort(spla.eigsh(A, k=k + 3, sigma=0.0,
