@@ -17,6 +17,10 @@ half-balls
 
 and the open junction disk {x1 = 0, |x'| < sqrt(2 eps - eps^2)} where they
 meet, so it is connected; the half dumbbell excludes the plane {x1 = 0}.
+A shape declares no symmetry: the grid solve finds a mirror on the grid
+itself (``discretize.mirror_halves``), so every shape that is its own
+mirror image under x1 -> -x1, the dumbbell and the two-ball point among
+them, is solved by mirror sector.
 """
 
 import inspect
@@ -53,15 +57,10 @@ class Domain:
     """Base class carrying the ambient dimension.
 
     A shape defines ``inside(pts)`` for a validated (m, N) batch, ``measure()``,
-    ``box()`` as (lo, hi) arrays, and the class attribute ``KIND``.
-    ``mirror_odd`` declares that the shape is its own mirror image under
-    x1 -> -x1 and that its lambda2 is expected in the odd sector, so that a
-    grid solve may take each mirror sector on its own
-    (``pipeline.solve_domain`` checks both facts on the grid); no shape
-    declares it unless it says so.
+    ``box()`` as (lo, hi) arrays, and the class attribute ``KIND``.  It
+    declares no symmetry: a grid solve reads its mirror from the grid
+    (``discretize.mirror_halves``).
     """
-
-    mirror_odd = False
 
     def __post_init__(self):
         if self.dim < 2:
@@ -123,14 +122,13 @@ class Dumbbell(Domain):
     """Two unit balls pushed distance eps past tangency, each cut by {x1 = 0},
     joined through their open junction disk.
 
-    It is its own mirror image under x1 -> -x1 (``mirror_odd``): lambda1 is
-    the even ground state, and lambda2 the odd mode whose nodal line is
-    {x1 = 0}, i.e. the ground state of ``HalfDumbbell`` reflected oddly, as
-    long as the second even eigenvalue lies above it (lambda2(even) /
-    lambda1(odd) is 1.77 or more for eps <= 0.3, 1.1 at eps = 0.9)."""
+    It is its own mirror image under x1 -> -x1: lambda1 is the even ground
+    state, and lambda2 the odd mode whose nodal line is {x1 = 0}, i.e. the
+    ground state of ``HalfDumbbell`` reflected oddly, while the second even
+    eigenvalue lies above it (1.8 times above at eps = 0.2, 1.1 times at
+    eps = 0.9)."""
 
     KIND = "dumbbell"
-    mirror_odd = True
     epsilon: float
     dim: int = 2
 
@@ -189,11 +187,6 @@ class Scaled(Domain):
         super().__post_init__()
         if not 0 < self.factor < math.inf:
             raise ValueError(f"scale factor must be positive and finite, got {self.factor}")
-
-    @property
-    def mirror_odd(self):
-        # scaling about the origin keeps the mirror and the order of the sectors
-        return self.inner.mirror_odd
 
     def inside(self, pts):
         return self.inner.inside(pts / self.factor)

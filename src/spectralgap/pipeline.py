@@ -2,27 +2,22 @@
 Richardson-extrapolate with a fitted order.
 
 Spacings are made exact halves of the coarsest, so only the finest grid is
-built from the domain: ``chain`` coarsens it (``discretize.prolong``) into
-the coarser levels' grids and one chain of interpolations.  Each level's
-grid is assembled as it comes, solved with its tail of the chain, and
-continues from the vectors of the level before
-(``smallest_pairs(coarse=)``); its ``EigenResult`` is the level's one
-record.  The fit needs only the eigenvalues of a coarser level, and the
+built from the domain.  Its sectors come from the grid: its even and odd
+mirror sectors when it is its own mirror image under x1 -> -x1 and both
+halves keep every level (``discretize.mirror_halves``), else the whole grid
+as the one sector.  ``chain`` coarsens each sector's finest grid
+(``discretize.prolong``) into the coarser levels' grids and one chain of
+interpolations, and one level loop assembles and solves every sector on
+every level, each continued from its own vectors of the level before
+(``smallest_pairs(coarse=)``); a level's record is one ``EigenResult`` of
+the whole grid, its k smallest sector pairs (``_solve_levels``).
+The fit needs only the eigenvalues of a coarser level, and the
 next level its vectors as a start, so every level but the finest stops on
 Temple's eigenvalue-error estimate (``values_only=True``); the finest stops
 on its residual ||A v - lambda v|| <= tol * lambda, unless the caller reads
 only the values and budgets and asks for the same Temple stop there
 (``solve_domain(values_only=True)``, which every sweep record uses); the
 finest vectors of such a solve are then Temple-stopped.
-A domain that declares ``mirror_odd`` (the dumbbell) is solved by mirror
-sector when its finest grid is its own mirror image under x1 -> -x1
-(``discretize.mirror_halves``): every level solves the even sector for
-lambda1 and the odd sector for lambda2, each with k = 1 on its own chain,
-in place of one k = 2 solve of the whole grid.  The coarsest even solve
-takes k = 2 instead, and the split goes on only if its second value lies
-at least MARGIN times above the odd sector's first; otherwise the domain is
-solved whole.  Either way a level's record is one ``EigenResult`` of the
-whole grid, the split's vectors rebuilt from the sectors' by the mirror.
 ``discretize.extrapolate`` turns each eigenvalue's levels into a value and
 its error budget.  The values are the domain's own: callers that want the
 unit-measure copy apply ``geometry.normalization`` themselves, and add their
@@ -38,10 +33,13 @@ from . import discretize, eigensolve
 
 __all__ = ["DomainSolve", "MARGIN", "halving_levels", "chain", "solve_domain"]
 
-# least lambda2(even) / lambda1(odd) on the coarsest level for a solve by
-# mirror sector; the ratio is 1.77 or more on dumbbells with eps <= 0.3,
-# 1.31-1.34 at eps = 0.7 and 1.09-1.12 at eps = 0.9, and drifts by at most
-# 3% between h = 1/8 and 1/32
+# least lambda2(even) / lambda1(odd) on the coarsest level for the even
+# sector to carry one pair on the finer levels, two otherwise.  Between
+# h = 1/8 and 1/32 the ratio is 1.81-1.82 on Dumbbell(0.2), 1.60 at
+# eps = 0.5, 1.31-1.34 at 0.7 and 1.09-1.12 at 0.9; 2.52-2.54 on
+# two_balls(); 1.47-1.49 and 1.60-1.62 on Ellipse(1.5, 1) and (2, 1);
+# 1.61-1.62 and 1.38 on Rectangle(2, 1) and (3, 1); and 1.000 on the disc
+# and the square, whose lambda2 = lambda3 has one even and one odd member
 MARGIN = 1.25
 
 
@@ -50,14 +48,13 @@ class DomainSolve:
     """Raw and extrapolated eigenvalue estimates of the domain itself.
 
     ``levels`` are the ``eigensolve.EigenResult`` of each level, coarse to
-    fine, as ``smallest_pairs`` returned them, or, for a domain solved by
-    mirror sector, made of its sectors' results: each pair's value,
-    residual and iterations from its own sector, and the vectors rebuilt
-    on the whole grid.  Level i has spacing ``h_list[i]`` and
-    ``len(levels[i].vectors)`` nodes.  ``orders``,
-    ``fitted`` and ``error_est_raw`` come from ``discretize.extrapolate`` on
-    the per-level values.  Under ``solve_domain(values_only=True)`` the
-    finest vectors and residuals meet no residual bound.
+    fine, made of its sectors' results: the k smallest values, each pair's
+    residual and iterations from its own sector, and the vectors unfolded
+    onto the whole grid.  Level i has spacing ``h_list[i]`` and
+    ``len(levels[i].vectors)`` nodes.  ``orders``, ``fitted`` and
+    ``error_est_raw`` come from ``discretize.extrapolate`` on the per-level
+    values.  Under ``solve_domain(values_only=True)`` the finest vectors and
+    residuals meet no residual bound.
     """
 
     domain: object
@@ -125,19 +122,31 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
     With ``values_only`` the finest level stops on Temple's estimate too:
     for callers that read only the values and their budgets, as the
     finest vectors and residuals then carry no residual bound.
-    A domain that declares ``mirror_odd`` is solved by mirror sector when
-    its finest grid is its own mirror image and the coarsest level shows
-    lambda2(even) >= MARGIN * lambda1(odd) (``_solve_sectors``); any other
-    is solved whole.
+    The finest grid is solved by mirror sector when it is its own mirror
+    image under x1 -> -x1 and each sector keeps every level
+    (``discretize.mirror_halves``), else whole (``_solve_levels``).
     Returns every level's ``EigenResult`` and the extrapolated values with
     their error budgets.
     """
     hs = halving_levels(h_list)
     grid = discretize.build_grid(domain, hs[-1])
-    solve = dict(k=k, tol=tol, seed=seed, values_only=values_only)
-    levels = _solve_sectors(grid, len(hs), **solve) if domain.mirror_odd else None
-    if levels is None:
-        levels = _solve_whole(domain, grid, hs, **solve)
+    halves = discretize.mirror_halves(grid) or ()
+    sectors = [(parity, *chain(half, len(hs))) for parity, half in zip((1.0, -1.0), halves[:k])]
+    if not (halves and all(len(grids) == len(hs) for _, grids, _ in sectors)
+            and sectors[0][1][-1].n >= k):
+        sectors = [(0.0, *chain(grid, len(hs)))]
+        # a coarse level's nodes are a subset of each finer level's, so the
+        # coarsest is the first to fall short
+        grids = sectors[0][1]
+        n = grids[-1].n if len(grids) == len(hs) else 0
+        if n < k:
+            raise discretize.GridError(f"{n} active node(s) at spacing h = {hs[0]} in "
+                                       f"{domain!r}, fewer than the {k} pairs requested")
+    else:  # the even sector's chain, scaled once for its folded matrices
+        line = halves[0].n - halves[1].n
+        for P in sectors[0][2]:
+            line = discretize.fold_transfer(P, line)
+    levels = _solve_levels(sectors, k, tol, seed, values_only)
 
     fits = [discretize.extrapolate([float(lv.values[i]) for lv in levels], tol)
             for i in range(k)]
@@ -153,87 +162,70 @@ def solve_domain(domain, h_list, tol: float = 1e-6, seed: int = eigensolve.DEFAU
     )
 
 
-def _solve_whole(domain, grid, hs, k, tol, seed, values_only):
-    """Each level's ``EigenResult``, coarse to fine, of the k pairs of the
-    whole grid."""
-    grids, transfers = chain(grid, len(hs))
-    # a coarse level's nodes are a subset of each finer level's, so the
-    # coarsest is the first to fall short
-    n = grids[-1].n if len(grids) == len(hs) else 0
-    if n < k:
-        raise discretize.GridError(f"{n} active node(s) at spacing h = {hs[0]} in "
-                                   f"{domain!r}, fewer than the {k} pairs requested")
-    levels = []
-    for depth in reversed(range(len(hs))):
-        # a coarse level's grid is freed once it is assembled
-        A = discretize.assemble(grids.pop())
-        levels.append(eigensolve.smallest_pairs(A, transfers[depth:], k=k, tol=tol, seed=seed,
-                                                coarse=levels[-1].vectors if levels else None,
-                                                values_only=values_only or depth > 0))
-    return levels
+def _solve_levels(sectors, k, tol, seed, values_only):
+    """Each level's ``EigenResult``, coarse to fine, of the k smallest pairs
+    of a grid, from its ``sectors`` (parity, grids, transfers): the whole
+    grid (parity 0), or its even and odd mirror sectors (+1, -1), the even
+    one's transfers already folded (``discretize.fold_transfer``).  Each
+    level assembles each sector, folds the even one's matrix
+    (``discretize.fold_operator``), and solves it with ``smallest_pairs``,
+    continued from the sector's own vectors of the level before.
 
-
-def _solve_sectors(grid, count, k, tol, seed, values_only):
-    """Each level's ``EigenResult``, coarse to fine, of the k pairs of a
-    grid solved by mirror sector (``discretize.mirror_halves``): lambda1
-    from the even sector and lambda2 from the odd one, each a k = 1 solve
-    on its own chain, except the coarsest even solve, which takes k = 2 to
-    show that the second even eigenvalue lies at least MARGIN times above
-    the first odd one.  None, before any level finer than the coarsest is
-    solved, when the grid is not its own mirror image, a sector has too few
-    nodes on the coarsest level, or the margin fails.
-
-    The values, residuals and iterations of each pair are its sector's: a
-    sector residual is the whole grid's.  The vectors are the sector
-    vectors extended to the whole grid by its mirror, orthonormal.  A
-    sector solve that fails raises as it is, so the ``result`` of a
-    ``ConvergenceError`` holds the sector's vectors.
+    The whole grid carries k pairs and the odd sector 1.  The even sector
+    carries k on the coarsest level, and for k = 2 goes on with 1 only if
+    its second value there lies at least MARGIN times above the odd
+    sector's first.  A level's record holds the k smallest of its sectors'
+    values, ties to the even sector, each pair's residual and iterations
+    from its sector, and its vector unfolded onto the whole grid
+    (``_unfold``).  A sector solve that fails raises as it is, so the
+    ``result`` of a ``ConvergenceError`` holds the sector's vectors.
     """
-    halves = discretize.mirror_halves(grid)
-    if halves is None:
-        return None
-    sectors = [chain(half, count) for half in halves[:k]]
-    if any(len(grids) < count for grids, _ in sectors) or sectors[0][0][-1].n < k:
-        return None
-    lines = [halves[0].n - halves[1].n]  # even-sector nodes on the line, finest first
-    for P in sectors[0][1]:
-        lines.append(discretize.fold_transfer(P, lines[-1]))
-    levels, previous = [], [None] * k
-    for depth in reversed(range(count)):
-        results = []
-        for sector, ((grids, transfers), coarse) in enumerate(zip(sectors, previous)):
-            half = grids.pop()
-            A = discretize.assemble(half)
-            if sector == 0:
-                discretize.fold_operator(A, lines[depth])
+    carry = [k] + [1] * (len(sectors) - 1)
+    levels, previous = [], [None] * len(sectors)
+    for depth in reversed(range(len(sectors[0][1]))):
+        line, mirror, results = 0, None, []
+        for (parity, grids, transfers), coarse, pairs in zip(sectors, previous, carry):
+            grid = grids.pop()
+            # a coarse level's grid is freed once it is assembled
+            A = discretize.assemble(grid)
+            if parity > 0:
+                line = int(np.searchsorted(grid.active[:, 0], 1))
+                discretize.fold_operator(A, line)
                 # the odd nodes in the order of their mirror images
-                mirror = np.argsort(-half.active[lines[depth]:, 0], kind="stable")
+                mirror = np.argsort(-grid.active[line:, 0], kind="stable")
             results.append(eigensolve.smallest_pairs(
-                A, transfers[depth:], k=k if sector == 0 and not levels else 1, tol=tol,
-                seed=seed, coarse=coarse, values_only=values_only or depth > 0))
-        if k == 2 and not levels and results[0].values[1] < MARGIN * results[1].values[0]:
-            return None
-        previous = [res.vectors[:, :1] for res in results]
+                A, transfers[depth:], k=pairs, tol=tol, seed=seed, coarse=coarse,
+                values_only=values_only or depth > 0))
+        if not levels and len(results) == 2:
+            carry[0] = 1 if results[0].values[1] >= MARGIN * results[1].values[0] else 2
+        previous = [res.vectors[:, :pairs] for res, pairs in zip(results, carry)]
+        chosen = sorted(((res, i, parity) for (parity, _, _), res in zip(sectors, results)
+                         for i in range(len(res.values))), key=lambda c: c[0].values[c[1]])[:k]
         levels.append(eigensolve.EigenResult(
-            values=np.array([res.values[0] for res in results]),
-            vectors=_unfold([v[:, 0] for v in previous], lines[depth], mirror),
-            residuals=np.array([res.residuals[0] for res in results]),
-            iterations=tuple(res.iterations[0] for res in results),
-            inner_iterations=tuple(res.inner_iterations[0] for res in results)))
+            values=np.array([res.values[i] for res, i, _ in chosen]),
+            vectors=np.column_stack([_unfold(res.vectors[:, i], parity, line, mirror)
+                                     for res, i, parity in chosen]),
+            residuals=np.array([res.residuals[i] for res, i, _ in chosen]),
+            iterations=tuple(res.iterations[i] for res, i, _ in chosen),
+            inner_iterations=tuple(res.inner_iterations[i] for res, i, _ in chosen)))
     return levels
 
 
-def _unfold(vectors, line, mirror):
-    """Whole-grid orthonormal vectors, as columns, of a unit even-sector
-    vector with ``line`` nodes on the line and, if given, a unit odd-sector
-    vector: the even one is u = ext(M^(-1/2) v) / sqrt 2 and the odd one
-    ext_odd(v) / sqrt 2 (``discretize.mirror_halves``).  The whole grid's
-    lexicographic nodes are the mirror images of the odd sector's nodes in
-    the order ``mirror``, then the line, then the odd sector's nodes."""
+def _unfold(v, parity, line, mirror):
+    """The unit whole-grid vector of a unit sector vector v of the given
+    parity: v itself on the whole grid (parity 0); for an even-sector v
+    with ``line`` nodes on the line, u = ext(M^(-1/2) v) / sqrt 2; for an
+    odd-sector v, ext_odd(v) / sqrt 2 (``discretize.mirror_halves``).  The
+    whole grid's lexicographic nodes are the mirror images of the odd
+    sector's nodes in the order ``mirror``, then the line, then the odd
+    sector's nodes."""
+    if not parity:
+        return v
     rest = len(mirror)
-    u = np.zeros((2 * rest + line, len(vectors)))
-    u[rest: rest + line, 0] = vectors[0][:line]
-    for column, (v, sign) in enumerate(zip([vectors[0][line:], *vectors[1:]], (1.0, -1.0))):
-        u[rest + line:, column] = v / discretize.SQRT2
-        u[:rest, column] = sign * u[rest + line:, column][mirror]
+    u = np.zeros(2 * rest + line)
+    if parity > 0:
+        u[rest: rest + line] = v[:line]
+        v = v[line:]
+    u[rest + line:] = v / discretize.SQRT2
+    u[:rest] = parity * u[rest + line:][mirror]
     return u

@@ -188,10 +188,11 @@ def assert_odd_reflection(dumbbell, half):
     budgets (the half's ground state, reflected oddly, is a trial field for
     lambda2), and an odd second eigenvector: mirror correlation >= 0.99.
 
-    A dumbbell solved by mirror sector meets both by construction: its
-    lambda2 is the odd sector's, the half dumbbell's lambda1 on the same
-    nodes (bit for bit at the same seed), and its second vector is that
-    mode extended oddly.  The check still guards a dumbbell solved whole;
+    A dumbbell is solved by mirror sector, so it meets both by
+    construction while its second even eigenvalue lies above the first odd
+    one: its lambda2 is then the odd sector's, the half dumbbell's lambda1
+    on the same nodes (bit for bit at the same seed), and its second vector
+    is that mode extended oddly.  The check guards that ordering;
     ``test_mirror_sectors_match_the_whole_grid_solve`` checks the split
     against the whole grid's solve, parity included."""
     lam2, lam1_half = float(dumbbell.lambda_x[1]), float(half.lambda_x[0])

@@ -34,7 +34,8 @@ def _scripted(monkeypatch, levels):
 
     def fake(A, transfers, k, tol, seed, coarse, values_only):
         return es.EigenResult(values=np.array(next(script)), vectors=np.ones((A.shape[0], k)),
-                              residuals=np.zeros(k), iterations=(1,) * k)
+                              residuals=np.zeros(k), iterations=(1,) * k,
+                              inner_iterations=(1,) * k)
 
     monkeypatch.setattr(pipeline.eigensolve, "smallest_pairs", fake)
 
@@ -43,9 +44,10 @@ class TestErrorBudget:
     H = (1 / 4, 1 / 8, 1 / 16)
 
     def test_non_monotone_keeps_last_level_change(self, monkeypatch):
-        # lambda1 turns back on the finest level; lambda2 follows 10 + 3h^2
+        # lambda1 turns back on the finest level; lambda2 follows 10 + 3h^2.
+        # A grid with no mirror is solved whole: one solve per level
         _scripted(monkeypatch, [(5.0, 10.1875), (5.2, 10.046875), (5.1, 10.01171875)])
-        solve = pipeline.solve_domain(geo.Ball(), self.H, tol=TOL)
+        solve = pipeline.solve_domain(geo.HalfDumbbell(0.1), self.H, tol=TOL)
         assert solve.fitted == (False, True)
         assert solve.lambda_x[0] == 5.1
         assert solve.error_est_raw[0] >= abs(5.1 - 5.2)
@@ -122,22 +124,20 @@ def test_fewer_active_nodes_than_pairs():
 
 
 def test_disc_solve_peak_memory():
-    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (13.95 MiB
-    since each level keeps its own vectors, the coarsest level's 51 KB
-    among them; 13.89 MiB before, when only the latest level's were kept)
-    stays within 10% of the 12.9 MiB of the aggregation-multigrid solver it
-    replaced."""
+    """The tracemalloc peak of one disc solve at 1/32 ... 1/128 (9.02 MiB
+    by mirror sector, 13.95 MiB when the whole grid was solved with k = 2)
+    stays within 2% of the split's."""
     tracemalloc.start()
     try:
         pipeline.solve_domain(geo.Ball(), (1 / 32, 1 / 64, 1 / 128))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak <= 9.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_dumbbell_solve_peak_memory():
-    """The tracemalloc peak of one dumbbell solve at 1/32 ... 1/128 (14.92
+    """The tracemalloc peak of one dumbbell solve at 1/32 ... 1/128 (14.68
     MiB by mirror sector, 26.46 MiB when the whole grid was solved with
     k = 2) stays within 2% of the split's."""
     tracemalloc.start()
@@ -146,7 +146,7 @@ def test_dumbbell_solve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 15.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak <= 15.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def _whole_solve(domain, h_list, tol=TOL, seed=1, values_only=False):
@@ -182,26 +182,43 @@ def requested_k(monkeypatch):
     return calls
 
 
+# the mirror-symmetric shapes, each with the parities (+1 even, -1 odd) its
+# two vectors may have: the disc's and the square's lambda2 = lambda3 has
+# an even and an odd member, and two balls' lambda1 = lambda2 too, so a
+# level may hold either
+EVEN_ODD, DEGENERATE_2, DEGENERATE_1 = [(1, -1)], [(1, 1), (1, -1)], [(1, -1), (-1, 1)]
+MIRRORED = [
+    pytest.param(geo.Dumbbell(0.2), EVEN_ODD, id="0.2"),
+    pytest.param(geo.Dumbbell(0.05), EVEN_ODD, id="0.05"),
+    pytest.param(geo.Dumbbell(0.9), EVEN_ODD, id="Dumbbell(0.9)"),
+    pytest.param(geo.Scaled(1.3, geo.Dumbbell(0.1)), EVEN_ODD, id="Scaled(1.3,Dumbbell(0.1))"),
+    pytest.param(geo.Ball(), DEGENERATE_2, id="Ball"),
+    pytest.param(geo.Rectangle(1.0, 1.0), DEGENERATE_2, id="Rectangle(1,1)"),
+    pytest.param(geo.Rectangle(3.0, 1.0), EVEN_ODD, id="Rectangle(3,1)"),
+    pytest.param(geo.Ellipse(2.0, 1.0), EVEN_ODD, id="Ellipse(2,1)"),
+    pytest.param(geo.two_balls(), DEGENERATE_1, id="two_balls"),
+]
+
+
 @pytest.mark.parametrize("values_only", [False, True])
-@pytest.mark.parametrize("eps", [0.2, 0.05])
-def test_mirror_sectors_match_the_whole_grid_solve(eps, values_only, requested_k):
-    """A dumbbell is solved by mirror sector, two solves per level, and
-    every level's values lie within 2 tol lambda of the whole grid's k = 2
-    solve.  The vectors rebuilt on the whole grid are orthonormal, the
-    first even and the second odd; their values are their Rayleigh
-    quotients, and their residuals their true residuals, at most
+@pytest.mark.parametrize("domain, parities", MIRRORED)
+def test_mirror_sectors_match_the_whole_grid_solve(domain, parities, values_only, requested_k):
+    """A grid that is its own mirror image is solved by mirror sector, two
+    solves per level, and every level's values lie within 2 tol lambda of
+    the whole grid's k = 2 solve.  The vectors unfolded on the whole grid
+    are orthonormal, each even or odd by its sector; their values are their
+    Rayleigh quotients, and their residuals their true residuals, at most
     tol * lambda on the finest level unless only values are read."""
     h_list = (1 / 16, 1 / 32, 1 / 64)
-    split = pipeline.solve_domain(geo.Dumbbell(eps), h_list, tol=TOL, seed=1,
-                                  values_only=values_only)
-    assert requested_k == [2, 1, 1, 1, 1, 1]
-    whole, grids = _whole_solve(geo.Dumbbell(eps), h_list, values_only=values_only)
+    split = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1, values_only=values_only)
+    assert len(requested_k) == 2 * len(h_list) and requested_k[:2] == [2, 1]
+    whole, grids = _whole_solve(domain, h_list, values_only=values_only)
     for level, ref, grid in zip(split.levels, whole, grids):
         assert (np.abs(level.values - ref.values) <= 2 * TOL * ref.values).all()
         V = level.vectors
         assert np.abs(V.T @ V - np.eye(2)).max() <= 1e-12
-        mirrored = V[_mirror(grid)]
-        assert np.abs(np.einsum("ij,ij->j", V, mirrored) - [1.0, -1.0]).max() <= 1e-8
+        correlation = np.einsum("ij,ij->j", V, V[_mirror(grid)])
+        assert min(np.abs(correlation - p).max() for p in parities) <= 1e-8
         AV = d.assemble(grid) @ V
         assert level.values == pytest.approx(np.einsum("ij,ij->j", V, AV), rel=1e-12)
         assert level.residuals == pytest.approx(np.linalg.norm(AV - V * level.values, axis=0),
@@ -211,55 +228,86 @@ def test_mirror_sectors_match_the_whole_grid_solve(eps, values_only, requested_k
 
 
 def test_one_pair_solves_the_even_sector_alone(requested_k):
-    """A dumbbell's k = 1 solve is the even sector's alone, one k = 1 solve
-    per level, within 2 tol lambda of the whole grid's lambda1, its vector
-    a unit even one."""
+    """A k = 1 solve of a mirror-symmetric grid is the even sector's alone,
+    one k = 1 solve per level, within 2 tol lambda of the whole grid's
+    lambda1, its vector a unit even one."""
     h_list = (1 / 16, 1 / 32, 1 / 64)
-    split = pipeline.solve_domain(geo.Dumbbell(0.2), h_list, tol=TOL, seed=1, k=1)
-    assert requested_k == [1, 1, 1]
-    for level, ref, grid in zip(split.levels, *_whole_solve(geo.Dumbbell(0.2), h_list)):
-        assert abs(level.values[0] - ref.values[0]) <= 2 * TOL * ref.values[0]
-        v = level.vectors[:, 0]
-        assert abs(v @ v - 1.0) <= 1e-12
-        assert abs(v @ v[_mirror(grid)] - 1.0) <= 1e-8
+    for domain in (geo.Dumbbell(0.2), geo.Ball()):
+        requested_k.clear()
+        split = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1, k=1)
+        assert requested_k == [1, 1, 1]
+        for level, ref, grid in zip(split.levels, *_whole_solve(domain, h_list)):
+            assert abs(level.values[0] - ref.values[0]) <= 2 * TOL * ref.values[0]
+            v = level.vectors[:, 0]
+            assert abs(v @ v - 1.0) <= 1e-12
+            assert abs(v @ v[_mirror(grid)] - 1.0) <= 1e-8
 
 
-@pytest.mark.parametrize("domain, h_list", [
-    # lambda2(even) / lambda1(odd) is 1.09-1.12, below MARGIN
-    (geo.Dumbbell(0.9), (1 / 8, 1 / 16, 1 / 32)),
-    # no mirror declared
-    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128)),
-])
-def test_whole_grid_solve_where_no_split_is_taken(domain, h_list, requested_k, monkeypatch):
-    """A dumbbell whose second even eigenvalue lies within MARGIN of the
-    first odd one, and a domain that declares no mirror, are solved whole,
-    bit for bit as the whole grid's k = 2 solve.  The margin is what keeps
-    the dumbbell whole: under a smaller one it is split."""
+def _solved_whole(domain, h_list, requested_k):
+    """Solve ``domain`` and check it is one k = 2 solve per level, bit for
+    bit as the whole grid's; return the solve."""
     solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
+    assert requested_k == [2] * len(h_list)
     for level, ref in zip(solve.levels, _whole_solve(domain, h_list)[0]):
         for name in ("values", "vectors", "residuals", "iterations", "inner_iterations"):
             assert np.array_equal(getattr(level, name), getattr(ref, name)), name
-    if domain.mirror_odd:
+    return solve
+
+
+@pytest.mark.parametrize("domain, h_list", [
+    (geo.HalfDumbbell(0.1), (1 / 32, 1 / 64, 1 / 128)),
+    # two_balls_ratio at 0.8: the smaller ball breaks the mirror
+    (geo.DisjointUnion((geo.Ball(center=(-1.9, 0.0)), geo.Ball(center=(1.9, 0.0), radius=0.8))),
+     (1 / 16, 1 / 32, 1 / 64)),
+])
+def test_whole_grid_solve_where_no_split_is_taken(domain, h_list, requested_k):
+    """A grid that is not its own mirror image is solved whole, bit for bit
+    as the whole grid's k = 2 solve."""
+    solve = _solved_whole(domain, h_list, requested_k)
+    assert d.mirror_halves(solve.grid) is None
+
+
+def test_mirror_halves_that_lose_a_level_are_solved_whole(requested_k):
+    """``Rectangle(0.1, 1)`` is its own mirror image, but its odd half, the
+    column i = 1 at h = 1/32, has no node on the coarser levels, so it is
+    solved whole, bit for bit as the whole grid's k = 2 solve."""
+    solve = _solved_whole(geo.Rectangle(0.1, 1.0), (1 / 8, 1 / 16, 1 / 32), requested_k)
+    assert d.mirror_halves(solve.grid) is not None
+
+
+def test_even_sector_carries_a_second_pair_below_margin(requested_k, monkeypatch):
+    """The even sector carries a second pair on every level when its second
+    value lies within MARGIN of the odd sector's first on the coarsest
+    level: on Dumbbell(0.9) (ratio 1.09-1.12) and on the disc (1.000).
+    Under a smaller margin the dumbbell's even sector carries one pair
+    after the coarsest level."""
+    for domain, h_list in ((geo.Dumbbell(0.9), (1 / 8, 1 / 16, 1 / 32)),
+                           (geo.Ball(), (1 / 32, 1 / 64, 1 / 128))):
         requested_k.clear()
-        monkeypatch.setattr(pipeline, "MARGIN", 1.05)
         pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
-        assert requested_k == [2, 1, 1, 1, 1, 1]
+        assert requested_k == [2, 1, 2, 1, 2, 1]
+    requested_k.clear()
+    monkeypatch.setattr(pipeline, "MARGIN", 1.05)
+    pipeline.solve_domain(geo.Dumbbell(0.9), (1 / 8, 1 / 16, 1 / 32), tol=TOL, seed=1)
+    assert requested_k == [2, 1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("domain, h_list, builds", [
     (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), 5),
-    # per mirror sector, even and odd
     (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), 4),
+    # no mirror: the whole grid is the one sector
+    (geo.HalfDumbbell(0.1), (1 / 32, 1 / 64, 1 / 128), 5),
 ])
 def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
-    """The chain of interpolations is built once per domain, or per mirror
-    sector, down from the finest grid; each level takes its tail, and
-    continues from the vectors of the level before, whose record is the
-    very ``EigenResult`` that ``smallest_pairs`` returned, or the pair of
-    its sectors' first values.  One index map is built per lattice level:
-    every grid that ``prolong`` and ``assemble`` read is one
-    ``lattice_grid`` made, for the finest grid, for each sector's finest
-    grid and once per ``prolong``."""
+    """The chain of interpolations is built once per sector, the whole grid
+    or each mirror sector, down from its finest grid; ``builds`` is the
+    first sector's.  Each level takes its tail, and continues from its
+    sector's vectors of the level before, a view of the ``EigenResult``
+    that ``smallest_pairs`` returned; a level's values are the two smallest
+    of its sectors'.  One index map is built per lattice level: every grid
+    that ``prolong`` and ``assemble`` read is one ``lattice_grid`` made, for
+    the finest grid, for each mirror sector's finest grid and once per
+    ``prolong``."""
     built, passed, results, maps, read = [], [], [], [], []
     prolong, solve, lattice_grid, assemble = (d.prolong, es.smallest_pairs, d.lattice_grid,
                                               d.assemble)
@@ -287,30 +335,26 @@ def test_each_transfer_built_once(domain, h_list, builds, monkeypatch):
     monkeypatch.setattr(d, "assemble", count_assembled)
     monkeypatch.setattr(es, "smallest_pairs", record)
     solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
-    sectors = 2 if domain.mirror_odd else 1
+    sectors = len(results) // len(h_list)
     assert len(solve.levels) == len(h_list) and len(results) == sectors * len(h_list)
-    if sectors == 1:
-        assert all(level is res for level, res in zip(solve.levels, results))
-    else:
-        assert all(level.values.tolist() == [res.values[0] for res in results[i: i + sectors]]
-                   for level, i in zip(solve.levels, range(0, len(results), sectors)))
-    assert len(built) == len(set(built)) == sectors * builds
-    assert len(maps) == sectors * builds + 1 + (sectors if sectors > 1 else 0)
+    assert sectors == (1 if isinstance(domain, geo.HalfDumbbell) else 2)
+    for level, i in zip(solve.levels, range(0, len(results), sectors)):
+        assert level.values.tolist() == sorted(
+            value for res in results[i: i + sectors] for value in res.values.tolist())[:2]
+    chains = [transfers for transfers, _ in passed[-sectors:]]  # the finest level's
+    assert len(chains[0]) == builds
+    assert len(built) == len(set(built)) == sum(map(len, chains))
+    assert len(maps) == len(built) + 1 + (sectors if sectors > 1 else 0)
     assert all(any(grid is own for own in maps) for grid in read)
-    for sector in range(sectors):
+    for sector, chain in enumerate(chains):
         own_passed, own_results = passed[sector::sectors], results[sector::sectors]
-        chain = own_passed[-1][0]
-        assert len(chain) == builds
         for depth, (transfers, coarse) in zip(range(len(h_list) - 1, -1, -1), own_passed):
             assert len(transfers) == len(chain) - depth
             assert all(P is own for P, own in zip(transfers, chain[depth:]))
         assert own_passed[0][1] is None
         for (_, coarse), res in zip(own_passed[1:], own_results):
-            if sectors == 1:
-                assert coarse is res.vectors
-            else:  # a sector continues from its first vector, a view of its result
-                assert np.shares_memory(coarse, res.vectors)
-                assert np.array_equal(coarse, res.vectors[:, :1])
+            assert np.shares_memory(coarse, res.vectors)
+            assert np.array_equal(coarse, res.vectors[:, :coarse.shape[1]])
 
 
 def test_solve_domain_builds_one_grid(monkeypatch):
@@ -428,15 +472,14 @@ def test_h_list_rejects_nonpositive_and_nonfinite(h_list):
 
 
 @pytest.mark.parametrize("domain, h_list, iterations", [
-    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), (7, 4, 8)),
     # by mirror sector, (even, odd) per level; the coarsest even solve
-    # takes k = 2
+    # takes k = 2, and the disc's even sector carries two pairs throughout
+    (geo.Ball(), (1 / 32, 1 / 64, 1 / 128), ((8, 7), (4, 4), (8, 8))),
     (geo.Dumbbell(0.2), (1 / 16, 1 / 32, 1 / 64), ((11, 7), (4, 4), (8, 8))),
 ])
 def test_block_iterations_per_level(domain, h_list, iterations):
     solve = pipeline.solve_domain(domain, h_list, tol=TOL, seed=1)
-    assert tuple(lv.iterations for lv in solve.levels) == tuple(
-        i if isinstance(i, tuple) else (i, i) for i in iterations)
+    assert tuple(lv.iterations for lv in solve.levels) == iterations
     for lv in solve.levels:
         assert all(0 < inner <= outer for inner, outer in zip(lv.inner_iterations, lv.iterations))
 
@@ -503,8 +546,9 @@ def test_only_value_readers_stop_the_finest_level_on_temple(monkeypatch):
     monkeypatch.setattr(es, "smallest_pairs", record)
     config = attainable.SweepConfig(h_list=(1 / 8, 1 / 16, 1 / 32))
     assert attainable.sweep({"ball": [1.0]}, config)[0].failure is None
-    assert flags == [True, True, True]
+    # two mirror sectors per level
+    assert flags == [True] * 6
     flags.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["eig", "--domain", "disc", "--h", "1/8,1/16,1/32"]) == 0
-    assert flags == [True, True, False]
+    assert flags == [True] * 4 + [False] * 2
